@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-report lint-fix-audit sanitize fuzz bench bench-ci bench-smoke shard-smoke obs-smoke obs-live-smoke trim-smoke stream-smoke ci
+.PHONY: build test race vet lint lint-report lint-fix-audit sanitize fuzz bench bench-ci bench-smoke bench-test shard-smoke obs-smoke obs-live-smoke trim-smoke stream-smoke ci
 
 build:
 	$(GO) build ./...
@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also gates formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l *.go bench cmd examples internal)"; \
+		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -32,8 +35,13 @@ FORCE:
 BASELINE := $(abspath lint-baseline.json)
 baseline-stamp = $(firstword $(shell cat $(BASELINE) 2>/dev/null | cksum))
 
+# bench/ is a module of its own (the referee benchmark, see bench/README.md),
+# so ./... does not descend into it; the second vet covers it with the same
+# analyzers and the same baseline.
 lint: bin/ftlint
 	$(GO) vet -vettool=$(abspath bin/ftlint) \
+		-baseline=$(BASELINE) -baseline-stamp=$(baseline-stamp) ./...
+	cd bench && $(GO) vet -vettool=$(abspath bin/ftlint) \
 		-baseline=$(BASELINE) -baseline-stamp=$(baseline-stamp) ./...
 
 # Machine-readable reports for CI artifact upload: JSON (the full findings +
@@ -79,6 +87,11 @@ bench: bin/ftlbench
 bench-ci: bin/ftlbench
 	./bin/ftlbench -smoke -runs 1 -minops 600000
 	./bin/ftlbench -case stream-replay -stream-requests 2000000 -runs 1 -minops 4000000
+
+# The referee benchmark's own tests (< 1 s). `go test ./...` at the root does
+# not reach them: bench/ has its own go.mod.
+bench-test:
+	$(GO) test -C bench ./...
 
 # Observability smoke: a short traced multi-channel run must produce a
 # schema-valid metrics JSONL stream and a balanced Chrome trace_event file
@@ -173,4 +186,4 @@ obs-live-smoke: bin/ftlsim bin/tracegen bin/obsvalidate
 	cmp /tmp/obs-live.off.txt /tmp/obs-live.on.txt
 	rm -f /tmp/obs-live.csv /tmp/obs-live.ftr /tmp/obs-live.*.txt /tmp/obs-live.*.prom
 
-ci: vet lint lint-report race sanitize bench-smoke shard-smoke stream-smoke bench-ci obs-smoke obs-live-smoke trim-smoke
+ci: vet lint lint-report race sanitize bench-test bench-smoke shard-smoke stream-smoke bench-ci obs-smoke obs-live-smoke trim-smoke

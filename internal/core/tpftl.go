@@ -34,6 +34,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/lru"
@@ -243,13 +244,13 @@ func New(cfg Config) *FTL {
 	if ePerTP <= 0 {
 		ePerTP = ftl.DefaultEntriesPerTP
 	}
-	return &FTL{
+	return cacheline.Isolated(FTL{
 		cfg:        cfg,
 		entryBytes: entryBytes,
 		nodeBytes:  int64(cfg.TPNodeBytes),
 		threshold:  cfg.SelectiveThreshold,
 		ePerTP:     ePerTP,
-	}
+	})
 }
 
 // SetGeometry implements ftl.GeometryAware: the device announces its real

@@ -14,6 +14,8 @@ package flash
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/cacheline"
 )
 
 // PPN is a physical page number: block*PagesPerBlock + offset.
@@ -214,14 +216,14 @@ func New(cfg Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Chip{
+	return cacheline.Isolated(Chip{
 		cfg:        cfg,
 		numDies:    cfg.NumDies(),
 		totalPages: cfg.TotalPages(),
 		states:     make([]PageState, cfg.TotalPages()),
 		metas:      make([]Meta, cfg.TotalPages()),
 		blocks:     make([]block, cfg.NumBlocks),
-	}, nil
+	}), nil
 }
 
 // Config returns the chip's configuration.
@@ -424,6 +426,9 @@ func (c *Chip) FailNext(op string, err error) {
 }
 
 func (c *Chip) takeInjected(op string) error {
+	if len(c.failNext) == 0 {
+		return nil // FailNext never called: spare every operation the string-keyed lookup
+	}
 	q := c.failNext[op]
 	if len(q) == 0 {
 		return nil

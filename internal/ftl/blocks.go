@@ -1,8 +1,7 @@
 package ftl
 
 import (
-	"container/heap"
-
+	"repro/internal/cacheline"
 	"repro/internal/flash"
 )
 
@@ -43,7 +42,6 @@ type blockMgr struct {
 	transRR       int
 
 	victims victimHeap
-	heapIdx []int // position of each block in victims, -1 when absent
 
 	policy  GCPolicy
 	tick    int64   // advances on every invalidation (cost-benefit age base)
@@ -54,7 +52,7 @@ func newBlockMgr(chip *flash.Chip, placement TPPlacement) *blockMgr {
 	cfg := chip.Config()
 	n := cfg.NumBlocks
 	dies := cfg.NumDies()
-	bm := &blockMgr{
+	bm := cacheline.Isolated(blockMgr{
 		chip:          chip,
 		kinds:         make([]blockKind, n),
 		numDies:       dies,
@@ -62,10 +60,9 @@ func newBlockMgr(chip *flash.Chip, placement TPPlacement) *blockMgr {
 		frHead:        make([]int, dies),
 		dataFrontier:  make([]flash.BlockID, dies),
 		transFrontier: make([]flash.BlockID, dies),
-		heapIdx:       make([]int, n),
 		lastMod:       make([]int64, n),
-	}
-	bm.victims.bm = bm
+	})
+	bm.victims.idx = make([]int, n)
 	for d := 0; d < dies; d++ {
 		bm.dataFrontier[d] = -1
 		bm.transFrontier[d] = -1
@@ -74,8 +71,8 @@ func newBlockMgr(chip *flash.Chip, placement TPPlacement) *blockMgr {
 			bm.transDies = append(bm.transDies, d)
 		}
 	}
-	for b := range bm.heapIdx {
-		bm.heapIdx[b] = -1
+	for b := range bm.victims.idx {
+		bm.victims.idx[b] = -1
 	}
 	// Each FIFO pops from the front: append ascending so low blocks
 	// allocate first (reproducible layout; Format lays data out
@@ -216,12 +213,12 @@ func (bm *blockMgr) maybeEnqueue(blk flash.BlockID) {
 	if invalid == 0 {
 		return // nothing to reclaim
 	}
-	if i := bm.heapIdx[blk]; i >= 0 {
+	if i := bm.victims.idx[blk]; i >= 0 {
 		bm.victims.items[i].invalid = invalid
-		heap.Fix(&bm.victims, i)
+		bm.victims.fix(i)
 		return
 	}
-	heap.Push(&bm.victims, victim{blk: blk, invalid: invalid})
+	bm.victims.push(victim{blk: blk, invalid: invalid})
 }
 
 // popVictim returns the next GC victim under the configured policy, or -1
@@ -230,13 +227,12 @@ func (bm *blockMgr) popVictim() flash.BlockID {
 	if bm.policy == GCCostBenefit {
 		return bm.popVictimCostBenefit()
 	}
-	for bm.victims.Len() > 0 {
-		v := heap.Pop(&bm.victims).(victim)
-		bm.heapIdx[v.blk] = -1
-		if bm.chip.ValidCount(v.blk) == bm.chip.Config().PagesPerBlock {
+	for len(bm.victims.items) > 0 {
+		blk := bm.victims.remove(0)
+		if bm.chip.ValidCount(blk) == bm.chip.Config().PagesPerBlock {
 			continue // defensive; re-keying should prevent this
 		}
-		return v.blk
+		return blk
 	}
 	return -1
 }
@@ -284,9 +280,8 @@ func (bm *blockMgr) popVictimCostBenefit() flash.BlockID {
 // collect a block outside popVictim (wear leveling) must use it to keep the
 // heap coherent.
 func (bm *blockMgr) removeFromHeap(blk flash.BlockID) {
-	if i := bm.heapIdx[blk]; i >= 0 {
-		heap.Remove(&bm.victims, i)
-		bm.heapIdx[blk] = -1
+	if i := bm.victims.idx[blk]; i >= 0 {
+		bm.victims.remove(i)
 	}
 }
 
@@ -302,28 +297,90 @@ type victim struct {
 	invalid int
 }
 
-// victimHeap is an indexed max-heap over invalid counts; bm.heapIdx tracks
-// each block's position so keys can be fixed in place.
+// victimHeap is an indexed max-heap over invalid counts; idx tracks each
+// block's position (-1 when absent) so keys can be fixed in place. Like
+// ssd.EventQueue it sifts over the plain slice instead of going through
+// container/heap, which boxes every victim through `any` on push and pop.
+// The sift order — which child is compared first, when a swap stops — is
+// container/heap's exactly: blocks with equal invalid counts are popped in
+// the order the heap's shape gives them, and that order picks GC victims
+// and so feeds EventHash.
 type victimHeap struct {
 	items []victim
-	bm    *blockMgr
+	idx   []int
 }
 
-func (h victimHeap) Len() int           { return len(h.items) }
-func (h victimHeap) Less(i, j int) bool { return h.items[i].invalid > h.items[j].invalid }
-func (h victimHeap) Swap(i, j int) {
+func (h *victimHeap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.bm.heapIdx[h.items[i].blk] = i
-	h.bm.heapIdx[h.items[j].blk] = j
+	h.idx[h.items[i].blk] = i
+	h.idx[h.items[j].blk] = j
 }
-func (h *victimHeap) Push(x any) {
-	v := x.(victim)
-	h.bm.heapIdx[v.blk] = len(h.items)
+
+// up sifts item j towards the root while it has more invalid pages than
+// its parent.
+func (h *victimHeap) up(j int) {
+	for j > 0 {
+		parent := (j - 1) / 2
+		if h.items[j].invalid <= h.items[parent].invalid {
+			break
+		}
+		h.swap(parent, j)
+		j = parent
+	}
+}
+
+// down sifts item i0 towards the leaves of items[:n] and reports whether it
+// moved.
+func (h *victimHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		left := 2*i + 1
+		if left >= n {
+			break
+		}
+		child := left
+		if right := left + 1; right < n && h.items[right].invalid > h.items[left].invalid {
+			child = right
+		}
+		if h.items[child].invalid <= h.items[i].invalid {
+			break
+		}
+		h.swap(i, child)
+		i = child
+	}
+	return i > i0
+}
+
+// push adds a block that is not in the heap.
+//
+//ftl:hotpath
+func (h *victimHeap) push(v victim) {
+	h.idx[v.blk] = len(h.items)
 	h.items = append(h.items, v)
+	h.up(len(h.items) - 1)
 }
-func (h *victimHeap) Pop() any {
-	n := len(h.items)
-	v := h.items[n-1]
-	h.items = h.items[:n-1]
-	return v
+
+// fix restores the heap order after items[i].invalid changed.
+//
+//ftl:hotpath
+func (h *victimHeap) fix(i int) {
+	if !h.down(i, len(h.items)) {
+		h.up(i)
+	}
+}
+
+// remove takes item i (0 is the maximum) out of the heap and returns its
+// block.
+//
+//ftl:hotpath
+func (h *victimHeap) remove(i int) flash.BlockID {
+	n := len(h.items) - 1
+	h.swap(i, n)
+	blk := h.items[n].blk
+	h.items = h.items[:n]
+	h.idx[blk] = -1
+	if i < n {
+		h.fix(i)
+	}
+	return blk
 }

@@ -1,8 +1,11 @@
 package ftl
 
 import (
+	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/flash"
 )
@@ -95,4 +98,112 @@ func TestVictimHeapMatchesBruteForce(t *testing.T) {
 			bm.release(got)
 		}
 	}
+}
+
+// boxedVictimHeap is the victim heap as it was on container/heap, kept as
+// the reference for the non-boxing sift.
+type boxedVictimHeap struct {
+	items []victim
+	idx   []int
+}
+
+func (h boxedVictimHeap) Len() int           { return len(h.items) }
+func (h boxedVictimHeap) Less(i, j int) bool { return h.items[i].invalid > h.items[j].invalid }
+func (h boxedVictimHeap) Swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.idx[h.items[i].blk] = i
+	h.idx[h.items[j].blk] = j
+}
+func (h *boxedVictimHeap) Push(x any) {
+	v := x.(victim)
+	h.idx[v.blk] = len(h.items)
+	h.items = append(h.items, v)
+}
+func (h *boxedVictimHeap) Pop() any {
+	n := len(h.items)
+	v := h.items[n-1]
+	h.items = h.items[:n-1]
+	h.idx[v.blk] = -1
+	return v
+}
+
+// TestVictimHeapMatchesContainerHeap drives the hand-rolled heap and the
+// container/heap one it replaced through the same random pushes, re-keys,
+// pops and removals, with keys drawn from a small range so ties are the
+// rule, and requires the same array after every step: same pop order among
+// equal invalid counts (victim order feeds EventHash), same index upkeep.
+func TestVictimHeapMatchesContainerHeap(t *testing.T) {
+	const blocks = 200
+	newIdx := func() []int {
+		idx := make([]int, blocks)
+		for i := range idx {
+			idx[i] = -1
+		}
+		return idx
+	}
+	got := victimHeap{idx: newIdx()}
+	want := boxedVictimHeap{idx: newIdx()}
+	rng := rand.New(rand.NewSource(9))
+	for step := 0; step < 20000; step++ {
+		blk := flash.BlockID(rng.Intn(blocks))
+		invalid := 1 + rng.Intn(8)
+		i := want.idx[blk]
+		switch op := rng.Intn(10); {
+		case op < 5 && i < 0:
+			got.push(victim{blk: blk, invalid: invalid})
+			heap.Push(&want, victim{blk: blk, invalid: invalid})
+		case op < 5:
+			got.items[i].invalid = invalid
+			got.fix(i)
+			want.items[i].invalid = invalid
+			heap.Fix(&want, i)
+		case op < 8 && len(want.items) > 0:
+			g, w := got.remove(0), heap.Pop(&want).(victim).blk
+			if g != w {
+				t.Fatalf("step %d: popped block %d, container/heap pops %d", step, g, w)
+			}
+		case i >= 0:
+			got.remove(i)
+			heap.Remove(&want, i)
+		}
+		if len(got.items) != len(want.items) {
+			t.Fatalf("step %d: %d items, container/heap has %d", step, len(got.items), len(want.items))
+		}
+		for j := range want.items {
+			if got.items[j] != want.items[j] {
+				t.Fatalf("step %d: items[%d] = %+v, container/heap has %+v", step, j, got.items[j], want.items[j])
+			}
+		}
+		for b := range want.idx {
+			if got.idx[b] != want.idx[b] {
+				t.Fatalf("step %d: idx[%d] = %d, container/heap has %d", step, b, got.idx[b], want.idx[b])
+			}
+		}
+	}
+}
+
+// TestBlockMgrsShareNoLinePair: block managers built back to back (one per
+// shard of a sharded host, each written by its own worker on every page
+// write) overlap no 128-byte line pair, whatever slots the allocator picks.
+func TestBlockMgrsShareNoLinePair(t *testing.T) {
+	const pair = 128
+	owner := map[uintptr]int{}
+	var keep []*blockMgr
+	for i := 0; i < 8; i++ {
+		chip, err := flash.New(flash.DefaultConfig(32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm := newBlockMgr(chip, TPStriped)
+		keep = append(keep, bm)
+		lo := uintptr(unsafe.Pointer(bm))
+		hi := lo + unsafe.Sizeof(*bm) - 1
+		for l := lo / pair; l <= hi/pair; l++ {
+			if j, taken := owner[l]; taken {
+				t.Fatalf("block managers %d and %d share the line pair at %#x", j, i, l*pair)
+			}
+			owner[l] = i
+		}
+	}
+	runtime.KeepAlive(keep) // a collected manager's slot could be handed out again
 }

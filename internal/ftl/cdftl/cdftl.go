@@ -16,6 +16,7 @@ package cdftl
 import (
 	"sort"
 
+	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/lru"
@@ -86,14 +87,14 @@ func New(cfg Config) *FTL {
 	if ctpCap < 1 {
 		ctpCap = 1
 	}
-	return &FTL{
+	return cacheline.Isolated(FTL{
 		cfg:    cfg,
 		cmtCap: cmtCap,
 		ctpCap: ctpCap,
 		cmt:    make(map[ftl.LPN]*cmtEntry),
 		ctp:    make(map[ftl.VTPN]*ctpPage),
 		ePerTP: ftl.DefaultEntriesPerTP,
-	}
+	})
 }
 
 // Name implements ftl.Translator.

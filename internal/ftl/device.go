@@ -35,10 +35,15 @@ type Device struct {
 	logicalPages int64
 
 	gtd     []flash.PPN // VTPN → physical translation page
-	persist []flash.PPN // LPN → PPN as stored in flash translation pages
+	persist []flash.PPN // LPN → PPN as stored in flash translation pages; written only by setPersist
 	truth   []flash.PPN // LPN → PPN ground truth (updated at write time)
+	// unmapped[v] counts the slots of translation page v whose persisted
+	// entry is InvalidPPN, so foldTPPersist knows in O(1) whether the page
+	// has anything to fold.
+	unmapped []int32
 
-	tpBuf []flash.PPN // scratch returned by ReadTP
+	tpBuf   []flash.PPN // padded copy ReadTP returns for a partial last page; nil when every page is full
+	gcMoves []GCMove    // collect's scratch, handed to Translator.OnGCDataMoves
 
 	// sched is the event-driven clock of the parallel backend: flash
 	// operations are issued onto the die of their block and overlap when
@@ -118,8 +123,12 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		gtd:          make([]flash.PPN, numTPs),
 		persist:      make([]flash.PPN, logicalPages),
 		truth:        make([]flash.PPN, logicalPages),
-		tpBuf:        make([]flash.PPN, entriesPerTP),
+		unmapped:     make([]int32, numTPs),
+		gcMoves:      make([]GCMove, 0, cfg.PagesPerBlock),
 		sched:        ssd.NewScheduler(cfg.Channels, cfg.Dies),
+	}
+	if logicalPages%int64(entriesPerTP) != 0 {
+		d.tpBuf = make([]flash.PPN, entriesPerTP)
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -132,8 +141,8 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 	for i := range d.gtd {
 		d.gtd[i] = flash.InvalidPPN
 	}
-	for i := range d.persist {
-		d.persist[i] = flash.InvalidPPN
+	for i := range d.truth {
+		d.setPersist(int64(i), flash.InvalidPPN)
 		d.truth[i] = flash.InvalidPPN
 	}
 	return d, nil
@@ -339,7 +348,7 @@ func (d *Device) Format() error {
 			return err
 		}
 		d.truth[lpn] = ppn
-		d.persist[lpn] = ppn
+		d.setPersist(lpn, ppn)
 	}
 	for v := 0; v < d.numTPs; v++ {
 		ppn, err := d.bm.alloc(blockTrans)
@@ -401,7 +410,7 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 			}
 		}
 		d.truth[lpn] = ppn
-		d.persist[lpn] = ppn
+		d.setPersist(int64(lpn), ppn)
 	}
 	return nil
 }
@@ -722,7 +731,7 @@ func (d *Device) trimTP(v VTPN, lo, hi LPN) error {
 	d.gtd[v] = ppn
 	d.foldTPPersist(v)
 	for lpn := lo; lpn <= hi; lpn++ {
-		d.persist[lpn] = flash.InvalidPPN
+		d.setPersist(int64(lpn), flash.InvalidPPN)
 		if t := d.truth[lpn]; t.Valid() {
 			if err := d.bm.invalidate(t); err != nil {
 				return err
@@ -753,6 +762,24 @@ func (d *Device) flushMapping() error {
 	return nil
 }
 
+// setPersist is the only writer of d.persist: it stores lpn's persisted
+// entry and keeps unmapped[v] — the count of InvalidPPN slots of lpn's
+// translation page — in step, which is what lets foldTPPersist skip a page
+// without reading it.
+//
+//ftl:hotpath
+func (d *Device) setPersist(lpn int64, ppn flash.PPN) {
+	if was, now := d.persist[lpn] == flash.InvalidPPN, ppn == flash.InvalidPPN; was != now {
+		v := lpn / int64(d.entriesPerTP)
+		if now {
+			d.unmapped[v]++
+		} else {
+			d.unmapped[v]--
+		}
+	}
+	d.persist[lpn] = ppn
+}
+
 // foldTPPersist folds ground truth into the persisted view of translation
 // page v: every slot whose persisted entry is unmapped while the live
 // mapping is valid takes the live value. Called whenever a new physical
@@ -761,14 +788,24 @@ func (d *Device) flushMapping() error {
 // pending. This keeps recovery's trim rule sound: after any translation
 // page program, a persisted-unmapped slot implies the page really is
 // unmapped, so "translation page newer than data page + slot unmapped"
-// can only mean a durable discard. On a device that never trims, persisted
-// entries are never unmapped after Format and this is a no-op.
+// can only mean a durable discard.
+//
+// Only a page with a persisted-unmapped slot can have anything to fold, and
+// unmapped[v] says so without touching the page: after Format that is no
+// page at all until the host trims, so the common call costs one load. A
+// page with holes pays the walk over its entriesPerTP slots of persist and
+// truth on every program for as long as it keeps a hole.
+//
+//ftl:hotpath
 func (d *Device) foldTPPersist(v VTPN) {
+	if d.unmapped[v] == 0 {
+		return
+	}
 	lo := int64(v) * int64(d.entriesPerTP)
 	hi := min64(lo+int64(d.entriesPerTP), d.logicalPages)
 	for lpn := lo; lpn < hi; lpn++ {
 		if d.persist[lpn] == flash.InvalidPPN && d.truth[lpn].Valid() {
-			d.persist[lpn] = d.truth[lpn]
+			d.setPersist(lpn, d.truth[lpn])
 		}
 	}
 }
@@ -861,7 +898,11 @@ func (d *Device) NumLPNs() int64 { return d.logicalPages }
 
 // ReadTP implements Env: it reads translation page v from flash and returns
 // its entries. If the page has never been written (unformatted device), no
-// flash operation is charged.
+// flash operation is charged. A full page is returned as a capacity-clipped
+// view of d.persist, not a copy; only a partial last page is copied, to pad
+// it to entriesPerTP slots.
+//
+//ftl:hotpath
 func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 	if v < 0 || int(v) >= d.numTPs {
 		return nil, errf("ReadTP: vtpn %d out of range [0,%d)", v, d.numTPs)
@@ -883,7 +924,10 @@ func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 		}
 	}
 	lo := int64(v) * int64(d.entriesPerTP)
-	n := copy(d.tpBuf, d.persist[lo:min64(lo+int64(d.entriesPerTP), d.logicalPages)])
+	if hi := lo + int64(d.entriesPerTP); hi <= d.logicalPages {
+		return d.persist[lo:hi:hi], nil
+	}
+	n := copy(d.tpBuf, d.persist[lo:])
 	for i := n; i < d.entriesPerTP; i++ {
 		d.tpBuf[i] = flash.InvalidPPN
 	}
@@ -910,7 +954,7 @@ func (d *Device) WriteTP(v VTPN, updates []EntryUpdate, fullPage bool) error {
 		if lpn >= d.logicalPages {
 			return errf("WriteTP: update beyond logical space (vtpn %d off %d)", v, u.Off)
 		}
-		d.persist[lpn] = u.PPN
+		d.setPersist(lpn, u.PPN)
 	}
 	// The fresh physical copy opportunistically persists any mapping whose
 	// writeback was still pending (see foldTPPersist); unmapped slots after
@@ -1045,9 +1089,11 @@ func (d *Device) EraseSpread() (min, max int) {
 }
 
 // CheckConsistency validates the device-wide invariants: chip bookkeeping,
-// GTD pointing at valid translation pages, and — given the set of
-// dirty-cached LPNs from the translator — the truth/persist relationship:
-// truth differs from persist exactly for LPNs with a dirty cached entry.
+// GTD pointing at valid translation pages, unmapped[v] recounted from the
+// persisted view, and — given the set of dirty-cached LPNs from the
+// translator — the truth/persist relationship: truth differs from persist
+// exactly for LPNs with a dirty cached entry. The last two are also what
+// catches a translator that wrote through the view ReadTP handed it.
 func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 	if err := d.chip.CheckInvariants(); err != nil {
 		return err
@@ -1061,6 +1107,19 @@ func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 		}
 		if m := d.chip.MetaOf(ppn); m.Kind != flash.KindTranslation || m.Tag != int64(v) {
 			return errf("gtd[%d] = %d has meta %+v", v, ppn, m)
+		}
+	}
+	for v := range d.unmapped {
+		lo := int64(v) * int64(d.entriesPerTP)
+		hi := min64(lo+int64(d.entriesPerTP), d.logicalPages)
+		n := int32(0)
+		for _, p := range d.persist[lo:hi] {
+			if p == flash.InvalidPPN {
+				n++
+			}
+		}
+		if n != d.unmapped[v] {
+			return errf("unmapped[%d] = %d, translation page has %d persisted-unmapped slots", v, d.unmapped[v], n)
 		}
 	}
 	for lpn := int64(0); lpn < d.logicalPages; lpn++ {

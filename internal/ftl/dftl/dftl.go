@@ -15,6 +15,7 @@ package dftl
 import (
 	"fmt"
 
+	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/lru"
@@ -73,13 +74,13 @@ func New(cfg Config) *FTL {
 	if capacity < 4 {
 		capacity = 4
 	}
-	return &FTL{
+	return cacheline.Isolated(FTL{
 		cfg:      cfg,
 		capacity: capacity,
 		entries:  make(map[ftl.LPN]*entry, capacity),
 		protCap:  int(float64(capacity) * cfg.ProtectedFraction),
 		ePerTP:   ftl.DefaultEntriesPerTP,
-	}
+	})
 }
 
 // Name implements ftl.Translator.

@@ -98,7 +98,9 @@ type Translator interface {
 	// OnGCDataMoves updates the mappings of the valid pages migrated out
 	// of one GC victim data block. Implementations batch updates that
 	// share a translation page into one flash update and must call
-	// env.NoteGCMapUpdate for each move.
+	// env.NoteGCMapUpdate for each move. moves is device scratch, valid
+	// only for the duration of the call: the next collection overwrites
+	// it, so implementations must not retain it.
 	OnGCDataMoves(env Env, moves []GCMove) error
 
 	// Discard drops any cached entry for lpn without writing it back: the
@@ -157,9 +159,11 @@ type Env interface {
 	NumLPNs() int64
 
 	// ReadTP reads translation page v from flash (cost: one page read)
-	// and returns its entries, indexed by offset. The returned slice is
-	// the device's copy: callers must not modify or retain it across
-	// other Env calls.
+	// and returns its entries, indexed by offset. The returned slice is a
+	// read-only view of device state, not a copy: a write through it
+	// corrupts the on-flash mapping table, and any other Env call may
+	// change what it shows. Callers must not modify it or retain it
+	// across other Env calls; copy what must outlive the next call.
 	ReadTP(v VTPN) ([]flash.PPN, error)
 
 	// WriteTP updates translation page v in flash with the given slot

@@ -99,13 +99,18 @@ func (d *Device) maybeWearLevel() error {
 
 // collect reclaims one victim block: migrate its valid pages, update the
 // affected mappings (via the Translator for data pages, the GTD for
-// translation pages), erase it and return it to the free list.
+// translation pages), erase it and return it to the free list. The data
+// moves are gathered in d.gcMoves, reused by every collection: collect never
+// re-enters (maybeGC is a no-op under inGC) and translators do not keep the
+// slice past OnGCDataMoves.
+//
+//ftl:hotpath
 func (d *Device) collect(blk flash.BlockID) error {
 	kind := d.bm.kinds[blk]
 	ppb := d.cfg.PagesPerBlock
 	validCount := d.chip.ValidCount(blk)
 
-	var moves []GCMove
+	moves := d.gcMoves[:0]
 	for off := 0; off < ppb; off++ {
 		ppn := d.chip.PageAt(blk, off)
 		if d.chip.State(ppn) != flash.PageValid {

@@ -107,4 +107,3 @@ func TestRecoveryScanCost(t *testing.T) {
 		t.Fatalf("scanned %d, want %d", rs.ScannedPages, want)
 	}
 }
-

@@ -21,6 +21,7 @@ package sftl
 import (
 	"sort"
 
+	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/lru"
@@ -97,14 +98,14 @@ func New(cfg Config) *FTL {
 	if min := int64(cfg.PageHeaderBytes + cfg.RunBytes); pageBudget < min {
 		pageBudget = min
 	}
-	return &FTL{
+	return cacheline.Isolated(FTL{
 		cfg:        cfg,
 		pageBudget: pageBudget,
 		bufBudget:  buf,
 		byVTPN:     make(map[ftl.VTPN]*cachedPage),
 		buffer:     make(map[ftl.VTPN]map[int32]flash.PPN),
 		ePerTP:     ftl.DefaultEntriesPerTP,
-	}
+	})
 }
 
 // Name implements ftl.Translator.

@@ -14,6 +14,7 @@
 package zftl
 
 import (
+	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
 )
@@ -67,14 +68,14 @@ func New(cfg Config) *FTL {
 	if tier2Cap > cfg.ZoneTPs {
 		tier2Cap = cfg.ZoneTPs
 	}
-	return &FTL{
+	return cacheline.Isolated(FTL{
 		cfg:      cfg,
 		tier2Cap: tier2Cap,
 		zone:     -1,
 		tier2:    make(map[ftl.VTPN]*tier2Page),
 		tier1:    make(map[ftl.LPN]flash.PPN),
 		ePerTP:   ftl.DefaultEntriesPerTP,
-	}
+	})
 }
 
 // Name implements ftl.Translator.

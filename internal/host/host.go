@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cacheline"
 	"repro/internal/ftl"
 	"repro/internal/obs/live"
 	"repro/internal/ssd"
@@ -85,7 +86,7 @@ func New(lay Layout, devs []*ftl.Device, opt Options) (*Host, error) {
 		if got, want := dev.Config().LogicalBytes, lay.ShardBytes(s); got != want {
 			return nil, fmt.Errorf("host: shard %d advertises %d B, layout assigns %d B", s, got, want)
 		}
-		h.shards[s] = &shard{id: s, dev: dev}
+		h.shards[s] = cacheline.Isolated(shard{id: s, dev: dev})
 	}
 	return h, nil
 }

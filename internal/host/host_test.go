@@ -1,9 +1,11 @@
 package host
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/ftl"
@@ -278,6 +280,41 @@ func TestClientsOfShard(t *testing.T) {
 			}
 			if total != want {
 				t.Fatalf("clients=%d shards=%d: %d lanes dealt, want %d", clients, shards, total, want)
+			}
+		}
+	}
+}
+
+// TestShardStateSharesNoLinePair pins what keeps two shard workers from
+// trading cache lines: the structs a worker writes on every operation — the
+// shard's admission state, its device's chip and scheduler, its translator —
+// overlap no 128-byte line pair of another shard's, although the shards are
+// built back to back and the allocator hands them neighbouring slots.
+func TestShardStateSharesNoLinePair(t *testing.T) {
+	const pair = 128
+	h := newTestHost(t, ftl.DefaultConfig(16<<20), 4, Options{QueueDepth: 8})
+	type span struct {
+		what   string
+		lo, hi uintptr // first and last byte
+	}
+	of := func(what string, p unsafe.Pointer, size uintptr) span {
+		return span{what, uintptr(p), uintptr(p) + size - 1}
+	}
+	owner := map[uintptr]string{}
+	for s, sh := range h.shards {
+		tr := sh.dev.Translator().(*core.FTL)
+		for _, sp := range []span{
+			of("shard", unsafe.Pointer(sh), unsafe.Sizeof(*sh)),
+			of("chip", unsafe.Pointer(sh.dev.Chip()), unsafe.Sizeof(*sh.dev.Chip())),
+			of("scheduler", unsafe.Pointer(sh.dev.Scheduler()), unsafe.Sizeof(*sh.dev.Scheduler())),
+			of("translator", unsafe.Pointer(tr), unsafe.Sizeof(*tr)),
+		} {
+			who := fmt.Sprintf("shard %d's %s", s, sp.what)
+			for l := sp.lo / pair; l <= sp.hi/pair; l++ {
+				if other, taken := owner[l]; taken {
+					t.Errorf("%s and %s share the line pair at %#x", other, who, l*pair)
+				}
+				owner[l] = who
 			}
 		}
 	}

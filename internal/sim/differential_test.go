@@ -4,10 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/ftl"
-	"repro/internal/trace"
 	"repro/internal/ftl/blockftl"
 	"repro/internal/ftl/fast"
 	"repro/internal/ftl/hybrid"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 

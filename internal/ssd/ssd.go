@@ -40,6 +40,7 @@ package ssd
 import (
 	"time"
 
+	"repro/internal/cacheline"
 	"repro/internal/obs"
 )
 
@@ -81,13 +82,13 @@ func NewScheduler(channels, diesPerChannel int) *Scheduler {
 		diesPerChannel = 1
 	}
 	n := channels * diesPerChannel
-	return &Scheduler{
+	return cacheline.Isolated(Scheduler{
 		channels: channels,
 		dies:     n,
 		dieFree:  make([]time.Duration, n),
 		dieBusy:  make([]time.Duration, n),
 		sum:      1469598103934665603, // FNV-1a offset basis
-	}
+	})
 }
 
 // Channels returns the channel count.

@@ -59,8 +59,8 @@ func TestPagesSplitting(t *testing.T) {
 func TestSummarize(t *testing.T) {
 	reqs := []Request{
 		{Arrival: 0, Offset: 0, Length: 4096, Op: OpWrite},
-		{Arrival: 1, Offset: 4096, Length: 4096, Op: OpWrite},  // sequential write
-		{Arrival: 2, Offset: 8192, Length: 4096, Op: OpRead}, // sequential read
+		{Arrival: 1, Offset: 4096, Length: 4096, Op: OpWrite}, // sequential write
+		{Arrival: 2, Offset: 8192, Length: 4096, Op: OpRead},  // sequential read
 		{Arrival: 3, Offset: 100000, Length: 2048, Op: OpRead},
 	}
 	s := Summarize(reqs)
