@@ -122,11 +122,25 @@ trim-smoke: bin/ftlsim
 	./bin/ftlsim -workload fstrim-heavy -requests 1200 -scale 16777216 -cuts 10 > /dev/null
 	./bin/ftlsim -workload database-fsync -requests 1200 -scale 16777216 -cuts 10 > /dev/null
 
-# Short queue-depth sweep over the parallel backend under the race detector:
-# the serial golden must hold bit-for-bit, the 4-channel QD sweep must be
-# monotone, and QD8 on 4 channels must beat 1 channel by ≥2×.
+# run-named runs the named tests of one package ($(1) go test flags, $(2)
+# package, $(3) space-separated test names) and fails unless every one of
+# them ran and passed: on its own, a -run regex that matches nothing — a test
+# renamed or deleted under the target — passes silently.
+space := $(subst ,, )
+define run-named
+	@out="$$($(GO) test $(1) $(2) -run '^($(subst $(space),|,$(strip $(3))))$$' -count=1 -v 2>&1)"; status=$$?; \
+		echo "$$out"; [ $$status -eq 0 ] || exit $$status; \
+		for t in $(3); do \
+			echo "$$out" | grep -q "^--- PASS: $$t " || { echo "$@: test $$t did not run"; exit 1; }; \
+		done
+endef
+
+# Short queue-depth sweep over the request path under the race detector: the
+# serial golden must hold bit-for-bit, every source × shard count × admission
+# mode must give one Result, the 4-channel QD sweep must be monotone, and QD8
+# on 4 channels must beat 1 channel by ≥2×.
 bench-smoke:
-	$(GO) test -race ./internal/sim -run 'TestSerialGoldenCompatibility|TestSchedulerDeterminism|TestParallelSpeedup|TestQueueDepthSweepSmoke' -v
+	$(call run-named,-race,./internal/sim,TestSerialGoldenCompatibility TestRequestPathEquivalence TestSchedulerDeterminism TestParallelSpeedup TestQueueDepthSweepSmoke)
 
 # Sharded-host smoke under the race detector: a 4-shard closed-loop
 # saturation run (8 client goroutines, queue depth 8, back-to-back arrivals)
@@ -134,13 +148,15 @@ bench-smoke:
 # event hashes folded across shards — on two consecutive runs. Catches any
 # cross-shard state sharing or scheduling nondeterminism in internal/host.
 shard-smoke:
-	$(GO) test -race ./internal/host -run 'TestShardSaturationDigestStable|TestReplayClientCountInvariance' -count=1 -v
+	$(call run-named,-race,./internal/host,TestShardSaturationDigestStable TestReplayClientCountInvariance)
 
-# Streaming-replay smoke: the binary trace engine must replay bit-for-bit
-# identically to the eager slice path — the same stdout report on the serial
-# device and the same merged digest through the 2-shard host — and the
+# Streaming-replay smoke: a binary trace streamed from the file must replay
+# bit-for-bit identically to the same trace parsed into memory — the same
+# stdout report on one device and the same merged digest through the 2-shard
+# host — -shards 1 must print exactly what the default flags print, and the
 # bounded-memory and equivalence property tests must pass. Catches a batching
-# or routing change that breaks stream/eager equivalence before the goldens.
+# or routing change that breaks source or shard-count equivalence before the
+# goldens.
 bin/tracegen: FORCE
 	$(GO) build -o bin/tracegen ./cmd/tracegen
 
@@ -157,7 +173,10 @@ stream-smoke: bin/ftlsim bin/tracegen
 	./bin/ftlsim -trace /tmp/stream-smoke.ftr -format binary -space 67108864 -warmup 2000 \
 		-shards 2 -clients 4 -qd 8 > /tmp/stream-smoke.streamed2.txt 2> /dev/null
 	cmp /tmp/stream-smoke.eager2.txt /tmp/stream-smoke.streamed2.txt
-	$(GO) test ./internal/sim -run 'TestStreamedReplayMatchesEager|TestStreamBoundedMemory' -count=1
+	./bin/ftlsim -trace /tmp/stream-smoke.ftr -format binary -space 67108864 -warmup 2000 \
+		-shards 1 > /tmp/stream-smoke.shards1.txt 2> /dev/null
+	cmp /tmp/stream-smoke.streamed.txt /tmp/stream-smoke.shards1.txt
+	$(call run-named,,./internal/sim,TestStreamedReplayMatchesEager TestStreamBoundedMemory)
 	rm -f /tmp/stream-smoke.csv /tmp/stream-smoke.ftr /tmp/stream-smoke.*.txt
 
 # Live-telemetry smoke: a sharded streamed replay with the scrape server up

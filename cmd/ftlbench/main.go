@@ -637,25 +637,23 @@ func runCase(c benchCase, runs int, plane *live.Plane) (caseResult, error) {
 			liveCell = cells[0]
 			return cells
 		}
-		if c.Stream {
-			dev, st, err := buildStreamCase(c, tracePath)
-			if err != nil {
-				return res, err
-			}
-			if cells := startRun(1); cells != nil {
-				dev.SetLive(liveCell)
-			}
-			cleanup = func() { st.Close() }
-			measure = func() (ftl.Metrics, uint64, error) {
+		// admitAll is the measured window of every single-device cell, eager
+		// or streamed: one Admitter fed from an iterator in streamBatch
+		// pulls, queue stats published to the live cell once per batch.
+		admitAll := func(dev *ftl.Device, it trace.Iterator) func() (ftl.Metrics, uint64, error) {
+			return func() (ftl.Metrics, uint64, error) {
 				a := ssd.NewAdmitter(c.QD)
-				a.SetLive(liveCell)
 				buf := make([]trace.Request, streamBatch)
 				for {
-					n, err := st.Next(buf)
+					n, err := it.Next(buf)
 					for i := 0; i < n; i++ {
 						if _, aerr := a.Admit(dev, buf[i]); aerr != nil {
 							return ftl.Metrics{}, 0, aerr
 						}
+					}
+					if liveCell != nil {
+						st := a.Stats()
+						liveCell.SetQueueStats(st.Admitted, st.DepthSum, st.MaxDepth)
 					}
 					if err == io.EOF {
 						break
@@ -667,6 +665,17 @@ func runCase(c benchCase, runs int, plane *live.Plane) (caseResult, error) {
 				dev.PublishLive()
 				return dev.Metrics(), dev.Scheduler().EventHash(), nil
 			}
+		}
+		if c.Stream {
+			dev, st, err := buildStreamCase(c, tracePath)
+			if err != nil {
+				return res, err
+			}
+			if cells := startRun(1); cells != nil {
+				dev.SetLive(liveCell)
+			}
+			cleanup = func() { st.Close() }
+			measure = admitAll(dev, st)
 		} else if c.Shards > 0 {
 			h, reqs, err := buildShardCase(c)
 			if err != nil {
@@ -690,13 +699,7 @@ func runCase(c benchCase, runs int, plane *live.Plane) (caseResult, error) {
 			if cells := startRun(1); cells != nil {
 				dev.SetLive(liveCell)
 			}
-			measure = func() (ftl.Metrics, uint64, error) {
-				if _, err := (ssd.Frontend{QueueDepth: c.QD, Live: liveCell}).Run(dev, reqs); err != nil {
-					return ftl.Metrics{}, 0, err
-				}
-				dev.PublishLive()
-				return dev.Metrics(), dev.Scheduler().EventHash(), nil
-			}
+			measure = admitAll(dev, trace.NewSliceIterator(reqs))
 		}
 
 		var msBefore, msAfter runtime.MemStats

@@ -73,8 +73,8 @@ func main() {
 		channels  = flag.Int("channels", ftl.DefaultChannels, "flash channels (parallel backend geometry)")
 		dies      = flag.Int("dies", ftl.DefaultDies, "dies per channel")
 		qd        = flag.Int("qd", 1, "queue depth: N requests in flight closed-loop; 0 replays arrival times open-loop (per shard when -shards is set)")
-		shards    = flag.Int("shards", 0, "stripe the LPN space across N independent FTL instances behind the multi-queue host frontend (0 = legacy single-device path; 1 reproduces it bit-for-bit)")
-		clients   = flag.Int("clients", 0, "concurrent submitter goroutines feeding the sharded host (default one per shard; simulated results are independent of it)")
+		shards    = flag.Int("shards", 0, "stripe the LPN space across N independent FTL instances served concurrently (0 and 1 are the same single-device run)")
+		clients   = flag.Int("clients", 0, "submitter lanes feeding the shard workers when -shards is 2 or more (default one per shard; simulated results are independent of it)")
 		tplace    = flag.String("tplace", "striped", "translation-page placement on a multi-channel device: striped, pinned")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
@@ -195,7 +195,7 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 		if traceFile != "" {
 			return fmt.Errorf("-cuts/-faults cut= verify generated workloads only (trace replay is not supported)")
 		}
-		if shards > 0 {
+		if shards > 1 {
 			return fmt.Errorf("-cuts/-faults cut= verify a single device (drop -shards)")
 		}
 		co := tpftl.CrashOptions{
@@ -420,7 +420,7 @@ func printResult(r *tpftl.Result) {
 		fmt.Printf("injected faults           %8d\n", m.InjectedFaults)
 		fmt.Printf("fault retries             %8d\n", m.FaultRetries)
 	}
-	if len(r.Shards) > 0 {
+	if len(r.Shards) > 1 {
 		fmt.Println()
 		fmt.Printf("shards                    %8d (merged digest %016x)\n", len(r.Shards), r.Digest)
 		fmt.Printf("  shard   requests     page accesses   avg response   hit ratio   mean depth   event hash\n")

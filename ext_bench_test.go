@@ -257,11 +257,12 @@ func runReturningDevice(b *testing.B, p workload.Profile, e sim.ExpConfig, mut f
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := dev.Run(reqs)
-	if err != nil {
-		b.Fatal(err)
+	for _, r := range reqs {
+		if _, err := dev.Serve(r); err != nil {
+			b.Fatal(err)
+		}
 	}
-	return m, dev
+	return dev.Metrics(), dev
 }
 
 // BenchmarkCrashRecovery measures the mount-time full-metadata scan that

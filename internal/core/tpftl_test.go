@@ -454,6 +454,16 @@ func TestHotnessAvgOrdering(t *testing.T) {
 	}
 }
 
+// serveAll serves every request on dev at queue depth 1.
+func serveAll(t *testing.T, dev *ftl.Device, reqs []trace.Request) {
+	t.Helper()
+	for i, r := range reqs {
+		if _, err := dev.Serve(r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+}
+
 func TestTPFTLOutperformsDFTLOnWrites(t *testing.T) {
 	// Same cache budget, same random-write workload: TPFTL must issue
 	// fewer translation page writes (the paper's headline result).
@@ -470,9 +480,7 @@ func TestTPFTLOutperformsDFTLOnWrites(t *testing.T) {
 	}
 
 	dT, trT := newTPFTLDevice(t, DefaultConfig(cache), cache)
-	if _, err := dT.Run(mkReqs()); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, dT, mkReqs())
 	trDF := dftl.New(dftl.Config{CacheBytes: cache})
 	dD, err := ftl.NewDevice(deviceConfig(cache), trDF)
 	if err != nil {
@@ -481,9 +489,7 @@ func TestTPFTLOutperformsDFTLOnWrites(t *testing.T) {
 	if err := dD.Format(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dD.Run(mkReqs()); err != nil {
-		t.Fatal(err)
-	}
+	serveAll(t, dD, mkReqs())
 
 	mT, mD := dT.Metrics(), dD.Metrics()
 	if mT.TransWrites() >= mD.TransWrites() {

@@ -419,7 +419,7 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 // closed-loop queue-depth-1 admission of the original scalar-clock device —
 // and returns its response time (queueing included). Requests must be
 // submitted in non-decreasing arrival order. Deeper queues and open-loop
-// arrival admission go through ServeAt, driven by ssd.Frontend.
+// arrival admission go through ServeAt, driven by ssd.Admitter.
 func (d *Device) Serve(req trace.Request) (time.Duration, error) {
 	arrival := time.Duration(req.Arrival)
 	admit := d.sched.Now()
@@ -574,16 +574,6 @@ func (d *Device) sanitize() error {
 		checks = append(checks, t.CheckInvariants)
 	}
 	return SanitizeCheck(d.tr.Name(), checks...)
-}
-
-// Run serves every request and returns the accumulated metrics.
-func (d *Device) Run(reqs []trace.Request) (Metrics, error) {
-	for i := range reqs {
-		if _, err := d.Serve(reqs[i]); err != nil {
-			return d.m, errf("request %d: %w", i, err)
-		}
-	}
-	return d.m, nil
 }
 
 func (d *Device) readPage(lpn LPN) error {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
 	"repro/internal/cacheline"
 	"repro/internal/ftl"
@@ -36,39 +35,32 @@ func (o Options) depth() int {
 }
 
 // Host owns the per-shard devices and routes block requests to them.
-// Construct with New, then either Replay a trace deterministically or Start
-// the queue-pair service and feed it from concurrent client goroutines.
+// Construct with New, then Replay a trace (or ReplayStream an iterator)
+// deterministically.
 type Host struct {
 	lay    Layout
 	opt    Options
 	shards []*shard
-	// serving is non-nil while the free-form queue-pair service is running
-	// (between Start and Stop); Replay refuses to run concurrently with it.
-	serving *sync.WaitGroup
 }
 
 // shard is one slice of the LPN space: a private device plus the admission
-// state of its serial request loop. Everything here is touched only by the
-// shard's worker goroutine (or, between runs, by the host's caller), never
+// queue of its serial request loop. Everything here is touched only by the
+// goroutine serving the shard (or, between runs, by the host's caller), never
 // concurrently.
 type shard struct {
 	id  int
 	dev *ftl.Device
 
-	qd       int // 0 = open loop
-	inflight ssd.EventQueue
-	seq      int64
+	adm ssd.Admitter // this run's admission queue
+	err error
 
-	admitted int64
-	maxDepth int64
-	depthSum int64
-	err      error
+	// pull is the one-shard host's pull buffer, kept across replays so a
+	// warm-up and the measured phase share it.
+	pull []trace.Request
 
 	// cell is the shard's live-telemetry cell (nil when the plane is off).
-	// The worker publishes queue stats into it once per served batch.
+	// Queue stats are published into it once per served batch.
 	cell *live.Cell
-
-	inbox chan freeFrag // queue-pair mode submissions (nil outside Start/Stop)
 }
 
 // New builds a host over per-shard devices. devs[s] must advertise exactly
@@ -96,15 +88,15 @@ func (h *Host) Layout() Layout { return h.lay }
 
 // Device returns shard s's device, for per-shard setup (formatting,
 // preconditioning, warming, fault arming) before a run. It must not be
-// touched while a Replay or the queue-pair service is running.
+// touched while a replay is running.
 func (h *Host) Device(s int) *ftl.Device { return h.shards[s].dev }
 
 // SetLive attaches one live-telemetry cell per shard (cells[s] → shard s;
 // nil entries or a nil slice detach). Each shard's device publishes epochs
-// and flight-recorder entries into its cell from the shard worker goroutine,
-// and the worker publishes frontend queue stats per batch — telemetry rides
-// the existing single-writer-per-shard discipline, so replays stay
-// bit-for-bit deterministic with the plane on or off.
+// and flight-recorder entries into its cell from the goroutine serving the
+// shard, which also publishes the admission queue's stats per batch —
+// telemetry rides the existing single-writer-per-shard discipline, so
+// replays stay bit-for-bit deterministic with the plane on or off.
 func (h *Host) SetLive(cells []*live.Cell) {
 	for s, sh := range h.shards {
 		var c *live.Cell
@@ -116,69 +108,56 @@ func (h *Host) SetLive(cells []*live.Cell) {
 	}
 }
 
-// reset clears one run's admission state. A closed loop at depth 1 starts
-// with the device's current clock occupying the single slot, reproducing the
-// serial path's admit-at-now semantics (Device.Serve) after preconditioning
-// or a warm-up phase; deeper queues and open loop start empty, exactly like
-// a fresh ssd.Frontend — mirroring which path the non-sharded simulator
-// would have taken.
+// reset starts one run's admission queue. A closed loop at depth 1 starts
+// with the device's current clock occupying the single slot, so every request
+// is admitted at max(arrival, device idle) — Device.Serve's scalar-clock
+// admission — even after preconditioning or a warm-up phase moved the clock;
+// deeper queues and open loop start empty. This is the one place that rule
+// lives.
 func (s *shard) reset(qd int) {
-	s.qd = qd
-	s.inflight = ssd.EventQueue{}
-	s.seq = 0
-	s.admitted = 0
-	s.maxDepth = 0
-	s.depthSum = 0
+	s.adm = *ssd.NewAdmitter(qd)
 	s.err = nil
 	if qd == 1 {
-		s.inflight.Push(ssd.Event{Time: s.dev.Now(), Seq: 0})
+		s.adm.Occupy(s.dev.Now())
 	}
 }
 
-// serveOne admits one local request against the shard's queue-depth policy
-// and serves it on the device. Logical effects apply in call order; only
-// simulated timing overlaps.
-func (s *shard) serveOne(r trace.Request) (time.Duration, error) {
-	arrival := time.Duration(r.Arrival)
-	admit := arrival
-	if s.qd > 0 {
-		for s.inflight.Len() >= s.qd {
-			e := s.inflight.Pop()
-			if e.Time > admit {
-				admit = e.Time
-			}
+// serveBatch admits a batch of local requests, in order, against the shard's
+// queue-depth policy — the one per-batch serve function, run by the caller's
+// goroutine on a one-shard host and by the shard's worker otherwise. Logical
+// effects apply in call order; only simulated timing overlaps. The first
+// device error sticks, carrying the failing request's index in the shard's
+// stream; later batches are dropped unserved.
+func (s *shard) serveBatch(b []trace.Request) {
+	if s.err != nil {
+		return
+	}
+	for i := range b {
+		if _, err := s.adm.Admit(s.dev, b[i]); err != nil {
+			s.err = fmt.Errorf("shard %d: request %d: %w", s.id, s.adm.Stats().Admitted, err)
+			break
 		}
 	}
-	s.inflight.DrainThrough(admit)
-	complete, err := s.dev.ServeAt(r, admit)
-	if err != nil {
-		return 0, err
+	if s.cell != nil {
+		st := s.adm.Stats()
+		s.cell.SetQueueStats(st.Admitted, st.DepthSum, st.MaxDepth)
 	}
-	s.admitted++
-	s.seq++
-	s.inflight.Push(ssd.Event{Time: complete, Seq: s.seq})
-	depth := int64(s.inflight.Len())
-	s.depthSum += depth
-	if depth > s.maxDepth {
-		s.maxDepth = depth
-	}
-	return complete, nil
 }
 
 // ShardResult is one shard's outcome of a run.
 type ShardResult struct {
 	Shard int
 	// M is the shard device's metrics over the run's measured window, with
-	// the shard frontend's queue-depth stats folded in (only when the
-	// admission policy actually queues — depth 1 mirrors the serial path,
-	// which reports none).
+	// the admission queue's depth stats folded in (only when the admission
+	// policy actually queues — depth 1 is the scalar-clock device, which
+	// reports none).
 	M ftl.Metrics
 	// EventHash is the shard scheduler's order-sensitive hash of every
 	// flash operation since device creation.
 	EventHash uint64
 	// Admitted counts the fragments this shard served during the run.
 	Admitted int64
-	// FS is the shard frontend's queueing statistics — the same snapshot
+	// FS is the shard admission queue's statistics — the same snapshot
 	// struct the live telemetry plane publishes per shard, so the ftlsim
 	// report table and a live scrape read identical numbers.
 	FS ssd.FrontendStats
@@ -203,67 +182,122 @@ type Outcome struct {
 
 // ReplayOptions tunes the deterministic replay driver.
 type ReplayOptions struct {
-	// Clients is the total number of concurrent submitter goroutines,
-	// spread round-robin over shards (minimum one per shard, which is the
-	// default).
+	// Clients is the total number of concurrent submitter lanes, spread
+	// round-robin over shards (minimum one per shard, which is the default).
+	// A one-shard host has no lanes and ignores it.
 	Clients int
-	// Batch is the number of requests per submission (doorbell coalescing;
-	// default 64). Purely a wall-clock knob: the per-shard service order —
-	// and so every simulated metric — is independent of it.
+	// Batch is the number of requests pulled from the source per call and
+	// handed to a shard per submission (default DefaultBatch). Purely a
+	// wall-clock and memory knob: the per-shard service order — and so every
+	// simulated metric — is independent of it.
 	Batch int
 }
 
-// DefaultBatch is the submission batch size when ReplayOptions.Batch is 0.
+// DefaultBatch is the batch size when ReplayOptions.Batch is 0.
 const DefaultBatch = 64
 
-// Replay routes a request stream across the shards and serves every shard
-// concurrently, deterministically. It is the eager form of ReplayStream —
-// the slice is wrapped in an iterator, so both paths share one router and
-// every simulated metric, per-shard EventHash and the merged Digest are
-// bit-for-bit identical between them.
+// Replay is ReplayStream over an in-memory trace.
 func (h *Host) Replay(reqs []trace.Request, o ReplayOptions) (*Outcome, error) {
 	return h.ReplayStream(trace.NewSliceIterator(reqs), o)
 }
 
-// replayLane is one client goroutine's channel pair: full batches flow
-// shard-ward on data, served batches return on free for refilling. Two
-// buffers circulate per lane, so a replay's resident request memory is
-// O(batch × clients) — independent of trace length.
+// ReplayStream serves a streamed request source on the shards,
+// deterministically, and returns the run's outcome. Every simulated metric,
+// per-shard EventHash and the merged Digest are bit-for-bit reproducible
+// whatever the batch size, the client count or the Go scheduler do, and
+// resident request memory is bounded by the batch buffers, never the trace.
+//
+// A host of one shard is the paper's device: one sequential state machine
+// behind one admission queue. It is served on the calling goroutine through a
+// single Batch-sized pull buffer — no routing (the device validates range
+// itself), no lanes, no worker. Lanes at one shard were measured to buy
+// nothing and cost memory (see DESIGN, "Request path"). Two or more shards
+// are routed across concurrent per-shard workers (route).
+//
+// A failing source — or, where requests are routed, a request the layout
+// cannot place — aborts the run with a nil outcome; a device error (at one
+// shard that includes a malformed or out-of-range request) returns the
+// outcome so far beside the error, which carries the shard, the failing
+// request's index in that shard's stream and the device's own error
+// (errors.Is sees through to flash.ErrPowerCut).
+func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error) {
+	batch := o.Batch
+	if batch <= 0 {
+		batch = DefaultBatch
+	}
+	qd := h.opt.depth()
+	for _, sh := range h.shards {
+		sh.reset(qd)
+	}
+
+	var requests, fragments int64
+	var err error
+	if len(h.shards) == 1 {
+		requests, err = h.shards[0].drain(it, batch)
+		fragments = requests
+	} else {
+		requests, fragments, err = h.route(it, batch, o.Clients)
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := h.collect()
+	out.Requests = requests
+	out.Fragments = fragments
+	for _, sh := range h.shards {
+		if sh.err != nil {
+			return out, sh.err
+		}
+	}
+	return out, nil
+}
+
+// drain serves the whole source on the calling goroutine and returns the
+// number of requests pulled. It stops at the shard's first device error
+// (left in s.err); a source error other than io.EOF is returned.
+func (s *shard) drain(it trace.Iterator, batch int) (int64, error) {
+	if len(s.pull) != batch {
+		s.pull = make([]trace.Request, batch)
+	}
+	var requests int64
+	for s.err == nil {
+		n, err := it.Next(s.pull)
+		s.serveBatch(s.pull[:n])
+		requests += int64(n)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return requests, fmt.Errorf("host: reading trace after request %d: %w", requests, err)
+		}
+	}
+	return requests, nil
+}
+
+// replayLane is one client's channel pair: full batches flow shard-ward on
+// data, served batches return on free for refilling. Two buffers circulate
+// per lane, so a replay's resident request memory is O(batch × clients) —
+// independent of trace length.
 type replayLane struct {
 	data chan []trace.Request
 	free chan []trace.Request
 }
 
-// ReplayStream routes a streamed request source across the shards and serves
-// every shard concurrently, deterministically: the router (the calling
-// goroutine) pulls batches from the iterator, fragments each request per
-// shard (flushes broadcast, payload ops split by LPN), and deals each
-// shard's full batches round-robin across its client lanes; the shard worker
-// takes one batch per lane per turn in the same round-robin — so the
+// route serves a source across two or more shards concurrently: the router
+// (the calling goroutine) pulls batches from the iterator, fragments each
+// request per shard (flushes broadcast, payload ops split by LPN), and deals
+// each shard's full batches round-robin across its client lanes; the shard
+// worker takes one batch per lane per turn in the same round-robin — so the
 // per-shard service order equals the partition order no matter how many
 // clients feed it, what the batch size is, or how the Go scheduler
-// interleaves the goroutines. Every simulated metric, per-shard EventHash
-// and the merged Digest are therefore bit-for-bit reproducible — and equal
-// to an eager Replay of the same requests — while resident memory stays
-// bounded by the lane buffers, never the trace.
-func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error) {
-	if h.serving != nil {
-		return nil, fmt.Errorf("host: Replay while the queue-pair service is running")
-	}
-	batch := o.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	clients := o.Clients
+// interleaves the goroutines. It returns the requests and fragments routed.
+func (h *Host) route(it trace.Iterator, batch, clients int) (requests, fragments int64, routeErr error) {
 	if clients < h.lay.Shards {
 		clients = h.lay.Shards
 	}
-	qd := h.opt.depth()
-
 	var wg sync.WaitGroup
 	lanes := make([][]replayLane, h.lay.Shards)
 	for s, sh := range h.shards {
-		sh.reset(qd)
 		k := clientsOfShard(clients, h.lay.Shards, s)
 		ls := make([]replayLane, k)
 		for i := range ls {
@@ -292,19 +326,9 @@ func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error
 					open--
 					continue
 				}
-				// After a failure keep draining (without serving) so the
-				// router never blocks on a dead shard.
-				if sh.err == nil {
-					for i := range b {
-						if _, err := sh.serveOne(b[i]); err != nil {
-							sh.err = fmt.Errorf("shard %d: %w", sh.id, err)
-							break
-						}
-					}
-					if sh.cell != nil {
-						sh.cell.SetQueueStats(sh.admitted, sh.depthSum, sh.maxDepth)
-					}
-				}
+				// After a failure serveBatch drops the batch; keep draining
+				// so the router never blocks on a dead shard.
+				sh.serveBatch(b)
 				ls[turn].free <- b[:0]
 			}
 		}(sh, ls)
@@ -320,8 +344,6 @@ func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error
 	}
 	reqBuf := make([]trace.Request, batch)
 	var frags []Fragment
-	var requests, fragments int64
-	var routeErr error
 router:
 	for {
 		n, err := it.Next(reqBuf)
@@ -359,19 +381,7 @@ router:
 		}
 	}
 	wg.Wait()
-
-	if routeErr != nil {
-		return nil, routeErr
-	}
-	out := h.collect()
-	out.Requests = requests
-	out.Fragments = fragments
-	for _, sh := range h.shards {
-		if sh.err != nil {
-			return out, sh.err
-		}
-	}
-	return out, nil
+	return requests, fragments, routeErr
 }
 
 // clientsOfShard spreads total clients round-robin over shards; every shard
@@ -392,25 +402,27 @@ func clientsOfShard(clients, shards, s int) int {
 func (h *Host) collect() *Outcome {
 	out := &Outcome{Shards: make([]ShardResult, len(h.shards))}
 	hashes := make([]uint64, len(h.shards))
+	queues := h.opt.depth() != 1
 	for s, sh := range h.shards {
-		m := sh.dev.Metrics()
-		if sh.qd != 1 {
-			// Queue-depth stats exist only when the admission policy
-			// actually queues; the depth-1 closed loop mirrors the serial
-			// Device.Serve path, which reports none.
-			m.MaxQueueDepth = sh.maxDepth
-			m.QueueDepthSum = sh.depthSum
-		}
+		fs := sh.adm.Stats()
 		hashes[s] = sh.dev.Scheduler().EventHash()
-		fs := ssd.FrontendStats{Admitted: sh.admitted, MaxDepth: sh.maxDepth, DepthSum: sh.depthSum}
-		out.Shards[s] = ShardResult{Shard: s, M: m, EventHash: hashes[s], Admitted: sh.admitted, FS: fs}
-		out.M.Merge(&m)
+		sr := &out.Shards[s]
+		*sr = ShardResult{Shard: s, M: sh.dev.Metrics(), EventHash: hashes[s], Admitted: fs.Admitted, FS: fs}
+		if queues {
+			// Queue-depth stats enter the metrics only when the admission
+			// policy actually queues; the depth-1 closed loop is the
+			// scalar-clock device, which reports none.
+			sr.M.MaxQueueDepth = fs.MaxDepth
+			sr.M.QueueDepthSum = fs.DepthSum
+		}
+		out.M.Merge(&sr.M)
 		if sh.cell != nil {
 			// Final epoch + queue stats so a scrape after the run (or during
 			// a -telemetry-linger wait) sees the exact end-of-run numbers.
-			// collect runs after wg.Wait(), so the single-writer rule holds.
+			// collect runs after every worker has exited, so the
+			// single-writer rule holds.
 			sh.dev.PublishLive()
-			sh.cell.SetQueueStats(sh.admitted, sh.depthSum, sh.maxDepth)
+			sh.cell.SetQueueStats(fs.Admitted, fs.DepthSum, fs.MaxDepth)
 		}
 	}
 	out.Digest = Digest(hashes)

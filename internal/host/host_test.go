@@ -1,13 +1,17 @@
 package host
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/ssd"
 	"repro/internal/trace"
@@ -92,10 +96,37 @@ func mixedTrace(seed int64, n int, space, pageBytes int64, arrivalStep int64) []
 	return reqs
 }
 
-// TestReplaySerialEquivalence pins the 1-shard host path to the legacy
-// serial drivers bit-for-bit: depth 1 against Device.Run, deeper queues and
-// open loop against ssd.Frontend — same metrics, same event hash, however
-// many client goroutines feed the host.
+// serveAll serves every request on dev with a plain Device.Serve loop: the
+// scalar-clock device at queue depth 1, no admission queue at all.
+func serveAll(t *testing.T, dev *ftl.Device, reqs []trace.Request) {
+	t.Helper()
+	for i, r := range reqs {
+		if _, err := dev.Serve(r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+}
+
+// admitAll serves every request on dev through a bare ssd.Admitter and
+// returns the device's metrics with the queue stats folded in.
+func admitAll(t *testing.T, dev *ftl.Device, qd int, reqs []trace.Request) ftl.Metrics {
+	t.Helper()
+	a := ssd.NewAdmitter(qd)
+	for i, r := range reqs {
+		if _, err := a.Admit(dev, r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+	m := dev.Metrics()
+	m.MaxQueueDepth = a.Stats().MaxDepth
+	m.QueueDepthSum = a.Stats().DepthSum
+	return m
+}
+
+// TestReplaySerialEquivalence pins the 1-shard host to references that do
+// not go through it, bit-for-bit: depth 1 against a plain Device.Serve loop,
+// deeper queues and open loop against a bare ssd.Admitter — same metrics,
+// same event hash, whatever the batch size and the (unused) client count.
 func TestReplaySerialEquivalence(t *testing.T) {
 	const space = 16 << 20
 	base := ftl.DefaultConfig(space)
@@ -103,36 +134,20 @@ func TestReplaySerialEquivalence(t *testing.T) {
 	reqs := mixedTrace(1, 4000, space, int64(base.PageSize), 3000)
 
 	cases := []struct {
-		name    string
-		opt     Options
-		clients int
-		legacy  func(t *testing.T, dev *ftl.Device) ftl.Metrics
+		name      string
+		opt       Options
+		clients   int
+		reference func(t *testing.T, dev *ftl.Device) ftl.Metrics
 	}{
 		{"qd1", Options{}, 3, func(t *testing.T, dev *ftl.Device) ftl.Metrics {
-			if _, err := dev.Run(reqs); err != nil {
-				t.Fatal(err)
-			}
-			return dev.Metrics() // what sim.Run reports (fills Elapsed/ChanBusy)
+			serveAll(t, dev, reqs)
+			return dev.Metrics()
 		}},
 		{"qd4", Options{QueueDepth: 4}, 2, func(t *testing.T, dev *ftl.Device) ftl.Metrics {
-			fst, err := ssd.Frontend{QueueDepth: 4}.Run(dev, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := dev.Metrics()
-			m.MaxQueueDepth = fst.MaxDepth
-			m.QueueDepthSum = fst.DepthSum
-			return m
+			return admitAll(t, dev, 4, reqs)
 		}},
 		{"openloop", Options{OpenLoop: true}, 4, func(t *testing.T, dev *ftl.Device) ftl.Metrics {
-			fst, err := ssd.Frontend{}.Run(dev, reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			m := dev.Metrics()
-			m.MaxQueueDepth = fst.MaxDepth
-			m.QueueDepthSum = fst.DepthSum
-			return m
+			return admitAll(t, dev, 0, reqs)
 		}},
 	}
 	for _, c := range cases {
@@ -143,18 +158,18 @@ func TestReplaySerialEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			legacyHost := newTestHost(t, base, 1, c.opt) // identical setup, legacy driver
-			dev := legacyHost.Device(0)
-			want := c.legacy(t, dev)
+			refHost := newTestHost(t, base, 1, c.opt) // identical setup, reference driver
+			dev := refHost.Device(0)
+			want := c.reference(t, dev)
 
 			if got := out.Shards[0].M; !reflect.DeepEqual(got, want) {
-				t.Errorf("shard metrics diverge from legacy driver:\n got  %+v\n want %+v", got, want)
+				t.Errorf("shard metrics diverge from the reference driver:\n got  %+v\n want %+v", got, want)
 			}
 			if got, want := out.Shards[0].EventHash, dev.Scheduler().EventHash(); got != want {
-				t.Errorf("event hash %#x, legacy %#x", got, want)
+				t.Errorf("event hash %#x, reference %#x", got, want)
 			}
 			if out.Digest != Digest([]uint64{dev.Scheduler().EventHash()}) {
-				t.Errorf("merged digest does not fold the legacy hash")
+				t.Errorf("merged digest does not fold the reference hash")
 			}
 			if out.Requests != int64(len(reqs)) || out.Fragments != int64(len(reqs)) {
 				t.Errorf("1-shard routing: %d requests, %d fragments", out.Requests, out.Fragments)
@@ -316,6 +331,117 @@ func TestShardStateSharesNoLinePair(t *testing.T) {
 				}
 				owner[l] = who
 			}
+		}
+	}
+}
+
+// probeIter is a request source that records, at every pull, the buffer it
+// was handed and how many goroutines exist.
+type probeIter struct {
+	it         trace.Iterator
+	bufs       map[*trace.Request]int // backing array → capacity, per distinct buffer
+	goroutines int                    // high water of runtime.NumGoroutine inside Next
+}
+
+func (p *probeIter) Next(batch []trace.Request) (int, error) {
+	if p.bufs == nil {
+		p.bufs = map[*trace.Request]int{}
+	}
+	p.bufs[unsafe.SliceData(batch)] = cap(batch)
+	if n := runtime.NumGoroutine(); n > p.goroutines {
+		p.goroutines = n
+	}
+	return p.it.Next(batch)
+}
+
+// TestOneShardServesOnCaller pins the shape of the one-shard request path:
+// ReplayStream serves on the calling goroutine (no worker is started) through
+// one Batch-sized pull buffer (no lanes), and what it allocates does not grow
+// with the trace. Two shards, by contrast, do start workers.
+func TestOneShardServesOnCaller(t *testing.T) {
+	const space = 16 << 20
+	const batch = 96
+	base := ftl.DefaultConfig(space)
+	base.Seed = 7
+	reqs := mixedTrace(5, 2000, space, int64(base.PageSize), 0)
+
+	h := newTestHost(t, base, 1, Options{QueueDepth: 4})
+	before := runtime.NumGoroutine()
+	// Two replays off one source, the way sim.Run splits warm-up from the
+	// measured phase: they share the buffer too.
+	p := &probeIter{it: trace.NewSliceIterator(reqs)}
+	for _, it := range []trace.Iterator{trace.Limit(p, 500), p} {
+		if _, err := h.ReplayStream(it, ReplayOptions{Clients: 4, Batch: batch}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.goroutines != before {
+		t.Errorf("one shard: %d goroutines while serving, %d before the call", p.goroutines, before)
+	}
+	if len(p.bufs) != 1 {
+		t.Errorf("one shard pulled into %d distinct buffers over two replays, want 1", len(p.bufs))
+	}
+	for _, c := range p.bufs {
+		if c != batch {
+			t.Errorf("pull buffer holds %d requests, want Batch = %d", c, batch)
+		}
+	}
+
+	h2 := newTestHost(t, base, 2, Options{QueueDepth: 4})
+	p2 := &probeIter{it: trace.NewSliceIterator(reqs)}
+	if _, err := h2.ReplayStream(p2, ReplayOptions{Batch: batch}); err != nil {
+		t.Fatal(err)
+	}
+	if p2.goroutines < before+2 {
+		t.Errorf("two shards: %d goroutines while serving, want a worker per shard over %d", p2.goroutines, before)
+	}
+
+	if !allocGuardsEnabled {
+		return
+	}
+	// An empty source isolates what the host itself allocates per replay
+	// (whatever the device allocates while serving is the device's).
+	allocs := func(h *Host) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, err := h.ReplayStream(trace.NewSliceIterator(nil), ReplayOptions{Batch: batch}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	one, two := allocs(h), allocs(h2)
+	t.Logf("host allocations per empty ReplayStream: %v at one shard, %v at two", one, two)
+	// The source and the outcome with its two slices; the pull buffer is
+	// the host's. Lanes alone would be two channels and two buffers per
+	// client.
+	if one > 4 {
+		t.Errorf("one-shard ReplayStream allocates %v times, want the source and the outcome only", one)
+	}
+}
+
+// TestDeviceErrorMidStream pins what a device failure looks like from the
+// host: the outcome so far beside an error that names the shard and the
+// failing request's index in its stream, with the device's own error intact.
+func TestDeviceErrorMidStream(t *testing.T) {
+	const space = 16 << 20
+	base := ftl.DefaultConfig(space)
+	base.Seed = 3
+	reqs := mixedTrace(6, 2000, space, int64(base.PageSize), 0)
+	for _, shards := range []int{1, 2} {
+		h := newTestHost(t, base, shards, Options{QueueDepth: 4})
+		h.Device(0).Chip().SetFaultPlan(&flash.FaultPlan{Seed: 1, CutAtOp: 300})
+		out, err := h.Replay(reqs, ReplayOptions{Batch: 7})
+		if !errors.Is(err, flash.ErrPowerCut) {
+			t.Fatalf("%d shards: errors.Is(err, flash.ErrPowerCut) is false for %v", shards, err)
+		}
+		if out == nil {
+			t.Fatalf("%d shards: no outcome beside the device error", shards)
+		}
+		served := out.Shards[0].Admitted
+		if served == 0 || served >= int64(len(reqs)) {
+			t.Fatalf("%d shards: shard 0 served %d of %d requests before the cut", shards, served, len(reqs))
+		}
+		if want := fmt.Sprintf("shard 0: request %d:", served); !strings.Contains(err.Error(), want) {
+			t.Errorf("%d shards: error does not name %q: %v", shards, want, err)
 		}
 	}
 }

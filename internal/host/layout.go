@@ -1,5 +1,6 @@
-// Package host is an NVMe-style multi-queue frontend that serves concurrent
-// goroutine traffic across independent per-shard FTL instances.
+// Package host is the request path's front end: it takes a request stream
+// and serves it on one FTL instance, or routes it across several independent
+// per-shard instances served concurrently.
 //
 // The logical page space is statically striped across N shards at
 // translation-page granularity: chunk g (ChunkPages consecutive LPNs, one
@@ -24,10 +25,7 @@
 // hashes into one value that is insensitive to how shard executions
 // interleave in wall time — per-shard order is what matters, cross-shard
 // order never does — so determinism tests stay meaningful under true
-// concurrency. The deterministic replay path (Host.Replay) fixes each
-// shard's order by construction; the free-form queue-pair path (Host.Start /
-// OpenQueue) serves in arrival order and trades digest stability for
-// unconstrained routing.
+// concurrency. Host.ReplayStream fixes each shard's order by construction.
 package host
 
 import (

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/obs"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -45,9 +44,7 @@ func obsParallelRun(t *testing.T, traceW, metricsW *bytes.Buffer) (ftl.Metrics, 
 	if metricsW != nil {
 		dev.SetMetricsExport(metricsW, 500)
 	}
-	if _, err := (ssd.Frontend{QueueDepth: 8}).Run(dev, reqs); err != nil {
-		t.Fatal(err)
-	}
+	admitAll(t, dev, 8, reqs)
 	m := dev.Metrics()
 	if err := dev.FinishObservability(); err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 	"time"
 
@@ -15,8 +14,8 @@ import (
 )
 
 // goldenOptions is the fixed serial-baseline run whose metrics were captured
-// on the scalar-clock implementation this PR replaced. The parallel backend
-// at 1 channel × 1 die × queue depth 1 must reproduce them bit-for-bit: a
+// on the original scalar-clock implementation. The request path at one shard,
+// 1 channel × 1 die × queue depth 1 must reproduce them bit-for-bit: a
 // single die serializes every operation in issue order, so each request's
 // span is the sum of its operation latencies — exactly the old model.
 func goldenOptions(s Scheme) Options {
@@ -48,8 +47,9 @@ var serialGolden = map[Scheme]struct {
 }
 
 // TestSerialGoldenCompatibility pins the compatibility guarantee of the
-// parallel backend: the default geometry and queue depth reproduce the
-// pre-scheduler metrics exactly, timing included.
+// request path: the default geometry, shard count and queue depth reproduce
+// the pre-scheduler metrics exactly, timing included. (That Shards: 1 is the
+// same run is TestRequestPathEquivalence's.)
 func TestSerialGoldenCompatibility(t *testing.T) {
 	for s, want := range serialGolden {
 		s, want := s, want
@@ -75,29 +75,6 @@ func TestSerialGoldenCompatibility(t *testing.T) {
 				t.Fatalf("default geometry = %d×%d", m.Channels, m.DiesPerChannel)
 			}
 
-			// The 1-shard host path must reproduce the same goldens
-			// bit-for-bit — full metrics, not just the 13-tuple — no
-			// matter how many client goroutines feed it.
-			for _, clients := range []int{1, 4} {
-				opt := goldenOptions(s)
-				opt.Shards = 1
-				opt.Clients = clients
-				sr, err := Run(opt)
-				if err != nil {
-					t.Fatalf("shards=1 clients=%d: %v", clients, err)
-				}
-				if !reflect.DeepEqual(sr.M, m) {
-					t.Fatalf("shards=1 clients=%d metrics diverge from the serial path:\n got  %+v\n want %+v",
-						clients, sr.M, m)
-				}
-				if len(sr.Shards) != 1 || sr.Digest == 0 {
-					t.Fatalf("shards=1 clients=%d: missing per-shard results (%d shards, digest %#x)",
-						clients, len(sr.Shards), sr.Digest)
-				}
-				if sr.Digest != hostDigest(sr) {
-					t.Fatalf("shards=1 clients=%d: digest does not fold the shard hashes", clients)
-				}
-			}
 		})
 	}
 }
@@ -141,10 +118,20 @@ func parallelRun(t *testing.T, s Scheme, qd int) (ftl.Metrics, uint64) {
 		ReadProb:    0.001,
 		ProgramProb: 0.001,
 	})
-	if _, err := (ssd.Frontend{QueueDepth: qd}).Run(dev, reqs); err != nil {
-		t.Fatal(err)
-	}
+	admitAll(t, dev, qd, reqs)
 	return dev.Metrics(), dev.Scheduler().EventHash()
+}
+
+// admitAll serves every request on a directly built device through a bare
+// ssd.Admitter of the given queue depth.
+func admitAll(t *testing.T, dev *ftl.Device, qd int, reqs []trace.Request) {
+	t.Helper()
+	a := ssd.NewAdmitter(qd)
+	for i, r := range reqs {
+		if _, err := a.Admit(dev, r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
 }
 
 // TestSchedulerDeterminism runs the same seeded workload with the same fault

@@ -15,9 +15,9 @@ import (
 	"repro/internal/ftl/optimal"
 	"repro/internal/ftl/sftl"
 	"repro/internal/ftl/zftl"
+	"repro/internal/host"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
-	"repro/internal/ssd"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -59,16 +59,17 @@ type Options struct {
 	// Trace, if non-nil, is replayed instead of generating from Profile.
 	Trace []trace.Request
 	// TraceStream, if non-nil, is a streamed request source replayed
-	// instead of Trace or a generated workload: requests are pulled in
-	// StreamBatch-sized batches, so resident memory is independent of the
-	// trace's length. The simulated results are bit-for-bit what an eager
-	// replay of the same requests through Trace would produce. The iterator
-	// is consumed once (warm-up prefix first when ResetAfterWarmup is set);
-	// mutually exclusive with Trace.
+	// instead of Trace or a generated workload, so resident memory is
+	// independent of the trace's length. The simulated results are
+	// bit-for-bit those of the same requests passed through Trace. The
+	// iterator is consumed once (warm-up prefix first when ResetAfterWarmup
+	// is set); mutually exclusive with Trace.
 	TraceStream trace.Iterator
-	// StreamBatch is the number of requests pulled from TraceStream per
-	// batch (default DefaultStreamBatch). A wall-clock/memory knob only:
-	// simulated results are independent of it.
+	// StreamBatch is the number of requests pulled from the source — any
+	// source: TraceStream, Trace or the generated workload — per batch, and
+	// the size of the batches handed to shards (default DefaultStreamBatch,
+	// 4096, whatever Shards is). A wall-clock/memory knob only: simulated
+	// results are independent of it.
 	StreamBatch int
 
 	// CacheBytes is the mapping-cache budget. Zero selects the paper's
@@ -88,17 +89,16 @@ type Options struct {
 	// TransPlacement places translation blocks on a multi-channel device:
 	// striped across all dies (default) or pinned to channel 0.
 	TransPlacement ftl.TPPlacement
-	// Shards, when >= 1, routes the run through the sharded multi-queue
-	// host frontend (internal/host): the LPN space is striped across this
-	// many independent FTL instances — per-shard translator, mapping
-	// cache, GC and scheduler clock — served by concurrent client
-	// goroutines. 0 keeps the legacy single-device path; 1 routes through
-	// the host but reproduces the serial results bit-for-bit.
+	// Shards is the number of independent FTL instances the LPN space is
+	// striped across (internal/host) — per-shard translator, mapping cache,
+	// GC and scheduler clock. 0 and 1 are the same run: one device, served
+	// on the calling goroutine. Two or more are served by concurrent
+	// per-shard workers.
 	Shards int
-	// Clients is the number of concurrent submitter goroutines feeding
-	// the sharded host (minimum, and default, one per shard). The client
-	// topology is a wall-clock knob only: simulated results are
-	// bit-for-bit independent of it. Ignored without Shards.
+	// Clients is the number of submitter lanes feeding the shard workers
+	// (minimum, and default, one per shard). The client topology is a
+	// wall-clock knob only: simulated results are bit-for-bit independent
+	// of it. One shard has no lanes, so there Clients has nothing to feed.
 	Clients int
 	// QueueDepth bounds in-flight requests (closed loop; per shard when
 	// sharded). 0 selects 1, the scalar-clock compatibility default,
@@ -118,6 +118,8 @@ type Options struct {
 	// what a long-running SSD shows). 0 disables.
 	Precondition float64
 	// SampleEvery enables cache sampling every N page accesses (Fig. 1/2).
+	// Like Faults, MetricsOut and TraceOut it is per-device: accepted with
+	// one shard, rejected with more.
 	SampleEvery int64
 	// ResetAfterWarmup, if > 0, serves this many leading requests as
 	// warm-up and zeroes the metrics before the measured phase.
@@ -147,8 +149,7 @@ type Options struct {
 	// as it serves — readable concurrently through the plane's HTTP/expvar
 	// surfaces while the run is in flight. Publication cadence is keyed to
 	// served-request counts, so every simulated metric, EventHash and Digest
-	// is bit-for-bit identical with the plane attached or not. Works on the
-	// legacy path and with Shards.
+	// is bit-for-bit identical with the plane attached or not.
 	Telemetry *live.Plane
 }
 
@@ -172,14 +173,19 @@ type Result struct {
 	M          ftl.Metrics
 	Samples    []Sample
 	TraceStats trace.Stats
-	// Shards holds the per-shard results of a sharded run
-	// (Options.Shards >= 1) in shard order; nil on the legacy path.
+	// Shards holds the per-shard results in shard order: always at least
+	// one entry (a one-device run is one shard, whose M equals Result.M).
 	Shards []ShardRun
 	// Digest folds the per-shard event hashes into one value that is
 	// insensitive to how shard executions interleaved in wall time (see
-	// host.Digest); 0 on the legacy path.
+	// host.Digest). Always set.
 	Digest uint64
 }
+
+// ShardRun is one shard's slice of a run's outcome: its device's
+// measured-phase metrics, its scheduler's order-sensitive event hash and its
+// admission queue's statistics.
+type ShardRun = host.ShardResult
 
 // FullTableBytes returns the size of the entire page-level mapping table for
 // an address space (8 B per entry), the unit of Options.CacheFraction.
@@ -187,20 +193,67 @@ func FullTableBytes(addressSpace int64) int64 {
 	return addressSpace / ftl.DefaultPageBytes * ftl.EntryBytesRAM
 }
 
-// DefaultStreamBatch is the per-pull batch size of a TraceStream replay when
-// Options.StreamBatch is zero.
+// DefaultStreamBatch is the batch size of a replay when Options.StreamBatch
+// is zero.
 const DefaultStreamBatch = 4096
 
-// streamMaxEnd returns the address-space high-water hint a streamed source
-// carries (trace.Stream exposes its binary header's MaxEnd), 0 if unknown.
-// It lets a streamed run size its preconditioning footprint without a
-// pre-pass over the trace.
-func streamMaxEnd(it trace.Iterator) int64 {
-	type maxEnder interface{ MaxEnd() int64 }
-	if m, ok := it.(maxEnder); ok {
-		return m.MaxEnd()
+// source is a run's request stream behind one interface, with what is known
+// about it before the first request is pulled.
+type source struct {
+	it trace.Iterator
+	// maxEnd is the address high-water hint that bounds the preconditioning
+	// footprint, 0 if unknown: a replayed trace's own (a streamed source's
+	// header hint, when it carries one — no pre-pass over the file), never a
+	// generated workload's, whose profile states its footprint.
+	maxEnd int64
+	// records is the total request count, 0 if unknown — the live plane's
+	// ETA denominator.
+	records int64
+}
+
+// openSource adapts whichever of TraceStream, Trace or the generated
+// workload the options select.
+func openSource(o Options, profile workload.Profile) (source, error) {
+	switch {
+	case o.Trace != nil && o.TraceStream != nil:
+		return source{}, fmt.Errorf("sim: Trace and TraceStream are mutually exclusive")
+	case o.TraceStream != nil:
+		src := source{it: o.TraceStream}
+		if m, ok := o.TraceStream.(interface{ MaxEnd() int64 }); ok {
+			src.maxEnd = m.MaxEnd()
+		}
+		if r, ok := o.TraceStream.(interface{ Records() int64 }); ok {
+			src.records = r.Records()
+		}
+		return src, nil
+	case o.Trace != nil:
+		return source{
+			it:      trace.NewSliceIterator(o.Trace),
+			maxEnd:  trace.Summarize(o.Trace).MaxEnd,
+			records: int64(len(o.Trace)),
+		}, nil
 	}
-	return 0
+	reqs, err := workload.Generate(profile, o.Requests, o.Seed)
+	if err != nil {
+		return source{}, err
+	}
+	return source{it: trace.NewSliceIterator(reqs), records: int64(len(reqs))}, nil
+}
+
+// statsIter passes batches through from a source while folding each request
+// into a StatsAccum. Only the goroutine driving the replay calls Next, so the
+// accumulator needs no synchronization.
+type statsIter struct {
+	it  trace.Iterator
+	acc trace.StatsAccum
+}
+
+func (s *statsIter) Next(batch []trace.Request) (int, error) {
+	n, err := s.it.Next(batch)
+	for i := 0; i < n; i++ {
+		s.acc.Add(batch[i])
+	}
+	return n, err
 }
 
 // NewTranslator constructs the translator for a scheme.
@@ -230,7 +283,10 @@ func NewTranslator(s Scheme, cacheBytes int64, logicalPages int64, tpftlCfg *cor
 	}
 }
 
-// Run executes one simulation.
+// Run executes one simulation. There is one request path: the source
+// (TraceStream, Trace or the generated workload, behind one iterator) is
+// pulled by the host, which admits every request through an ssd.Admitter
+// into its shard's device — one shard unless Options.Shards asks for more.
 func Run(o Options) (*Result, error) {
 	space := o.Profile.AddressSpace
 	if o.AddressSpace != 0 {
@@ -260,259 +316,178 @@ func Run(o Options) (*Result, error) {
 	devCfg.Dies = o.Dies
 	devCfg.TransPlacement = o.TransPlacement
 
-	if o.Trace != nil && o.TraceStream != nil {
-		return nil, fmt.Errorf("sim: Trace and TraceStream are mutually exclusive")
+	n := max(o.Shards, 1)
+	if n > 1 {
+		// Samples, exports and fault plans attach to one device; spreading
+		// them over several is ROADMAP items 4/5.
+		switch {
+		case o.SampleEvery > 0:
+			return nil, fmt.Errorf("sim: cache sampling is per-device; not supported with Shards")
+		case o.MetricsOut != nil || o.TraceOut != nil:
+			return nil, fmt.Errorf("sim: observability export is per-device; not supported with Shards")
+		case o.Faults != nil:
+			return nil, fmt.Errorf("sim: fault plans are per-device; not supported with Shards")
+		}
 	}
-
-	if o.Shards > 0 {
-		return runSharded(o, devCfg, profile, cacheBytes)
-	}
-
-	tr, err := NewTranslator(o.Scheme, cacheBytes, devCfg.LogicalPages(), o.TPFTL)
+	src, err := openSource(o, profile)
 	if err != nil {
 		return nil, err
 	}
-	dev, err := ftl.NewDevice(devCfg, tr)
+	it := &statsIter{it: src.it}
+
+	lay, cfgs, err := host.ShardConfigs(devCfg, n)
 	if err != nil {
 		return nil, err
 	}
-	if err := dev.Format(); err != nil {
-		return nil, err
+	tpftlCfg := o.TPFTL
+	if tpftlCfg != nil && tpftlCfg.CacheBytes > 0 && n > 1 {
+		// The TPFTL override's explicit cache budget is a whole-device
+		// number; split it like the implicit budget so ablation variants
+		// shard fairly.
+		cfg := *tpftlCfg
+		cfg.CacheBytes = max(cfg.CacheBytes/int64(n), ftl.EntryBytesRAM)
+		tpftlCfg = &cfg
 	}
-
-	reqs := o.Trace
-	if reqs == nil && o.TraceStream == nil {
-		reqs, err = workload.Generate(profile, o.Requests, o.Seed)
+	devs := make([]*ftl.Device, n)
+	trs := make([]ftl.Translator, n)
+	for s := range devs {
+		tr, err := NewTranslator(o.Scheme, cfgs[s].CacheBytes, cfgs[s].LogicalPages(), tpftlCfg)
 		if err != nil {
 			return nil, err
 		}
-	}
-	stats := trace.Summarize(reqs)
-
-	var liveCell *live.Cell
-	if o.Telemetry != nil {
-		cells := o.Telemetry.StartRun(live.RunInfo{
-			Scheme:        string(o.Scheme),
-			Workload:      profile.Name,
-			Shards:        1,
-			TotalRequests: expectedRequests(o, reqs),
-		})
-		liveCell = cells[0]
-		dev.SetLive(liveCell)
+		dev, err := ftl.NewDevice(cfgs[s], tr)
+		if err != nil {
+			return nil, err
+		}
+		if err := dev.Format(); err != nil {
+			return nil, err
+		}
+		devs[s], trs[s] = dev, tr
 	}
 
 	if o.Precondition > 0 {
 		// Age only the workload's footprint: the cold remainder stays in
 		// its pristine fully-valid blocks, exactly where a long-running
-		// device's GC would have consolidated it. For replayed traces the
-		// footprint is taken from the trace's own address high-water mark
-		// (a streamed source's header hint, when it carries one).
+		// device's GC would have consolidated it. Each shard ages its own
+		// image of the footprint: the striping is chunk-interleaved, so a
+		// footprint prefix of the global space maps to a prefix of every
+		// shard's local space.
 		footBytes := profile.FootprintBytes()
-		if o.Trace != nil && stats.MaxEnd > 0 && stats.MaxEnd < footBytes {
-			footBytes = stats.MaxEnd
-		}
-		if o.TraceStream != nil {
-			if me := streamMaxEnd(o.TraceStream); me > 0 && me < footBytes {
-				footBytes = me
-			}
+		if src.maxEnd > 0 && src.maxEnd < footBytes {
+			footBytes = src.maxEnd
 		}
 		footPages := footBytes / int64(devCfg.PageSize)
-		writes := int(o.Precondition * float64(footPages))
-		if err := dev.PreconditionRange(writes, footPages, o.Seed+1); err != nil {
-			return nil, err
+		for s, dev := range devs {
+			image := lay.ImagePages(s, footPages)
+			writes := int(o.Precondition * float64(image))
+			if err := dev.PreconditionRange(writes, image, o.Seed+1+int64(s)); err != nil {
+				return nil, err
+			}
+			dev.ResetMetrics()
 		}
-		dev.ResetMetrics()
 	}
 	// Warm after preconditioning: the optimal FTL snapshots the live
 	// mapping (it holds the authoritative table in RAM and never reads
 	// the persisted translation pages).
-	if w, ok := tr.(ftl.Warmer); ok {
-		w.Warm(dev.Truth)
+	for s, tr := range trs {
+		if w, ok := tr.(ftl.Warmer); ok {
+			w.Warm(devs[s].Truth)
+		}
 	}
 
 	res := &Result{
 		Scheme:     o.Scheme,
 		Workload:   profile.Name,
 		CacheBytes: cacheBytes,
-		TraceStats: stats,
 	}
-	if t, ok := tr.(*core.FTL); ok {
+	if t, ok := trs[0].(*core.FTL); ok {
 		res.Variant = t.Variant()
 	}
-
-	if o.SampleEvery > 0 {
-		insp, ok := tr.(ftl.Inspector)
-		if ok {
-			dev.SampleEvery = o.SampleEvery
-			dev.OnSample = func(n int64) {
-				s := insp.Snapshot()
-				sample := Sample{
-					PageAccesses: n,
-					Entries:      s.Entries,
-					TPNodes:      s.TPNodes,
-					DirtyEntries: s.DirtyEntries,
-					DirtyHist:    map[int]int{},
-				}
-				for _, d := range s.DirtyPerPage {
-					sample.DirtyHist[d]++
-				}
-				res.Samples = append(res.Samples, sample)
+	if insp, ok := trs[0].(ftl.Inspector); ok && o.SampleEvery > 0 {
+		devs[0].SampleEvery = o.SampleEvery
+		devs[0].OnSample = func(n int64) {
+			s := insp.Snapshot()
+			sample := Sample{
+				PageAccesses: n,
+				Entries:      s.Entries,
+				TPNodes:      s.TPNodes,
+				DirtyEntries: s.DirtyEntries,
+				DirtyHist:    map[int]int{},
 			}
+			for _, d := range s.DirtyPerPage {
+				sample.DirtyHist[d]++
+			}
+			res.Samples = append(res.Samples, sample)
 		}
 	}
 
-	// Admission policy: the legacy scalar path (Device.Run, queue depth 1)
-	// stays the default so baseline metrics are reproduced bit-for-bit; an
-	// explicit deeper queue or open-loop arrival replay routes through the
-	// ssd.Frontend, which admits each request against the completion heap.
-	qd := o.QueueDepth
-	if qd <= 0 {
-		qd = 1
+	h, err := host.New(lay, devs, host.Options{QueueDepth: o.QueueDepth, OpenLoop: o.OpenLoop})
+	if err != nil {
+		return nil, err
 	}
-	useFrontend := o.OpenLoop || qd > 1
-	feDepth := qd
-	if o.OpenLoop {
-		feDepth = 0
+	if o.Telemetry != nil {
+		// One cell per shard; warm-up and the measured phase both publish
+		// (the warm-up reset folds into each cell's monotonic base).
+		h.SetLive(o.Telemetry.StartRun(live.RunInfo{
+			Scheme:        string(o.Scheme),
+			Workload:      profile.Name,
+			Shards:        n,
+			TotalRequests: src.records,
+		}))
 	}
-	runReqs := func(rs []trace.Request) (ssd.FrontendStats, error) {
-		if !useFrontend {
-			_, err := dev.Run(rs)
-			return ssd.FrontendStats{}, err
-		}
-		fe := ssd.Frontend{QueueDepth: feDepth, Live: liveCell}
-		return fe.Run(dev, rs)
-	}
-	// serveStream drains one phase (warm-up prefix or measured remainder) of
-	// the streamed source in StreamBatch pulls. The serial path calls
-	// Device.Serve per request — exactly what Device.Run does over a slice —
-	// and a queued phase gets a fresh ssd.Admitter, mirroring runReqs' fresh
-	// Frontend per call, so streamed results are bit-for-bit the eager ones.
-	var acc trace.StatsAccum
-	var streamBuf []trace.Request
-	serveStream := func(it trace.Iterator) (ssd.FrontendStats, error) {
-		if streamBuf == nil {
-			b := o.StreamBatch
-			if b <= 0 {
-				b = DefaultStreamBatch
-			}
-			streamBuf = make([]trace.Request, b)
-		}
-		var adm *ssd.Admitter
-		if useFrontend {
-			adm = ssd.NewAdmitter(feDepth)
-			adm.SetLive(liveCell)
-		}
-		idx := 0
-		for {
-			n, err := it.Next(streamBuf)
-			for i := 0; i < n; i++ {
-				r := streamBuf[i]
-				acc.Add(r)
-				if useFrontend {
-					if _, aerr := adm.Admit(dev, r); aerr != nil {
-						return adm.Stats(), fmt.Errorf("ssd: request %d: %w", idx, aerr)
-					}
-				} else if _, serr := dev.Serve(r); serr != nil {
-					return ssd.FrontendStats{}, fmt.Errorf("request %d: %w", idx, serr)
-				}
-				idx++
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				var st ssd.FrontendStats
-				if adm != nil {
-					st = adm.Stats()
-				}
-				return st, err
-			}
-		}
-		if adm != nil {
-			return adm.Stats(), nil
-		}
-		return ssd.FrontendStats{}, nil
+	replay := host.ReplayOptions{Clients: o.Clients, Batch: o.StreamBatch}
+	if replay.Batch <= 0 {
+		replay.Batch = DefaultStreamBatch
 	}
 
-	warm := o.ResetAfterWarmup
-	if warm > 0 {
-		if o.TraceStream != nil {
-			if _, err := serveStream(trace.Limit(o.TraceStream, int64(warm))); err != nil {
-				return nil, fmt.Errorf("sim: %s/%s warm-up: %w", o.Scheme, profile.Name, err)
-			}
-		} else {
-			if warm > len(reqs) {
-				warm = len(reqs)
-			}
-			if _, err := runReqs(reqs[:warm]); err != nil {
-				return nil, fmt.Errorf("sim: %s/%s warm-up: %w", o.Scheme, profile.Name, err)
-			}
-			reqs = reqs[warm:]
+	if warm := o.ResetAfterWarmup; warm > 0 {
+		// Limit does not advance the source past the prefix, so the
+		// measured phase continues from the same iterator.
+		if _, err := h.ReplayStream(trace.Limit(it, int64(warm)), replay); err != nil {
+			return nil, fmt.Errorf("sim: %s/%s warm-up: %w", o.Scheme, profile.Name, err)
 		}
-		dev.ResetMetrics()
+		for _, dev := range devs {
+			dev.ResetMetrics()
+		}
 	}
+	// Faults and the observability sinks are armed only for the measured
+	// phase (after warm-up's ResetMetrics), so fault indexes land in — and
+	// exports describe — what the result reports. All three are per-device:
+	// the guard above left exactly one.
 	if o.Faults != nil {
-		dev.Chip().SetFaultPlan(o.Faults)
+		devs[0].Chip().SetFaultPlan(o.Faults)
 	}
-	// Arm the observability sinks only for the measured phase (after
-	// warm-up's ResetMetrics), so exports describe what the result reports.
 	if o.TraceOut != nil {
-		dev.SetTracer(obs.NewTracer(o.TraceOut))
+		devs[0].SetTracer(obs.NewTracer(o.TraceOut))
 	}
 	if o.MetricsOut != nil {
 		interval := o.MetricsInterval
 		if interval <= 0 {
 			interval = 1000
 		}
-		dev.SetMetricsExport(o.MetricsOut, int64(interval))
+		devs[0].SetMetricsExport(o.MetricsOut, int64(interval))
 	}
-	var fst ssd.FrontendStats
-	if o.TraceStream != nil {
-		fst, err = serveStream(o.TraceStream)
-	} else {
-		fst, err = runReqs(reqs)
-	}
+
+	out, err := h.ReplayStream(it, replay)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s/%s: %w", o.Scheme, profile.Name, err)
 	}
-	if o.TraceStream != nil {
-		res.TraceStats = acc.Stats()
-	}
-	res.M = dev.Metrics()
-	// Final epoch so a scrape after the run reads the exact end-of-run
-	// totals rather than the last cadence boundary.
-	dev.PublishLive()
-	if err := dev.FinishObservability(); err != nil {
-		return nil, fmt.Errorf("sim: %s/%s observability flush: %w", o.Scheme, profile.Name, err)
-	}
-	if useFrontend {
-		res.M.MaxQueueDepth = fst.MaxDepth
-		res.M.QueueDepthSum = fst.DepthSum
-	}
+	res.M = out.M
+	res.TraceStats = it.acc.Stats()
+	res.Digest = out.Digest
+	res.Shards = out.Shards
 
-	// Consistency is part of every run: a scheme that survives the trace
-	// but corrupted its mapping must not produce results.
-	if err := dev.CheckConsistency(dirtySetOf(tr)); err != nil {
-		return nil, fmt.Errorf("sim: %s/%s post-run consistency: %w", o.Scheme, profile.Name, err)
+	for s, dev := range devs {
+		if err := dev.FinishObservability(); err != nil {
+			return nil, fmt.Errorf("sim: %s/%s observability flush: %w", o.Scheme, profile.Name, err)
+		}
+		// Consistency is part of every run: a scheme that survives the
+		// trace but corrupted its mapping must not produce results.
+		if err := dev.CheckConsistency(dirtySetOf(trs[s])); err != nil {
+			return nil, fmt.Errorf("sim: %s/%s shard %d post-run consistency: %w", o.Scheme, profile.Name, s, err)
+		}
 	}
 	return res, nil
-}
-
-// expectedRequests returns the run's total request count when known, 0
-// otherwise — the live plane's ETA denominator. A streamed source carries a
-// record count only when its header does (trace.Stream.Records).
-func expectedRequests(o Options, eager []trace.Request) int64 {
-	if o.TraceStream != nil {
-		type recordser interface{ Records() int64 }
-		if r, ok := o.TraceStream.(recordser); ok {
-			return r.Records()
-		}
-		return 0
-	}
-	if eager != nil {
-		return int64(len(eager))
-	}
-	return int64(o.Requests)
 }
 
 // dirtySetOf extracts the dirty cached entries from any scheme that exposes

@@ -118,10 +118,9 @@ func TestStreamedReplayMatchesEager(t *testing.T) {
 	}
 }
 
-// TestStreamedReplaySliceIterator covers the in-memory iterator adapter:
-// streaming a slice must equal replaying it eagerly (no preconditioning, so
-// the footprint heuristics — which the slice adapter cannot hint — do not
-// enter).
+// TestStreamedReplaySliceIterator is TestRequestPathEquivalence's stream-vs-
+// trace row on a second scheme (DFTL): streaming a slice in odd batches must
+// equal replaying it as a Trace.
 func TestStreamedReplaySliceIterator(t *testing.T) {
 	base := streamTestOptions(SchemeDFTL)
 	reqs, err := workload.Generate(base.Profile, base.Requests, base.Seed)
@@ -141,11 +140,8 @@ func TestStreamedReplaySliceIterator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(streamed.M, eager.M) {
-		t.Fatalf("streamed metrics diverge from eager:\n got  %+v\n want %+v", streamed.M, eager.M)
-	}
-	if streamed.TraceStats != eager.TraceStats {
-		t.Fatalf("streamed trace stats diverge:\n got  %+v\n want %+v", streamed.TraceStats, eager.TraceStats)
+	if !reflect.DeepEqual(streamed, eager) {
+		t.Fatalf("streamed result diverges from the trace's:\n got  %+v\n want %+v", streamed, eager)
 	}
 }
 

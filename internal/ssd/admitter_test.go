@@ -7,13 +7,24 @@ import (
 	"repro/internal/trace"
 )
 
+// admitAll replays reqs through a fresh admitter of the given queue depth.
+func admitAll(qd int, s Server, reqs []trace.Request) (FrontendStats, error) {
+	a := NewAdmitter(qd)
+	for _, r := range reqs {
+		if _, err := a.Admit(s, r); err != nil {
+			return a.Stats(), err
+		}
+	}
+	return a.Stats(), nil
+}
+
 // TestFrontendZeroRequests pins the empty-replay edge: zero stats and a
 // zero (not NaN) mean depth, in every admission mode.
 func TestFrontendZeroRequests(t *testing.T) {
 	for _, qd := range []int{0, 1, 4} {
 		sched := NewScheduler(1, 1)
 		srv := &fakeServer{s: sched, lat: tProg}
-		st, err := Frontend{QueueDepth: qd}.Run(srv, nil)
+		st, err := admitAll(qd, srv, nil)
 		if err != nil {
 			t.Fatalf("qd=%d: %v", qd, err)
 		}
@@ -40,7 +51,7 @@ func TestFrontendOpenLoopDepthStats(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{}.Run(srv, reqs)
+	st, err := admitAll(0, srv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +78,12 @@ func TestFrontendNegativeDepthIsOpenLoop(t *testing.T) {
 		return reqs
 	}
 	schedNeg := NewScheduler(2, 2)
-	stNeg, err := Frontend{QueueDepth: -3}.Run(&fakeServer{s: schedNeg, lat: tProg}, mk())
+	stNeg, err := admitAll(-3, &fakeServer{s: schedNeg, lat: tProg}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
 	schedOpen := NewScheduler(2, 2)
-	stOpen, err := Frontend{}.Run(&fakeServer{s: schedOpen, lat: tProg}, mk())
+	stOpen, err := admitAll(0, &fakeServer{s: schedOpen, lat: tProg}, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +101,31 @@ func TestFrontendClosedLoopMeanDepth(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{QueueDepth: 1}.Run(srv, reqs)
+	st, err := admitAll(1, srv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.MaxDepth != 1 || st.MeanDepth() != 1 {
 		t.Fatalf("QD1 depth stats = %+v (mean %v), want constant 1", st, st.MeanDepth())
+	}
+}
+
+// TestAdmitterOccupy pins the depth-1 seed: with the single slot occupied
+// until t, the first request is admitted at max(arrival, t) and the seed is
+// not counted as an admission.
+func TestAdmitterOccupy(t *testing.T) {
+	sched := NewScheduler(1, 1)
+	srv := &fakeServer{s: sched, lat: tProg}
+	a := NewAdmitter(1)
+	a.Occupy(3 * tProg)
+	complete, err := a.Admit(srv, trace.Request{Arrival: int64(tProg), Length: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 4 * tProg; complete != want {
+		t.Fatalf("first request completed at %v, want %v (admitted when the occupied slot frees)", complete, want)
+	}
+	if st := a.Stats(); st != (FrontendStats{Admitted: 1, MaxDepth: 1, DepthSum: 1}) {
+		t.Fatalf("stats after one admission = %+v", st)
 	}
 }

@@ -152,7 +152,7 @@ func TestFrontendClosedLoopDepthBound(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{QueueDepth: 4}.Run(srv, reqs)
+	st, err := admitAll(4, srv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestFrontendQD1MatchesScalarClock(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	if _, err := (Frontend{QueueDepth: 1}).Run(srv, reqs); err != nil {
+	if _, err := admitAll(1, srv, reqs); err != nil {
 		t.Fatal(err)
 	}
 	// One at a time: no overlap even with 4 dies available.
@@ -190,7 +190,7 @@ func TestFrontendOpenLoopAdmitsAtArrival(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = trace.Request{Offset: int64(i) * 4096, Length: 4096}
 	}
-	st, err := Frontend{}.Run(srv, reqs)
+	st, err := admitAll(0, srv, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,9 @@
 //     NewBlockDevice/NewHybridDevice/NewFASTDevice build the §2.1
 //     block-level and log-buffer hybrid devices.
 //   - Run executes a complete experiment: build, format, precondition,
-//     replay a workload, collect the paper's metrics.
+//     replay a workload, collect the paper's metrics. It has one request
+//     path — request source, host, admission queue, device — whatever the
+//     source (generated, parsed trace, streamed file) and the shard count.
 //   - Financial1/Financial2/MSRts/MSRsrc return workload generators
 //     calibrated to the paper's Table 4; ParseTrace replays real SPC/MSR
 //     trace files.
@@ -48,8 +50,8 @@ type (
 	Options = sim.Options
 	// Result is a run's outcome: metrics plus cache samples.
 	Result = sim.Result
-	// ShardRun is one shard's slice of a sharded run's outcome
-	// (Options.Shards >= 1).
+	// ShardRun is one shard's slice of a run's outcome; a one-device run
+	// has exactly one.
 	ShardRun = sim.ShardRun
 	// Metrics are the paper's counters and derived measures.
 	Metrics = ftl.Metrics
