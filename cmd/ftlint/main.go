@@ -8,37 +8,20 @@
 // The authoritative analyzer list lives in internal/analysis/registry;
 // this command only drives it.
 //
-// Two modes:
+// ftlint is a vet tool and nothing else:
 //
-//	ftlint [flags] [packages]    standalone: load packages, analyze, print
-//	go vet -vettool=ftlint ...   driven by go vet, one compilation unit at a
-//	                             time (the mode `make lint` uses; it also
-//	                             covers _test.go files)
+//	go vet -vettool=$(pwd)/bin/ftlint ./...
 //
-// Standalone flags:
-//
-//	-baseline file    tolerate findings listed in the baseline; report
-//	                  entries whose finding no longer occurs as fixable
-//	-write-baseline   regenerate the -baseline file from this run's findings
-//	-audit            print per-analyzer baseline debt and exit
-//	-json             emit the machine-readable JSON report
-//	-sarif            emit SARIF 2.1.0
-//	-o file           write the -json/-sarif report to file instead of stdout
-//
-// In vet mode the -baseline flag is forwarded by go vet; -baseline-stamp
-// carries the baseline's content hash into the vet action cache key so a
-// baseline edit invalidates cached unit results.
-//
-// With no package arguments the standalone mode analyzes ./... . Exit code
-// 1 means new (non-baselined) findings were reported.
+// go vet invokes it once per compilation unit (so _test.go files are
+// covered), findings print to stderr as file:line:col lines, and any finding
+// fails the run. There are no flags and no baseline: the one way to tolerate
+// a finding is a reviewed `//lint:ignore <analyzer> <reason>` at the site
+// (internal/analysis/suppress.go).
 package main
 
 import (
-	"flag"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"repro/internal/analysis"
@@ -46,209 +29,20 @@ import (
 )
 
 func main() {
-	args := os.Args[1:]
-
 	// The go vet driver protocol: identity, flag description, then one
 	// invocation per compilation unit with a JSON config file.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
+	if len(os.Args) == 2 {
+		switch arg := os.Args[1]; {
+		case arg == "-V=full" || arg == "--V=full":
 			analysis.PrintVersion("ftlint")
 			return
-		case args[0] == "-flags" || args[0] == "--flags":
-			analysis.PrintFlags()
+		case arg == "-flags" || arg == "--flags":
+			fmt.Println("[]")
 			return
+		case strings.HasSuffix(arg, ".cfg"):
+			os.Exit(analysis.RunUnit(arg, registry.All()))
 		}
 	}
-
-	fs := flag.NewFlagSet("ftlint", flag.ExitOnError)
-	var (
-		baselinePath  = fs.String("baseline", "", "path to lint-baseline.json; known findings are tolerated")
-		baselineStamp = fs.String("baseline-stamp", "", "opaque baseline content hash (vet cache busting; otherwise unused)")
-		writeBaseline = fs.Bool("write-baseline", false, "regenerate the -baseline file from this run's findings")
-		audit         = fs.Bool("audit", false, "print per-analyzer baseline debt and exit")
-		jsonOut       = fs.Bool("json", false, "emit the JSON report")
-		sarifOut      = fs.Bool("sarif", false, "emit SARIF 2.1.0")
-		outPath       = fs.String("o", "", "write the -json/-sarif report to this file instead of stdout")
-	)
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	_ = baselineStamp
-	rest := fs.Args()
-
-	// Vet mode: the remaining operand is the unit's JSON config.
-	if len(rest) == 1 && strings.HasSuffix(rest[0], ".cfg") {
-		os.Exit(analysis.RunUnit(rest[0], *baselinePath, registry.All()))
-	}
-
-	os.Exit(standalone(rest, options{
-		baselinePath:  *baselinePath,
-		writeBaseline: *writeBaseline,
-		audit:         *audit,
-		jsonOut:       *jsonOut,
-		sarifOut:      *sarifOut,
-		outPath:       *outPath,
-	}))
-}
-
-type options struct {
-	baselinePath  string
-	writeBaseline bool
-	audit         bool
-	jsonOut       bool
-	sarifOut      bool
-	outPath       string
-}
-
-func standalone(patterns []string, opts options) int {
-	if (opts.writeBaseline || opts.audit) && opts.baselinePath == "" {
-		fmt.Fprintln(os.Stderr, "ftlint: -write-baseline and -audit need -baseline <file>")
-		return 2
-	}
-
-	if opts.audit {
-		return auditBaseline(opts.baselinePath)
-	}
-
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	wd, err := os.Getwd()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftlint:", err)
-		return 2
-	}
-	pkgs, err := analysis.Load(wd, patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftlint:", err)
-		return 2
-	}
-
-	analyzers := registry.All()
-	var all []analysis.Finding
-	analyzed := make(map[string]bool) // absolute file paths this run saw
-	for _, pkg := range pkgs {
-		findings, err := analysis.RunAnalyzers(pkg.Fset, pkg.Files, pkg.Pkg, pkg.Info, analyzers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ftlint:", err)
-			return 2
-		}
-		all = append(all, findings...)
-		for _, f := range pkg.Files {
-			analyzed[pkg.Fset.Position(f.Pos()).Filename] = true
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Position.Filename != b.Position.Filename {
-			return a.Position.Filename < b.Position.Filename
-		}
-		if a.Position.Line != b.Position.Line {
-			return a.Position.Line < b.Position.Line
-		}
-		return a.Analyzer < b.Analyzer
-	})
-
-	if opts.writeBaseline {
-		comment := "Known lint findings tolerated by make lint. Burn this down; never add to it without a review. Regenerate with: go run ./cmd/ftlint -baseline lint-baseline.json -write-baseline ./..."
-		if err := analysis.WriteBaseline(opts.baselinePath, comment, all); err != nil {
-			fmt.Fprintln(os.Stderr, "ftlint:", err)
-			return 2
-		}
-		fmt.Printf("ftlint: wrote %s (%d findings)\n", opts.baselinePath, len(all))
-		return 0
-	}
-
-	fresh, baselined, root := all, []analysis.Finding(nil), wd
-	if opts.baselinePath != "" {
-		baseline, err := analysis.LoadBaseline(opts.baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ftlint:", err)
-			return 2
-		}
-		root = baseline.Root
-		var matched map[analysis.BaselineEntry]int
-		fresh, matched = baseline.Filter(all)
-		baselined = baselinedOf(all, fresh)
-		analyzedRel := make(map[string]bool, len(analyzed))
-		for f := range analyzed {
-			analyzedRel[baseline.RelFile(f)] = true
-		}
-		for _, e := range baseline.Stale(matched, analyzedRel) {
-			fmt.Fprintf(os.Stderr, "ftlint: stale baseline entry (fixable: the finding no longer occurs): %s %s: %s (x%d)\n",
-				e.Analyzer, e.File, e.Message, e.Count)
-		}
-	}
-
-	if opts.jsonOut || opts.sarifOut {
-		out := io.Writer(os.Stdout)
-		if opts.outPath != "" {
-			f, err := os.Create(opts.outPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ftlint:", err)
-				return 2
-			}
-			defer f.Close()
-			out = f
-		}
-		write := analysis.WriteJSON
-		if opts.sarifOut {
-			write = analysis.WriteSARIF
-		}
-		if err := write(out, analyzers, fresh, baselined, root); err != nil {
-			fmt.Fprintln(os.Stderr, "ftlint:", err)
-			return 2
-		}
-	} else {
-		for _, f := range fresh {
-			fmt.Printf("%s: %s (%s)\n", f.Position, f.Message, f.Analyzer)
-		}
-	}
-	if len(fresh) > 0 {
-		return 1
-	}
-	return 0
-}
-
-// baselinedOf recovers the baselined findings as the set difference
-// all \ fresh, relying on Filter's order stability.
-func baselinedOf(all, fresh []analysis.Finding) []analysis.Finding {
-	var out []analysis.Finding
-	i := 0
-	for _, f := range all {
-		if i < len(fresh) && f == fresh[i] {
-			i++
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// auditBaseline prints the per-analyzer debt scoreboard.
-func auditBaseline(path string) int {
-	baseline, err := analysis.LoadBaseline(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftlint:", err)
-		return 2
-	}
-	debt := baseline.DebtByAnalyzer()
-	names := make([]string, 0, len(debt))
-	total := 0
-	for name, n := range debt {
-		names = append(names, name)
-		total += n
-	}
-	sort.Strings(names)
-	fmt.Printf("baseline debt (%s):\n", path)
-	if len(names) == 0 {
-		fmt.Println("  none — the baseline is empty")
-		return 0
-	}
-	for _, name := range names {
-		fmt.Printf("  %-14s %d\n", name, debt[name])
-	}
-	fmt.Printf("  %-14s %d\n", "total", total)
-	return 0
+	fmt.Fprintln(os.Stderr, "usage: go vet -vettool=/abs/path/to/ftlint ./...")
+	os.Exit(2)
 }

@@ -7,6 +7,7 @@ package tpftl_test
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/buffer"
 	"repro/internal/core"
@@ -15,8 +16,21 @@ import (
 	"repro/internal/ftl/fast"
 	"repro/internal/ftl/hybrid"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// serveEach serves reqs in order on one of the standalone devices.
+func serveEach(b *testing.B, d interface {
+	Serve(trace.Request) (time.Duration, error)
+}, reqs []trace.Request) {
+	b.Helper()
+	for i := range reqs {
+		if _, err := d.Serve(reqs[i]); err != nil {
+			b.Fatalf("request %d: %v", i, err)
+		}
+	}
+}
 
 // BenchmarkMappingGranularity compares block-level, hybrid (BAST) and
 // page-level (TPFTL) mapping on the same random-write stream — the §2.1
@@ -37,9 +51,8 @@ func BenchmarkMappingGranularity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m, err = d.Run(reqs); err != nil {
-				b.Fatal(err)
-			}
+			serveEach(b, d, reqs)
+			m = d.Metrics()
 		}
 		b.ReportMetric(m.WriteAmplification(), "WA")
 		b.ReportMetric(float64(m.AvgResponse().Microseconds()), "resp-µs")
@@ -51,9 +64,8 @@ func BenchmarkMappingGranularity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m, err = d.Run(reqs); err != nil {
-				b.Fatal(err)
-			}
+			serveEach(b, d, reqs)
+			m = d.Metrics()
 		}
 		b.ReportMetric(m.WriteAmplification(), "WA")
 		b.ReportMetric(float64(m.AvgResponse().Microseconds()), "resp-µs")
@@ -65,9 +77,8 @@ func BenchmarkMappingGranularity(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if m, err = d.Run(reqs); err != nil {
-				b.Fatal(err)
-			}
+			serveEach(b, d, reqs)
+			m = d.Metrics()
 		}
 		b.ReportMetric(m.WriteAmplification(), "WA")
 		b.ReportMetric(float64(m.AvgResponse().Microseconds()), "resp-µs")

@@ -1,10 +1,10 @@
 // Package analysis is a self-contained static-analysis framework modeled on
 // golang.org/x/tools/go/analysis, trimmed to what this repository's ftlint
-// checkers need. The x/tools module is deliberately not vendored: the four
+// checkers need. The x/tools module is deliberately not vendored: the
 // repo-specific analyzers only require parsed files plus full type
-// information, and the two drivers (the standalone loader in load.go and the
-// `go vet -vettool` protocol in unitchecker.go) can supply both with nothing
-// beyond the standard library and the go command.
+// information, and the one driver (the `go vet -vettool` protocol in
+// unitchecker.go) supplies both with nothing beyond the standard library and
+// the go command.
 //
 // An Analyzer receives one type-checked package per Pass and reports
 // Diagnostics through Pass.Report. Analyzers must be stateless across
@@ -146,7 +146,7 @@ func (p *Pass) DirectiveAt(pos token.Pos, directive string) (reason string, foun
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult
-// populated, so both drivers and analysistest type-check identically.
+// populated, so the driver and analysistest type-check identically.
 func NewInfo() *types.Info {
 	return &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),

@@ -1,6 +1,6 @@
 // Package registry is the single authoritative list of this repository's
-// analyzers. Both cmd/ftlint (standalone and go-vet modes) and every
-// analyzer's fixture test consume it: an analyzer that is written but never
+// analyzers. Both cmd/ftlint (the go vet tool) and every analyzer's
+// fixture test consume it: an analyzer that is written but never
 // registered fails its own test, so the list cannot silently drift from
 // what `make lint` actually runs.
 //

@@ -2,7 +2,7 @@
 // go command drives it once per compilation unit:
 //
 //	ftlint -V=full      report an executable identity for build caching
-//	ftlint -flags       describe tool flags as JSON (we have none)
+//	ftlint -flags       describe tool flags as JSON (ftlint has none: "[]")
 //	ftlint <unit>.cfg   analyze one unit described by a JSON config
 //
 // The config names the unit's Go files and maps every dependency to the
@@ -63,37 +63,9 @@ func PrintVersion(progname string) {
 	fmt.Printf("%s version devel buildID=%s\n", progname, id)
 }
 
-// PrintFlags implements `ftlint -flags`: a JSON description of tool flags,
-// queried by go vet before every run. Declaring a flag here is what lets
-// `go vet -vettool=ftlint -baseline=... ./...` forward it to each unit
-// invocation. baseline-stamp exists purely to reach the go command's action
-// cache key: vet caches unit results keyed on tool flag *values*, so the
-// Makefile passes the baseline file's content hash to invalidate cached
-// results when the baseline changes.
-func PrintFlags() {
-	type toolFlag struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	flags := []toolFlag{
-		{Name: "baseline", Usage: "path to lint-baseline.json; known findings are tolerated"},
-		{Name: "baseline-stamp", Usage: "opaque content hash of the baseline file (cache busting)"},
-	}
-	data, err := json.Marshal(flags)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ftlint:", err)
-		os.Exit(1)
-	}
-	fmt.Println(string(data))
-}
-
 // RunUnit analyzes the single compilation unit described by cfgFile and
 // returns the process exit code: 0 clean, 1 findings or analyzer failure.
-// With a non-empty baselinePath, findings covered by the baseline are
-// tolerated silently; staleness is left to the standalone driver, which
-// sees the whole tree at once.
-func RunUnit(cfgFile, baselinePath string, analyzers []*Analyzer) int {
+func RunUnit(cfgFile string, analyzers []*Analyzer) int {
 	cfg, err := readUnitConfig(cfgFile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftlint:", err)
@@ -162,14 +134,6 @@ func RunUnit(cfgFile, baselinePath string, analyzers []*Analyzer) int {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ftlint:", err)
 		return 1
-	}
-	if baselinePath != "" {
-		baseline, err := LoadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ftlint:", err)
-			return 1
-		}
-		findings, _ = baseline.Filter(findings)
 	}
 	for _, f := range findings {
 		fmt.Fprintf(os.Stderr, "%s: %s (%s)\n", f.Position, f.Message, f.Analyzer)

@@ -35,6 +35,7 @@ type Device struct {
 
 	clock time.Duration
 	m     ftl.Metrics
+	fcfs  ftl.FCFS // the shared request loop, bound to this device by New
 
 	truth []flash.PPN // ground truth for verification
 }
@@ -103,6 +104,10 @@ func New(cfg ftl.Config) (*Device, error) {
 	for b := phys - 1; b >= 0; b-- {
 		d.free = append(d.free, flash.BlockID(b))
 	}
+	d.fcfs = ftl.FCFS{
+		Name: "blockftl", Config: &d.cfg, Clock: &d.clock, Metrics: &d.m,
+		ReadPage: d.readPage, WritePage: d.writePage, Check: d.CheckConsistency,
+	}
 	return d, nil
 }
 
@@ -118,66 +123,7 @@ func (d *Device) Chip() *flash.Chip { return d.chip }
 
 // Serve executes one request FCFS and returns its response time.
 func (d *Device) Serve(req trace.Request) (time.Duration, error) {
-	if err := req.Validate(); err != nil {
-		return 0, err
-	}
-	if req.End() > d.cfg.LogicalBytes {
-		return 0, fmt.Errorf("blockftl: request beyond capacity")
-	}
-	arrival := time.Duration(req.Arrival)
-	start := d.clock
-	if arrival > start {
-		start = arrival
-	}
-	var acc time.Duration
-	switch req.Op {
-	case trace.OpRead, trace.OpWrite, trace.OpWriteFUA:
-		first, last := req.Pages(d.cfg.PageSize)
-		for lpn := first; lpn <= last; lpn++ {
-			var lat time.Duration
-			var err error
-			if req.IsWrite() {
-				d.m.PageWrites++
-				lat, err = d.writePage(lpn)
-			} else {
-				d.m.PageReads++
-				lat, err = d.readPage(lpn)
-			}
-			if err != nil {
-				return 0, err
-			}
-			acc += lat
-		}
-	case trace.OpTrim, trace.OpFlush:
-		// TRIM is advisory and this pre-TRIM design ignores it (the data
-		// stays until overwritten, which the spec permits); every write is
-		// already synchronous, so a flush barrier has nothing to drain.
-	default:
-		return 0, fmt.Errorf("blockftl: unhandled request op %v", req.Op)
-	}
-	d.clock = start + acc
-	resp := d.clock - arrival
-	d.m.Requests++
-	d.m.ServiceTime += acc
-	d.m.ResponseTime += resp
-	d.m.QueueTime += start - arrival
-	d.m.ObserveResponse(resp)
-	if ftl.SanitizerEnabled {
-		if err := ftl.SanitizeCheck("blockftl", d.CheckConsistency); err != nil {
-			return 0, err
-		}
-	}
-	return resp, nil
-}
-
-// Run serves every request.
-func (d *Device) Run(reqs []trace.Request) (ftl.Metrics, error) {
-	for i := range reqs {
-		if _, err := d.Serve(reqs[i]); err != nil {
-			return d.m, fmt.Errorf("blockftl: request %d: %w", i, err)
-		}
-	}
-	return d.m, nil
+	return d.fcfs.Serve(req)
 }
 
 func (d *Device) pageAt(lb int, off int) (flash.PPN, bool) {

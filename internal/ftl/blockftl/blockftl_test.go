@@ -150,12 +150,12 @@ func TestRandomWorkloadConsistency(t *testing.T) {
 
 func TestRunHelper(t *testing.T) {
 	d := newDevice(t)
-	reqs := []trace.Request{wr(0, 0), wr(1e6, 1), rd(2e6, 0)}
-	m, err := d.Run(reqs)
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range []trace.Request{wr(0, 0), wr(1e6, 1), rd(2e6, 0)} {
+		if _, err := d.Serve(r); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if m.Requests != 3 {
+	if m := d.Metrics(); m.Requests != 3 {
 		t.Fatalf("requests = %d", m.Requests)
 	}
 }

@@ -124,8 +124,10 @@ func TestFASTvsBASTOnScatteredUpdates(t *testing.T) {
 	}
 
 	fd := newDevice(t, 4)
-	if _, err := fd.Run(mkReqs()); err != nil {
-		t.Fatal(err)
+	for _, r := range mkReqs() {
+		if _, err := fd.Serve(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	bd, err := hybrid.New(hybrid.Config{
 		Device: ftl.Config{
@@ -136,8 +138,10 @@ func TestFASTvsBASTOnScatteredUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Run(mkReqs()); err != nil {
-		t.Fatal(err)
+	for _, r := range mkReqs() {
+		if _, err := bd.Serve(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fm, bm := fd.Metrics(), bd.Metrics()
 	if fm.GCDataMigrations >= bm.GCDataMigrations {

@@ -59,6 +59,7 @@ type Device struct {
 
 	clock time.Duration
 	m     ftl.Metrics
+	fcfs  ftl.FCFS // the shared request loop, bound to this device by New
 
 	truth []flash.PPN
 }
@@ -128,6 +129,10 @@ func New(cfg Config) (*Device, error) {
 	for b := phys - 1; b >= 0; b-- {
 		d.free = append(d.free, flash.BlockID(b))
 	}
+	d.fcfs = ftl.FCFS{
+		Name: "hybrid", Config: &d.cfg.Device, Clock: &d.clock, Metrics: &d.m,
+		ReadPage: d.readPage, WritePage: d.writePage, Check: d.CheckConsistency,
+	}
 	return d, nil
 }
 
@@ -140,68 +145,9 @@ func (d *Device) MappingTableBytes() int64 {
 // Metrics returns the accumulated counters.
 func (d *Device) Metrics() ftl.Metrics { return d.m }
 
-// Serve executes one request FCFS.
+// Serve executes one request FCFS and returns its response time.
 func (d *Device) Serve(req trace.Request) (time.Duration, error) {
-	if err := req.Validate(); err != nil {
-		return 0, err
-	}
-	if req.End() > d.cfg.Device.LogicalBytes {
-		return 0, fmt.Errorf("hybrid: request beyond capacity")
-	}
-	arrival := time.Duration(req.Arrival)
-	start := d.clock
-	if arrival > start {
-		start = arrival
-	}
-	var acc time.Duration
-	switch req.Op {
-	case trace.OpRead, trace.OpWrite, trace.OpWriteFUA:
-		first, last := req.Pages(d.cfg.Device.PageSize)
-		for lpn := first; lpn <= last; lpn++ {
-			var lat time.Duration
-			var err error
-			if req.IsWrite() {
-				d.m.PageWrites++
-				lat, err = d.writePage(lpn)
-			} else {
-				d.m.PageReads++
-				lat, err = d.readPage(lpn)
-			}
-			if err != nil {
-				return 0, err
-			}
-			acc += lat
-		}
-	case trace.OpTrim, trace.OpFlush:
-		// TRIM is advisory and this pre-TRIM design ignores it (the data
-		// stays until overwritten, which the spec permits); every write is
-		// already synchronous, so a flush barrier has nothing to drain.
-	default:
-		return 0, fmt.Errorf("hybrid: unhandled request op %v", req.Op)
-	}
-	d.clock = start + acc
-	resp := d.clock - arrival
-	d.m.Requests++
-	d.m.ServiceTime += acc
-	d.m.ResponseTime += resp
-	d.m.QueueTime += start - arrival
-	d.m.ObserveResponse(resp)
-	if ftl.SanitizerEnabled {
-		if err := ftl.SanitizeCheck("hybrid", d.CheckConsistency); err != nil {
-			return 0, err
-		}
-	}
-	return resp, nil
-}
-
-// Run serves every request.
-func (d *Device) Run(reqs []trace.Request) (ftl.Metrics, error) {
-	for i := range reqs {
-		if _, err := d.Serve(reqs[i]); err != nil {
-			return d.m, fmt.Errorf("hybrid: request %d: %w", i, err)
-		}
-	}
-	return d.m, nil
+	return d.fcfs.Serve(req)
 }
 
 // locate returns the newest physical page of lpn.

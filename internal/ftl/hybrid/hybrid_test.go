@@ -204,8 +204,10 @@ func TestRejectsInvalid(t *testing.T) {
 
 func TestRunHelper(t *testing.T) {
 	d := newDevice(t, 2)
-	if _, err := d.Run([]trace.Request{wr(0, 0), rd(1e6, 0)}); err != nil {
-		t.Fatal(err)
+	for _, r := range []trace.Request{wr(0, 0), rd(1e6, 0)} {
+		if _, err := d.Serve(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d.Metrics().Requests != 2 {
 		t.Fatal("request count")

@@ -222,9 +222,9 @@ func (m *Metrics) Snapshot() Metrics { return *m }
 
 // Merge folds o into m: counters, durations and histograms add; watermarks
 // (MaxResponse, MaxQueueDepth) and geometry echoes (Channels,
-// DiesPerChannel) take the maximum. Merging snapshots from repeated runs of
-// the same workload yields the aggregate a single longer run would report,
-// which is how cmd/ftlbench pools percentiles across its repetitions.
+// DiesPerChannel) take the maximum. Addition is commutative, so the order
+// of merging does not matter; this is how internal/host folds its shards'
+// metrics into one run-level Metrics.
 func (m *Metrics) Merge(o *Metrics) {
 	m.Requests += o.Requests
 	m.PageReads += o.PageReads

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/ftl"
 	"repro/internal/ftl/blockftl"
@@ -10,6 +11,18 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
+
+// serveEach serves reqs in order on one of the standalone devices.
+func serveEach(t *testing.T, d interface {
+	Serve(trace.Request) (time.Duration, error)
+}, reqs []trace.Request) {
+	t.Helper()
+	for i := range reqs {
+		if _, err := d.Serve(reqs[i]); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+}
 
 // TestDifferentialAllSchemes drives every page-level scheme — plus the
 // block-level and hybrid devices — through an identical request stream.
@@ -43,9 +56,7 @@ func TestDifferentialAllSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bd.Run(reqs); err != nil {
-		t.Fatal(err)
-	}
+	serveEach(t, bd, reqs)
 	if err := bd.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +67,7 @@ func TestDifferentialAllSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hd.Run(reqs); err != nil {
-		t.Fatal(err)
-	}
+	serveEach(t, hd, reqs)
 	if err := hd.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,9 +78,7 @@ func TestDifferentialAllSchemes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fd.Run(reqs); err != nil {
-		t.Fatal(err)
-	}
+	serveEach(t, fd, reqs)
 	if err := fd.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +142,7 @@ func TestMappingGranularityTaxonomy(t *testing.T) {
 		reqs[i].Length = 4096
 		reqs[i].Offset = reqs[i].Offset / 4096 * 4096
 	}
-	if _, err := bd.Run(reqs); err != nil {
-		t.Fatal(err)
-	}
+	serveEach(t, bd, reqs)
 	page, err := Run(Options{Scheme: SchemeTPFTL, Profile: p, Trace: reqs, Precondition: 1})
 	if err != nil {
 		t.Fatal(err)
