@@ -24,8 +24,8 @@
 //     intrusive list exist to avoid.
 //
 // Like the other analyzers the checks are scoped to the packages that own
-// the hot path (internal/core, internal/ssd); cold paths there simply do not
-// carry the directive.
+// the hot path (PackageNames); cold paths there simply do not carry the
+// directive.
 package hotalloc
 
 import (
@@ -49,8 +49,10 @@ var Directive = "//ftl:hotpath"
 
 // PackageNames are the packages the analyzer polices. ftl and obs joined
 // when the observability layer put Metrics.ObserveResponse,
-// Device.observeRequest and Histogram.Record on the per-request path.
-var PackageNames = map[string]bool{"core": true, "ssd": true, "ftl": true, "obs": true}
+// Device.observeRequest and Histogram.Record on the per-request path; flash
+// when the chip's four operations were marked, being what every one of those
+// paths ends in.
+var PackageNames = map[string]bool{"core": true, "ssd": true, "ftl": true, "obs": true, "flash": true}
 
 // BannedImports box elements through `any` on every operation.
 var BannedImports = map[string]bool{"container/heap": true, "container/list": true}

@@ -15,4 +15,5 @@ func TestHotAlloc(t *testing.T) {
 		t.Fatal("hotalloc is not registered in internal/analysis/registry")
 	}
 	analysistest.Run(t, "testdata", a, "hot")
+	analysistest.Run(t, "testdata", a, "chip") // package flash is policed too
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // The allocation guards pin the tentpole property of the performance PR: the
@@ -149,5 +150,14 @@ func TestSlabReusesNodes(t *testing.T) {
 	t.Logf("steady state: %d entry nodes, %d tp nodes allocated in total", ePop, tPop)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntryNodeFitsCacheLine pins the entry node's size next to the
+// allocation guards: with a 4-byte PPN a node is one 64-byte line, so a walk
+// over a TP node's entries touches one line per entry.
+func TestEntryNodeFitsCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(entryNode{}); got > 64 {
+		t.Fatalf("entryNode is %d bytes, want at most 64", got)
 	}
 }

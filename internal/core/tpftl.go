@@ -676,11 +676,14 @@ func (f *FTL) evictOne(env ftl.Env) (bool, error) {
 	updates := f.evictScratch[:0]
 	cleaned := 0
 	if f.cfg.BatchUpdate {
-		for n := tp.entries.Front(); n != nil; n = n.Next() {
+		// tp.dirty counts the node's dirty entries (the victim included),
+		// so the walk stops at the last one instead of at the list's end.
+		for n, left := tp.entries.Front(), tp.dirty; n != nil && left > 0; n = n.Next() {
 			e := n.Value
 			if !e.dirty {
 				continue
 			}
+			left--
 			updates = append(updates, ftl.EntryUpdate{Off: int(e.off), PPN: e.ppn})
 			if e != victim {
 				e.dirty = false
@@ -786,11 +789,12 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 			continue
 		}
 		ups := f.flushScratch[:0]
-		for n := tp.entries.Front(); n != nil; n = n.Next() {
+		for n, left := tp.entries.Front(), tp.dirty; n != nil && left > 0; n = n.Next() {
 			e := n.Value
 			if !e.dirty {
 				continue
 			}
+			left--
 			ups = append(ups, ftl.EntryUpdate{Off: int(e.off), PPN: e.ppn})
 			e.dirty = false
 		}
@@ -852,11 +856,12 @@ func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
 		if f.cfg.BatchUpdate {
 			if tp := f.tpAt(v); tp != nil && tp.dirty > 0 {
 				cleaned := 0
-				for n := tp.entries.Front(); n != nil; n = n.Next() {
+				for n, left := tp.entries.Front(), tp.dirty; n != nil && left > 0; n = n.Next() {
 					e := n.Value
 					if !e.dirty {
 						continue
 					}
+					left--
 					ups = append(ups, ftl.EntryUpdate{Off: int(e.off), PPN: e.ppn})
 					e.dirty = false
 					cleaned++

@@ -13,16 +13,25 @@ package flash
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 
 	"repro/internal/cacheline"
 )
 
-// PPN is a physical page number: block*PagesPerBlock + offset.
-type PPN int64
+// PPN is a physical page number: block*PagesPerBlock + offset. It is 4 bytes
+// wide, the size the paper stores in a translation page (§1), so every
+// per-page table of the simulator (ground truth, persisted view, GTD, cache
+// entries) costs what the modelled device pays.
+type PPN int32
 
 // InvalidPPN marks an unmapped logical page.
 const InvalidPPN PPN = -1
+
+// MaxPages is the largest physical page count a 4-byte PPN addresses
+// (8 TiB at 4 KiB pages); Config.Validate refuses a bigger geometry.
+const MaxPages = math.MaxInt32
 
 // Valid reports whether p refers to a real physical page.
 func (p PPN) Valid() bool { return p >= 0 }
@@ -90,7 +99,7 @@ func (k PageKind) String() string {
 // logical page when rebuilding the mapping from a full scan.
 type Meta struct {
 	Kind PageKind
-	Tag  int64 // LPN for data pages, VTPN for translation pages
+	Tag  int64 // LPN for data pages, VTPN for translation pages; must fit 32 bits
 	Seq  int64 // monotonically increasing program sequence number
 }
 
@@ -147,6 +156,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("flash: Channels %d must not be negative", c.Channels)
 	case c.DiesPerChannel < 0:
 		return fmt.Errorf("flash: DiesPerChannel %d must not be negative", c.DiesPerChannel)
+	case c.NumBlocks > MaxPages/c.PagesPerBlock:
+		// Compared by division so that an absurd geometry cannot wrap the
+		// product; the float renders it exactly up to 2^53 pages.
+		return fmt.Errorf("flash: %d blocks × %d pages per block = %.0f physical pages, more than the %d a 4-byte PPN addresses (8 TiB at 4 KiB pages)",
+			c.NumBlocks, c.PagesPerBlock, float64(c.NumBlocks)*float64(c.PagesPerBlock), MaxPages)
 	}
 	return nil
 }
@@ -193,18 +207,47 @@ type block struct {
 	worn       bool
 }
 
+// divisor divides non-negative 31-bit values by a positive 31-bit constant
+// fixed at construction, with one 64×64 multiplication and no division
+// instruction: for m = ⌊(2^64−1)/d⌋ the quotient n/d is the high word of
+// m·(n+1). Exact for every such d and n: m·d = 2^64−e with 1 ≤ e ≤ d, so
+// m·(n+1)/2^64 falls short of (n+1)/d by (n+1)·e/(d·2^64), which is more
+// than 0 and — (n+1)·e being below 2^62 — less than 1/d; that lands it in
+// [n/d, (n+1)/d), whose floor is ⌊n/d⌋. It is the one computation for every
+// geometry: page → block, page → offset and block → die all go through it.
+type divisor struct {
+	d uint32
+	m uint64
+}
+
+func newDivisor(d int) divisor { return divisor{d: uint32(d), m: math.MaxUint64 / uint64(d)} }
+
+// divmod returns n/d and n%d.
+func (v divisor) divmod(n uint32) (q, r uint32) {
+	hi, _ := bits.Mul64(v.m, uint64(n)+1)
+	q = uint32(hi)
+	return q, n - q*v.d
+}
+
 // Chip simulates one NAND flash chip.
 type Chip struct {
 	cfg Config
-	// numDies and totalPages cache the derived geometry: the per-page hot
-	// path (DieOf, mustContain) must not re-derive them through Config's
-	// value-receiver methods, which copy the whole struct per call.
-	numDies    int
+	// perBlock, perDie and totalPages cache the derived geometry: the
+	// per-page hot path (Block, Offset, DieOf, mustContain) must not
+	// re-derive it through Config's value-receiver methods, which copy the
+	// whole struct per call.
+	perBlock   divisor // by PagesPerBlock
+	perDie     divisor // by NumDies
 	totalPages int64
 	states     []PageState
-	metas      []Meta
-	blocks     []block
-	stats      Stats
+	// Out-of-band metadata, one parallel array per Meta field, the tag
+	// stored at the 4 bytes a PPN-sized logical address needs: 13 bytes per
+	// page where a []Meta took 24.
+	kinds  []PageKind
+	tags   []int32
+	seqs   []int64
+	blocks []block
+	stats  Stats
 	// failNextOps holds injected errors keyed by op name, consumed in order.
 	failNext map[string][]error
 	// faults, when non-nil, is the armed fault plan (see fault.go).
@@ -216,12 +259,16 @@ func New(cfg Config) (*Chip, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	pages := cfg.TotalPages()
 	return cacheline.Isolated(Chip{
 		cfg:        cfg,
-		numDies:    cfg.NumDies(),
-		totalPages: cfg.TotalPages(),
-		states:     make([]PageState, cfg.TotalPages()),
-		metas:      make([]Meta, cfg.TotalPages()),
+		perBlock:   newDivisor(cfg.PagesPerBlock),
+		perDie:     newDivisor(cfg.NumDies()),
+		totalPages: pages,
+		states:     make([]PageState, pages),
+		kinds:      make([]PageKind, pages),
+		tags:       make([]int32, pages),
+		seqs:       make([]int64, pages),
 		blocks:     make([]block, cfg.NumBlocks),
 	}), nil
 }
@@ -233,21 +280,30 @@ func (c *Chip) Config() Config { return c.cfg }
 func (c *Chip) Stats() Stats { return c.stats }
 
 // Block returns the block containing p.
-func (c *Chip) Block(p PPN) BlockID { return BlockID(int64(p) / int64(c.cfg.PagesPerBlock)) }
+func (c *Chip) Block(p PPN) BlockID {
+	blk, _ := c.perBlock.divmod(uint32(p))
+	return BlockID(blk)
+}
 
 // Offset returns p's page offset within its block.
-func (c *Chip) Offset(p PPN) int { return int(int64(p) % int64(c.cfg.PagesPerBlock)) }
+func (c *Chip) Offset(p PPN) int {
+	_, off := c.perBlock.divmod(uint32(p))
+	return int(off)
+}
 
 // DieOf returns the die holding p's block.
-func (c *Chip) DieOf(p PPN) int { return int(c.Block(p)) % c.numDies }
+func (c *Chip) DieOf(p PPN) int { return c.DieOfBlock(c.Block(p)) }
 
 // DieOfBlock returns the die holding blk. Equivalent to Config().DieOf(blk)
 // without copying the Config on the per-operation path.
-func (c *Chip) DieOfBlock(blk BlockID) int { return int(blk) % c.numDies }
+func (c *Chip) DieOfBlock(blk BlockID) int {
+	_, die := c.perDie.divmod(uint32(blk))
+	return int(die)
+}
 
 // PageAt returns the PPN of page offset off within blk.
 func (c *Chip) PageAt(blk BlockID, off int) PPN {
-	return PPN(int64(blk)*int64(c.cfg.PagesPerBlock) + int64(off))
+	return PPN(int(blk)*int(c.perBlock.d) + off)
 }
 
 // State returns the state of page p.
@@ -259,7 +315,7 @@ func (c *Chip) State(p PPN) PageState {
 // MetaOf returns the out-of-band metadata of page p.
 func (c *Chip) MetaOf(p PPN) Meta {
 	c.mustContain(p)
-	return c.metas[p]
+	return Meta{Kind: c.kinds[p], Tag: int64(c.tags[p]), Seq: c.seqs[p]}
 }
 
 // ValidCount returns the number of valid pages in blk.
@@ -303,6 +359,8 @@ func (e *OpError) Error() string {
 // legitimately read a page that was invalidated between scheduling and
 // execution, and reading stale data is physically possible). It returns the
 // read latency.
+//
+//ftl:hotpath
 func (c *Chip) Read(p PPN) (time.Duration, error) {
 	c.mustContain(p)
 	if c.faults != nil {
@@ -323,17 +381,20 @@ func (c *Chip) Read(p PPN) (time.Duration, error) {
 // Program writes page p with metadata m. NAND rules enforced: the page must
 // be free and must be the next in-order page of its block. It returns the
 // program latency.
+//
+//ftl:hotpath
 func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
 	c.mustContain(p)
+	q, r := c.perBlock.divmod(uint32(p))
+	blk, off := BlockID(q), int(r)
 	if c.faults != nil {
-		if err := c.faults.inject("program", p, c.Block(p)); err != nil {
+		if err := c.faults.inject("program", p, blk); err != nil {
 			return 0, err
 		}
 	}
 	if err := c.takeInjected("program"); err != nil {
 		return 0, err
 	}
-	blk := c.Block(p)
 	b := &c.blocks[blk]
 	if b.worn {
 		return 0, &OpError{Op: "program", Page: p, Blk: blk, Msg: "block worn out"}
@@ -341,7 +402,6 @@ func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
 	if c.states[p] != PageFree {
 		return 0, &OpError{Op: "program", Page: p, Blk: blk, Msg: "page already programmed"}
 	}
-	off := c.Offset(p)
 	if !c.cfg.AllowOutOfOrder && off != b.writePtr {
 		return 0, &OpError{Op: "program", Page: p, Blk: blk,
 			Msg: fmt.Sprintf("out-of-order program: offset %d, write pointer %d", off, b.writePtr)}
@@ -349,8 +409,13 @@ func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
 	if m.Kind == KindNone {
 		return 0, &OpError{Op: "program", Page: p, Blk: blk, Msg: "missing page kind"}
 	}
+	tag := int32(m.Tag)
+	if int64(tag) != m.Tag {
+		return 0, &OpError{Op: "program", Page: p, Blk: blk,
+			Msg: fmt.Sprintf("tag %d does not fit the 32-bit out-of-band field", m.Tag)}
+	}
 	c.states[p] = PageValid
-	c.metas[p] = m
+	c.kinds[p], c.tags[p], c.seqs[p] = m.Kind, tag, m.Seq
 	if off+1 > b.writePtr {
 		b.writePtr = off + 1
 	}
@@ -361,6 +426,8 @@ func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
 
 // Invalidate marks a previously valid page invalid. It costs nothing (it is
 // a RAM-side bookkeeping action in a real FTL).
+//
+//ftl:hotpath
 func (c *Chip) Invalidate(p PPN) error {
 	c.mustContain(p)
 	if c.faults != nil && c.faults.cut {
@@ -378,6 +445,8 @@ func (c *Chip) Invalidate(p PPN) error {
 // Erase erases blk, freeing all its pages. All pages must be invalid (the
 // FTL must migrate valid pages first); erasing live data is a simulator bug.
 // It returns the erase latency.
+//
+//ftl:hotpath
 func (c *Chip) Erase(blk BlockID) (time.Duration, error) {
 	c.mustContainBlock(blk)
 	if c.faults != nil {
@@ -396,11 +465,13 @@ func (c *Chip) Erase(blk BlockID) (time.Duration, error) {
 		return 0, &OpError{Op: "erase", Page: -1, Blk: blk,
 			Msg: fmt.Sprintf("%d valid pages remain", b.validCount)}
 	}
-	start := c.PageAt(blk, 0)
-	for i := 0; i < c.cfg.PagesPerBlock; i++ {
-		c.states[start+PPN(i)] = PageFree
-		c.metas[start+PPN(i)] = Meta{}
-	}
+	// PageFree, KindNone and the zero tag and sequence are the erased state.
+	lo := c.PageAt(blk, 0)
+	hi := lo + PPN(c.perBlock.d)
+	clear(c.states[lo:hi])
+	clear(c.kinds[lo:hi])
+	clear(c.tags[lo:hi])
+	clear(c.seqs[lo:hi])
 	b.writePtr = 0
 	b.eraseCount++
 	c.stats.Erases++
@@ -469,7 +540,7 @@ func (c *Chip) CheckInvariants() error {
 			if off >= b.writePtr && st != PageFree {
 				return fmt.Errorf("flash: block %d offset %d programmed at/above write pointer %d", bi, off, b.writePtr)
 			}
-			if st != PageFree && c.metas[p].Kind == KindNone {
+			if st != PageFree && c.kinds[p] == KindNone {
 				return fmt.Errorf("flash: block %d offset %d programmed without metadata", bi, off)
 			}
 		}

@@ -2,7 +2,9 @@ package flash
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -42,6 +44,180 @@ func TestConfigValidate(t *testing.T) {
 				t.Fatalf("New() error = %v, want ok=%v", err, tc.ok)
 			}
 		})
+	}
+}
+
+// TestConfigValidatePageLimit: a PPN is 4 bytes, so a geometry of more than
+// MaxPages physical pages is refused — with the page count and the limit in
+// the message — instead of wrapping. Only Validate runs: the legal boundary
+// geometries are far too big to construct.
+func TestConfigValidatePageLimit(t *testing.T) {
+	for _, tc := range []struct {
+		blocks, ppb int
+		pages       string // in the error; "" means legal
+	}{
+		{math.MaxInt32, 1, ""},
+		{math.MaxInt32 + 1, 1, "2147483648 physical pages"},
+		{1, math.MaxInt32, ""},
+		{1, math.MaxInt32 + 1, "2147483648 physical pages"},
+		{1<<25 - 1, 64, ""}, // one block short of 8 TiB at 4 KiB pages
+		{1 << 25, 64, "2147483648 physical pages"},
+		{715827882, 3, ""}, // 3 × 715827882 = MaxInt32 − 1
+		{715827883, 3, "2147483649 physical pages"},
+		{1 << 62, 4, "physical pages"}, // the product wraps int64 to 0
+	} {
+		cfg := DefaultConfig(tc.blocks)
+		cfg.PagesPerBlock = tc.ppb
+		err := cfg.Validate()
+		if tc.pages == "" {
+			if err != nil {
+				t.Errorf("%d × %d pages: %v, want legal", tc.blocks, tc.ppb, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.pages) || !strings.Contains(err.Error(), "2147483647") {
+			t.Errorf("%d × %d pages: error %v, want %q and the limit 2147483647 named", tc.blocks, tc.ppb, err, tc.pages)
+		}
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%d × %d pages: New built the chip", tc.blocks, tc.ppb)
+		}
+	}
+}
+
+// TestProgramRejectsWideTag: the out-of-band tag field is 32 bits; a tag
+// beyond it is an illegal program, not a silently truncated one.
+func TestProgramRejectsWideTag(t *testing.T) {
+	c := testChip(t, 2)
+	for _, tag := range []int64{math.MaxInt32 + 1, math.MinInt32 - 1, 1 << 40} {
+		_, err := c.Program(0, Meta{Kind: KindData, Tag: tag})
+		var oe *OpError
+		if !errors.As(err, &oe) || oe.Op != "program" {
+			t.Fatalf("tag %d: err = %v, want a program OpError", tag, err)
+		}
+		if c.State(0) != PageFree || c.Stats().Programs != 0 {
+			t.Fatalf("tag %d: rejected program changed the chip", tag)
+		}
+	}
+	for i, tag := range []int64{math.MaxInt32, math.MinInt32} {
+		p := PPN(i)
+		if _, err := c.Program(p, Meta{Kind: KindData, Tag: tag}); err != nil {
+			t.Fatalf("tag %d: %v", tag, err)
+		}
+		if got := c.MetaOf(p).Tag; got != tag {
+			t.Fatalf("tag %d read back as %d", tag, got)
+		}
+	}
+}
+
+// TestMetaRoundTrip: MetaOf returns exactly the Kind, Tag and Seq Program
+// stored (they live in three parallel arrays), Erase resets all three, and
+// CheckInvariants still rejects a programmed page without a kind.
+func TestMetaRoundTrip(t *testing.T) {
+	c := testChip(t, 2) // 4 pages per block
+	metas := []Meta{
+		{Kind: KindData, Tag: 0, Seq: 1},
+		{Kind: KindTranslation, Tag: 7, Seq: 1 << 40},
+		{Kind: KindData, Tag: math.MaxInt32, Seq: math.MaxInt64},
+		{Kind: KindTranslation, Tag: 0, Seq: 0},
+	}
+	for i, m := range metas {
+		if _, err := c.Program(PPN(i), m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range metas {
+		if got := c.MetaOf(PPN(i)); got != m {
+			t.Fatalf("MetaOf(%d) = %+v, want %+v", i, got, m)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	c.kinds[1] = KindNone
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a programmed page with KindNone")
+	}
+	c.kinds[1] = KindTranslation
+
+	for i := range metas {
+		if err := c.Invalidate(PPN(i)); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.MetaOf(PPN(i)); got != metas[i] {
+			t.Fatalf("Invalidate changed MetaOf(%d) to %+v", i, got)
+		}
+	}
+	if _, err := c.Erase(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := range metas {
+		if got := c.MetaOf(PPN(i)); got != (Meta{}) {
+			t.Fatalf("after Erase MetaOf(%d) = %+v, want zero", i, got)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAddressArithmeticMatchesDivision checks the reciprocal-multiplication
+// page → block/offset/die computation against plain / and % for every PPN
+// of small chips, for block sizes that are one, prime, composite and powers
+// of two, and then on the divisor alone up to the largest legal PPN.
+func TestAddressArithmeticMatchesDivision(t *testing.T) {
+	for _, ppb := range []int{1, 3, 48, 64, 96} {
+		for _, dies := range []int{1, 3, 8} {
+			cfg := DefaultConfig(41)
+			cfg.PagesPerBlock = ppb
+			cfg.Channels, cfg.DiesPerChannel = dies, 1
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < cfg.NumBlocks*ppb; p++ {
+				blk, off := p/ppb, p%ppb
+				die := blk % dies
+				ppn := PPN(p)
+				if int(c.Block(ppn)) != blk || c.Offset(ppn) != off || c.DieOf(ppn) != die ||
+					c.DieOfBlock(BlockID(blk)) != die || c.PageAt(BlockID(blk), off) != ppn {
+					t.Fatalf("ppb %d dies %d ppn %d: block %d offset %d die %d dieOfBlock %d pageAt %d, want %d %d %d %d %d",
+						ppb, dies, p, c.Block(ppn), c.Offset(ppn), c.DieOf(ppn), c.DieOfBlock(BlockID(blk)),
+						c.PageAt(BlockID(blk), off), blk, off, die, die, p)
+				}
+				if cfg.DieOf(BlockID(blk)) != die {
+					t.Fatalf("Config.DieOf(%d) = %d, want %d", blk, cfg.DieOf(BlockID(blk)), die)
+				}
+			}
+		}
+	}
+	// The chip of the largest legal geometry cannot be built, but its
+	// arithmetic is the divisor's: check the top of the PPN range, and
+	// around every multiple boundary a stride lands on, for divisors up
+	// to the largest.
+	const top = math.MaxInt32 - 1 // largest legal PPN
+	for _, d := range []int{1, 2, 3, 7, 48, 64, 96, 1000, 65535, 65536, 65537, 1<<30 - 1, 1 << 30, math.MaxInt32} {
+		v := newDivisor(d)
+		check := func(n uint32) {
+			if q, r := v.divmod(n); q != n/uint32(d) || r != n%uint32(d) {
+				t.Fatalf("%d divmod %d = %d, %d; want %d, %d", n, d, q, r, n/uint32(d), n%uint32(d))
+			}
+		}
+		for n := uint32(top); n > top-5000; n-- {
+			check(n)
+		}
+		for n := uint32(0); n < 5000; n++ {
+			check(n)
+		}
+		for k := uint64(1); k*uint64(d) <= top && k < 3000; k++ {
+			m := uint32(k * uint64(d))
+			check(m - 1)
+			check(m)
+		}
+		if q := uint32(top / d); q > 0 {
+			check(q*uint32(d) - 1)
+			check(q * uint32(d))
+		}
 	}
 }
 

@@ -30,6 +30,7 @@ type blockMgr struct {
 	chip  *flash.Chip
 	kinds []blockKind
 
+	ppb     int // pages per block, fixed at construction
 	numDies int
 	free    [][]flash.BlockID // per-die free FIFO
 	frHead  []int             // consumed prefix of each die's FIFO
@@ -55,6 +56,7 @@ func newBlockMgr(chip *flash.Chip, placement TPPlacement) *blockMgr {
 	bm := cacheline.Isolated(blockMgr{
 		chip:          chip,
 		kinds:         make([]blockKind, n),
+		ppb:           cfg.PagesPerBlock,
 		numDies:       dies,
 		free:          make([][]flash.BlockID, dies),
 		frHead:        make([]int, dies),
@@ -78,7 +80,7 @@ func newBlockMgr(chip *flash.Chip, placement TPPlacement) *blockMgr {
 	// allocate first (reproducible layout; Format lays data out
 	// sequentially). Blocks interleave across dies (flash.Config.DieOf).
 	for b := 0; b < n; b++ {
-		die := cfg.DieOf(flash.BlockID(b))
+		die := chip.DieOfBlock(flash.BlockID(b))
 		bm.free[die] = append(bm.free[die], flash.BlockID(b))
 	}
 	return bm
@@ -109,14 +111,6 @@ func (bm *blockMgr) popFree(die int) (flash.BlockID, bool) {
 	return b, true
 }
 
-// frontiers returns the per-die frontier slice and placement set for kind.
-func (bm *blockMgr) frontiers(kind blockKind) ([]flash.BlockID, []int, *int) {
-	if kind == blockTrans {
-		return bm.transFrontier, bm.transDies, &bm.transRR
-	}
-	return bm.dataFrontier, bm.dataDies, &bm.dataRR
-}
-
 // isFrontier reports whether blk is an open write frontier of either kind.
 func (bm *blockMgr) isFrontier(blk flash.BlockID) bool {
 	for d := 0; d < bm.numDies; d++ {
@@ -131,12 +125,17 @@ func (bm *blockMgr) isFrontier(blk flash.BlockID) bool {
 // opening a new block from die's free list when the frontier is full. It
 // fails (without error) when the frontier is full and the die has no free
 // block left.
+//
+//ftl:hotpath
 func (bm *blockMgr) tryAllocOnDie(kind blockKind, die int) (flash.PPN, bool) {
-	frontiers, _, _ := bm.frontiers(kind)
-	frontier := &frontiers[die]
-	ppb := bm.chip.Config().PagesPerBlock
-	if *frontier >= 0 && bm.chip.WritePtr(*frontier) < ppb {
-		return bm.chip.PageAt(*frontier, bm.chip.WritePtr(*frontier)), true
+	frontier := &bm.dataFrontier[die]
+	if kind == blockTrans {
+		frontier = &bm.transFrontier[die]
+	}
+	if *frontier >= 0 {
+		if wp := bm.chip.WritePtr(*frontier); wp < bm.ppb {
+			return bm.chip.PageAt(*frontier, wp), true
+		}
 	}
 	// The current frontier is full: retire it and open a new block. The
 	// retired block is enqueued as a GC candidate only after the frontier
@@ -161,10 +160,21 @@ func (bm *blockMgr) tryAllocOnDie(kind blockKind, die int) (flash.PPN, bool) {
 // back to the rest of the placement set and finally to any die — a die
 // running dry must degrade striping, not fail the write. The caller is
 // responsible for keeping the free count above the GC threshold.
+//
+//ftl:hotpath
 func (bm *blockMgr) alloc(kind blockKind) (flash.PPN, error) {
-	_, dies, rr := bm.frontiers(kind)
-	i := *rr % len(dies)
-	*rr++
+	dies, rr := bm.dataDies, &bm.dataRR
+	if kind == blockTrans {
+		dies, rr = bm.transDies, &bm.transRR
+	}
+	// The cursor walks the placement set and wraps, which is the position
+	// a free-running counter modulo len(dies) would give, without the
+	// division.
+	i := *rr
+	*rr = i + 1
+	if *rr == len(dies) {
+		*rr = 0
+	}
 	if ppn, ok := bm.tryAllocOnDie(kind, dies[i]); ok {
 		return ppn, nil
 	}
@@ -185,6 +195,8 @@ func (bm *blockMgr) alloc(kind blockKind) (flash.PPN, error) {
 
 // invalidate marks ppn invalid and enqueues its block as a GC candidate if
 // the block is full.
+//
+//ftl:hotpath
 func (bm *blockMgr) invalidate(ppn flash.PPN) error {
 	if err := bm.chip.Invalidate(ppn); err != nil {
 		return err
@@ -198,6 +210,8 @@ func (bm *blockMgr) invalidate(ppn flash.PPN) error {
 
 // maybeEnqueue inserts or re-keys blk in the victim heap when it is full,
 // reclaimable and not an open frontier.
+//
+//ftl:hotpath
 func (bm *blockMgr) maybeEnqueue(blk flash.BlockID) {
 	if bm.isFrontier(blk) {
 		return
@@ -205,11 +219,10 @@ func (bm *blockMgr) maybeEnqueue(blk flash.BlockID) {
 	if bm.kinds[blk] == blockFree {
 		return
 	}
-	ppb := bm.chip.Config().PagesPerBlock
-	if bm.chip.WritePtr(blk) < ppb {
+	if bm.chip.WritePtr(blk) < bm.ppb {
 		return // not fully programmed yet
 	}
-	invalid := ppb - bm.chip.ValidCount(blk)
+	invalid := bm.ppb - bm.chip.ValidCount(blk)
 	if invalid == 0 {
 		return // nothing to reclaim
 	}
@@ -229,7 +242,7 @@ func (bm *blockMgr) popVictim() flash.BlockID {
 	}
 	for len(bm.victims.items) > 0 {
 		blk := bm.victims.remove(0)
-		if bm.chip.ValidCount(blk) == bm.chip.Config().PagesPerBlock {
+		if bm.chip.ValidCount(blk) == bm.ppb {
 			continue // defensive; re-keying should prevent this
 		}
 		return blk
@@ -242,7 +255,7 @@ func (bm *blockMgr) popVictim() flash.BlockID {
 // and age the time since the block's last invalidation. The chosen block is
 // also removed from the greedy heap so the two structures stay coherent.
 func (bm *blockMgr) popVictimCostBenefit() flash.BlockID {
-	ppb := bm.chip.Config().PagesPerBlock
+	ppb := bm.ppb
 	best := flash.BlockID(-1)
 	bestScore := -1.0
 	for b := 0; b < len(bm.kinds); b++ {
@@ -288,7 +301,7 @@ func (bm *blockMgr) removeFromHeap(blk flash.BlockID) {
 // release returns an erased block to its die's free list.
 func (bm *blockMgr) release(blk flash.BlockID) {
 	bm.kinds[blk] = blockFree
-	die := bm.chip.Config().DieOf(blk)
+	die := bm.chip.DieOfBlock(blk)
 	bm.free[die] = append(bm.free[die], blk)
 }
 

@@ -33,6 +33,7 @@ type Device struct {
 	entriesPerTP int
 	numTPs       int
 	logicalPages int64
+	gcThreshold  int // cfg.gcThreshold(), fixed at construction: maybeGC reads it per page write
 
 	gtd     []flash.PPN // VTPN → physical translation page
 	persist []flash.PPN // LPN → PPN as stored in flash translation pages; written only by setPersist
@@ -120,6 +121,7 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		entriesPerTP: entriesPerTP,
 		numTPs:       numTPs,
 		logicalPages: logicalPages,
+		gcThreshold:  cfg.gcThreshold(),
 		gtd:          make([]flash.PPN, numTPs),
 		persist:      make([]flash.PPN, logicalPages),
 		truth:        make([]flash.PPN, logicalPages),
@@ -185,7 +187,7 @@ func (d *Device) ResetMetrics() {
 		c.FoldBase(d.m.Counters(), d.m.GCDataCollections, d.m.GCTransCollections)
 	}
 	d.m = Metrics{}
-	for c := 0; c < d.chip.Config().NumChannels() && c < MaxChannels; c++ {
+	for c := 0; c < d.cfg.Channels; c++ {
 		d.busyAtReset[c] = d.sched.ChannelBusy(c)
 	}
 	d.resetAt = d.sched.Now()
@@ -576,6 +578,7 @@ func (d *Device) sanitize() error {
 	return SanitizeCheck(d.tr.Name(), checks...)
 }
 
+//ftl:hotpath
 func (d *Device) readPage(lpn LPN) error {
 	d.m.PageReads++
 	ppn, err := d.tr.Translate(d, lpn)
@@ -600,6 +603,7 @@ func (d *Device) readPage(lpn LPN) error {
 	return nil
 }
 
+//ftl:hotpath
 func (d *Device) writePage(lpn LPN) error {
 	d.m.PageWrites++
 	old, err := d.tr.Translate(d, lpn)
@@ -806,6 +810,8 @@ func (d *Device) foldTPPersist(v VTPN) {
 // GC they trigger — keep their metric attribution but are not scheduled:
 // the measured timeline starts pristine, exactly as the scalar-clock device
 // discarded pre-measurement latency.
+//
+//ftl:hotpath
 func (d *Device) issuePage(p flash.PPN, lat time.Duration, op obs.Op) {
 	d.issueDie(d.chip.DieOf(p), lat, op)
 }
@@ -814,6 +820,7 @@ func (d *Device) issueBlock(b flash.BlockID, lat time.Duration, op obs.Op) {
 	d.issueDie(d.chip.DieOfBlock(b), lat, op)
 }
 
+//ftl:hotpath
 func (d *Device) issueDie(die int, lat time.Duration, op obs.Op) {
 	if d.ph == phaseGC {
 		d.m.GCTime += lat
@@ -835,21 +842,64 @@ func (d *Device) maxFaultRetries() int {
 	return 3
 }
 
-// retryOp runs one chip operation, retrying transient injected faults up to
-// the configured budget. Every failed attempt still costs the operation's
-// nominal latency (the die spent the time before reporting the failure),
-// returned on top of the successful attempt's latency so the clock never
-// under-counts. Non-transient errors — power cuts, NAND rule violations,
-// worn-out blocks, exhausted retries — surface unchanged; the caller must
-// abort its update without touching any mapping state it has not yet
-// committed.
-func (d *Device) retryOp(op func() (time.Duration, error), nominal time.Duration) (time.Duration, error) {
+// chipOp names the chip operation retryOp re-issues.
+type chipOp uint8
+
+const (
+	opRead chipOp = iota
+	opProgram
+	opErase
+)
+
+// chipRead, chipProgram and chipErase run one chip operation. The no-fault
+// path is the chip call and one error test; a failed first attempt goes to
+// retryOp.
+//
+//ftl:hotpath
+func (d *Device) chipRead(p flash.PPN) (time.Duration, error) {
+	lat, err := d.chip.Read(p)
+	if err != nil {
+		return d.retryOp(err, opRead, p, flash.Meta{}, -1)
+	}
+	return lat, nil
+}
+
+//ftl:hotpath
+func (d *Device) chipProgram(p flash.PPN, m flash.Meta) (time.Duration, error) {
+	lat, err := d.chip.Program(p, m)
+	if err != nil {
+		return d.retryOp(err, opProgram, p, m, -1)
+	}
+	return lat, nil
+}
+
+//ftl:hotpath
+func (d *Device) chipErase(blk flash.BlockID) (time.Duration, error) {
+	lat, err := d.chip.Erase(blk)
+	if err != nil {
+		return d.retryOp(err, opErase, flash.InvalidPPN, flash.Meta{}, blk)
+	}
+	return lat, nil
+}
+
+// retryOp takes over a chip operation whose first attempt failed with err,
+// retrying transient injected faults up to the configured budget. Every
+// failed attempt still costs the operation's nominal latency (the die spent
+// the time before reporting the failure), returned on top of the successful
+// attempt's latency so the clock never under-counts. Non-transient errors —
+// power cuts, NAND rule violations, worn-out blocks, exhausted retries —
+// surface unchanged; the caller must abort its update without touching any
+// mapping state it has not yet committed.
+func (d *Device) retryOp(err error, op chipOp, p flash.PPN, m flash.Meta, blk flash.BlockID) (time.Duration, error) {
+	nominal := d.cfg.ReadLatency
+	switch op {
+	case opProgram:
+		nominal = d.cfg.WriteLatency
+	case opErase:
+		nominal = d.cfg.EraseLatency
+	}
 	var penalty time.Duration
 	for attempt := 0; ; attempt++ {
-		lat, err := op()
-		if err == nil {
-			return penalty + lat, nil
-		}
 		var fe *flash.FaultError
 		if !errors.As(err, &fe) {
 			return 0, err
@@ -860,19 +910,19 @@ func (d *Device) retryOp(op func() (time.Duration, error), nominal time.Duration
 		}
 		d.m.FaultRetries++
 		penalty += nominal
+		var lat time.Duration
+		switch op {
+		case opRead:
+			lat, err = d.chip.Read(p)
+		case opProgram:
+			lat, err = d.chip.Program(p, m)
+		case opErase:
+			lat, err = d.chip.Erase(blk)
+		}
+		if err == nil {
+			return penalty + lat, nil
+		}
 	}
-}
-
-func (d *Device) chipRead(p flash.PPN) (time.Duration, error) {
-	return d.retryOp(func() (time.Duration, error) { return d.chip.Read(p) }, d.cfg.ReadLatency)
-}
-
-func (d *Device) chipProgram(p flash.PPN, m flash.Meta) (time.Duration, error) {
-	return d.retryOp(func() (time.Duration, error) { return d.chip.Program(p, m) }, d.cfg.WriteLatency)
-}
-
-func (d *Device) chipErase(blk flash.BlockID) (time.Duration, error) {
-	return d.retryOp(func() (time.Duration, error) { return d.chip.Erase(blk) }, d.cfg.EraseLatency)
 }
 
 // --- Env implementation -------------------------------------------------
@@ -927,6 +977,8 @@ func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 // WriteTP implements Env: a translation-page update. Without fullPage it is
 // a read-modify-write (Tfr+Tfw, Eq. 1); with fullPage only the program is
 // charged (S-FTL's whole-page writeback).
+//
+//ftl:hotpath
 func (d *Device) WriteTP(v VTPN, updates []EntryUpdate, fullPage bool) error {
 	if v < 0 || int(v) >= d.numTPs {
 		return errf("WriteTP: vtpn %d out of range [0,%d)", v, d.numTPs)
@@ -1061,10 +1113,7 @@ func (d *Device) GTDEntry(v VTPN) flash.PPN { return d.gtd[v] }
 // EraseSpread returns the minimum and maximum per-block erase counts — the
 // wear imbalance that wear leveling bounds.
 func (d *Device) EraseSpread() (min, max int) {
-	n := d.chip.Config().NumBlocks
-	if n == 0 {
-		return 0, 0
-	}
+	n := len(d.bm.kinds)
 	min = d.chip.EraseCount(0)
 	for b := 1; b < n; b++ {
 		ec := d.chip.EraseCount(flash.BlockID(b))

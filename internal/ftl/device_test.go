@@ -2,6 +2,7 @@ package ftl_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,6 +91,17 @@ func TestConfigValidation(t *testing.T) {
 		if _, err := ftl.NewDevice(cfg, optimal.New(1)); err == nil {
 			t.Errorf("NewDevice accepted config %d", i)
 		}
+	}
+}
+
+// TestOversizedGeometryRefused: a device whose physical page count does not
+// fit a 4-byte PPN is an error from NewDevice — before any per-page table is
+// allocated — not a wrapped geometry.
+func TestOversizedGeometryRefused(t *testing.T) {
+	cfg := ftl.DefaultConfig(8 << 40) // 2^31 logical pages of 4 KiB
+	_, err := ftl.NewDevice(cfg, dftl.New(dftl.Config{CacheBytes: cfg.CacheBytes}))
+	if err == nil || !strings.Contains(err.Error(), "physical pages") || !strings.Contains(err.Error(), "2147483647") {
+		t.Fatalf("NewDevice(8 TiB) error = %v, want the page count and the 2147483647-page limit", err)
 	}
 }
 

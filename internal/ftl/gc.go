@@ -13,7 +13,7 @@ func (d *Device) maybeGC() error {
 	if d.inGC {
 		return nil
 	}
-	threshold := d.cfg.gcThreshold()
+	threshold := d.gcThreshold
 	if d.bm.freeCount() > threshold {
 		return nil
 	}
@@ -50,7 +50,7 @@ func (d *Device) maybeWearLevel() error {
 	ppb := d.cfg.PagesPerBlock
 	for {
 		minBlk, minErase, maxErase := flash.BlockID(-1), int(^uint(0)>>1), 0
-		for b := 0; b < d.chip.Config().NumBlocks; b++ {
+		for b := range d.bm.kinds {
 			blk := flash.BlockID(b)
 			ec := d.chip.EraseCount(blk)
 			if ec > maxErase {
@@ -71,7 +71,7 @@ func (d *Device) maybeWearLevel() error {
 		// headroom by reclaiming a regular victim first — and rescan, since
 		// that victim may have been the chosen cold block. Stop leveling
 		// when no victim is available rather than running the device dry.
-		if d.bm.freeCount() <= d.cfg.gcThreshold()+2 {
+		if d.bm.freeCount() <= d.gcThreshold+2 {
 			victim := d.bm.popVictim()
 			if victim < 0 {
 				return nil
@@ -191,6 +191,8 @@ func (d *Device) collect(blk flash.BlockID) error {
 
 // migratePage copies one valid page to the write frontier of its kind
 // (read + program) and invalidates the original.
+//
+//ftl:hotpath
 func (d *Device) migratePage(ppn flash.PPN, meta flash.Meta) (flash.PPN, error) {
 	kind := blockData
 	readOp, progOp := obs.OpDataRead, obs.OpDataProgram

@@ -7,6 +7,7 @@ package ftl_test
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/flash"
@@ -297,5 +298,18 @@ func TestSteadyStateCollectionAllocates0(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("%v allocations over %d writes and %d collections, want 0", allocs, writes, collected)
+	}
+}
+
+// TestPerPageSizesPinned keeps the per-page layout from growing back
+// unnoticed: a PPN is the paper's 4 bytes (truth, persist, the GTD and the
+// ReadTP view are arrays of them) and a GC move fits two to a cache line's
+// quarter.
+func TestPerPageSizesPinned(t *testing.T) {
+	if got := unsafe.Sizeof(flash.PPN(0)); got != 4 {
+		t.Errorf("flash.PPN is %d bytes, want 4", got)
+	}
+	if got := unsafe.Sizeof(ftl.GCMove{}); got != 16 {
+		t.Errorf("ftl.GCMove is %d bytes, want 16", got)
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -39,6 +40,21 @@ func TestRunBasic(t *testing.T) {
 	// Paper convention: 64 MB → 256 blocks → 1 KB cache.
 	if r.CacheBytes != 1024 {
 		t.Fatalf("cache = %d, want 1024", r.CacheBytes)
+	}
+}
+
+// TestRunRefusesOversizedSpace: an address space whose device needs more
+// physical pages than a 4-byte PPN addresses is an error from Run, not a
+// wrapped geometry.
+func TestRunRefusesOversizedSpace(t *testing.T) {
+	_, err := Run(Options{
+		Scheme:       SchemeTPFTL,
+		Profile:      workload.Financial1(),
+		AddressSpace: 8 << 40,
+		Requests:     10,
+	})
+	if err == nil || !strings.Contains(err.Error(), "4-byte PPN") {
+		t.Fatalf("Run(8 TiB) error = %v, want the PPN page limit", err)
 	}
 }
 
