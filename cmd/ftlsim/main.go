@@ -39,9 +39,7 @@ import (
 type telemetryFlags struct {
 	addr        string        // HTTP scrape server address ("" = off)
 	progress    bool          // periodic stderr progress line
-	interval    time.Duration // sampler/progress period
 	linger      time.Duration // keep serving after the run (until POST /quit)
-	every       int64         // epoch cadence in served requests per shard
 	recorderOut string        // write the flight-recorder dump here after the run
 }
 
@@ -85,9 +83,7 @@ func main() {
 
 		telemetryAddr     = flag.String("telemetry-addr", "", "serve live telemetry over HTTP on this address while the run is in flight: Prometheus text on /metrics, JSON on /snapshot, expvar + pprof under /debug (simulated results are bit-for-bit unaffected)")
 		telemetryProgress = flag.Bool("progress", false, "print a periodic progress line (requests, req/s, ETA, peak RSS) to stderr")
-		telemetryInterval = flag.Duration("telemetry-interval", 0, "sampler/progress period (default 2s)")
 		telemetryLinger   = flag.Duration("telemetry-linger", 0, "keep the telemetry server alive this long after the run (or until POST /quit), so a scraper can read the final epochs")
-		telemetryEvery    = flag.Int64("telemetry-every", 0, "served requests per shard between telemetry epochs (default 1024)")
 		recorderOut       = flag.String("recorder-out", "", "write the per-shard flight-recorder dump (last N requests + GC events) to this file after the run")
 	)
 	flag.Parse()
@@ -107,9 +103,7 @@ func main() {
 	tf := telemetryFlags{
 		addr:        *telemetryAddr,
 		progress:    *telemetryProgress,
-		interval:    *telemetryInterval,
 		linger:      *telemetryLinger,
-		every:       *telemetryEvery,
 		recorderOut: *recorderOut,
 	}
 	if err := run(*scheme, *wl, *requests, *seed, *scale, *cache, *fraction,
@@ -273,7 +267,7 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 
 	var plane *live.Plane
 	if tf.armed() {
-		plane = live.NewPlane(tf.every, 0)
+		plane = live.NewPlane(0, 0)
 		opts.Telemetry = plane
 	}
 
@@ -288,7 +282,6 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 			Addr:     tf.addr,
 			Plane:    plane,
 			Progress: pw,
-			Interval: tf.interval,
 			Linger:   tf.linger,
 			Watcher:  mw,
 		})

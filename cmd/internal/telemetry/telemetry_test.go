@@ -39,7 +39,7 @@ func (b *lockedBuffer) String() string {
 func TestRuntimeServesAndLingers(t *testing.T) {
 	plane := live.NewPlane(0, 0)
 	cells := plane.StartRun(live.RunInfo{Scheme: "tpftl", Workload: "unit", Shards: 1, TotalRequests: 500})
-	cells[0].Publish(1e9, obs.Counters{Requests: 100, Lookups: 80, Hits: 60}, 0, 0, 5e6)
+	cells[0].Publish(1e9, obs.Counters{obs.CtrRequests: 100, obs.CtrLookups: 80, obs.CtrHits: 60}, 5e6)
 
 	var progress lockedBuffer
 	tel, err := Start(Options{

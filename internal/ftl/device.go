@@ -184,7 +184,7 @@ func (d *Device) Metrics() Metrics {
 func (d *Device) ResetMetrics() {
 	if c := d.live; c != nil {
 		d.publishLive()
-		c.FoldBase(d.m.Counters(), d.m.GCDataCollections, d.m.GCTransCollections)
+		c.FoldBase(d.m.Counters())
 	}
 	d.m = Metrics{}
 	for c := 0; c < d.cfg.Channels; c++ {
@@ -227,8 +227,7 @@ func (d *Device) PublishLive() { d.publishLive() }
 // into the cell. Cold path: only reached with the live plane enabled.
 func (d *Device) publishLive() {
 	if c := d.live; c != nil {
-		c.Publish(int64(d.sched.Now()), d.m.Counters(),
-			d.m.GCDataCollections, d.m.GCTransCollections, int64(d.m.MaxResponse))
+		c.Publish(int64(d.sched.Now()), d.m.Counters(), int64(d.m.MaxResponse))
 	}
 }
 
@@ -294,7 +293,7 @@ func (d *Device) SetMetricsExport(w io.Writer, every int64) {
 func (d *Device) FinishObservability() error {
 	var firstErr error
 	if d.metricsW != nil {
-		if d.m.Requests > d.lastExport.Requests || d.snapSeq == 0 {
+		if d.m.Requests > d.lastExport[obs.CtrRequests] || d.snapSeq == 0 {
 			d.exportSnapshot()
 		}
 		firstErr = d.metricsW.Flush()
@@ -316,7 +315,7 @@ func (d *Device) exportSnapshot() {
 	rec := obs.SnapshotRecord{
 		Seq:       d.snapSeq,
 		SimTimeNS: int64(d.sched.Now()),
-		Requests:  cur.Requests,
+		Requests:  cur[obs.CtrRequests],
 		Delta:     cur.Sub(d.lastExport),
 		Total:     cur,
 		Phases:    m.PhaseSnapshots(),

@@ -1,7 +1,6 @@
 package ftl
 
 import (
-	"math/bits"
 	"time"
 
 	"repro/internal/obs"
@@ -61,11 +60,6 @@ type Metrics struct {
 	InjectedFaults int64 // injected chip faults the device observed
 	FaultRetries   int64 // operations retried after a transient fault
 
-	// RespHist is a log2 histogram of response times in microseconds:
-	// bucket i counts responses in [2^(i-1), 2^i) µs (bucket 0: < 1 µs).
-	// It feeds the percentile estimates.
-	RespHist [48]int64
-
 	// Parallel backend (internal/ssd). Channels/DiesPerChannel echo the
 	// device geometry; Elapsed is the simulated time from the last metrics
 	// reset to the latest completion; ChanBusy is each channel's summed
@@ -87,8 +81,8 @@ type Metrics struct {
 	Phases [obs.NumPhases]obs.Histogram
 }
 
-// ObserveResponse records one response time: the per-phase histogram, the
-// legacy log2 histogram, and MaxResponse.
+// ObserveResponse records one response time: the response-phase histogram
+// and MaxResponse.
 //
 //ftl:hotpath
 func (m *Metrics) ObserveResponse(d time.Duration) {
@@ -96,36 +90,6 @@ func (m *Metrics) ObserveResponse(d time.Duration) {
 		m.MaxResponse = d
 	}
 	m.Phases[obs.PhaseResponse].Record(d)
-	us := d.Microseconds()
-	b := bits.Len64(uint64(us))
-	if b >= len(m.RespHist) {
-		b = len(m.RespHist) - 1
-	}
-	m.RespHist[b]++
-}
-
-// ResponsePercentile returns an upper-bound estimate of the p-quantile
-// (0 < p ≤ 1) of response times, at log2 resolution.
-func (m *Metrics) ResponsePercentile(p float64) time.Duration {
-	var total int64
-	for _, c := range m.RespHist {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	target := int64(p * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range m.RespHist {
-		cum += c
-		if cum >= target {
-			return time.Duration(int64(1)<<uint(i)) * time.Microsecond
-		}
-	}
-	return m.MaxResponse
 }
 
 // Hr returns the cache hit ratio of address translation.
@@ -278,9 +242,6 @@ func (m *Metrics) Merge(o *Metrics) {
 	if o.DiesPerChannel > m.DiesPerChannel {
 		m.DiesPerChannel = o.DiesPerChannel
 	}
-	for i := range m.RespHist {
-		m.RespHist[i] += o.RespHist[i]
-	}
 	for i := range m.ChanBusy {
 		m.ChanBusy[i] += o.ChanBusy[i]
 	}
@@ -289,28 +250,29 @@ func (m *Metrics) Merge(o *Metrics) {
 	}
 }
 
-// Counters returns the cumulative counter subset exported on each
-// -metrics-out snapshot line.
+// Counters returns the cumulative exported counters: the one place a
+// Metrics field is bound to a row of obs.CounterTable.
 func (m *Metrics) Counters() obs.Counters {
 	return obs.Counters{
-		Requests:      m.Requests,
-		PageReads:     m.PageReads,
-		PageWrites:    m.PageWrites,
-		Lookups:       m.Lookups,
-		Hits:          m.Hits,
-		FlashReads:    m.FlashReads,
-		FlashPrograms: m.FlashPrograms,
-		FlashErases:   m.FlashErases,
-		TransReads:    m.TransReads(),
-		TransWrites:   m.TransWrites(),
-		Prefetched:    m.PrefetchedLoaded,
-		TrimmedPages:  m.TrimmedPages,
-		Flushes:       m.FlushRequests,
-		Collections:   m.GCDataCollections + m.GCTransCollections,
-		ResponseNS:    int64(m.ResponseTime),
-		ServiceNS:     int64(m.ServiceTime),
-		QueueNS:       int64(m.QueueTime),
-		GCNS:          int64(m.GCTime),
+		obs.CtrRequests:      m.Requests,
+		obs.CtrPageReads:     m.PageReads,
+		obs.CtrPageWrites:    m.PageWrites,
+		obs.CtrLookups:       m.Lookups,
+		obs.CtrHits:          m.Hits,
+		obs.CtrFlashReads:    m.FlashReads,
+		obs.CtrFlashPrograms: m.FlashPrograms,
+		obs.CtrFlashErases:   m.FlashErases,
+		obs.CtrTransReads:    m.TransReads(),
+		obs.CtrTransWrites:   m.TransWrites(),
+		obs.CtrPrefetched:    m.PrefetchedLoaded,
+		obs.CtrTrimmedPages:  m.TrimmedPages,
+		obs.CtrFlushes:       m.FlushRequests,
+		obs.CtrGCData:        m.GCDataCollections,
+		obs.CtrGCTrans:       m.GCTransCollections,
+		obs.CtrResponseNS:    int64(m.ResponseTime),
+		obs.CtrServiceNS:     int64(m.ServiceTime),
+		obs.CtrQueueNS:       int64(m.QueueTime),
+		obs.CtrGCNS:          int64(m.GCTime),
 	}
 }
 

@@ -207,7 +207,7 @@ func TestReplayClientCountInvariance(t *testing.T) {
 	}
 }
 
-// TestShardSaturationDigestStable is the shard-smoke gate: a race-enabled
+// TestShardSaturationDigestStable is the sharded-host gate: a race-enabled
 // 4-shard saturation run (arrival 0, deep queues, concurrent clients) must
 // produce the same merged digest run over run.
 func TestShardSaturationDigestStable(t *testing.T) {

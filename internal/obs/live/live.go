@@ -53,18 +53,16 @@ type Snapshot struct {
 	SimNS int64        `json:"sim_ns"` // simulated clock at publication
 	Total obs.Counters `json:"total"`  // cumulative, monotonic
 	Delta obs.Counters `json:"delta"`  // since the previous epoch
-	// GC split and response watermark beyond the obs.Counters subset.
-	GCData        int64 `json:"gc_data_collections"`
-	GCTrans       int64 `json:"gc_trans_collections"`
+	// MaxResponseNS is a watermark, not a counter: it does not fold or sum.
 	MaxResponseNS int64 `json:"max_response_ns"`
 }
 
 // HitRatio returns the cumulative translation-cache hit ratio.
 func (s *Snapshot) HitRatio() float64 {
-	if s.Total.Lookups == 0 {
+	if s.Total[obs.CtrLookups] == 0 {
 		return 0
 	}
-	return float64(s.Total.Hits) / float64(s.Total.Lookups)
+	return float64(s.Total[obs.CtrHits]) / float64(s.Total[obs.CtrLookups])
 }
 
 // Progress is the wall-clock view of the run, computed by the cmd-side
@@ -90,11 +88,9 @@ type Cell struct {
 
 	// Single-writer state (the shard goroutine): the monotonic base folded
 	// at each metrics reset, and the previous epoch's totals for deltas.
-	base        obs.Counters
-	baseGCData  int64
-	baseGCTrans int64
-	seq         int64
-	prev        obs.Counters
+	base obs.Counters
+	seq  int64
+	prev obs.Counters
 
 	snap atomic.Pointer[Snapshot]
 
@@ -119,7 +115,7 @@ func (c *Cell) Due(requests int64) bool {
 // Publish builds and atomically publishes a new epoch from the shard's
 // cumulative counters since its last metrics reset. Must be called only by
 // the shard's serving goroutine (single writer).
-func (c *Cell) Publish(simNS int64, cur obs.Counters, gcData, gcTrans, maxResponseNS int64) {
+func (c *Cell) Publish(simNS int64, cur obs.Counters, maxResponseNS int64) {
 	total := c.base.Add(cur)
 	c.seq++
 	s := &Snapshot{
@@ -128,8 +124,6 @@ func (c *Cell) Publish(simNS int64, cur obs.Counters, gcData, gcTrans, maxRespon
 		SimNS:         simNS,
 		Total:         total,
 		Delta:         total.Sub(c.prev),
-		GCData:        c.baseGCData + gcData,
-		GCTrans:       c.baseGCTrans + gcTrans,
 		MaxResponseNS: maxResponseNS,
 	}
 	c.prev = total
@@ -139,11 +133,7 @@ func (c *Cell) Publish(simNS int64, cur obs.Counters, gcData, gcTrans, maxRespon
 // FoldBase absorbs the pre-reset cumulative counters into the monotonic
 // base. Call immediately before a metrics reset (after a final Publish), so
 // published totals keep growing across warm-up resets. Single-writer.
-func (c *Cell) FoldBase(cur obs.Counters, gcData, gcTrans int64) {
-	c.base = c.base.Add(cur)
-	c.baseGCData += gcData
-	c.baseGCTrans += gcTrans
-}
+func (c *Cell) FoldBase(cur obs.Counters) { c.base = c.base.Add(cur) }
 
 // Load returns the latest published epoch, or nil before the first one.
 // Safe from any goroutine; the snapshot is immutable.
@@ -254,7 +244,7 @@ func (p *Plane) Requests() int64 {
 	for _, c := range p.Cells() {
 		var cell int64
 		if s := c.Load(); s != nil {
-			cell = s.Total.Requests
+			cell = s.Total[obs.CtrRequests]
 		}
 		if a := c.admitted.Load(); a > cell {
 			cell = a

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -24,31 +26,31 @@ func TestCellEpochsFoldAcrossReset(t *testing.T) {
 		t.Fatal("snapshot before first publish")
 	}
 
-	warm := obs.Counters{Requests: 50, Lookups: 40, Hits: 30}
-	c.Publish(1000, warm, 2, 1, 7)
+	warm := obs.Counters{obs.CtrRequests: 50, obs.CtrLookups: 40, obs.CtrHits: 30, obs.CtrGCData: 2, obs.CtrGCTrans: 1}
+	c.Publish(1000, warm, 7)
 	s := c.Load()
-	if s == nil || s.Seq != 1 || s.Total.Requests != 50 || s.Delta.Requests != 50 {
+	if s == nil || s.Seq != 1 || s.Total[obs.CtrRequests] != 50 || s.Delta[obs.CtrRequests] != 50 {
 		t.Fatalf("first epoch wrong: %+v", s)
 	}
-	if s.GCData != 2 || s.GCTrans != 1 || s.MaxResponseNS != 7 {
+	if s.Total[obs.CtrGCData] != 2 || s.Total[obs.CtrGCTrans] != 1 || s.MaxResponseNS != 7 {
 		t.Fatalf("gc/max fields wrong: %+v", s)
 	}
 
 	// Warm-up reset: fold, then the device counts from zero again.
-	c.FoldBase(warm, 2, 1)
-	measured := obs.Counters{Requests: 10, Lookups: 8, Hits: 8}
-	c.Publish(2000, measured, 1, 0, 5)
+	c.FoldBase(warm)
+	measured := obs.Counters{obs.CtrRequests: 10, obs.CtrLookups: 8, obs.CtrHits: 8, obs.CtrGCData: 1}
+	c.Publish(2000, measured, 5)
 	s2 := c.Load()
 	if s2.Seq != 2 {
 		t.Fatalf("seq = %d, want 2", s2.Seq)
 	}
-	if s2.Total.Requests != 60 || s2.Total.Lookups != 48 || s2.Total.Hits != 38 {
+	if s2.Total[obs.CtrRequests] != 60 || s2.Total[obs.CtrLookups] != 48 || s2.Total[obs.CtrHits] != 38 {
 		t.Fatalf("totals not folded: %+v", s2.Total)
 	}
-	if s2.Delta.Requests != 10 {
-		t.Fatalf("delta = %d, want 10", s2.Delta.Requests)
+	if s2.Delta[obs.CtrRequests] != 10 {
+		t.Fatalf("delta = %d, want 10", s2.Delta[obs.CtrRequests])
 	}
-	if s2.GCData != 3 || s2.GCTrans != 1 {
+	if s2.Total[obs.CtrGCData] != 3 || s2.Total[obs.CtrGCTrans] != 1 {
 		t.Fatalf("gc totals not folded: %+v", s2)
 	}
 	if got := s2.HitRatio(); got != 38.0/48.0 {
@@ -93,7 +95,7 @@ func TestRecorderRingWrap(t *testing.T) {
 }
 
 // TestDumpRecordersRoundTrip renders a two-shard dump and feeds it back
-// through the validator cmd/obsvalidate uses.
+// through its validator.
 func TestDumpRecordersRoundTrip(t *testing.T) {
 	p := live.NewPlane(0, 4)
 	cells := p.StartRun(live.RunInfo{Scheme: "tpftl", Workload: "unit \"quoted\"", Shards: 2})
@@ -149,7 +151,7 @@ func scrapePlane(reqs int64) *live.Plane {
 	p := live.NewPlane(0, 0)
 	cells := p.StartRun(live.RunInfo{Scheme: "tpftl", Workload: `Fin"1`, Shards: 2, TotalRequests: 1000})
 	for i, c := range cells {
-		c.Publish(5e6, obs.Counters{Requests: reqs + int64(i), Lookups: 2 * reqs, Hits: reqs}, 1, 0, 3e6)
+		c.Publish(5e6, obs.Counters{obs.CtrRequests: reqs + int64(i), obs.CtrLookups: 2 * reqs, obs.CtrHits: reqs, obs.CtrGCData: 1}, 3e6)
 		c.SetQueueStats(reqs+int64(i), 4*reqs, 8)
 	}
 	p.SetProgress(live.Progress{Requests: 2 * reqs, Total: 1000, ReqPerSec: 123.5, ETASeconds: 4, PeakRSSBytes: 1 << 20})
@@ -190,7 +192,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	// Second scrape with advanced counters must be monotonic over the first;
 	// the reverse comparison must fail.
 	for _, c := range p.Cells() {
-		c.Publish(6e6, obs.Counters{Requests: 150, Lookups: 300, Hits: 150}, 2, 1, 3e6)
+		c.Publish(6e6, obs.Counters{obs.CtrRequests: 150, obs.CtrLookups: 300, obs.CtrHits: 150, obs.CtrGCData: 2, obs.CtrGCTrans: 1}, 3e6)
 	}
 	if err := live.WritePrometheus(&two, p); err != nil {
 		t.Fatal(err)
@@ -204,6 +206,83 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	}
 	if err := live.CheckCounterMonotonic(cur, prev); err == nil {
 		t.Fatal("counter decrease not detected")
+	}
+}
+
+// TestPrometheusCatalogue pins what a scraper can rely on — every family's
+// name, TYPE, label names and HELP — to the hand-written catalog that
+// obs.CounterTable replaced (captured by running this walk at that commit).
+// The order of families in the exposition is free; nothing may disappear or
+// change type.
+func TestPrometheusCatalogue(t *testing.T) {
+	var buf bytes.Buffer
+	if err := live.WritePrometheus(&buf, scrapePlane(100)); err != nil {
+		t.Fatal(err)
+	}
+	help, typ, labels := map[string]string{}, map[string]string{}, map[string]map[string]bool{}
+	labelName := regexp.MustCompile(`(\w+)="`)
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if f := strings.SplitN(line, " ", 4); f[0] == "#" {
+			if f[1] == "HELP" {
+				help[f[2]] = f[3]
+			} else {
+				typ[f[2]] = f[3]
+			}
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if labels[name] == nil {
+			labels[name] = map[string]bool{}
+		}
+		for _, m := range labelName.FindAllStringSubmatch(line, -1) {
+			labels[name][m[1]] = true
+		}
+	}
+	var got []string
+	for name, set := range labels {
+		var names []string
+		for l := range set {
+			names = append(names, l)
+		}
+		sort.Strings(names)
+		got = append(got, name+" "+typ[name]+" ["+strings.Join(names, ",")+"] "+help[name])
+	}
+	sort.Strings(got)
+	want := []string{
+		"ftl_admitted_total counter [shard] Requests admitted by the shard frontend.",
+		"ftl_eta_seconds gauge [] Estimated wall-clock time to completion.",
+		"ftl_flash_erases_total counter [shard] Flash block erases.",
+		"ftl_flash_programs_total counter [shard] Flash page programs.",
+		"ftl_flash_reads_total counter [shard] Flash page reads.",
+		"ftl_flushes_total counter [shard] Host flush barriers served.",
+		"ftl_gc_collections_total counter [pool,shard] Garbage collections by pool.",
+		"ftl_gc_seconds_total counter [shard] Summed garbage-collection time (simulated).",
+		"ftl_hit_ratio gauge [shard] Cumulative translation-cache hit ratio.",
+		"ftl_hits_total counter [shard] Translation cache hits.",
+		"ftl_lookups_total counter [shard] Translation cache lookups.",
+		"ftl_max_response_seconds gauge [shard] Largest response time observed.",
+		"ftl_page_reads_total counter [shard] User data page reads.",
+		"ftl_page_writes_total counter [shard] User data page writes.",
+		"ftl_peak_rss_bytes gauge [] Peak resident set size (memwatch).",
+		"ftl_prefetched_total counter [shard] Translation entries prefetched.",
+		"ftl_progress_requests gauge [] Requests served so far (all shards).",
+		"ftl_progress_total_requests gauge [] Expected requests for the run.",
+		"ftl_queue_depth_max gauge [shard] Largest in-flight depth at admission.",
+		"ftl_queue_depth_mean gauge [shard] Mean in-flight depth at admission.",
+		"ftl_queue_seconds_total counter [shard] Summed request queueing time (simulated).",
+		"ftl_requests_per_second gauge [] Wall-clock request throughput (sampler).",
+		"ftl_requests_total counter [shard] Host requests served.",
+		"ftl_response_seconds_total counter [shard] Summed request response time (simulated).",
+		"ftl_run_info gauge [scheme,shards,workload] Run metadata (value is always 1).",
+		"ftl_service_seconds_total counter [shard] Summed request service time (simulated).",
+		"ftl_sim_time_seconds gauge [shard] Simulated clock at the latest epoch.",
+		"ftl_telemetry_epochs_total counter [shard] Telemetry epochs published.",
+		"ftl_trans_reads_total counter [shard] Translation page reads.",
+		"ftl_trans_writes_total counter [shard] Translation page writes.",
+		"ftl_trimmed_pages_total counter [shard] Logical pages invalidated by TRIM.",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("catalogue drifted:\n got:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 
@@ -261,11 +340,11 @@ func TestMuxEndpoints(t *testing.T) {
 	if doc.Run.Shards != 2 || len(doc.Shards) != 2 {
 		t.Fatalf("snapshot run/shards wrong: %+v", doc.Run)
 	}
-	if doc.Shards[1].Epoch == nil || doc.Shards[1].Epoch.Total.Requests != 43 {
+	if doc.Shards[1].Epoch == nil || doc.Shards[1].Epoch.Total[obs.CtrRequests] != 43 {
 		t.Fatalf("shard 1 epoch wrong: %+v", doc.Shards[1])
 	}
-	if doc.Totals.Requests != 42+43 {
-		t.Fatalf("totals = %d", doc.Totals.Requests)
+	if doc.Totals[obs.CtrRequests] != 42+43 {
+		t.Fatalf("totals = %d", doc.Totals[obs.CtrRequests])
 	}
 	if doc.Progress == nil || doc.Progress.ReqPerSec != 123.5 {
 		t.Fatalf("progress missing: %+v", doc.Progress)

@@ -4,107 +4,77 @@ import (
 	"bufio"
 	"io"
 	"strconv"
+
+	"repro/internal/obs"
 )
 
-// promSeries is one metric family in the exposition: name, type, help, and a
-// value extractor applied per shard snapshot. Totals are base-folded in the
-// cells, so every counter here is monotonically non-decreasing across
-// scrapes within a process (including over warm-up resets).
+// promSeries is one per-shard metric family the plane derives itself — the
+// exported counters are not listed here, WritePrometheus walks
+// obs.CounterTable for those. noEpoch marks a family read from the cell's
+// admission atomics, which exist before the first epoch; every other value
+// needs a published Snapshot.
 type promSeries struct {
-	name string
-	typ  string // "counter" or "gauge"
-	help string
-	val  func(c *Cell, s *Snapshot) float64
+	name    string
+	typ     string // "counter" or "gauge"
+	help    string
+	noEpoch bool
+	val     func(c *Cell, s *Snapshot) float64
 }
 
 //ftl:shardsafe immutable metric-family catalog: initialized once, only ever read
-var promCounters = []promSeries{
-	{"ftl_requests_total", "counter", "Host requests served.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.Requests) }},
-	{"ftl_page_reads_total", "counter", "User data page reads.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.PageReads) }},
-	{"ftl_page_writes_total", "counter", "User data page writes.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.PageWrites) }},
-	{"ftl_lookups_total", "counter", "Translation cache lookups.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.Lookups) }},
-	{"ftl_hits_total", "counter", "Translation cache hits.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.Hits) }},
-	{"ftl_flash_reads_total", "counter", "Flash page reads.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.FlashReads) }},
-	{"ftl_flash_programs_total", "counter", "Flash page programs.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.FlashPrograms) }},
-	{"ftl_flash_erases_total", "counter", "Flash block erases.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.FlashErases) }},
-	{"ftl_trans_reads_total", "counter", "Translation page reads.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.TransReads) }},
-	{"ftl_trans_writes_total", "counter", "Translation page writes.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.TransWrites) }},
-	{"ftl_prefetched_total", "counter", "Translation entries prefetched.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.Prefetched) }},
-	{"ftl_trimmed_pages_total", "counter", "Logical pages invalidated by TRIM.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.TrimmedPages) }},
-	{"ftl_flushes_total", "counter", "Host flush barriers served.",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.Flushes) }},
-	{"ftl_response_seconds_total", "counter", "Summed request response time (simulated).",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.ResponseNS) / 1e9 }},
-	{"ftl_service_seconds_total", "counter", "Summed request service time (simulated).",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.ServiceNS) / 1e9 }},
-	{"ftl_queue_seconds_total", "counter", "Summed request queueing time (simulated).",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.QueueNS) / 1e9 }},
-	{"ftl_gc_seconds_total", "counter", "Summed garbage-collection time (simulated).",
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Total.GCNS) / 1e9 }},
-	{"ftl_telemetry_epochs_total", "counter", "Telemetry epochs published.",
+var promPlane = []promSeries{
+	{"ftl_telemetry_epochs_total", "counter", "Telemetry epochs published.", false,
 		func(_ *Cell, s *Snapshot) float64 { return float64(s.Seq) }},
-	{"ftl_admitted_total", "counter", "Requests admitted by the shard frontend.",
+	{"ftl_admitted_total", "counter", "Requests admitted by the shard frontend.", true,
 		func(c *Cell, _ *Snapshot) float64 { a, _, _ := c.QueueStats(); return float64(a) }},
-}
-
-//ftl:shardsafe immutable metric-family catalog: initialized once, only ever read
-var promGauges = []promSeries{
-	{"ftl_sim_time_seconds", "gauge", "Simulated clock at the latest epoch.",
+	{"ftl_sim_time_seconds", "gauge", "Simulated clock at the latest epoch.", false,
 		func(_ *Cell, s *Snapshot) float64 { return float64(s.SimNS) / 1e9 }},
-	{"ftl_hit_ratio", "gauge", "Cumulative translation-cache hit ratio.",
+	{"ftl_hit_ratio", "gauge", "Cumulative translation-cache hit ratio.", false,
 		func(_ *Cell, s *Snapshot) float64 { return s.HitRatio() }},
-	{"ftl_max_response_seconds", "gauge", "Largest response time observed.",
+	{"ftl_max_response_seconds", "gauge", "Largest response time observed.", false,
 		func(_ *Cell, s *Snapshot) float64 { return float64(s.MaxResponseNS) / 1e9 }},
-	{"ftl_queue_depth_mean", "gauge", "Mean in-flight depth at admission.",
+	{"ftl_queue_depth_mean", "gauge", "Mean in-flight depth at admission.", true,
 		func(c *Cell, _ *Snapshot) float64 { return c.MeanDepth() }},
-	{"ftl_queue_depth_max", "gauge", "Largest in-flight depth at admission.",
+	{"ftl_queue_depth_max", "gauge", "Largest in-flight depth at admission.", true,
 		func(c *Cell, _ *Snapshot) float64 { _, _, m := c.QueueStats(); return float64(m) }},
 }
 
 // WritePrometheus renders the plane's current state in the Prometheus text
-// exposition format (version 0.0.4): one series per shard plus the GC-pool
-// split, run info, and the sampler's progress view. Reads only published
+// exposition format (version 0.0.4): one series per shard and counter-table
+// row (totals are base-folded in the cells, so each is monotonically
+// non-decreasing across scrapes, warm-up resets included), the plane's own
+// families, run info, and the sampler's progress view. Reads only published
 // epochs and atomics — never the live simulation state.
 func WritePrometheus(w io.Writer, p *Plane) error {
 	bw := bufio.NewWriter(w)
 	cells := p.Cells()
 
-	writeFamily := func(fam promSeries, needSnap bool) {
-		header(bw, fam.name, fam.typ, fam.help)
+	for i := range obs.CounterTable {
+		def := &obs.CounterTable[i]
+		if i == 0 || def.Family != obs.CounterTable[i-1].Family {
+			header(bw, def.Family, "counter", def.Help)
+		}
 		for _, c := range cells {
 			s := c.Load()
-			if s == nil && needSnap {
+			if s == nil {
 				continue
 			}
-			sample(bw, fam.name, shardLabel(c.Shard()), fam.val(c, s))
+			v, labels := float64(s.Total[i]), shardLabel(c.Shard())
+			if def.Seconds {
+				v /= 1e9
+			}
+			if def.Label != "" {
+				labels += "," + def.Label
+			}
+			sample(bw, def.Family, labels, v)
 		}
 	}
-	for _, fam := range promCounters {
-		// Frontend admission counts exist before the first epoch.
-		writeFamily(fam, fam.name != "ftl_admitted_total")
-	}
-	for _, fam := range promGauges {
-		writeFamily(fam, fam.name != "ftl_queue_depth_mean" && fam.name != "ftl_queue_depth_max")
-	}
-
-	header(bw, "ftl_gc_collections_total", "counter", "Garbage collections by pool.")
-	for _, c := range cells {
-		if s := c.Load(); s != nil {
-			sh := strconv.Itoa(c.Shard())
-			sample(bw, "ftl_gc_collections_total", `shard="`+sh+`",pool="data"`, float64(s.GCData))
-			sample(bw, "ftl_gc_collections_total", `shard="`+sh+`",pool="trans"`, float64(s.GCTrans))
+	for _, fam := range promPlane {
+		header(bw, fam.name, fam.typ, fam.help)
+		for _, c := range cells {
+			if s := c.Load(); s != nil || fam.noEpoch {
+				sample(bw, fam.name, shardLabel(c.Shard()), fam.val(c, s))
+			}
 		}
 	}
 

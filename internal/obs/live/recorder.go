@@ -117,7 +117,7 @@ func (r *Recorder) Tail(dst []Record) []Record {
 // DumpRecorders writes a readable post-mortem report of every shard's
 // flight recorder: the last N admitted requests and scheduler events per
 // shard, oldest first. The format is stable enough to validate
-// (ValidateRecorderDump, cmd/obsvalidate -recorder).
+// (ValidateRecorderDump).
 func (p *Plane) DumpRecorders(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	cells := p.Cells()

@@ -101,7 +101,8 @@ func TestValidateTraceRejectsMalformed(t *testing.T) {
 func TestValidateMetricsJSONL(t *testing.T) {
 	mkRec := func(seq, simt, reqs int64) SnapshotRecord {
 		rec := SnapshotRecord{Seq: seq, SimTimeNS: simt, Requests: reqs}
-		rec.Total.Requests = reqs
+		rec.Total[CtrRequests] = reqs
+		rec.Delta[CtrRequests] = reqs / seq // every stream here grows by a constant step
 		for p := Phase(0); p < NumPhases; p++ {
 			var h Histogram
 			h.Record(time.Duration(seq) * time.Microsecond)
@@ -147,6 +148,34 @@ func TestValidateMetricsJSONL(t *testing.T) {
 			w.Write(&r2)
 			w.Flush()
 			return b.Bytes()
+		},
+		"flash_reads backwards": func() []byte {
+			var b bytes.Buffer
+			w := NewMetricsWriter(&b)
+			r1, r2 := mkRec(1, 1000, 1), mkRec(2, 2000, 2)
+			r1.Total[CtrFlashReads], r2.Total[CtrFlashReads], r2.Delta[CtrFlashReads] = 5, 4, -1
+			w.Write(&r1)
+			w.Write(&r2)
+			w.Flush()
+			return b.Bytes()
+		},
+		"delta.hits disagrees with totals": func() []byte {
+			var b bytes.Buffer
+			w := NewMetricsWriter(&b)
+			r1, r2 := mkRec(1, 1000, 1), mkRec(2, 2000, 2)
+			r1.Total[CtrHits], r2.Total[CtrHits], r2.Delta[CtrHits] = 3, 5, 1
+			w.Write(&r1)
+			w.Write(&r2)
+			w.Flush()
+			return b.Bytes()
+		},
+		"unknown counter": func() []byte {
+			var b bytes.Buffer
+			w := NewMetricsWriter(&b)
+			r := mkRec(1, 1000, 1)
+			w.Write(&r)
+			w.Flush()
+			return bytes.Replace(b.Bytes(), []byte(`"total":{`), []byte(`"total":{"bogus":1,`), 1)
 		},
 		"missing phase": func() []byte {
 			var b bytes.Buffer

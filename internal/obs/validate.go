@@ -9,18 +9,19 @@ import (
 
 // ValidateMetricsJSONL checks a -metrics-out stream against the snapshot
 // schema: every line parses as a SnapshotRecord, seq starts at 1 and
-// increments by one, simulated time and cumulative counters are
-// non-decreasing, every phase name appears exactly once per line, and each
-// phase's quantiles are ordered (min ≤ p50 ≤ p90 ≤ p99 ≤ p999 ≤ max). It
-// returns the number of valid records.
+// increments by one, simulated time and every cumulative counter of the
+// table are non-decreasing, from the second line on delta is the difference
+// of consecutive totals, every phase name appears exactly once per line, and
+// each phase's quantiles are ordered (min ≤ p50 ≤ p90 ≤ p99 ≤ p999 ≤ max).
+// It returns the number of valid records.
 func ValidateMetricsJSONL(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	var (
-		n        int
-		prevSeq  int64
-		prevTime int64
-		prevReq  int64
+		n         int
+		prevSeq   int64
+		prevTime  int64
+		prevTotal Counters
 	)
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -37,11 +38,17 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 		if rec.SimTimeNS < prevTime {
 			return n, fmt.Errorf("metrics line %d: sim_time_ns went backwards (%d < %d)", n+1, rec.SimTimeNS, prevTime)
 		}
-		if rec.Requests < prevReq {
-			return n, fmt.Errorf("metrics line %d: requests went backwards (%d < %d)", n+1, rec.Requests, prevReq)
+		if rec.Total[CtrRequests] != rec.Requests {
+			return n, fmt.Errorf("metrics line %d: total.requests %d != requests %d", n+1, rec.Total[CtrRequests], rec.Requests)
 		}
-		if rec.Total.Requests != rec.Requests {
-			return n, fmt.Errorf("metrics line %d: total.requests %d != requests %d", n+1, rec.Total.Requests, rec.Requests)
+		for i := range CounterTable {
+			key, total, prev := CounterTable[i].Key, rec.Total[i], prevTotal[i]
+			if total < prev {
+				return n, fmt.Errorf("metrics line %d: total.%s went backwards (%d < %d)", n+1, key, total, prev)
+			}
+			if n > 0 && rec.Delta[i] != total-prev {
+				return n, fmt.Errorf("metrics line %d: delta.%s %d != total %d - previous total %d", n+1, key, rec.Delta[i], total, prev)
+			}
 		}
 		seen := make(map[string]bool, NumPhases)
 		for _, ph := range rec.Phases {
@@ -67,7 +74,7 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 		if len(seen) != int(NumPhases) {
 			return n, fmt.Errorf("metrics line %d: %d phases present, want %d", n+1, len(seen), NumPhases)
 		}
-		prevSeq, prevTime, prevReq = rec.Seq, rec.SimTimeNS, rec.Requests
+		prevSeq, prevTime, prevTotal = rec.Seq, rec.SimTimeNS, rec.Total
 		n++
 	}
 	if err := sc.Err(); err != nil {

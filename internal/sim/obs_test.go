@@ -74,8 +74,8 @@ func TestObservabilityDoesNotPerturbSimulation(t *testing.T) {
 
 // TestObservabilityExportsDeterministic pins the artifacts themselves: two
 // identical runs must emit byte-identical JSONL and trace files, and both
-// must pass the repo's own schema validators (the same checks `make
-// obs-smoke` and cmd/obsvalidate run).
+// must pass the repo's own schema validators (the ones cmd/ftlsim's
+// end-to-end test runs over the files the binary writes).
 func TestObservabilityExportsDeterministic(t *testing.T) {
 	var trace1, metrics1, trace2, metrics2 bytes.Buffer
 	obsParallelRun(t, &trace1, &metrics1)

@@ -222,7 +222,7 @@ func TestParallelSpeedup(t *testing.T) {
 		serial, par, float64(serial)/float64(par))
 }
 
-// TestQueueDepthSweepSmoke is the bench-smoke sweep: on a 4-channel device a
+// TestQueueDepthSweepSmoke is the queue-depth sweep: on a 4-channel device a
 // deeper queue must never make the same trace slower, and depth > 1 must
 // beat depth 1 outright (there is exploitable parallelism).
 func TestQueueDepthSweepSmoke(t *testing.T) {
