@@ -1160,6 +1160,22 @@ func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 			return errf("unmapped[%d] = %d, translation page has %d persisted-unmapped slots", v, d.unmapped[v], n)
 		}
 	}
+	// Every dirty entry must hold the truth. The set is small (a cache's
+	// worth against a device's worth of pages), so it is walked itself rather
+	// than probed once per logical page; the lowest offending LPN is the one
+	// reported, whatever order the map yields.
+	bad := LPN(d.logicalPages)
+	for lpn, ppn := range dirtyCached {
+		if lpn < 0 || int64(lpn) >= d.logicalPages || ppn == d.truth[lpn] {
+			continue
+		}
+		if lpn < bad {
+			bad = lpn
+		}
+	}
+	if int64(bad) < d.logicalPages {
+		return errf("dirty cache entry for lpn %d holds %d, truth %d", bad, dirtyCached[bad], d.truth[bad])
+	}
 	for lpn := int64(0); lpn < d.logicalPages; lpn++ {
 		t, p := d.truth[lpn], d.persist[lpn]
 		if t.Valid() {
@@ -1170,14 +1186,10 @@ func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 				return errf("truth[%d] = %d has meta %+v", lpn, t, m)
 			}
 		}
-		if dirtyCached == nil {
+		if t == p || dirtyCached == nil {
 			continue
 		}
-		dirtyPPN, dirty := dirtyCached[LPN(lpn)]
-		if dirty && dirtyPPN != t {
-			return errf("dirty cache entry for lpn %d holds %d, truth %d", lpn, dirtyPPN, t)
-		}
-		if t != p && !dirty {
+		if _, dirty := dirtyCached[LPN(lpn)]; !dirty {
 			return errf("lpn %d: truth %d != persist %d with no dirty cache entry", lpn, t, p)
 		}
 	}

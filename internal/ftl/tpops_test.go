@@ -5,7 +5,10 @@ package ftl_test
 // and the allocation-free collection.
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -182,6 +185,46 @@ func TestCheckConsistencyRecountsUnmapped(t *testing.T) {
 		if err := d.CheckConsistency(nil); err == nil {
 			t.Fatalf("format=%v: CheckConsistency accepted overstated unmapped[] counts", format)
 		}
+	}
+}
+
+// TestCheckConsistencyDirtySetErrors doctors the dirty set a real device's
+// translator reports and expects each of the two dirty-set checks to fire: an
+// entry that disagrees with the truth (the lowest such LPN is the one named,
+// whatever order the map yields), and a page whose truth left its persisted
+// mapping behind with no dirty entry to account for it.
+func TestCheckConsistencyDirtySetErrors(t *testing.T) {
+	cfg := tpopsConfig(4 * 128)
+	tr := dftl.New(dftl.Config{CacheBytes: cfg.CacheBytes})
+	d := newTPOpsDevice(t, cfg, tr, true)
+	for _, lpn := range []int64{300, 17, 140, 450} {
+		if _, err := d.Serve(trace.Request{Op: trace.OpWrite, Offset: lpn * tpopsPageSize, Length: tpopsPageSize}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirty := tr.DirtyCached()
+	if err := d.CheckConsistency(dirty); err != nil {
+		t.Fatalf("undoctored: %v", err)
+	}
+	for _, lpn := range []ftl.LPN{17, 140, 300} {
+		if _, ok := dirty[lpn]; !ok {
+			t.Fatalf("lpn %d is not dirty in the cache; the doctoring below needs it", lpn)
+		}
+	}
+
+	wrong := maps.Clone(dirty)
+	wrong[300]++
+	wrong[140]++
+	err := d.CheckConsistency(wrong)
+	if want := fmt.Sprintf("dirty cache entry for lpn 140 holds %d, truth %d", wrong[140], dirty[140]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("two dirty entries off the truth: got %v, want %q", err, want)
+	}
+
+	missing := maps.Clone(dirty)
+	delete(missing, 17)
+	err = d.CheckConsistency(missing)
+	if want := fmt.Sprintf("lpn 17: truth %d != persist %d with no dirty cache entry", dirty[17], d.Persisted(17)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("dirty entry withheld: got %v, want %q", err, want)
 	}
 }
 

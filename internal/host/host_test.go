@@ -85,7 +85,7 @@ func mixedTrace(seed int64, n int, space, pageBytes int64, arrivalStep int64) []
 		}
 		pages := space / pageBytes
 		first := rng.Int63n(pages)
-		span := 1 + rng.Int63n(min64(16, pages-first))
+		span := 1 + rng.Int63n(min(16, pages-first))
 		reqs = append(reqs, trace.Request{
 			Arrival: arrival,
 			Offset:  first * pageBytes,

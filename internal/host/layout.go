@@ -164,22 +164,41 @@ func (l Layout) Fragments(r trace.Request, out []Fragment) ([]Fragment, error) {
 	if r.End() > l.LogicalBytes {
 		return out, fmt.Errorf("host: request [%d,%d) beyond capacity %d", r.Offset, r.End(), l.LogicalBytes)
 	}
+	// The range covers global chunks [ga,gb]. Chunk g is shard g mod n's
+	// local chunk g div n, so with ga = qa·n + ra and gb = qb·n + rb the
+	// chunks shard s owns in the range are its local chunks l0 through ll:
+	// l0 is qa, or qa+1 when s lies before ra in ga's stripe; ll is qb, or
+	// qb−1 when s lies after rb in gb's. The divisions are paid once per
+	// request, not per shard.
 	n := int64(l.Shards)
 	cb := l.chunkBytes
 	ga := r.Offset / cb
 	gb := (r.End() - 1) / cb
+	qa, qb := ga/n, gb/n
+	ra, rb := ga-qa*n, gb-qb*n
 	for s := int64(0); s < n; s++ {
-		// First and last chunks of [ga,gb] owned by shard s.
-		g0 := ga + ((s-ga%n)+n)%n
-		if g0 > gb {
+		l0, ll := qa, qb
+		if s < ra {
+			l0++
+		}
+		if s > rb {
+			ll--
+		}
+		if l0 > ll {
 			continue
 		}
-		gl := gb - ((gb%n-s)+n)%n
 		// The range covers every chunk strictly between ga and gb in full,
 		// and consecutive owned chunks are consecutive local chunks, so the
-		// shard's image is one contiguous local byte range.
-		start := (g0/n)*cb + max64(r.Offset-g0*cb, 0)
-		end := (gl/n)*cb + min64(r.End()-gl*cb, cb)
+		// shard's image is one contiguous local byte range: whole chunks,
+		// except that ga starts at the request's offset into it and gb ends
+		// at the request's end.
+		start, end := l0*cb, (ll+1)*cb
+		if s == ra {
+			start += r.Offset - ga*cb
+		}
+		if s == rb {
+			end += r.End() - (gb+1)*cb
+		}
 		out = append(out, Fragment{Shard: int(s), Req: trace.Request{
 			Arrival: r.Arrival,
 			Offset:  start,
@@ -264,18 +283,4 @@ func mix64(x uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

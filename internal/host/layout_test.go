@@ -159,6 +159,56 @@ func TestFragmentsMatchBruteForce(t *testing.T) {
 	}
 }
 
+// fragmentsByDivision is the routing formula Fragments used before the
+// divisions were hoisted out of the per-shard loop — a modulo pair and two
+// divisions per shard — kept as the reference the hoisted form is checked
+// against.
+func fragmentsByDivision(l Layout, r trace.Request) []Fragment {
+	var out []Fragment
+	n, cb := int64(l.Shards), l.ChunkBytes()
+	ga, gb := r.Offset/cb, (r.End()-1)/cb
+	for s := int64(0); s < n; s++ {
+		g0 := ga + ((s-ga%n)+n)%n
+		if g0 > gb {
+			continue
+		}
+		gl := gb - ((gb%n-s)+n)%n
+		start := (g0/n)*cb + max(r.Offset-g0*cb, 0)
+		end := (gl/n)*cb + min(r.End()-gl*cb, cb)
+		out = append(out, Fragment{Shard: int(s), Req: trace.Request{
+			Arrival: r.Arrival, Offset: start, Length: end - start, Op: r.Op,
+		}})
+	}
+	return out
+}
+
+// TestFragmentsMatchDivisionFormula is exhaustive where the brute-force test
+// samples: every (offset, length) of a layout with byte-sized cells — 8 B
+// chunks, 10.5 of them, so five shards still see two full stripes and the
+// partial tail — must fragment exactly as the per-shard division formula
+// does, same fragments in the same ascending-shard order.
+func TestFragmentsMatchDivisionFormula(t *testing.T) {
+	for shards := 1; shards <= 5; shards++ {
+		l, err := NewLayout(shards, 10*8+4, 4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Fragment
+		for off := int64(0); off < l.LogicalBytes; off++ {
+			for length := int64(1); off+length <= l.LogicalBytes; length++ {
+				r := trace.Request{Arrival: off, Offset: off, Length: length, Op: trace.OpWrite}
+				got, err = l.Fragments(r, got[:0])
+				if err != nil {
+					t.Fatalf("shards=%d: Fragments(%+v): %v", shards, r, err)
+				}
+				if want := fragmentsByDivision(l, r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("shards=%d: Fragments(%+v) = %+v, division formula %+v", shards, r, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFragmentsFlushBroadcast(t *testing.T) {
 	l := testLayout(t, 3)
 	frags, err := l.Fragments(trace.Request{Op: trace.OpFlush}, nil)
@@ -203,7 +253,7 @@ func TestPartitionConservation(t *testing.T) {
 			continue
 		}
 		off := rng.Int63n(l.LogicalBytes)
-		length := 1 + rng.Int63n(min64(l.LogicalBytes-off, 4*l.ChunkBytes()))
+		length := 1 + rng.Int63n(min(l.LogicalBytes-off, 4*l.ChunkBytes()))
 		reqs = append(reqs, trace.Request{Offset: off, Length: length, Op: trace.OpWrite})
 		payload += length
 	}

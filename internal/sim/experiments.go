@@ -2,7 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -66,6 +69,39 @@ func (e ExpConfig) profiles() []workload.Profile {
 	return ps
 }
 
+// runAll executes independent runs on min(GOMAXPROCS, len(opts)) workers and
+// returns their results in opts order, or the error of the first run in that
+// order that failed — what a serial loop over opts would return. Workers take
+// runs in index order and stop taking new ones after a failure, so every run
+// before the first failing one has been started and is waited for.
+func runAll(opts []Options) ([]*Result, error) {
+	res := make([]*Result, len(opts))
+	errs := make([]error, len(opts))
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(opts)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(opts) {
+					return
+				}
+				if res[i], errs[i] = Run(opts[i]); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // ComparisonCell is one (workload, scheme) measurement set, covering
 // Figs. 6a–f and 7a plus Table 2.
 type ComparisonCell struct {
@@ -89,31 +125,35 @@ func (e ExpConfig) RunComparison() ([]ComparisonCell, error) {
 	if e.AllSchemes {
 		schemes = []Scheme{SchemeDFTL, SchemeTPFTL, SchemeSFTL, SchemeCDFTL, SchemeZFTL, SchemeOptimal}
 	}
-	var out []ComparisonCell
+	var opts []Options
 	for _, p := range e.profiles() {
 		for _, s := range schemes {
-			r, err := Run(Options{
+			opts = append(opts, Options{
 				Scheme:           s,
 				Profile:          p,
 				Requests:         e.Requests,
 				Seed:             e.Seed,
 				ResetAfterWarmup: e.Warmup, Precondition: e.Precondition,
 			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ComparisonCell{
-				Workload: p.Name,
-				Scheme:   s,
-				Prd:      r.M.Prd(),
-				Hr:       r.M.Hr(),
-				TReads:   r.M.TransReads(),
-				TWrites:  r.M.TransWrites(),
-				Resp:     r.M.AvgResponse(),
-				WA:       r.M.WriteAmplification(),
-				Erases:   r.M.FlashErases,
-			})
 		}
+	}
+	results, err := runAll(opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []ComparisonCell
+	for _, r := range results {
+		out = append(out, ComparisonCell{
+			Workload: r.Workload,
+			Scheme:   r.Scheme,
+			Prd:      r.M.Prd(),
+			Hr:       r.M.Hr(),
+			TReads:   r.M.TransReads(),
+			TWrites:  r.M.TransWrites(),
+			Resp:     r.M.AvgResponse(),
+			WA:       r.M.WriteAmplification(),
+			Erases:   r.M.FlashErases,
+		})
 	}
 	return out, nil
 }
@@ -209,32 +249,28 @@ func AblationVariants(cacheBytes int64) []core.Config {
 func (e ExpConfig) RunAblation() ([]AblationCell, error) {
 	e = e.Defaults()
 	p := workload.Financial1()
-	var out []AblationCell
-
-	dftlRes, err := Run(Options{
+	opts := []Options{{
 		Scheme: SchemeDFTL, Profile: p, Requests: e.Requests,
 		Seed: e.Seed, ResetAfterWarmup: e.Warmup, Precondition: e.Precondition,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, AblationCell{
-		Variant: "DFTL",
-		Prd:     dftlRes.M.Prd(), Hr: dftlRes.M.Hr(),
-		Resp: dftlRes.M.AvgResponse(), WA: dftlRes.M.WriteAmplification(),
-	})
-
+	}}
 	for _, cfg := range AblationVariants(0) {
-		cfg := cfg
-		r, err := Run(Options{
+		opts = append(opts, Options{
 			Scheme: SchemeTPFTL, TPFTL: &cfg, Profile: p,
 			Requests: e.Requests, Seed: e.Seed, ResetAfterWarmup: e.Warmup, Precondition: e.Precondition,
 		})
-		if err != nil {
-			return nil, err
+	}
+	results, err := runAll(opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []AblationCell
+	for _, r := range results {
+		variant := r.Variant
+		if r.Scheme == SchemeDFTL {
+			variant = "DFTL"
 		}
 		out = append(out, AblationCell{
-			Variant: r.Variant,
+			Variant: variant,
 			Prd:     r.M.Prd(), Hr: r.M.Hr(),
 			Resp: r.M.AvgResponse(), WA: r.M.WriteAmplification(),
 		})
@@ -262,26 +298,30 @@ func SweepFractions() []float64 {
 // RunCacheSweep reproduces Figs. 8c and 9: TPFTL across cache sizes.
 func (e ExpConfig) RunCacheSweep() ([]SweepCell, error) {
 	e = e.Defaults()
-	var out []SweepCell
+	var opts []Options
 	for _, p := range e.profiles() {
 		for _, frac := range SweepFractions() {
-			r, err := Run(Options{
+			opts = append(opts, Options{
 				Scheme: SchemeTPFTL, Profile: p,
 				Requests: e.Requests, Seed: e.Seed,
 				CacheFraction: frac, ResetAfterWarmup: e.Warmup, Precondition: e.Precondition,
 			})
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, SweepCell{
-				Workload: p.Name,
-				Fraction: frac,
-				Prd:      r.M.Prd(),
-				Hr:       r.M.Hr(),
-				Resp:     r.M.AvgResponse(),
-				WA:       r.M.WriteAmplification(),
-			})
 		}
+	}
+	results, err := runAll(opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []SweepCell
+	for i, r := range results {
+		out = append(out, SweepCell{
+			Workload: r.Workload,
+			Fraction: opts[i].CacheFraction,
+			Prd:      r.M.Prd(),
+			Hr:       r.M.Hr(),
+			Resp:     r.M.AvgResponse(),
+			WA:       r.M.WriteAmplification(),
+		})
 	}
 	return out, nil
 }
@@ -309,28 +349,32 @@ func (e ExpConfig) RunSpaceUtilization() ([]UtilizationCell, error) {
 		}
 		return sum / float64(len(samples))
 	}
-	var out []UtilizationCell
+	// Each cell is a (TPFTL, DFTL) pair of runs, adjacent in opts.
+	var opts []Options
 	for _, p := range e.profiles() {
 		for _, frac := range SweepFractions()[:6] { // beyond 1/4 both cache everything
-			var means [2]float64
-			for i, s := range []Scheme{SchemeTPFTL, SchemeDFTL} {
-				r, err := Run(Options{
+			for _, s := range []Scheme{SchemeTPFTL, SchemeDFTL} {
+				opts = append(opts, Options{
 					Scheme: s, Profile: p,
 					Requests: e.Requests, Seed: e.Seed,
 					CacheFraction: frac, SampleEvery: sampleEvery,
 					Precondition: e.Precondition,
 				})
-				if err != nil {
-					return nil, err
-				}
-				means[i] = meanEntries(r.Samples)
 			}
-			cell := UtilizationCell{Workload: p.Name, Fraction: frac}
-			if means[1] > 0 {
-				cell.Improvement = means[0]/means[1] - 1
-			}
-			out = append(out, cell)
 		}
+	}
+	results, err := runAll(opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []UtilizationCell
+	for i := 0; i < len(results); i += 2 {
+		tpftl, dftl := meanEntries(results[i].Samples), meanEntries(results[i+1].Samples)
+		cell := UtilizationCell{Workload: results[i].Workload, Fraction: opts[i].CacheFraction}
+		if dftl > 0 {
+			cell.Improvement = tpftl/dftl - 1
+		}
+		out = append(out, cell)
 	}
 	return out, nil
 }
@@ -353,17 +397,21 @@ type DistributionResult struct {
 // 10,000 user page accesses).
 func (e ExpConfig) RunCacheDistribution() ([]DistributionResult, error) {
 	e = e.Defaults()
-	var out []DistributionResult
+	var opts []Options
 	for _, p := range e.profiles() {
-		r, err := Run(Options{
+		opts = append(opts, Options{
 			Scheme: SchemeDFTL, Profile: p,
 			Requests: e.Requests, Seed: e.Seed,
 			SampleEvery: 10_000, Precondition: e.Precondition,
 		})
-		if err != nil {
-			return nil, err
-		}
-		res := DistributionResult{Workload: p.Name}
+	}
+	results, err := runAll(opts)
+	if err != nil {
+		return nil, err
+	}
+	var out []DistributionResult
+	for _, r := range results {
+		res := DistributionResult{Workload: r.Workload}
 		hist := map[int]int{}
 		totalPages, totalDirty := 0, 0
 		for _, s := range r.Samples {

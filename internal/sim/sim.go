@@ -6,6 +6,7 @@ package sim
 import (
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/flash"
@@ -319,7 +320,7 @@ func Run(o Options) (*Result, error) {
 	n := max(o.Shards, 1)
 	if n > 1 {
 		// Samples, exports and fault plans attach to one device; spreading
-		// them over several is ROADMAP items 4/5.
+		// them over several is ROADMAP items 1(b) and 2.
 		switch {
 		case o.SampleEvery > 0:
 			return nil, fmt.Errorf("sim: cache sampling is per-device; not supported with Shards")
@@ -348,51 +349,53 @@ func Run(o Options) (*Result, error) {
 		cfg.CacheBytes = max(cfg.CacheBytes/int64(n), ftl.EntryBytesRAM)
 		tpftlCfg = &cfg
 	}
+	// Age only the workload's footprint: the cold remainder stays in its
+	// pristine fully-valid blocks, exactly where a long-running device's GC
+	// would have consolidated it. Each shard ages its own image of the
+	// footprint: the striping is chunk-interleaved, so a footprint prefix of
+	// the global space maps to a prefix of every shard's local space.
+	footBytes := profile.FootprintBytes()
+	if src.maxEnd > 0 && src.maxEnd < footBytes {
+		footBytes = src.maxEnd
+	}
+	footPages := footBytes / int64(devCfg.PageSize)
+
+	// Every shard is an independent device for its whole life — own
+	// translator, chip, block manager and seed — so each is built, formatted,
+	// aged and warmed on its own goroutine (see perShard).
 	devs := make([]*ftl.Device, n)
 	trs := make([]ftl.Translator, n)
-	for s := range devs {
+	err = perShard(n, func(s int) error {
 		tr, err := NewTranslator(o.Scheme, cfgs[s].CacheBytes, cfgs[s].LogicalPages(), tpftlCfg)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		dev, err := ftl.NewDevice(cfgs[s], tr)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := dev.Format(); err != nil {
-			return nil, err
+			return err
 		}
-		devs[s], trs[s] = dev, tr
-	}
-
-	if o.Precondition > 0 {
-		// Age only the workload's footprint: the cold remainder stays in
-		// its pristine fully-valid blocks, exactly where a long-running
-		// device's GC would have consolidated it. Each shard ages its own
-		// image of the footprint: the striping is chunk-interleaved, so a
-		// footprint prefix of the global space maps to a prefix of every
-		// shard's local space.
-		footBytes := profile.FootprintBytes()
-		if src.maxEnd > 0 && src.maxEnd < footBytes {
-			footBytes = src.maxEnd
-		}
-		footPages := footBytes / int64(devCfg.PageSize)
-		for s, dev := range devs {
+		if o.Precondition > 0 {
 			image := lay.ImagePages(s, footPages)
 			writes := int(o.Precondition * float64(image))
 			if err := dev.PreconditionRange(writes, image, o.Seed+1+int64(s)); err != nil {
-				return nil, err
+				return err
 			}
 			dev.ResetMetrics()
 		}
-	}
-	// Warm after preconditioning: the optimal FTL snapshots the live
-	// mapping (it holds the authoritative table in RAM and never reads
-	// the persisted translation pages).
-	for s, tr := range trs {
+		// Warm after preconditioning: the optimal FTL snapshots the live
+		// mapping (it holds the authoritative table in RAM and never reads
+		// the persisted translation pages).
 		if w, ok := tr.(ftl.Warmer); ok {
-			w.Warm(devs[s].Truth)
+			w.Warm(dev.Truth)
 		}
+		devs[s], trs[s] = dev, tr
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -446,9 +449,10 @@ func Run(o Options) (*Result, error) {
 		if _, err := h.ReplayStream(trace.Limit(it, int64(warm)), replay); err != nil {
 			return nil, fmt.Errorf("sim: %s/%s warm-up: %w", o.Scheme, profile.Name, err)
 		}
-		for _, dev := range devs {
-			dev.ResetMetrics()
-		}
+		_ = perShard(n, func(s int) error {
+			devs[s].ResetMetrics()
+			return nil
+		})
 	}
 	// Faults and the observability sinks are armed only for the measured
 	// phase (after warm-up's ResetMetrics), so fault indexes land in — and
@@ -477,17 +481,55 @@ func Run(o Options) (*Result, error) {
 	res.Digest = out.Digest
 	res.Shards = out.Shards
 
-	for s, dev := range devs {
-		if err := dev.FinishObservability(); err != nil {
-			return nil, fmt.Errorf("sim: %s/%s observability flush: %w", o.Scheme, profile.Name, err)
+	// Consistency is part of every run: a scheme that survives the trace but
+	// corrupted its mapping must not produce results.
+	err = perShard(n, func(s int) error {
+		if err := devs[s].FinishObservability(); err != nil {
+			return fmt.Errorf("sim: %s/%s shard %d observability flush: %w", o.Scheme, profile.Name, s, err)
 		}
-		// Consistency is part of every run: a scheme that survives the
-		// trace but corrupted its mapping must not produce results.
-		if err := dev.CheckConsistency(dirtySetOf(trs[s])); err != nil {
-			return nil, fmt.Errorf("sim: %s/%s shard %d post-run consistency: %w", o.Scheme, profile.Name, s, err)
+		if err := devs[s].CheckConsistency(dirtySetOf(trs[s])); err != nil {
+			return fmt.Errorf("sim: %s/%s shard %d post-run consistency: %w", o.Scheme, profile.Name, s, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
+}
+
+// perShard calls fn(s) for every shard s in [0, n) and returns the
+// lowest-index shard's error. One shard is called inline on the calling
+// goroutine; two or more get one goroutine each, all joined before perShard
+// returns. Shards share no mutable state, so fn may touch anything that
+// belongs to shard s and nothing else, and what it computes cannot depend on
+// how the goroutines interleave.
+func perShard(n int, fn func(s int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for s := 0; s < n; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = fn(s)
+		}()
+	}
+	wg.Wait()
+	return firstError(errs)
+}
+
+// firstError returns the lowest-index non-nil error: the one a serial loop
+// over the same work would have stopped at.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dirtySetOf extracts the dirty cached entries from any scheme that exposes
