@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -87,6 +88,13 @@ func main() {
 		recorderOut       = flag.String("recorder-out", "", "write the per-shard flight-recorder dump (last N requests + GC events) to this file after the run")
 	)
 	flag.Parse()
+	if *memprof != "" {
+		// Sample every page's worth of allocation, from before the run's
+		// first one: at the default 512 KiB a device of a few MiB is a
+		// handful of samples and whole arrays come out several times too
+		// large or missing.
+		runtime.MemProfileRate = os.Getpagesize()
+	}
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)
 		if err != nil {
@@ -120,6 +128,9 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
+		// The heap profile is as of the last completed collection, and a
+		// streamed replay that allocates nothing may never have had one.
+		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "ftlsim:", err)
 			os.Exit(1)

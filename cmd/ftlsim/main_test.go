@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/ftl"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
 	"repro/internal/trace"
@@ -161,6 +163,48 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 		if !bytes.Equal(on.Bytes(), off) {
 			t.Fatalf("stdout differs with telemetry on:\n--- on\n%s\n--- off\n%s", on.Bytes(), off)
+		}
+	})
+
+	// -memprofile must size a small heap correctly: read the way the verify
+	// notes say to (go tool pprof -sample_index=alloc_space), the two
+	// constructors have to account for the device's arrays — 8 bytes per
+	// logical page, 9 per physical page, the chip's record per block. At the
+	// default 512 KiB sampling rate, or written without a collection first,
+	// the profile is off by whole arrays or empty.
+	t.Run("memprofile", func(t *testing.T) {
+		const scale = 1 << 30
+		prof := filepath.Join(t.TempDir(), "mem.pb.gz")
+		report(t, "-requests", "2000", "-scale", fmt.Sprint(scale), "-memprofile", prof)
+		top, err := exec.Command("go", "tool", "pprof", "-sample_index=alloc_space", "-unit=B", "-top", bin, prof).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go tool pprof: %v\n%s", err, top)
+		}
+		var got int64
+		for _, line := range strings.Split(string(top), "\n") {
+			f := strings.Fields(line)
+			if len(f) < 6 || (f[5] != "repro/internal/flash.New" && f[5] != "repro/internal/ftl.NewDevice") {
+				continue
+			}
+			var flat int64
+			if _, err := fmt.Sscanf(f[0], "%dB", &flat); err != nil {
+				t.Fatalf("pprof line %q: %v", line, err)
+			}
+			got += flat
+		}
+
+		cfg := ftl.DefaultConfig(scale)
+		cfg.Channels, cfg.Dies = ftl.DefaultChannels, ftl.DefaultDies
+		d, err := ftl.NewDevice(cfg, core.New(core.DefaultConfig(cfg.CacheBytes)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc := d.Chip().Config()
+		const blockRecord = 40 // flash's per-block state: sequence base, write pointer, valid and erase counts, worn flag
+		want := 8*d.Config().LogicalPages() + 9*fc.TotalPages() + blockRecord*int64(fc.NumBlocks)
+		if diff := float64(got-want) / float64(want); diff < -0.05 || diff > 0.05 {
+			t.Fatalf("flash.New + ftl.NewDevice allocated %d B by the profile, the device's arrays are %d B (%+.1f %%)\n%s",
+				got, want, 100*diff, top)
 		}
 	})
 }

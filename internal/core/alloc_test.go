@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"unsafe"
+
+	"repro/internal/ftl"
 )
 
 // The allocation guards pin the tentpole property of the performance PR: the
@@ -121,35 +123,90 @@ func TestSlabRecycleStress(t *testing.T) {
 }
 
 // TestSlabReusesNodes pins the recycling itself: after churn far beyond the
-// cache budget, the slabs must have stopped growing — every new install is
-// served from the free lists, not from fresh chunks.
+// cache budget the entry slab hands out no new position and the TP slab
+// allocates no fresh chunk — every new install is served from the free
+// lists.
 func TestSlabReusesNodes(t *testing.T) {
 	d, tr := newTPFTLDevice(t, DefaultConfig(0), 512)
 	rng := rand.New(rand.NewSource(7))
 	arrival := int64(0)
+	peakLive := 0
 	churn := func(n int) {
 		for i := 0; i < n; i++ {
 			if _, err := d.Serve(rd(arrival, rng.Int63n(4096))); err != nil {
 				t.Fatal(err)
 			}
 			arrival++
+			peakLive = max(peakLive, tr.Len())
 		}
 	}
-	churn(1_000)
-	// Total slab population = free + live; it only changes when a fresh
-	// chunk is allocated, so steady-state churn must keep it constant.
-	ePop := len(tr.eslab.free) + tr.entries
+	// Warm until the cache has been as full as it gets: how many 6-byte
+	// entries the budget holds depends on how many 8-byte TP nodes share it,
+	// and a new position is handed out exactly when more entries are live
+	// than ever before.
+	churn(3_000)
+	// Entry positions are handed out in order and never taken back, so
+	// len(nodes) is how many ever were. The TP slab's population, free +
+	// live, only changes when a fresh chunk is allocated.
+	handedOut := len(tr.eslab.nodes)
 	tPop := len(tr.tslab.free) + tr.pages.Len()
 	churn(5_000)
-	if got := len(tr.eslab.free) + tr.entries; got != ePop {
-		t.Fatalf("entry slab grew during steady-state churn: population %d -> %d", ePop, got)
+	if got := len(tr.eslab.nodes); got != handedOut {
+		t.Fatalf("entry slab handed out %d new positions during steady-state churn (%d -> %d)", got-handedOut, handedOut, got)
 	}
 	if got := len(tr.tslab.free) + tr.pages.Len(); got != tPop {
 		t.Fatalf("tp slab grew during steady-state churn: population %d -> %d", tPop, got)
 	}
-	t.Logf("steady state: %d entry nodes, %d tp nodes allocated in total", ePop, tPop)
+	if handedOut != peakLive {
+		t.Fatalf("%d positions handed out for at most %d entries live at once", handedOut, peakLive)
+	}
+	if int64(cap(tr.eslab.nodes)) != 512/tr.entryBytes {
+		t.Fatalf("%d entry slots; a 512-byte budget pays for %d entries", cap(tr.eslab.nodes), 512/tr.entryBytes)
+	}
+	t.Logf("steady state: %d of %d entry slots handed out, %d tp nodes allocated in total", handedOut, cap(tr.eslab.nodes), tPop)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEntrySlotsBoundedByLogicalPages: a budget that pays for more entries
+// than the device has logical pages — the whole table cached, and an absurd
+// 1 TiB beside a 64 MiB device — reserves one slot per logical page, not what
+// the budget would buy, and touching every page hands out exactly that many.
+func TestEntrySlotsBoundedByLogicalPages(t *testing.T) {
+	const logicalBytes = 64 << 20
+	pages := int64(logicalBytes / ftl.DefaultPageBytes)
+	for _, cacheBytes := range []int64{
+		pages * ftl.EntryBytesRAM, // sim.Options.CacheFraction 1.0; buys 4/3 of that in 6-byte entries
+		1 << 40,
+	} {
+		dcfg := ftl.DefaultConfig(logicalBytes)
+		dcfg.CacheBytes = cacheBytes
+		tr := New(DefaultConfig(cacheBytes))
+		d, err := ftl.NewDevice(dcfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Format(); err != nil {
+			t.Fatal(err)
+		}
+		if tr.eslab.nodes != nil {
+			t.Fatalf("budget %d: slab reserved before the first miss", cacheBytes)
+		}
+		for lpn := int64(0); lpn < pages; lpn += 8 {
+			if _, err := d.Serve(rdSpan(lpn, lpn, 8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := int64(cap(tr.eslab.nodes)); got > pages {
+			t.Fatalf("budget %d: %d entry slots for %d logical pages", cacheBytes, got, pages)
+		}
+		if got := int64(len(tr.eslab.nodes)); got != int64(tr.Len()) || got > pages {
+			t.Fatalf("budget %d: %d positions handed out, %d entries cached, %d logical pages", cacheBytes, got, tr.Len(), pages)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -159,5 +216,73 @@ func TestSlabReusesNodes(t *testing.T) {
 func TestEntryNodeFitsCacheLine(t *testing.T) {
 	if got := unsafe.Sizeof(entryNode{}); got > 64 {
 		t.Fatalf("entryNode is %d bytes, want at most 64", got)
+	}
+}
+
+// TestCheckInvariantsAuditsIndexAndSlab breaks the positional index one way
+// at a time — an offset slot that names no node, the wrong node or a node
+// that is gone, a position free twice, free and linked, free but never handed
+// out, or neither free nor linked — and expects CheckInvariants to refuse
+// each and to accept the cache again once the damage is undone.
+func TestCheckInvariantsAuditsIndexAndSlab(t *testing.T) {
+	d, tr := newTPFTLDevice(t, DefaultConfig(0), 512)
+	rng := rand.New(rand.NewSource(3))
+	for i := int64(0); i < 3000; i++ {
+		if _, err := d.Serve(rd(i, rng.Int63n(4096))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Free a few positions so that the free list has something to corrupt.
+	for tr.Len() > 40 {
+		if _, err := tr.evictOne(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.eslab.free) < 2 {
+		t.Fatalf("set-up left %d free positions", len(tr.eslab.free))
+	}
+	tp := tr.pages.Front().Value
+	e := tp.entries.Front().Value
+	other := tp.entries.Back().Value
+	if e == other {
+		other = tr.pages.Back().Value.entries.Front().Value
+	}
+	staleOff := int32(0)
+	for tp.byOff[staleOff] != 0 {
+		staleOff++
+	}
+	free := tr.eslab.free
+	for _, c := range []struct {
+		name          string
+		corrupt, undo func()
+	}{
+		{"offset slot cleared under a live entry",
+			func() { tp.byOff[e.off] = 0 }, func() { tp.byOff[e.off] = e.idx + 1 }},
+		{"offset slot naming another entry's position",
+			func() { tp.byOff[e.off] = other.idx + 1 }, func() { tp.byOff[e.off] = e.idx + 1 }},
+		{"offset slot left behind by a removed entry",
+			func() { tp.byOff[staleOff] = free[0] + 1 }, func() { tp.byOff[staleOff] = 0 }},
+		{"entry that forgot its position",
+			func() { e.idx = other.idx }, func() { e.idx = tp.byOff[e.off] - 1 }},
+		{"position on the free list twice",
+			func() { tr.eslab.free = append(free[:len(free):len(free)], free[0]) }, func() { tr.eslab.free = free }},
+		{"linked position on the free list",
+			func() { tr.eslab.free = append(free[:len(free):len(free)], e.idx) }, func() { tr.eslab.free = free }},
+		{"free position never handed out",
+			func() { tr.eslab.free = append(free[:len(free):len(free)], int32(len(tr.eslab.nodes))) }, func() { tr.eslab.free = free }},
+		{"position neither free nor linked",
+			func() { tr.eslab.free = free[:len(free)-1] }, func() { tr.eslab.free = free }},
+	} {
+		c.corrupt()
+		if err := tr.CheckInvariants(); err == nil {
+			t.Errorf("CheckInvariants accepted: %s", c.name)
+		}
+		c.undo()
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatalf("%s: not undone: %v", c.name, err)
+		}
 	}
 }

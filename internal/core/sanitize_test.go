@@ -5,6 +5,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/ftl"
 )
 
 // TestSanitizerDetectsAccountingCorruption injects exactly the bug class the
@@ -40,5 +42,30 @@ func TestSanitizerDetectsAccountingCorruption(t *testing.T) {
 				t.Fatalf("error not attributed to the sanitizer: %v", err)
 			}
 		})
+	}
+}
+
+// TestSanitizerCatchesTPNodeReleasedWithLiveSlot: a TP node is recycled with
+// its offset table as it is, on the promise that removeEntry zeroed every
+// slot. The release-time audit checks the promise: a node released with a
+// slot still naming a slab position must fail the next CheckInvariants, or
+// the node's next owner would "hit" on an entry it never installed.
+func TestSanitizerCatchesTPNodeReleasedWithLiveSlot(t *testing.T) {
+	f := New(Config{CacheBytes: 1 << 10, CompressEntries: true})
+	env := &stubEnv{ePerTP: 16, lpns: 64}
+	for _, lpn := range []ftl.LPN{1, 17} {
+		if _, err := f.Translate(env, lpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	tp := f.byVTPN[1]
+	tp.byOff[5] = tp.byOff[1] // a second slot naming the node's only entry
+	f.Discard(17)             // empties and releases the node
+	err := f.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "released with live slot at offset 5") {
+		t.Fatalf("release audit missed the stale slot: %v", err)
 	}
 }

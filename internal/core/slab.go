@@ -3,13 +3,13 @@
 // The steady-state service path creates and destroys entry and TP nodes
 // constantly (every miss installs nodes, every eviction removes them). Slab
 // recycling turns those into free-list pops and pushes: nodes are allocated
-// in chunks, reset to a sentinel state when released, and reused in LIFO
-// order, so after warm-up the translation path performs zero heap
-// allocations. The reset-on-release discipline matters as much as the reuse:
-// a recycled node carrying a stale dirty bit or offset would silently corrupt
-// the cache, so release restores every field to a recognizable sentinel and
-// CheckInvariants audits the free lists (the ftlsan build additionally audits
-// each TP node's offset table at release time).
+// up front (entries) or in chunks (TP nodes), reset to a sentinel state when
+// released, and reused in LIFO order, so after warm-up the translation path
+// performs zero heap allocations. The reset-on-release discipline matters as
+// much as the reuse: a recycled node carrying a stale dirty bit or offset
+// would silently corrupt the cache, so release restores every field to a
+// recognizable sentinel and CheckInvariants audits the free lists (the ftlsan
+// build additionally audits each TP node's offset table at release time).
 package core
 
 import (
@@ -18,48 +18,46 @@ import (
 	"repro/internal/flash"
 )
 
-// slabChunk is how many nodes one backing-array growth adds. Chunking keeps
-// the nodes of a batch contiguous in memory and amortizes allocator calls;
-// the free lists themselves are plain stacks.
-const slabChunk = 256
-
-// entrySlab recycles entryNodes.
+// entrySlab holds every entry node of the cache in one array, allocated once
+// at the most entries the cache can ever hold and never reallocated. Nodes
+// therefore never move: the lru links between them stay pointers, and a TP
+// node's offset table stores a node's position (4 bytes) where it stored its
+// address (8). Positions are handed out in order, so the array's memory is
+// first touched as the cache first fills — a budget far larger than the
+// working set costs address space, not resident pages.
 type entrySlab struct {
-	free []*entryNode
+	nodes []entryNode // len: positions handed out so far; cap: the most there can be
+	free  []int32     // released positions, reused LIFO before a new one is handed out; same cap
 }
 
-// get returns a reset entry node, growing the slab if the free list is empty.
+// get returns a reset entry node: the last one released, or else the next
+// position never handed out. More live entries than the array was reserved
+// for (FTL.reserveEntries) is a bug in the cache's accounting and panics
+// (slice bounds).
 //
 //ftl:hotpath
 func (s *entrySlab) get() *entryNode {
-	n := len(s.free)
-	if n == 0 {
-		s.grow()
-		n = len(s.free)
+	if n := len(s.free); n > 0 {
+		e := &s.nodes[s.free[n-1]]
+		s.free = s.free[:n-1]
+		return e
 	}
-	e := s.free[n-1]
-	s.free[n-1] = nil
-	s.free = s.free[:n-1]
+	i := len(s.nodes)
+	s.nodes = s.nodes[:i+1]
+	e := &s.nodes[i]
+	e.node.Value = e // set once; the node identity never changes
+	e.idx = int32(i)
+	resetEntry(e)
 	return e
 }
 
-func (s *entrySlab) grow() {
-	chunk := make([]entryNode, slabChunk)
-	for i := range chunk {
-		e := &chunk[i]
-		e.node.Value = e // set once; the node identity never changes
-		resetEntry(e)
-		s.free = append(s.free, e)
-	}
-}
-
-// put resets e and returns it to the free list. e must already be unlinked
-// from its entry list.
+// put resets e and returns its position to the free list. e must already be
+// unlinked from its entry list.
 //
 //ftl:hotpath
 func (s *entrySlab) put(e *entryNode) {
 	resetEntry(e)
-	s.free = append(s.free, e)
+	s.free = append(s.free, e.idx)
 }
 
 // resetEntry restores the sentinel state a free entry node must carry.
@@ -71,30 +69,52 @@ func resetEntry(e *entryNode) {
 	e.stamp = 0
 }
 
-// check audits the free list: every node must be unlinked and fully reset.
-// CheckInvariants calls it so property tests and the ftlsan build catch a
-// recycle that leaked state the moment it happens.
-func (s *entrySlab) check() error {
-	for _, e := range s.free {
-		if e == nil {
-			return fmt.Errorf("tpftl: nil entry on slab free list")
+// check audits the slab: every position handed out is exactly one of free
+// (on the free list once, unlinked, fully reset) or linked into an entry
+// list, and live of them are linked. CheckInvariants, which has walked the
+// live entries and counted them, calls it so property tests and the ftlsan
+// build catch a recycle that leaked state the moment it happens.
+func (s *entrySlab) check(live int) error {
+	onFree := make([]bool, len(s.nodes))
+	for _, i := range s.free {
+		if i < 0 || int(i) >= len(s.nodes) {
+			return fmt.Errorf("tpftl: slab free list holds position %d, only %d handed out", i, len(s.nodes))
 		}
-		if e.node.Value != e {
-			return fmt.Errorf("tpftl: free entry node lost its back-pointer")
+		if onFree[i] {
+			return fmt.Errorf("tpftl: slab position %d is on the free list twice", i)
 		}
-		if e.node.InList() {
+		onFree[i] = true
+	}
+	for i := range s.nodes {
+		e := &s.nodes[i]
+		if e.node.Value != e || int(e.idx) != i {
+			return fmt.Errorf("tpftl: entry node at slab position %d lost its identity (idx %d)", i, e.idx)
+		}
+		switch {
+		case !onFree[i]:
+			if !e.node.InList() {
+				return fmt.Errorf("tpftl: slab position %d is neither free nor linked", i)
+			}
+		case e.node.InList():
 			return fmt.Errorf("tpftl: free entry node still linked in a list")
-		}
-		if e.owner != nil || e.off != -1 || e.ppn != flash.InvalidPPN || e.dirty || e.stamp != 0 {
+		case e.owner != nil || e.off != -1 || e.ppn != flash.InvalidPPN || e.dirty || e.stamp != 0:
 			return fmt.Errorf("tpftl: free entry node not reset (owner=%v off=%d dirty=%v stamp=%d)", e.owner != nil, e.off, e.dirty, e.stamp)
 		}
+	}
+	if linked := len(s.nodes) - len(s.free); linked != live {
+		return fmt.Errorf("tpftl: %d slab positions linked, %d entries cached", linked, live)
 	}
 	return nil
 }
 
+// slabChunk is how many TP nodes one backing-array growth adds. Chunking
+// keeps the nodes of a batch contiguous in memory and amortizes allocator
+// calls; the free list itself is a plain stack.
+const slabChunk = 256
+
 // tpSlab recycles tpNodes. The dense byOff table is retained across recycles:
-// removeEntry nils each slot and a node is only released when empty, so the
-// table is already all-nil and reuse costs nothing.
+// removeEntry zeroes each slot and a node is only released when empty, so the
+// table is already all-zero and reuse costs nothing.
 type tpSlab struct {
 	free []*tpNode
 	err  error // sticky: set when the ftlsan release audit finds a stale slot
@@ -113,7 +133,7 @@ func (s *tpSlab) get(ePerTP int) *tpNode {
 	s.free[n-1] = nil
 	s.free = s.free[:n-1]
 	if len(tp.byOff) != ePerTP {
-		tp.byOff = make([]*entryNode, ePerTP)
+		tp.byOff = make([]int32, ePerTP)
 	}
 	return tp
 }
@@ -134,8 +154,8 @@ func (s *tpSlab) grow() {
 //ftl:hotpath
 func (s *tpSlab) put(tp *tpNode) {
 	if slabDeepCheck && s.err == nil {
-		for off, e := range tp.byOff {
-			if e != nil {
+		for off, slot := range tp.byOff {
+			if slot != 0 {
 				s.err = fmt.Errorf("tpftl: tp node %d released with live slot at offset %d", tp.vtpn, off)
 				break
 			}
@@ -146,7 +166,7 @@ func (s *tpSlab) put(tp *tpNode) {
 }
 
 // resetTPNode restores the sentinel state a free TP node must carry. byOff
-// is deliberately kept: its slots are already nil (see tpSlab doc).
+// is deliberately kept: its slots are already zero (see tpSlab doc).
 func resetTPNode(tp *tpNode) {
 	tp.vtpn = -1
 	tp.dirty = 0

@@ -125,29 +125,33 @@ func (c Config) VariantName() string {
 	return s
 }
 
-// entryNode is one cached mapping entry (§4.1's entry node). Nodes are
-// slab-allocated (entrySlab) and recycled through a free list on eviction;
-// outside a list they carry the reset sentinel state (owner nil, off -1,
-// ppn invalid) so stale bits cannot leak into a reuse.
+// entryNode is one cached mapping entry (§4.1's entry node). Nodes live in
+// the entry slab (entrySlab) and are recycled through a free list on
+// eviction; outside a list they carry the reset sentinel state (owner nil,
+// off -1, ppn invalid) so stale bits cannot leak into a reuse.
 type entryNode struct {
 	node  lru.Node[*entryNode] // links within its TP node's entry-level list
 	owner *tpNode
 	off   int32 // offset within the translation page (the compressed LPN)
 	ppn   flash.PPN
+	idx   int32 // the node's position in the slab; set once
 	dirty bool
 	stamp uint64 // last-access timestamp (HotnessAvg ordering)
 }
 
 // tpNode clusters the cached entries of one translation page (§4.1). Like
 // entry nodes, TP nodes are slab-allocated and recycled. byOff is a dense
-// offset-indexed table (len == entries-per-TP, nil == uncached): offsets are
-// bounded by the translation-page geometry, so a direct index replaces the
-// per-node map — no hashing on the hit path and no map allocation per node.
+// offset-indexed table (len == entries-per-TP): offsets are bounded by the
+// translation-page geometry, so a direct index replaces the per-node map — no
+// hashing on the hit path and no map allocation per node. A slot holds the
+// entry's slab position plus one, 0 for uncached: every entry lives in the
+// one slab, so 4 bytes name it where a pointer took 8 (the §4.1 move — store
+// the offset, not the LPN — applied to the cache's own index).
 type tpNode struct {
 	node     lru.Node[*tpNode] // links within the page-level list
 	vtpn     ftl.VTPN
 	entries  lru.List[*entryNode] // entry-level LRU, MRU..LRU
-	byOff    []*entryNode         // dense offset→entry table, kept (all nil) across recycles
+	byOff    []int32              // dense offset→slab position+1 table, kept (all zero) across recycles
 	dirty    int                  // dirty entry count
 	stampSum uint64               // Σ entry stamps; avg = stampSum/len (HotnessAvg)
 }
@@ -299,7 +303,7 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 
 	if tp := f.tpAt(v); tp != nil {
-		if e := tp.byOff[off]; e != nil {
+		if e := f.entryAt(tp, off); e != nil {
 			env.NoteLookup(true)
 			f.touch(tp, e)
 			return e.ppn, nil
@@ -314,6 +318,7 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 //
 //ftl:hotpath
 func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, error) {
+	f.reserveEntries(env)
 	tp := f.tpAt(v)
 
 	// Prefetch decision (§4.3). Offsets are relative to lpn's translation
@@ -407,7 +412,7 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 	// demanded one ends up MRU.
 	loaded := 0
 	for _, xo := range extras {
-		if tp.byOff[xo] != nil {
+		if tp.byOff[xo] != 0 {
 			continue // installed by a nested path meanwhile
 		}
 		f.addEntry(tp, xo, vals[xo], false)
@@ -419,7 +424,7 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 		}
 	}
 	ppn := vals[off]
-	if e := tp.byOff[off]; e != nil {
+	if e := f.entryAt(tp, off); e != nil {
 		// Extremely defensive: demanded entry appeared during eviction.
 		f.touch(tp, e)
 		return e.ppn, nil
@@ -444,7 +449,7 @@ func (f *FTL) prefetchSet(tp *tpNode, lpn ftl.LPN, off, pageEnd int32) []int32 {
 		reqN = int32(f.reqLast - lpn)
 		for i := int32(1); i <= reqN && off+i < pageEnd; i++ {
 			xo := off + i
-			if tp != nil && tp.byOff[xo] != nil {
+			if tp != nil && tp.byOff[xo] != 0 {
 				continue
 			}
 			extras = append(extras, xo)
@@ -459,7 +464,7 @@ func (f *FTL) prefetchSet(tp *tpNode, lpn ftl.LPN, off, pageEnd int32) []int32 {
 	if f.cfg.SelectivePrefetch && f.selectiveOn && tp != nil {
 		preds := int32(0)
 		for o := off - 1; o >= 0; o-- {
-			if tp.byOff[o] == nil {
+			if tp.byOff[o] == 0 {
 				break
 			}
 			preds++
@@ -469,7 +474,7 @@ func (f *FTL) prefetchSet(tp *tpNode, lpn ftl.LPN, off, pageEnd int32) []int32 {
 				continue // covered by the request-prefetch pass
 			}
 			xo := off + i
-			if tp.byOff[xo] != nil {
+			if tp.byOff[xo] != 0 {
 				continue
 			}
 			extras = append(extras, xo)
@@ -522,6 +527,29 @@ func (f *FTL) tpAt(v ftl.VTPN) *tpNode {
 		return f.byVTPN[v]
 	}
 	return nil
+}
+
+// entryAt returns tp's cached entry at off, or nil: one load from the offset
+// table and the node's address from its position — no hash, no probe.
+//
+//ftl:hotpath
+func (f *FTL) entryAt(tp *tpNode, off int32) *entryNode {
+	if slot := tp.byOff[off]; slot != 0 {
+		return &f.eslab.nodes[slot-1]
+	}
+	return nil
+}
+
+// reserveEntries allocates the entry slab on the first miss, once and for
+// good: the cache never holds more entries than its budget pays for, nor more
+// than the device has logical pages. The free list gets the same capacity —
+// every position can be free at once — so that neither grows mid-replay.
+func (f *FTL) reserveEntries(env ftl.Env) {
+	if f.eslab.nodes == nil {
+		slots := min(f.cfg.CacheBytes/f.entryBytes, env.NumLPNs())
+		f.eslab.nodes = make([]entryNode, 0, slots)
+		f.eslab.free = make([]int32, 0, slots)
+	}
 }
 
 // growIndex widens the page directory to hold at least n slots. Growth
@@ -585,7 +613,7 @@ func (f *FTL) stepCounter(delta int) {
 func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryNode {
 	e := f.eslab.get()
 	e.owner, e.off, e.ppn, e.dirty = tp, off, ppn, dirty
-	tp.byOff[off] = e
+	tp.byOff[off] = e.idx + 1
 	tp.entries.PushFront(&e.node)
 	if dirty {
 		tp.dirty++
@@ -606,7 +634,7 @@ func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryN
 func (f *FTL) removeEntry(e *entryNode) {
 	tp := e.owner
 	tp.entries.Remove(&e.node)
-	tp.byOff[e.off] = nil
+	tp.byOff[e.off] = 0
 	tp.stampSum -= e.stamp
 	if e.dirty {
 		tp.dirty--
@@ -714,7 +742,7 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 	if tp := f.tpAt(v); tp != nil {
-		if e := tp.byOff[off]; e != nil {
+		if e := f.entryAt(tp, off); e != nil {
 			e.ppn = ppn
 			if !e.dirty {
 				e.dirty = true
@@ -724,6 +752,7 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 			return nil
 		}
 	}
+	f.reserveEntries(env)
 	// Standalone update (the write path normally populates the entry via
 	// Translate first): make room and install dirty. The TP-node overhead
 	// is charged only when lpn's node is not already cached (mirroring
@@ -769,7 +798,7 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 		return
 	}
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	if e := tp.byOff[off]; e != nil {
+	if e := f.entryAt(tp, off); e != nil {
 		f.removeEntry(e)
 	}
 }
@@ -822,7 +851,7 @@ func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
 		v := ftl.VTPNOf(mv.LPN, f.ePerTP)
 		off := int32(ftl.OffOf(mv.LPN, f.ePerTP))
 		if tp := f.tpAt(v); tp != nil {
-			if e := tp.byOff[off]; e != nil {
+			if e := f.entryAt(tp, off); e != nil {
 				e.ppn = mv.NewPPN
 				if !e.dirty {
 					e.dirty = true
@@ -910,9 +939,9 @@ func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
 		if tp == nil {
 			continue
 		}
-		for off, e := range tp.byOff {
-			if e != nil && e.dirty {
-				out[ftl.LPNAt(ftl.VTPN(v), off, f.ePerTP)] = e.ppn
+		for n := tp.entries.Front(); n != nil; n = n.Next() {
+			if e := n.Value; e.dirty {
+				out[ftl.LPNAt(ftl.VTPN(v), int(e.off), f.ePerTP)] = e.ppn
 			}
 		}
 	}
@@ -944,7 +973,10 @@ func (f *FTL) CheckInvariants() error {
 			if e.owner != tp {
 				return fmt.Errorf("tpftl: entry %d/%d has wrong owner", tp.vtpn, e.off)
 			}
-			if int(e.off) >= len(tp.byOff) || tp.byOff[e.off] != e {
+			if int(e.idx) >= len(f.eslab.nodes) || &f.eslab.nodes[e.idx] != e {
+				return fmt.Errorf("tpftl: entry %d/%d is not the node at its slab position %d", tp.vtpn, e.off, e.idx)
+			}
+			if int(e.off) >= len(tp.byOff) || tp.byOff[e.off] != e.idx+1 {
 				return fmt.Errorf("tpftl: entry %d/%d not in offset index", tp.vtpn, e.off)
 			}
 			if e.dirty {
@@ -960,8 +992,8 @@ func (f *FTL) CheckInvariants() error {
 			return fmt.Errorf("tpftl: tp %d stamp sum %d, counted %d", tp.vtpn, tp.stampSum, sum)
 		}
 		live := 0
-		for _, se := range tp.byOff {
-			if se != nil {
+		for _, slot := range tp.byOff {
+			if slot != 0 {
 				live++
 			}
 		}
@@ -996,7 +1028,7 @@ func (f *FTL) CheckInvariants() error {
 			prev, first = avg, false
 		}
 	}
-	if err := f.eslab.check(); err != nil {
+	if err := f.eslab.check(f.entries); err != nil {
 		return err
 	}
 	if err := f.tslab.check(); err != nil {

@@ -89,7 +89,7 @@ func TestEvictOneBatchWalkReachesDirtyTail(t *testing.T) {
 	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(env.batches[0], wantDirty) {
 		t.Fatalf("WriteTP batches %v on pages %v, want one batch %v on page 0", env.batches, env.vtpns, wantDirty)
 	}
-	if tp := f.byVTPN[0]; tp.entries.Len() != 5 || tp.byOff[1] != nil {
+	if tp := f.byVTPN[0]; tp.entries.Len() != 5 || tp.byOff[1] != 0 {
 		t.Fatalf("victim off 1 still cached (%d entries)", tp.entries.Len())
 	}
 	checkClean(t, f)

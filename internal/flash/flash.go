@@ -100,7 +100,7 @@ func (k PageKind) String() string {
 type Meta struct {
 	Kind PageKind
 	Tag  int64 // LPN for data pages, VTPN for translation pages; must fit 32 bits
-	Seq  int64 // monotonically increasing program sequence number
+	Seq  int64 // monotonically increasing program sequence number; stored block-relative (see Program)
 }
 
 // Config describes chip geometry and timing.
@@ -201,10 +201,55 @@ type Stats struct {
 
 // block is per-block simulator state.
 type block struct {
+	// seqBase is the Meta.Seq of the first program since the block's last
+	// erase; each page stores its own Seq as a 32-bit distance above it. It
+	// means nothing while writePtr is 0 (MetaOf does not read it for a free
+	// page, Program sets it before it reads it).
+	seqBase    int64
 	writePtr   int // next programmable offset; PagesPerBlock means full
 	validCount int
 	eraseCount int
 	worn       bool
+}
+
+// cell is a page's state (bits 0–1) and kind (bits 2–3) in one byte: the
+// checks of Read, Invalidate and GC's scan touch one dense byte per page.
+// The zero cell is the erased page, PageFree with KindNone.
+type cell uint8
+
+const (
+	cellStateMask = 0b11
+	cellKindShift = 2
+)
+
+// makeCell packs a state and a kind.
+//
+//ftl:hotpath
+func makeCell(s PageState, k PageKind) cell { return cell(s) | cell(k)<<cellKindShift }
+
+// state unpacks the page state.
+//
+//ftl:hotpath
+func (c cell) state() PageState { return PageState(c & cellStateMask) }
+
+// kind unpacks the page kind.
+//
+//ftl:hotpath
+func (c cell) kind() PageKind { return PageKind(c >> cellKindShift) }
+
+// with returns c in state s, its kind kept.
+//
+//ftl:hotpath
+func (c cell) with(s PageState) cell { return c&^cellStateMask | cell(s) }
+
+// oob is a programmed page's out-of-band record: the tag at the 4 bytes a
+// PPN-sized logical address needs, and the program sequence number as its
+// distance above the block's seqBase. All pages of a block are programmed
+// after the block's first, so the distance is never negative; Program refuses
+// one that does not fit.
+type oob struct {
+	tag int32
+	seq uint32
 }
 
 // divisor divides non-negative 31-bit values by a positive 31-bit constant
@@ -239,13 +284,10 @@ type Chip struct {
 	perBlock   divisor // by PagesPerBlock
 	perDie     divisor // by NumDies
 	totalPages int64
-	states     []PageState
-	// Out-of-band metadata, one parallel array per Meta field, the tag
-	// stored at the 4 bytes a PPN-sized logical address needs: 13 bytes per
-	// page where a []Meta took 24.
-	kinds  []PageKind
-	tags   []int32
-	seqs   []int64
+	// Per page: one state/kind byte and one 8-byte out-of-band record, 9
+	// bytes where a PageState beside a []Meta took 25.
+	cells  []cell
+	oob    []oob
 	blocks []block
 	stats  Stats
 	// failNextOps holds injected errors keyed by op name, consumed in order.
@@ -265,10 +307,8 @@ func New(cfg Config) (*Chip, error) {
 		perBlock:   newDivisor(cfg.PagesPerBlock),
 		perDie:     newDivisor(cfg.NumDies()),
 		totalPages: pages,
-		states:     make([]PageState, pages),
-		kinds:      make([]PageKind, pages),
-		tags:       make([]int32, pages),
-		seqs:       make([]int64, pages),
+		cells:      make([]cell, pages),
+		oob:        make([]oob, pages),
 		blocks:     make([]block, cfg.NumBlocks),
 	}), nil
 }
@@ -309,13 +349,21 @@ func (c *Chip) PageAt(blk BlockID, off int) PPN {
 // State returns the state of page p.
 func (c *Chip) State(p PPN) PageState {
 	c.mustContain(p)
-	return c.states[p]
+	return c.cells[p].state()
 }
 
-// MetaOf returns the out-of-band metadata of page p.
+// MetaOf returns the out-of-band metadata of page p: what Program stored,
+// the sequence number absolute again. A free page has none.
+//
+//ftl:hotpath
 func (c *Chip) MetaOf(p PPN) Meta {
 	c.mustContain(p)
-	return Meta{Kind: c.kinds[p], Tag: int64(c.tags[p]), Seq: c.seqs[p]}
+	cl := c.cells[p]
+	if cl.state() == PageFree {
+		return Meta{}
+	}
+	o := c.oob[p]
+	return Meta{Kind: cl.kind(), Tag: int64(o.tag), Seq: c.blocks[c.Block(p)].seqBase + int64(o.seq)}
 }
 
 // ValidCount returns the number of valid pages in blk.
@@ -371,7 +419,7 @@ func (c *Chip) Read(p PPN) (time.Duration, error) {
 	if err := c.takeInjected("read"); err != nil {
 		return 0, err
 	}
-	if c.states[p] == PageFree {
+	if c.cells[p].state() == PageFree {
 		return 0, &OpError{Op: "read", Page: p, Blk: -1, Msg: "page not programmed"}
 	}
 	c.stats.Reads++
@@ -379,8 +427,10 @@ func (c *Chip) Read(p PPN) (time.Duration, error) {
 }
 
 // Program writes page p with metadata m. NAND rules enforced: the page must
-// be free and must be the next in-order page of its block. It returns the
-// program latency.
+// be free and must be the next in-order page of its block, and m.Seq must
+// be no lower than, and fit 32 bits above, the Seq of the block's first
+// program since its last erase. A refused program changes nothing. It
+// returns the program latency.
 //
 //ftl:hotpath
 func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
@@ -399,7 +449,7 @@ func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
 	if b.worn {
 		return 0, &OpError{Op: "program", Page: p, Blk: blk, Msg: "block worn out"}
 	}
-	if c.states[p] != PageFree {
+	if c.cells[p].state() != PageFree {
 		return 0, &OpError{Op: "program", Page: p, Blk: blk, Msg: "page already programmed"}
 	}
 	if !c.cfg.AllowOutOfOrder && off != b.writePtr {
@@ -414,14 +464,35 @@ func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
 		return 0, &OpError{Op: "program", Page: p, Blk: blk,
 			Msg: fmt.Sprintf("tag %d does not fit the 32-bit out-of-band field", m.Tag)}
 	}
-	c.states[p] = PageValid
-	c.kinds[p], c.tags[p], c.seqs[p] = m.Kind, tag, m.Seq
+	// The first program since the erase sets the block's base — it is its
+	// own base, so it cannot be refused below; later ones must land in the
+	// 32 bits above it (the unsigned difference is exact whenever
+	// m.Seq >= base, whatever the signs).
+	if b.writePtr == 0 {
+		b.seqBase = m.Seq
+	}
+	delta := uint64(m.Seq) - uint64(b.seqBase)
+	if m.Seq < b.seqBase || delta > math.MaxUint32 {
+		return 0, seqError(p, blk, m.Seq, b.seqBase)
+	}
+	c.cells[p] = makeCell(PageValid, m.Kind)
+	c.oob[p] = oob{tag: tag, seq: uint32(delta)}
 	if off+1 > b.writePtr {
 		b.writePtr = off + 1
 	}
 	b.validCount++
 	c.stats.Programs++
 	return c.cfg.WriteLatency, nil
+}
+
+// seqError is Program's refusal of a sequence number the out-of-band record
+// cannot hold; out of line so that the refusal's formatting stays out of
+// Program's frame.
+//
+//go:noinline
+func seqError(p PPN, blk BlockID, seq, base int64) error {
+	return &OpError{Op: "program", Page: p, Blk: blk,
+		Msg: fmt.Sprintf("seq %d is not within 2^32 above the block's first program (seq %d)", seq, base)}
 }
 
 // Invalidate marks a previously valid page invalid. It costs nothing (it is
@@ -433,11 +504,12 @@ func (c *Chip) Invalidate(p PPN) error {
 	if c.faults != nil && c.faults.cut {
 		return ErrPowerCut
 	}
-	if c.states[p] != PageValid {
+	cl := c.cells[p]
+	if cl.state() != PageValid {
 		return &OpError{Op: "invalidate", Page: p, Blk: -1,
-			Msg: "page not valid (state " + c.states[p].String() + ")"}
+			Msg: "page not valid (state " + cl.state().String() + ")"}
 	}
-	c.states[p] = PageInvalid
+	c.cells[p] = cl.with(PageInvalid)
 	c.blocks[c.Block(p)].validCount--
 	return nil
 }
@@ -465,13 +537,12 @@ func (c *Chip) Erase(blk BlockID) (time.Duration, error) {
 		return 0, &OpError{Op: "erase", Page: -1, Blk: blk,
 			Msg: fmt.Sprintf("%d valid pages remain", b.validCount)}
 	}
-	// PageFree, KindNone and the zero tag and sequence are the erased state.
+	// The zero cell and the zero record are the erased state. seqBase stays
+	// as it is: nothing reads it before the next first program sets it.
 	lo := c.PageAt(blk, 0)
 	hi := lo + PPN(c.perBlock.d)
-	clear(c.states[lo:hi])
-	clear(c.kinds[lo:hi])
-	clear(c.tags[lo:hi])
-	clear(c.seqs[lo:hi])
+	clear(c.cells[lo:hi])
+	clear(c.oob[lo:hi])
 	b.writePtr = 0
 	b.eraseCount++
 	c.stats.Erases++
@@ -521,16 +592,27 @@ func (c *Chip) mustContainBlock(blk BlockID) {
 	}
 }
 
-// CheckInvariants validates the chip's internal consistency: per-block valid
-// counts match page states, write pointers bound programmed pages. Used by
-// property tests.
+// CheckInvariants validates the chip's internal consistency: every state/kind
+// byte is one Program, Invalidate or Erase can leave, a free page carries no
+// metadata, per-block valid counts match page states, write pointers bound
+// programmed pages. Used by property tests.
 func (c *Chip) CheckInvariants() error {
 	for bi := range c.blocks {
 		b := &c.blocks[bi]
 		valid := 0
 		for off := 0; off < c.cfg.PagesPerBlock; off++ {
 			p := c.PageAt(BlockID(bi), off)
-			st := c.states[p]
+			cl := c.cells[p]
+			st := cl.state()
+			// kind() is everything above the state bits, so this also rejects
+			// a byte with any of bits 4–7 set.
+			if st > PageInvalid || cl.kind() > KindTranslation {
+				return fmt.Errorf("flash: block %d offset %d holds the impossible state/kind byte %#08b", bi, off, uint8(cl))
+			}
+			if st == PageFree && (cl != 0 || c.oob[p] != oob{}) {
+				return fmt.Errorf("flash: block %d offset %d free with kind %v, tag %d, seq delta %d left behind",
+					bi, off, cl.kind(), c.oob[p].tag, c.oob[p].seq)
+			}
 			if st == PageValid {
 				valid++
 			}
@@ -540,7 +622,7 @@ func (c *Chip) CheckInvariants() error {
 			if off >= b.writePtr && st != PageFree {
 				return fmt.Errorf("flash: block %d offset %d programmed at/above write pointer %d", bi, off, b.writePtr)
 			}
-			if st != PageFree && c.kinds[p] == KindNone {
+			if st != PageFree && cl.kind() == KindNone {
 				return fmt.Errorf("flash: block %d offset %d programmed without metadata", bi, off)
 			}
 		}

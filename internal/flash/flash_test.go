@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func testChip(t *testing.T, blocks int) *Chip {
@@ -110,15 +111,17 @@ func TestProgramRejectsWideTag(t *testing.T) {
 }
 
 // TestMetaRoundTrip: MetaOf returns exactly the Kind, Tag and Seq Program
-// stored (they live in three parallel arrays), Erase resets all three, and
-// CheckInvariants still rejects a programmed page without a kind.
+// stored (kind in the packed byte, tag and block-relative Seq in the OOB
+// record), Invalidate keeps them, Erase resets them, and CheckInvariants
+// rejects every packed byte and leftover no operation can produce.
 func TestMetaRoundTrip(t *testing.T) {
 	c := testChip(t, 2) // 4 pages per block
+	const base = 1 << 40
 	metas := []Meta{
-		{Kind: KindData, Tag: 0, Seq: 1},
-		{Kind: KindTranslation, Tag: 7, Seq: 1 << 40},
-		{Kind: KindData, Tag: math.MaxInt32, Seq: math.MaxInt64},
-		{Kind: KindTranslation, Tag: 0, Seq: 0},
+		{Kind: KindData, Tag: 0, Seq: base},
+		{Kind: KindTranslation, Tag: 7, Seq: base + 1},
+		{Kind: KindData, Tag: math.MaxInt32, Seq: base + math.MaxUint32},
+		{Kind: KindTranslation, Tag: 0, Seq: base},
 	}
 	for i, m := range metas {
 		if _, err := c.Program(PPN(i), m); err != nil {
@@ -134,11 +137,28 @@ func TestMetaRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c.kinds[1] = KindNone
-	if err := c.CheckInvariants(); err == nil {
-		t.Fatal("CheckInvariants accepted a programmed page with KindNone")
+	// Page 1 is programmed, page 4 (block 1) is free.
+	for _, bad := range []struct {
+		name string
+		page PPN
+		cell cell
+		oob  oob
+	}{
+		{"programmed page with KindNone", 1, makeCell(PageValid, KindNone), c.oob[1]},
+		{"state 3", 1, cell(3) | cell(KindData)<<cellKindShift, c.oob[1]},
+		{"kind 3", 1, makeCell(PageValid, 3), c.oob[1]},
+		{"high bits", 1, makeCell(PageValid, KindData) | 0x40, c.oob[1]},
+		{"free page with a kind", 4, makeCell(PageFree, KindData), oob{}},
+		{"free page with a tag", 4, 0, oob{tag: 9}},
+		{"free page with a seq delta", 4, 0, oob{seq: 9}},
+	} {
+		keepCell, keepOOB := c.cells[bad.page], c.oob[bad.page]
+		c.cells[bad.page], c.oob[bad.page] = bad.cell, bad.oob
+		if err := c.CheckInvariants(); err == nil {
+			t.Fatalf("CheckInvariants accepted a %s", bad.name)
+		}
+		c.cells[bad.page], c.oob[bad.page] = keepCell, keepOOB
 	}
-	c.kinds[1] = KindTranslation
 
 	for i := range metas {
 		if err := c.Invalidate(PPN(i)); err != nil {
@@ -158,6 +178,147 @@ func TestMetaRoundTrip(t *testing.T) {
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOOBRecordIs8Bytes pins the per-page layout beside the PPN and GCMove
+// pins of internal/ftl: a widened field fails here, not in a benchmark.
+func TestOOBRecordIs8Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(oob{}); got != 8 {
+		t.Errorf("oob record is %d bytes, want 8", got)
+	}
+	if got := unsafe.Sizeof(cell(0)); got != 1 {
+		t.Errorf("state/kind cell is %d bytes, want 1", got)
+	}
+}
+
+// TestSeqRoundTripRandomInterleavings: programs interleave over many blocks
+// with one chip-wide increasing Seq that starts far above 32 bits, in order
+// and out of order, across erase/reprogram cycles. MetaOf must hand back the
+// absolute Seq of every programmed page after every step's worth of
+// neighbours, a free page must read as the zero Meta however stale the base
+// of its block (or of the block's previous life), and the invariants hold.
+func TestSeqRoundTripRandomInterleavings(t *testing.T) {
+	for _, outOfOrder := range []bool{false, true} {
+		cfg := DefaultConfig(12)
+		cfg.PagesPerBlock = 8
+		cfg.AllowOutOfOrder = outOfOrder
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(41))
+		want := make(map[PPN]Meta)
+		seq := int64(1) << 45
+		for step := 0; step < 6000; step++ {
+			blk := BlockID(rng.Intn(cfg.NumBlocks))
+			var free []int
+			for off := 0; off < cfg.PagesPerBlock; off++ {
+				if c.State(c.PageAt(blk, off)) == PageFree {
+					free = append(free, off)
+				}
+			}
+			if len(free) == 0 || rng.Intn(40) == 0 { // full, or now and then a part-programmed block
+				for off := 0; off < cfg.PagesPerBlock; off++ {
+					p := c.PageAt(blk, off)
+					if c.State(p) == PageValid {
+						if err := c.Invalidate(p); err != nil {
+							t.Fatal(err)
+						}
+					}
+					delete(want, p)
+				}
+				if _, err := c.Erase(blk); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			off := free[0]
+			if outOfOrder {
+				off = free[rng.Intn(len(free))]
+			}
+			seq += 1 + rng.Int63n(1<<20) // gaps: the delta is a distance, not a count
+			p := c.PageAt(blk, off)
+			m := Meta{Kind: KindData + PageKind(rng.Intn(2)), Tag: rng.Int63n(1 << 31), Seq: seq}
+			if _, err := c.Program(p, m); err != nil {
+				t.Fatalf("outOfOrder=%v step %d: %v", outOfOrder, step, err)
+			}
+			want[p] = m
+			if step%97 == 0 {
+				for q := PPN(0); int64(q) < cfg.TotalPages(); q++ {
+					if got := c.MetaOf(q); got != want[q] { // the zero Meta for a page not in want
+						t.Fatalf("outOfOrder=%v step %d: MetaOf(%d) = %+v, want %+v", outOfOrder, step, q, got, want[q])
+					}
+				}
+				if err := c.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if c.Stats().Erases < 100 {
+			t.Fatalf("only %d erases: the base never reset", c.Stats().Erases)
+		}
+	}
+}
+
+// TestProgramRejectsSeqOutsideBlockWindow: the stored Seq is 32 bits above
+// the block's first program. One below the base, or 2^32 above it, is an
+// illegal program that changes nothing — and the base belongs to the block's
+// current life only.
+func TestProgramRejectsSeqOutsideBlockWindow(t *testing.T) {
+	c := testChip(t, 2)
+	const base = int64(5_000_000_000)
+	if _, err := c.Program(0, Meta{Kind: KindData, Tag: 1, Seq: base}); err != nil {
+		t.Fatal(err)
+	}
+	stats := c.Stats()
+	for _, seq := range []int64{base - 1, 0, math.MinInt64, base + 1<<32, math.MaxInt64} {
+		_, err := c.Program(1, Meta{Kind: KindData, Tag: 2, Seq: seq})
+		var oe *OpError
+		if !errors.As(err, &oe) || oe.Op != "program" || oe.Page != 1 {
+			t.Fatalf("seq %d: err = %v, want a program OpError on page 1", seq, err)
+		}
+		if c.State(1) != PageFree || c.MetaOf(1) != (Meta{}) || c.WritePtr(0) != 1 || c.ValidCount(0) != 1 ||
+			c.Stats() != stats || c.MetaOf(0).Seq != base {
+			t.Fatalf("seq %d: rejected program changed the chip", seq)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The edges of the window are legal, and so is a negative base.
+	if _, err := c.Program(1, Meta{Kind: KindData, Tag: 2, Seq: base + math.MaxUint32}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Program(4, Meta{Kind: KindData, Tag: 3, Seq: -7}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Program(5, Meta{Kind: KindData, Tag: 4, Seq: -7 + math.MaxUint32}); err != nil {
+		t.Fatal(err)
+	}
+	for p, want := range map[PPN]int64{0: base, 1: base + math.MaxUint32, 4: -7, 5: -7 + math.MaxUint32} {
+		if got := c.MetaOf(p).Seq; got != want {
+			t.Fatalf("MetaOf(%d).Seq = %d, want %d", p, got, want)
+		}
+	}
+	// A rejected first program must not set a base either: after an erase the
+	// block takes any Seq, lower than its previous life's included.
+	for _, p := range []PPN{0, 1} {
+		if err := c.Invalidate(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Erase(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Program(0, Meta{Kind: KindData, Tag: math.MaxInt32 + 1, Seq: 1 << 50}); err == nil {
+		t.Fatal("wide tag accepted")
+	}
+	if _, err := c.Program(0, Meta{Kind: KindData, Tag: 1, Seq: 3}); err != nil {
+		t.Fatalf("first program after an erase refused: %v", err)
+	}
+	if got := c.MetaOf(0).Seq; got != 3 {
+		t.Fatalf("MetaOf(0).Seq = %d, want 3", got)
 	}
 }
 

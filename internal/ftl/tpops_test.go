@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"unsafe"
@@ -347,12 +348,48 @@ func TestSteadyStateCollectionAllocates0(t *testing.T) {
 // TestPerPageSizesPinned keeps the per-page layout from growing back
 // unnoticed: a PPN is the paper's 4 bytes (truth, persist, the GTD and the
 // ReadTP view are arrays of them) and a GC move fits two to a cache line's
-// quarter.
+// quarter. The two records that are not exported are pinned where they live:
+// flash.TestOOBRecordIs8Bytes and core.TestEntryNodeFitsCacheLine.
 func TestPerPageSizesPinned(t *testing.T) {
 	if got := unsafe.Sizeof(flash.PPN(0)); got != 4 {
 		t.Errorf("flash.PPN is %d bytes, want 4", got)
 	}
 	if got := unsafe.Sizeof(ftl.GCMove{}); got != 16 {
 		t.Errorf("ftl.GCMove is %d bytes, want 16", got)
+	}
+}
+
+// TestBytesPerPage holds everything a 1 GiB default device allocates at
+// construction to the per-page layout, so that a widened field fails a test
+// and not a benchmark: 8 bytes per logical page (ground truth and persisted
+// view, a PPN each), 9 per physical page (the chip's state/kind byte and
+// 8-byte out-of-band record), and per block what the chip's block record and
+// the block manager's tables and free lists take — 90 bytes today, allocator
+// rounding and the Device record included, 96 allowed. That allowance is a
+// tenth of a byte per logical page above what is used; one more byte in any
+// per-page array is ten times that.
+func TestBytesPerPage(t *testing.T) {
+	if !allocGuardsEnabled {
+		t.Skip("allocation guards disabled under -race / -tags ftlsan")
+	}
+	cfg := ftl.DefaultConfig(1 << 30)
+	tr := core.New(core.DefaultConfig(cfg.CacheBytes))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d, err := ftl.NewDevice(cfg, tr)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := d.Chip().Config()
+	logical, physical, blocks := d.Config().LogicalPages(), fc.TotalPages(), int64(fc.NumBlocks)
+	got := int64(after.TotalAlloc - before.TotalAlloc)
+	limit := 8*logical + 9*physical + 96*blocks
+	t.Logf("%d bytes for %d logical + %d physical pages in %d blocks: %.2f B per logical page (limit %.2f; per-page arrays alone %.2f)",
+		got, logical, physical, blocks, float64(got)/float64(logical), float64(limit)/float64(logical),
+		float64(8*logical+9*physical)/float64(logical))
+	if got > limit {
+		t.Fatalf("NewDevice allocated %d bytes, %.2f per logical page; the layout allows %d (%.2f)",
+			got, float64(got)/float64(logical), limit, float64(limit)/float64(logical))
 	}
 }
