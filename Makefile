@@ -77,9 +77,14 @@ bench-ci:
 	done
 
 # The referee benchmark's own tests (< 1 s). `go test ./...` at the root does
-# not reach them: bench/ has its own go.mod.
+# not reach them: bench/ has its own go.mod. The second line runs every root
+# benchmark (bench_test.go, ext_bench_test.go) once (~5 s), which nothing
+# else does: BenchmarkMappingGranularity is where EXPERIMENTS.md's §2.1
+# numbers come from and the only end-to-end driver of the block, BAST and
+# FAST devices.
 bench-test:
 	$(GO) test -C bench ./...
+	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Host-interface smoke: run the trim-heavy and fsync-heavy profiles end to
 # end (generated workload → buffer → device → metrics), then verify the

@@ -74,7 +74,6 @@ func main() {
 		qd        = flag.Int("qd", 1, "queue depth: N requests in flight closed-loop; 0 replays arrival times open-loop (per shard when -shards is set)")
 		shards    = flag.Int("shards", 0, "stripe the LPN space across N independent FTL instances served concurrently (0 and 1 are the same single-device run)")
 		clients   = flag.Int("clients", 0, "submitter lanes feeding the shard workers when -shards is 2 or more (default one per shard; simulated results are independent of it)")
-		tplace    = flag.String("tplace", "striped", "translation-page placement on a multi-channel device: striped, pinned")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof   = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
 
@@ -116,7 +115,7 @@ func main() {
 	}
 	if err := run(*scheme, *wl, *requests, *seed, *scale, *cache, *fraction,
 		*warmup, *precond, *traceFile, *format, *batch, *space, *variant, *gcPolicy, *wearLevel,
-		*faults, *cuts, *channels, *dies, *qd, *shards, *clients, *tplace,
+		*faults, *cuts, *channels, *dies, *qd, *shards, *clients,
 		*metricsOut, *metricsInterval, *traceOut, tf); err != nil {
 		fmt.Fprintln(os.Stderr, "ftlsim:", err)
 		os.Exit(1)
@@ -140,7 +139,7 @@ func main() {
 
 func run(scheme, wl string, requests int, seed, scale, cache int64, fraction float64,
 	warmup int, precond float64, traceFile, format string, batch int, space int64, variant, gcPolicy string, wearLevel int,
-	faults string, cuts, channels, dies, qd, shards, clients int, tplace string,
+	faults string, cuts, channels, dies, qd, shards, clients int,
 	metricsOut string, metricsInterval int, traceOut string, tf telemetryFlags) error {
 	profile, err := workload.ProfileByName(wl)
 	if err != nil {
@@ -161,14 +160,6 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 		OpenLoop:      qd == 0,
 		Shards:        shards,
 		Clients:       clients,
-	}
-	switch tplace {
-	case "", "striped":
-		opts.TransPlacement = ftl.TPStriped
-	case "pinned":
-		opts.TransPlacement = ftl.TPPinned
-	default:
-		return fmt.Errorf("unknown translation placement %q", tplace)
 	}
 	switch gcPolicy {
 	case "", "greedy":
@@ -204,17 +195,16 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 			return fmt.Errorf("-cuts/-faults cut= verify a single device (drop -shards)")
 		}
 		co := tpftl.CrashOptions{
-			Scheme:         opts.Scheme,
-			TPFTL:          opts.TPFTL,
-			Profile:        opts.Profile,
-			AddressSpace:   opts.AddressSpace,
-			Requests:       requests,
-			Seed:           seed,
-			CacheBytes:     cache,
-			Cuts:           cuts,
-			Channels:       channels,
-			Dies:           dies,
-			TransPlacement: opts.TransPlacement,
+			Scheme:       opts.Scheme,
+			TPFTL:        opts.TPFTL,
+			Profile:      opts.Profile,
+			AddressSpace: opts.AddressSpace,
+			Requests:     requests,
+			Seed:         seed,
+			CacheBytes:   cache,
+			Cuts:         cuts,
+			Channels:     channels,
+			Dies:         dies,
 		}
 		if plan != nil {
 			co.CutAtOp = plan.CutAtOp

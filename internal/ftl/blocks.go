@@ -22,10 +22,10 @@ const (
 //
 // On a multi-die device consecutive data-page allocations round-robin
 // across dies (page-level striping), so consecutive logical pages land on
-// consecutive channels and independent accesses overlap in the scheduler.
-// Translation blocks follow the configured TPPlacement: striped like data,
-// or pinned to the dies of channel 0. With one die everything collapses to
-// the single-frontier FIFO allocator this generalizes.
+// consecutive channels and independent accesses overlap in the scheduler;
+// translation pages stripe the same way on a cursor of their own. With one
+// die everything collapses to the single-frontier FIFO allocator this
+// generalizes.
 type blockMgr struct {
 	chip  *flash.Chip
 	kinds []blockKind
@@ -37,9 +37,7 @@ type blockMgr struct {
 
 	dataFrontier  []flash.BlockID // per die; -1 when no open block
 	transFrontier []flash.BlockID
-	dataDies      []int // placement set for data blocks (all dies)
-	transDies     []int // placement set for translation blocks
-	dataRR        int   // round-robin cursors over the placement sets
+	dataRR        int // round-robin die cursors, one per kind
 	transRR       int
 
 	victims victimHeap
@@ -49,7 +47,7 @@ type blockMgr struct {
 	lastMod []int64 // tick of each block's latest invalidation
 }
 
-func newBlockMgr(chip *flash.Chip, placement TPPlacement) *blockMgr {
+func newBlockMgr(chip *flash.Chip) *blockMgr {
 	cfg := chip.Config()
 	n := cfg.NumBlocks
 	dies := cfg.NumDies()
@@ -68,10 +66,6 @@ func newBlockMgr(chip *flash.Chip, placement TPPlacement) *blockMgr {
 	for d := 0; d < dies; d++ {
 		bm.dataFrontier[d] = -1
 		bm.transFrontier[d] = -1
-		bm.dataDies = append(bm.dataDies, d)
-		if placement == TPStriped || cfg.ChannelOfDie(d) == 0 {
-			bm.transDies = append(bm.transDies, d)
-		}
 	}
 	for b := range bm.victims.idx {
 		bm.victims.idx[b] = -1
@@ -155,39 +149,31 @@ func (bm *blockMgr) tryAllocOnDie(kind blockKind, die int) (flash.PPN, bool) {
 }
 
 // alloc returns the next free page for kind, striping consecutive
-// allocations across the kind's placement set. When the round-robin die
-// cannot serve (frontier full, die out of free blocks), allocation falls
-// back to the rest of the placement set and finally to any die — a die
-// running dry must degrade striping, not fail the write. The caller is
-// responsible for keeping the free count above the GC threshold.
+// allocations of a kind across the dies. When the round-robin die cannot
+// serve (frontier full, die out of free blocks), allocation falls back to the
+// following dies in turn — a die running dry must degrade striping, not fail
+// the write. The caller is responsible for keeping the free count above the
+// GC threshold.
 //
 //ftl:hotpath
 func (bm *blockMgr) alloc(kind blockKind) (flash.PPN, error) {
-	dies, rr := bm.dataDies, &bm.dataRR
+	rr := &bm.dataRR
 	if kind == blockTrans {
-		dies, rr = bm.transDies, &bm.transRR
+		rr = &bm.transRR
 	}
-	// The cursor walks the placement set and wraps, which is the position
-	// a free-running counter modulo len(dies) would give, without the
-	// division.
+	// The cursor walks the dies and wraps, which is the position a
+	// free-running counter modulo numDies would give, without the division.
 	i := *rr
 	*rr = i + 1
-	if *rr == len(dies) {
+	if *rr == bm.numDies {
 		*rr = 0
 	}
-	if ppn, ok := bm.tryAllocOnDie(kind, dies[i]); ok {
+	if ppn, ok := bm.tryAllocOnDie(kind, i); ok {
 		return ppn, nil
 	}
-	for off := 1; off < len(dies); off++ {
-		if ppn, ok := bm.tryAllocOnDie(kind, dies[(i+off)%len(dies)]); ok {
+	for off := 1; off < bm.numDies; off++ {
+		if ppn, ok := bm.tryAllocOnDie(kind, (i+off)%bm.numDies); ok {
 			return ppn, nil
-		}
-	}
-	if len(dies) < bm.numDies {
-		for die := 0; die < bm.numDies; die++ {
-			if ppn, ok := bm.tryAllocOnDie(kind, die); ok {
-				return ppn, nil
-			}
 		}
 	}
 	return flash.InvalidPPN, errf("out of free blocks (device full)")

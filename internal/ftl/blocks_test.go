@@ -20,7 +20,7 @@ func TestVictimHeapMatchesBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bm := newBlockMgr(chip, TPStriped)
+	bm := newBlockMgr(chip)
 	rng := rand.New(rand.NewSource(1))
 
 	var live []flash.PPN
@@ -194,7 +194,7 @@ func TestBlockMgrsShareNoLinePair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm := newBlockMgr(chip, TPStriped)
+		bm := newBlockMgr(chip)
 		keep = append(keep, bm)
 		lo := uintptr(unsafe.Pointer(bm))
 		hi := lo + unsafe.Sizeof(*bm) - 1

@@ -29,11 +29,11 @@ type Config struct {
 	// CMTFraction of the budget feeds the entry-level cache (default 0.5);
 	// the rest holds whole translation pages in the CTP.
 	CMTFraction float64
-	// EntryBytes is the RAM cost per CMT entry (default 8).
-	EntryBytes int
-	// PageBytes is the RAM cost per CTP page (default raw: 4 KB + header).
-	PageBytes int64
 }
+
+// ctpPageBytes is the RAM cost of one CTP page: a raw translation page plus
+// a header. A CMT entry costs ftl.EntryBytesRAM.
+const ctpPageBytes = ftl.DefaultPageBytes + 8
 
 type cmtEntry struct {
 	node  lru.Node[*cmtEntry]
@@ -51,7 +51,6 @@ type ctpPage struct {
 
 // FTL is the CDFTL translator. Create with New.
 type FTL struct {
-	cfg    Config
 	cmtCap int // max CMT entries
 	ctpCap int // max CTP pages
 
@@ -72,23 +71,16 @@ func New(cfg Config) *FTL {
 	if cfg.CMTFraction == 0 {
 		cfg.CMTFraction = 0.5
 	}
-	if cfg.EntryBytes == 0 {
-		cfg.EntryBytes = ftl.EntryBytesRAM
-	}
-	if cfg.PageBytes == 0 {
-		cfg.PageBytes = ftl.DefaultPageBytes + 8
-	}
 	cmtBytes := int64(float64(cfg.CacheBytes) * cfg.CMTFraction)
-	cmtCap := int(cmtBytes / int64(cfg.EntryBytes))
+	cmtCap := int(cmtBytes / ftl.EntryBytesRAM)
 	if cmtCap < 4 {
 		cmtCap = 4
 	}
-	ctpCap := int((cfg.CacheBytes - cmtBytes) / cfg.PageBytes)
+	ctpCap := int((cfg.CacheBytes - cmtBytes) / ctpPageBytes)
 	if ctpCap < 1 {
 		ctpCap = 1
 	}
 	return cacheline.Isolated(FTL{
-		cfg:    cfg,
 		cmtCap: cmtCap,
 		ctpCap: ctpCap,
 		cmt:    make(map[ftl.LPN]*cmtEntry),
@@ -404,7 +396,7 @@ func (f *FTL) Snapshot() ftl.CacheSnapshot {
 		s.DirtyPerPage[v] += len(p.dirty)
 	}
 	s.TPNodes = len(s.DirtyPerPage)
-	s.UsedBytes = int64(len(f.cmt))*int64(f.cfg.EntryBytes) + int64(len(f.ctp))*f.cfg.PageBytes
+	s.UsedBytes = int64(len(f.cmt))*ftl.EntryBytesRAM + int64(len(f.ctp))*ctpPageBytes
 	return s
 }
 

@@ -28,31 +28,6 @@ const (
 	MaxChannels = 16
 )
 
-// TPPlacement selects where translation pages are physically placed on a
-// multi-channel device.
-type TPPlacement uint8
-
-const (
-	// TPStriped round-robins translation blocks across all dies, so
-	// translation-page traffic shares every channel with data (default).
-	TPStriped TPPlacement = iota
-	// TPPinned confines translation blocks to the dies of channel 0,
-	// keeping translation traffic off the data channels at the cost of
-	// serializing it behind one channel.
-	TPPinned
-)
-
-func (p TPPlacement) String() string {
-	switch p {
-	case TPStriped:
-		return "striped"
-	case TPPinned:
-		return "pinned"
-	default:
-		return "TPPlacement(?)"
-	}
-}
-
 // Config describes a simulated SSD.
 type Config struct {
 	// LogicalBytes is the advertised device capacity.
@@ -72,10 +47,6 @@ type Config struct {
 	// operations overlap in simulated time (see internal/ssd).
 	Channels int
 	Dies     int
-	// TransPlacement selects where translation pages live on a
-	// multi-channel device: striped across all dies (default) or pinned
-	// to channel 0. Irrelevant at 1×1.
-	TransPlacement TPPlacement
 	// ReadLatency, WriteLatency, EraseLatency override the flash timing
 	// when non-zero.
 	ReadLatency  time.Duration
@@ -86,9 +57,6 @@ type Config struct {
 	// "block-level table plus the GTD", holding the GTD resident).
 	// Zero selects DefaultCacheBytes(LogicalBytes).
 	CacheBytes int64
-	// GCThresholdBlocks triggers garbage collection when the free-block
-	// count drops to it. Zero selects a default of max(4, 1% of blocks).
-	GCThresholdBlocks int
 	// GCPolicy selects the victim-selection policy (default GCGreedy).
 	GCPolicy GCPolicy
 	// WearLevelThreshold, when non-zero, enables static wear leveling:
@@ -99,10 +67,6 @@ type Config struct {
 	WearLevelThreshold int
 	// EraseLimit, if non-zero, injects endurance failures (see flash.Config).
 	EraseLimit int
-	// Seed seeds the device's private RNG (preconditioning order, and the
-	// anchor that makes fault-injection repros bit-for-bit reproducible).
-	// Zero selects a fixed default.
-	Seed int64
 	// FaultRetries bounds how many times the device retries one flash
 	// operation after a transient injected fault before surfacing the
 	// error (0 selects 3). See flash.FaultPlan.
@@ -257,10 +221,9 @@ func (c Config) flashConfig() flash.Config {
 	}
 }
 
+// gcThreshold is the free-block count that triggers garbage collection:
+// max(4, 1% of the logical blocks).
 func (c Config) gcThreshold() int {
-	if c.GCThresholdBlocks > 0 {
-		return c.GCThresholdBlocks
-	}
 	logicalPages := c.LogicalPages()
 	blocks := int(logicalPages / int64(c.PagesPerBlock))
 	t := blocks / 100

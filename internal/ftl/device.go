@@ -61,11 +61,6 @@ type Device struct {
 	ph   phase
 	inGC bool
 
-	// rng is the device's private random source. Nothing in the device
-	// touches the global math/rand state, so a run is bit-for-bit
-	// reproducible from Config.Seed (and a PreconditionRange seed).
-	rng *rand.Rand
-
 	m Metrics
 
 	// Observability (all nil/zero when disabled; the disabled path does no
@@ -111,7 +106,7 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 	entriesPerTP := cfg.PageSize / EntryBytesInFlash
 	logicalPages := cfg.LogicalPages()
 	numTPs := int((logicalPages + int64(entriesPerTP) - 1) / int64(entriesPerTP))
-	bm := newBlockMgr(chip, cfg.TransPlacement)
+	bm := newBlockMgr(chip)
 	bm.policy = cfg.GCPolicy
 	d := &Device{
 		cfg:          cfg,
@@ -132,11 +127,6 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 	if logicalPages%int64(entriesPerTP) != 0 {
 		d.tpBuf = make([]flash.PPN, entriesPerTP)
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	d.rng = rand.New(rand.NewSource(seed))
 	if ga, ok := tr.(GeometryAware); ok {
 		ga.SetGeometry(entriesPerTP)
 	}
@@ -382,7 +372,9 @@ func (d *Device) Precondition(writes int, seed int64) error {
 
 // PreconditionRange is Precondition restricted to LPNs in [0, pages): aging
 // only a workload's footprint leaves the cold remainder consolidated in
-// fully-valid blocks, as on a long-running device.
+// fully-valid blocks, as on a long-running device. The LPNs are drawn from a
+// generator of its own seeded with seed — never the global math/rand state —
+// so the aged state is a function of (writes, pages, seed).
 func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 	if !d.formatted {
 		return errf("Precondition requires a formatted device")
@@ -390,10 +382,10 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 	if pages <= 0 || pages > d.logicalPages {
 		pages = d.logicalPages
 	}
-	d.rng = rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(seed))
 	d.ph = phaseAT
 	for i := 0; i < writes; i++ {
-		lpn := LPN(d.rng.Int63n(pages))
+		lpn := LPN(rng.Int63n(pages))
 		if err := d.maybeGC(); err != nil {
 			return err
 		}

@@ -32,18 +32,13 @@ type entry struct {
 
 // Config tunes the cache.
 type Config struct {
-	// CacheBytes is the mapping-cache budget.
+	// CacheBytes is the mapping-cache budget, at ftl.EntryBytesRAM per
+	// cached entry.
 	CacheBytes int64
-	// ProtectedFraction of the budget is reserved for the protected
-	// segment of the segmented LRU (default 0.5).
-	ProtectedFraction float64
-	// EntryBytes is the RAM cost per cached entry (default 8).
-	EntryBytes int
 }
 
 // FTL is the DFTL translator. Create with New.
 type FTL struct {
-	cfg      Config
 	capacity int // max cached entries
 
 	entries map[ftl.LPN]*entry
@@ -64,21 +59,14 @@ var _ ftl.Inspector = (*FTL)(nil)
 
 // New returns a DFTL instance with the given cache budget.
 func New(cfg Config) *FTL {
-	if cfg.EntryBytes == 0 {
-		cfg.EntryBytes = ftl.EntryBytesRAM
-	}
-	if cfg.ProtectedFraction == 0 {
-		cfg.ProtectedFraction = 0.5
-	}
-	capacity := int(cfg.CacheBytes / int64(cfg.EntryBytes))
+	capacity := int(cfg.CacheBytes / ftl.EntryBytesRAM)
 	if capacity < 4 {
 		capacity = 4
 	}
 	return cacheline.Isolated(FTL{
-		cfg:      cfg,
 		capacity: capacity,
 		entries:  make(map[ftl.LPN]*entry, capacity),
-		protCap:  int(float64(capacity) * cfg.ProtectedFraction),
+		protCap:  capacity / 2, // half the entries form the protected segment
 		ePerTP:   ftl.DefaultEntriesPerTP,
 	})
 }
@@ -314,7 +302,7 @@ func (f *FTL) Snapshot() ftl.CacheSnapshot {
 		}
 	}
 	s.TPNodes = len(s.DirtyPerPage)
-	s.UsedBytes = int64(len(f.entries)) * int64(f.cfg.EntryBytes)
+	s.UsedBytes = int64(len(f.entries)) * ftl.EntryBytesRAM
 	return s
 }
 

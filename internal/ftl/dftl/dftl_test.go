@@ -43,9 +43,6 @@ func TestCapacityClamp(t *testing.T) {
 	if got := New(Config{CacheBytes: 800}).Capacity(); got != 100 {
 		t.Fatalf("capacity = %d, want 100", got)
 	}
-	if got := New(Config{CacheBytes: 800, EntryBytes: 16}).Capacity(); got != 50 {
-		t.Fatalf("capacity = %d, want 50 with 16 B entries", got)
-	}
 }
 
 func TestName(t *testing.T) {

@@ -36,7 +36,7 @@ func newTPFTLDevice(t *testing.T, cfg ftl.Config) *ftl.Device {
 
 // newTestHost shards a base config and builds a host over fresh formatted,
 // preconditioned devices. Preconditioning is per shard and seeded by the
-// shard config, so two hosts built from the same base start identical.
+// shard index, so two hosts built from the same base start identical.
 func newTestHost(t *testing.T, base ftl.Config, shards int, opt Options) *Host {
 	t.Helper()
 	lay, cfgs, err := ShardConfigs(base, shards)
@@ -47,7 +47,7 @@ func newTestHost(t *testing.T, base ftl.Config, shards int, opt Options) *Host {
 	for s := range devs {
 		devs[s] = newTPFTLDevice(t, cfgs[s])
 		pages := cfgs[s].LogicalPages()
-		if err := devs[s].PreconditionRange(int(pages), pages, cfgs[s].Seed+1); err != nil {
+		if err := devs[s].PreconditionRange(int(pages), pages, int64(s)+1); err != nil {
 			t.Fatal(err)
 		}
 		devs[s].ResetMetrics()
@@ -130,7 +130,6 @@ func admitAll(t *testing.T, dev *ftl.Device, qd int, reqs []trace.Request) ftl.M
 func TestReplaySerialEquivalence(t *testing.T) {
 	const space = 16 << 20
 	base := ftl.DefaultConfig(space)
-	base.Seed = 42
 	reqs := mixedTrace(1, 4000, space, int64(base.PageSize), 3000)
 
 	cases := []struct {
@@ -184,7 +183,6 @@ func TestReplaySerialEquivalence(t *testing.T) {
 func TestReplayClientCountInvariance(t *testing.T) {
 	const space = 32 << 20
 	base := ftl.DefaultConfig(space)
-	base.Seed = 9
 	reqs := mixedTrace(2, 3000, space, int64(base.PageSize), 0)
 
 	run := func(clients, batch int) *Outcome {
@@ -213,7 +211,6 @@ func TestReplayClientCountInvariance(t *testing.T) {
 func TestShardSaturationDigestStable(t *testing.T) {
 	const space = 32 << 20
 	base := ftl.DefaultConfig(space)
-	base.Seed = 4242
 	reqs := mixedTrace(3, 6000, space, int64(base.PageSize), 0)
 
 	run := func() *Outcome {
@@ -362,7 +359,6 @@ func TestOneShardServesOnCaller(t *testing.T) {
 	const space = 16 << 20
 	const batch = 96
 	base := ftl.DefaultConfig(space)
-	base.Seed = 7
 	reqs := mixedTrace(5, 2000, space, int64(base.PageSize), 0)
 
 	h := newTestHost(t, base, 1, Options{QueueDepth: 4})
@@ -424,7 +420,6 @@ func TestOneShardServesOnCaller(t *testing.T) {
 func TestDeviceErrorMidStream(t *testing.T) {
 	const space = 16 << 20
 	base := ftl.DefaultConfig(space)
-	base.Seed = 3
 	reqs := mixedTrace(6, 2000, space, int64(base.PageSize), 0)
 	for _, shards := range []int{1, 2} {
 		h := newTestHost(t, base, shards, Options{QueueDepth: 4})

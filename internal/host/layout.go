@@ -229,10 +229,10 @@ func (l Layout) Partition(reqs []trace.Request) ([][]trace.Request, error) {
 }
 
 // ShardConfigs derives the per-shard device configurations from a base
-// config: each shard advertises its owned chunks, gets an equal split of the
-// mapping-cache budget, and a distinct RNG seed. A single shard passes the
-// base config through untouched, which is what keeps the 1-shard host path
-// bit-for-bit compatible with the serial device.
+// config: each shard advertises its owned chunks and gets an equal split of
+// the mapping-cache budget. A single shard passes the base config through
+// untouched, which is what keeps the 1-shard host path bit-for-bit
+// compatible with the serial device.
 func ShardConfigs(base ftl.Config, shards int) (Layout, []ftl.Config, error) {
 	pageBytes := base.PageSize
 	if pageBytes == 0 {
@@ -255,7 +255,6 @@ func ShardConfigs(base ftl.Config, shards int) (Layout, []ftl.Config, error) {
 				cfg.CacheBytes = ftl.EntryBytesRAM
 			}
 		}
-		cfg.Seed = base.Seed + int64(s)
 		cfgs[s] = cfg
 	}
 	return lay, cfgs, nil

@@ -283,7 +283,6 @@ func TestPartitionConservation(t *testing.T) {
 func TestShardConfigsSingleShardPassthrough(t *testing.T) {
 	base := ftl.DefaultConfig(64 << 20)
 	base.CacheBytes = 123456
-	base.Seed = 42
 	_, cfgs, err := ShardConfigs(base, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -296,13 +295,11 @@ func TestShardConfigsSingleShardPassthrough(t *testing.T) {
 func TestShardConfigsSplit(t *testing.T) {
 	base := ftl.DefaultConfig(64 << 20)
 	base.CacheBytes = 1 << 20
-	base.Seed = 7
 	lay, cfgs, err := ShardConfigs(base, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var capacity int64
-	seeds := map[int64]bool{}
 	for s, cfg := range cfgs {
 		if cfg.LogicalBytes != lay.ShardBytes(s) {
 			t.Fatalf("shard %d capacity %d != layout %d", s, cfg.LogicalBytes, lay.ShardBytes(s))
@@ -311,13 +308,9 @@ func TestShardConfigsSplit(t *testing.T) {
 		if cfg.CacheBytes != base.CacheBytes/4 {
 			t.Fatalf("shard %d cache %d, want %d", s, cfg.CacheBytes, base.CacheBytes/4)
 		}
-		seeds[cfg.Seed] = true
 	}
 	if capacity < base.LogicalBytes {
 		t.Fatalf("shard capacities sum to %d < advertised %d", capacity, base.LogicalBytes)
-	}
-	if len(seeds) != 4 {
-		t.Fatalf("shard seeds collide: %v", seeds)
 	}
 }
 

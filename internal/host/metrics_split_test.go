@@ -15,13 +15,12 @@ import (
 func TestMetricsMergeAgreesWithUnsplitRun(t *testing.T) {
 	const space = 16 << 20
 	base := ftl.DefaultConfig(space)
-	base.Seed = 21
 	reqs := mixedTrace(6, 3000, space, int64(base.PageSize), 1000)
 
 	setup := func() *ftl.Device {
 		dev := newTPFTLDevice(t, base)
 		pages := base.LogicalPages()
-		if err := dev.PreconditionRange(int(pages), pages, base.Seed+1); err != nil {
+		if err := dev.PreconditionRange(int(pages), pages, 22); err != nil {
 			t.Fatal(err)
 		}
 		dev.ResetMetrics()

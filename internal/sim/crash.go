@@ -39,12 +39,11 @@ type CrashOptions struct {
 	CacheBytes int64
 	// Precondition ages the device before arming faults (see Options).
 	Precondition float64
-	// Channels, Dies and TransPlacement select the parallel backend's
-	// geometry (see Options). Cut points are op indexes, so crash recovery
-	// is verified at the same logical progress whatever the geometry.
-	Channels       int
-	Dies           int
-	TransPlacement ftl.TPPlacement
+	// Channels and Dies select the parallel backend's geometry (see
+	// Options). Cut points are op indexes, so crash recovery is verified at
+	// the same logical progress whatever the geometry.
+	Channels int
+	Dies     int
 
 	// Cuts is the number of random power-cut points to test (default 1).
 	// Cut indexes are drawn uniformly from [1, total chip ops] of an
@@ -165,40 +164,13 @@ func RunCrash(o CrashOptions) (*CrashReport, error) {
 // device for one run. Every call produces bit-identical state: faults are
 // armed only afterwards, so cut indexes land in the measured workload.
 func (o CrashOptions) buildDevice(space int64) (*ftl.Device, ftl.Translator, error) {
-	cacheBytes := o.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = ftl.DefaultCacheBytes(space)
+	cfg := ftl.DefaultConfig(space)
+	if o.CacheBytes != 0 {
+		cfg.CacheBytes = o.CacheBytes
 	}
-	devCfg := ftl.DefaultConfig(space)
-	devCfg.CacheBytes = cacheBytes
-	devCfg.Seed = o.Seed
-	devCfg.Channels = o.Channels
-	devCfg.Dies = o.Dies
-	devCfg.TransPlacement = o.TransPlacement
-
-	tr, err := NewTranslator(o.Scheme, cacheBytes, devCfg.LogicalPages(), o.TPFTL)
-	if err != nil {
-		return nil, nil, err
-	}
-	dev, err := ftl.NewDevice(devCfg, tr)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := dev.Format(); err != nil {
-		return nil, nil, err
-	}
-	if o.Precondition > 0 {
-		pages := devCfg.LogicalPages()
-		writes := int(o.Precondition * float64(pages))
-		if err := dev.PreconditionRange(writes, pages, o.Seed+1); err != nil {
-			return nil, nil, err
-		}
-		dev.ResetMetrics()
-	}
-	if w, ok := tr.(ftl.Warmer); ok {
-		w.Warm(dev.Truth)
-	}
-	return dev, tr, nil
+	cfg.Channels, cfg.Dies = o.Channels, o.Dies
+	pages := cfg.LogicalPages()
+	return newDevice(o.Scheme, cfg, o.TPFTL, int(o.Precondition*float64(pages)), pages, o.Seed+1)
 }
 
 // runOneCut replays the workload with power cut at the given op index and

@@ -87,9 +87,6 @@ type Options struct {
 	// ftl.DefaultChannels × ftl.DefaultDies — the paper's serial chip).
 	Channels int
 	Dies     int
-	// TransPlacement places translation blocks on a multi-channel device:
-	// striped across all dies (default) or pinned to channel 0.
-	TransPlacement ftl.TPPlacement
 	// Shards is the number of independent FTL instances the LPN space is
 	// striped across (internal/host) — per-shard translator, mapping cache,
 	// GC and scheduler clock. 0 and 1 are the same run: one device, served
@@ -315,7 +312,6 @@ func Run(o Options) (*Result, error) {
 	}
 	devCfg.Channels = o.Channels
 	devCfg.Dies = o.Dies
-	devCfg.TransPlacement = o.TransPlacement
 
 	n := max(o.Shards, 1)
 	if n > 1 {
@@ -366,33 +362,10 @@ func Run(o Options) (*Result, error) {
 	devs := make([]*ftl.Device, n)
 	trs := make([]ftl.Translator, n)
 	err = perShard(n, func(s int) error {
-		tr, err := NewTranslator(o.Scheme, cfgs[s].CacheBytes, cfgs[s].LogicalPages(), tpftlCfg)
-		if err != nil {
-			return err
-		}
-		dev, err := ftl.NewDevice(cfgs[s], tr)
-		if err != nil {
-			return err
-		}
-		if err := dev.Format(); err != nil {
-			return err
-		}
-		if o.Precondition > 0 {
-			image := lay.ImagePages(s, footPages)
-			writes := int(o.Precondition * float64(image))
-			if err := dev.PreconditionRange(writes, image, o.Seed+1+int64(s)); err != nil {
-				return err
-			}
-			dev.ResetMetrics()
-		}
-		// Warm after preconditioning: the optimal FTL snapshots the live
-		// mapping (it holds the authoritative table in RAM and never reads
-		// the persisted translation pages).
-		if w, ok := tr.(ftl.Warmer); ok {
-			w.Warm(dev.Truth)
-		}
-		devs[s], trs[s] = dev, tr
-		return nil
+		image := lay.ImagePages(s, footPages)
+		var err error
+		devs[s], trs[s], err = newDevice(o.Scheme, cfgs[s], tpftlCfg, int(o.Precondition*float64(image)), image, o.Seed+1+int64(s))
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -496,6 +469,38 @@ func Run(o Options) (*Result, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// newDevice builds one device the way every run and crash replay does: the
+// scheme's translator, the device, Format, then — when writes > 0 — that many
+// random rewrites of LPNs in [0, pages) drawn from seed, followed by a metrics
+// reset, and last the translator's warm-up. The same arguments always yield
+// bit-identical state.
+func newDevice(s Scheme, cfg ftl.Config, tpftlCfg *core.Config, writes int, pages, seed int64) (*ftl.Device, ftl.Translator, error) {
+	tr, err := NewTranslator(s, cfg.CacheBytes, cfg.LogicalPages(), tpftlCfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	dev, err := ftl.NewDevice(cfg, tr)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := dev.Format(); err != nil {
+		return nil, nil, err
+	}
+	if writes > 0 {
+		if err := dev.PreconditionRange(writes, pages, seed); err != nil {
+			return nil, nil, err
+		}
+		dev.ResetMetrics()
+	}
+	// Warm after preconditioning: the optimal FTL snapshots the live mapping
+	// (it holds the authoritative table in RAM and never reads the persisted
+	// translation pages).
+	if w, ok := tr.(ftl.Warmer); ok {
+		w.Warm(dev.Truth)
+	}
+	return dev, tr, nil
 }
 
 // perShard calls fn(s) for every shard s in [0, n) and returns the
