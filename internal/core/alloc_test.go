@@ -82,6 +82,46 @@ func TestMissEvictCycleAllocBound(t *testing.T) {
 	}
 }
 
+// TestMissEvictRunAllocates0 is TestMissEvictCycleAllocBound for runs: an
+// 8-page sequential sweep with request prefetch against a full 512-byte
+// cache, so that every request misses once, evicts a run of eight entries
+// from the coldest TP node and installs a run of eight. Reads run no GC, so
+// nothing device-side allocates either: the bound is zero.
+func TestMissEvictRunAllocates0(t *testing.T) {
+	if !allocGuardsEnabled {
+		t.Skip("allocation guards disabled under -race / -tags ftlsan")
+	}
+	d, tr := newTPFTLDevice(t, DefaultConfig(0), 512)
+	const pages = 4096 // deviceConfig's logical pages
+	arrival, page := int64(0), int64(0)
+	sweep := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := d.Serve(rdSpan(arrival, page, 8)); err != nil {
+				t.Fatal(err)
+			}
+			arrival++
+			page = (page + 8) % pages
+		}
+	}
+	sweep(1_000) // warm: the slabs, the scratch buffers and the page directory
+	before := d.Metrics()
+	const reqs = 500
+	allocs := testing.AllocsPerRun(1, func() { sweep(reqs) })
+	if perOp := allocs / reqs; perOp != 0 {
+		t.Fatalf("sequential miss+evict run allocates %.3f times per op, want 0", perOp)
+	}
+	m := d.Metrics()
+	if got := m.Replacements - before.Replacements; got < 8*reqs {
+		t.Fatalf("%d replacements over %d requests; the guard did not evict a run per miss", got, reqs)
+	}
+	if got := m.PrefetchedLoaded - before.PrefetchedLoaded; got < 7*reqs {
+		t.Fatalf("%d entries prefetched over %d requests; the guard did not install a run per miss", got, reqs)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSlabRecycleStress churns the cache through eviction/reinstall cycles
 // far larger than the budget and audits after every round that (a) recycled
 // nodes are fully reset (CheckInvariants walks both slab free lists and the
@@ -234,7 +274,7 @@ func TestCheckInvariantsAuditsIndexAndSlab(t *testing.T) {
 	}
 	// Free a few positions so that the free list has something to corrupt.
 	for tr.Len() > 40 {
-		if _, err := tr.evictOne(d); err != nil {
+		if _, err := tr.evictRun(d, tr.UsedBytes()); err != nil {
 			t.Fatal(err)
 		}
 	}

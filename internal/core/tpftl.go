@@ -186,9 +186,9 @@ type FTL struct {
 
 	// Reusable scratch buffers for the hot paths that previously allocated
 	// per call. prefetchBuf backs prefetchSet's result; evictScratch backs
-	// evictOne's writeback batch; gcPending/gcScratch back OnGCDataMoves'
-	// sorted flush. evictOne and OnGCDataMoves need separate buffers: a
-	// writeback inside evictOne can trigger GC, which re-enters the
+	// evictRun's writeback batch; gcPending/gcScratch back OnGCDataMoves'
+	// sorted flush. evictRun and OnGCDataMoves need separate buffers: a
+	// writeback inside evictRun can trigger GC, which re-enters the
 	// translator through OnGCDataMoves while evictScratch is still live.
 	prefetchBuf  []int32
 	evictScratch []ftl.EntryUpdate
@@ -215,7 +215,7 @@ type FTL struct {
 
 	// §4.5 rule-2 bookkeeping: while a prefetch-carrying load is evicting,
 	// every victim must come from one TP node. loadPrefetchPending is set
-	// around evictOne calls made with a non-empty prefetch; loadVictim is
+	// around evictRun calls made with a non-empty prefetch; loadVictim is
 	// that load's first victim node. A second distinct victim node records
 	// a sticky violation surfaced by CheckInvariants.
 	loadPrefetchPending bool
@@ -331,14 +331,6 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 	}
 	extras := f.prefetchSet(tp, lpn, off, pageEnd)
 
-	need := func(nExtras int) int64 {
-		c := int64(1+nExtras) * f.entryBytes
-		if f.tpAt(v) == nil {
-			c += f.nodeBytes // node may have been dropped by an eviction
-		}
-		return c
-	}
-
 	// Make room before reading the translation page: evictions can write
 	// back dirty entries and trigger GC, which may move the very data
 	// pages being looked up. Reading only after all evictions guarantees
@@ -348,16 +340,27 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 	// until the whole load fits into the current free space plus what
 	// evicting the coldest TP node entirely can yield, confining
 	// replacement to one cached page. The cap is recomputed before every
-	// eviction: the loop can exhaust its first victim node and surface a
+	// eviction run: a run can exhaust its victim node and surface a
 	// differently-sized coldest node (notably when the demanded entry's
 	// own node was the victim, whose drop raises the load's cost by
 	// nodeBytes), and a one-shot computation would let replacement quietly
 	// spill into a second page. When continuing would require a second
-	// victim node, the prefetch is dropped instead.
+	// victim node, the prefetch is dropped instead. Within one run the cap
+	// cannot change: each victim moves entryBytes from freeable to free.
 	f.loadVictim = -1
 	defer func() { f.loadPrefetchPending = false }()
 	victimNode := ftl.VTPN(-1)
-	for f.used+need(len(extras)) > f.cfg.CacheBytes {
+	for {
+		// base is the demanded entry, plus its TP node while that is not
+		// cached (an eviction run may have dropped it).
+		base := f.entryBytes
+		if f.tpAt(v) == nil {
+			base += f.nodeBytes
+		}
+		floor := f.cfg.CacheBytes - base - int64(len(extras))*f.entryBytes
+		if f.used <= floor {
+			break
+		}
 		if len(extras) > 0 {
 			cold := ftl.VTPN(-1)
 			freeable := int64(0)
@@ -369,20 +372,21 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 			if victimNode >= 0 && cold != victimNode {
 				extras = extras[:0]
 			} else {
-				free := f.cfg.CacheBytes - f.used
-				for len(extras) > 0 && need(len(extras)) > free+freeable {
-					extras = extras[:len(extras)-1]
+				room := f.cfg.CacheBytes - f.used + freeable - base
+				if n := max(room/f.entryBytes, 0); n < int64(len(extras)) {
+					extras = extras[:n]
 				}
 				if len(extras) > 0 {
 					victimNode = cold
 				}
 			}
-			if f.used+need(len(extras)) <= f.cfg.CacheBytes {
+			floor = f.cfg.CacheBytes - base - int64(len(extras))*f.entryBytes
+			if f.used <= floor {
 				break // the shrink alone made the load fit
 			}
 		}
 		f.loadPrefetchPending = len(extras) > 0
-		evicted, err := f.evictOne(env)
+		evicted, err := f.evictRun(env, floor)
 		if err != nil {
 			return flash.InvalidPPN, err
 		}
@@ -409,7 +413,7 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 		tp = f.newTPNode(v)
 	}
 	// Install prefetched entries first, the demanded entry last, so the
-	// demanded one ends up MRU.
+	// demanded one ends up MRU; its touch repositions tp for the whole run.
 	loaded := 0
 	for _, xo := range extras {
 		if tp.byOff[xo] != 0 {
@@ -607,7 +611,15 @@ func (f *FTL) stepCounter(delta int) {
 	}
 }
 
-// addEntry installs a new entry at the MRU position of tp.
+// addEntry installs a new entry at the MRU position of tp. It leaves tp
+// where it is in the page-level list: every install ends with a touch of the
+// demanded entry, and that one reposition puts tp where a reposition per
+// installed entry would have. Under HotnessLRU each of them is a move to the
+// front. Under HotnessAvg each new stamp is above every stamp in the cache, so
+// tp's average only rises along a run of installs, and bubbling tp forward
+// past the colder nodes in stages ends where one bubble with the final
+// average ends (exactly so while stampSum stays below 2⁵³, the float64
+// mantissa).
 //
 //ftl:hotpath
 func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryNode {
@@ -623,7 +635,6 @@ func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryN
 	tp.stampSum += f.stamp
 	f.entries++
 	f.used += f.entryBytes
-	f.reposition(tp)
 	return e
 }
 
@@ -654,11 +665,22 @@ func (f *FTL) removeEntry(e *entryNode) {
 	}
 }
 
-// evictOne evicts one victim per the replacement policy (§4.4) and reports
-// whether an eviction happened.
+// evictRun evicts the replacement policy's victim (§4.4), then keeps
+// evicting further victims of the same TP node while the cache is above floor,
+// the node is still the coldest page, and the next victim is clean. It
+// reports whether anything was evicted.
+//
+// The run picks exactly the victims that one eviction at a time would, in the
+// same order: with clean-first the next victim is the next clean entry toward
+// the MRU end (every entry behind the last victim is dirty, and no entry turns
+// clean or joins the node without a writeback or an install), without it the
+// LRU entry. The run ends where the choice would leave the node or need a
+// writeback: a dirty victim, which is written back last, the node dropped
+// once it empties, or, under HotnessAvg, the node no longer coldest after a
+// removal repositioned it.
 //
 //ftl:hotpath
-func (f *FTL) evictOne(env ftl.Env) (bool, error) {
+func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 	coldN := f.pages.Back()
 	if coldN == nil {
 		return false, nil
@@ -666,7 +688,7 @@ func (f *FTL) evictOne(env ftl.Env) (bool, error) {
 	tp := coldN.Value
 
 	// §4.5 rule-2 assertion: a load that still carries a prefetch must
-	// confine its evictions to one TP node.
+	// confine its evictions to one TP node. A run never leaves its node.
 	if f.loadPrefetchPending {
 		if f.loadVictim < 0 {
 			f.loadVictim = tp.vtpn
@@ -676,23 +698,29 @@ func (f *FTL) evictOne(env ftl.Env) (bool, error) {
 	}
 
 	var victim *entryNode
-	if f.cfg.CleanFirst {
-		// LRU clean entry of the coldest TP node; LRU dirty as fallback.
-		for n := tp.entries.Back(); n != nil; n = n.Prev() {
-			if e := n.Value; !e.dirty {
-				victim = e
-				break
+	for n := tp.entries.Back(); ; {
+		if f.cfg.CleanFirst {
+			// LRU clean entry of the coldest TP node; LRU dirty as
+			// fallback. Every entry behind n is dirty.
+			if n = prevClean(n); n == nil {
+				n = tp.entries.Back()
 			}
 		}
-	}
-	if victim == nil {
-		victim = tp.entries.Back().Value
-	}
-
-	env.NoteReplacement(victim.dirty)
-	if !victim.dirty {
+		victim = n.Value
+		env.NoteReplacement(victim.dirty)
+		if victim.dirty {
+			break
+		}
+		next := n.Prev() // read before removeEntry unlinks n
 		f.removeEntry(victim)
-		return true, nil
+		if f.used <= floor || f.pages.Back() != &tp.node {
+			return true, nil
+		}
+		if f.cfg.CleanFirst {
+			n = next
+		} else {
+			n = tp.entries.Back()
+		}
 	}
 
 	// Dirty victim: compose the writeback. With batch update every dirty
@@ -734,6 +762,19 @@ func (f *FTL) evictOne(env ftl.Env) (bool, error) {
 	return true, nil
 }
 
+// prevClean returns the first clean entry from n toward the MRU end, n
+// included, or nil.
+//
+//ftl:hotpath
+func prevClean(n *lru.Node[*entryNode]) *lru.Node[*entryNode] {
+	for ; n != nil; n = n.Prev() {
+		if !n.Value.dirty {
+			return n
+		}
+	}
+	return nil
+}
+
 // Update implements ftl.Translator.
 //
 //ftl:hotpath
@@ -755,19 +796,19 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	f.reserveEntries(env)
 	// Standalone update (the write path normally populates the entry via
 	// Translate first): make room and install dirty. The TP-node overhead
-	// is charged only when lpn's node is not already cached (mirroring
-	// load's need()), and recomputed every iteration since an eviction can
-	// drop the node; charging it unconditionally over-evicted one entry
-	// per standalone update.
-	need := func() int64 {
-		c := f.entryBytes
+	// is charged only when lpn's node is not already cached (as in load),
+	// and recomputed after every eviction run since a run can drop the node;
+	// charging it unconditionally over-evicted one entry per standalone
+	// update.
+	for {
+		floor := f.cfg.CacheBytes - f.entryBytes
 		if f.tpAt(v) == nil {
-			c += f.nodeBytes
+			floor -= f.nodeBytes
 		}
-		return c
-	}
-	for f.used+need() > f.cfg.CacheBytes {
-		evicted, err := f.evictOne(env)
+		if f.used <= floor {
+			break
+		}
+		evicted, err := f.evictRun(env, floor)
 		if err != nil {
 			return err
 		}

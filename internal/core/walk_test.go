@@ -1,6 +1,6 @@
 package core
 
-// The three batch walks over a TP node's entry list (evictOne,
+// The three batch walks over a TP node's entry list (evictRun,
 // OnGCDataMoves, FlushDirty) stop once tp.dirty entries have been collected
 // instead of running to the end of the list. These tests put the dirty
 // entries at the LRU tail with clean ones in front — the order in which an
@@ -82,9 +82,9 @@ func TestEvictOneBatchWalkReachesDirtyTail(t *testing.T) {
 	// Without clean-first the victim is the LRU entry, dirty off 1: its
 	// writeback must carry the other two dirty entries, which stay cached.
 	f, env := dirtyTailCache(t, Config{BatchUpdate: true, CompressEntries: true})
-	evicted, err := f.evictOne(env)
+	evicted, err := f.evictRun(env, f.UsedBytes()) // a floor at the usage stops the run after one victim
 	if err != nil || !evicted {
-		t.Fatalf("evictOne = %v, %v", evicted, err)
+		t.Fatalf("evictRun = %v, %v", evicted, err)
 	}
 	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(env.batches[0], wantDirty) {
 		t.Fatalf("WriteTP batches %v on pages %v, want one batch %v on page 0", env.batches, env.vtpns, wantDirty)
