@@ -440,3 +440,57 @@ func TestDeviceErrorMidStream(t *testing.T) {
 		}
 	}
 }
+
+// TestPowerCutIndependentOfGOMAXPROCS: a one-shard replay whose device loses
+// power in the middle of a multi-page request fails the same way on one core
+// as on two — the same error text, and the same EventHash, which holds the
+// failing request's flash operations issued before the cut.
+func TestPowerCutIndependentOfGOMAXPROCS(t *testing.T) {
+	const space = 16 << 20
+	base := ftl.DefaultConfig(space)
+	base.Channels, base.Dies = 2, 2
+	reqs := mixedTrace(8, 1500, space, int64(base.PageSize), 40_000)
+	type outcome struct {
+		err     string
+		served  int64
+		hash    uint64
+		ops     int64
+		metrics ftl.Metrics
+	}
+	run := func(procs int, reqs []trace.Request, cut int64) outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		h := newTestHost(t, base, 1, Options{QueueDepth: 4})
+		if cut > 0 {
+			h.Device(0).Chip().SetFaultPlan(&flash.FaultPlan{Seed: 3, CutAtOp: cut})
+		}
+		out, err := h.ReplayStream(trace.NewSliceIterator(reqs), ReplayOptions{Batch: 50})
+		if out == nil || (cut > 0) != errors.Is(err, flash.ErrPowerCut) {
+			t.Fatalf("GOMAXPROCS=%d: outcome %v, error %v", procs, out, err)
+		}
+		o := outcome{served: out.Shards[0].Admitted, hash: out.Shards[0].EventHash, metrics: out.Shards[0].M}
+		if err != nil {
+			o.err = err.Error()
+		}
+		o.ops = h.Device(0).Scheduler().Ops()
+		return o
+	}
+	one, two := run(1, reqs, 40_001), run(2, reqs, 40_001)
+	if one.err != two.err {
+		t.Errorf("error text differs:\n GOMAXPROCS=1: %s\n GOMAXPROCS=2: %s", one.err, two.err)
+	}
+	if one.hash != two.hash || one.ops != two.ops {
+		t.Errorf("EventHash %#x after %d ops at GOMAXPROCS=1, %#x after %d at 2", one.hash, one.ops, two.hash, two.ops)
+	}
+	if one.metrics != two.metrics {
+		t.Error("metrics differ")
+	}
+	// The cut lands inside a request: the same prefix served without a fault
+	// plan scheduled fewer operations and hashed differently.
+	if r := reqs[one.served]; r.Length <= int64(base.PageSize) {
+		t.Fatalf("request %d, where the cut lands, is %+v: want a multi-page one", one.served, r)
+	}
+	clean := run(2, reqs[:one.served], 0)
+	if clean.ops >= one.ops || clean.hash == one.hash {
+		t.Errorf("the failing request issued nothing before the cut: %d ops without it, %d with", clean.ops, one.ops)
+	}
+}

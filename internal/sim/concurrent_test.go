@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/flash"
 	"repro/internal/workload"
 )
 
@@ -65,6 +66,77 @@ func TestShardedRunIndependentOfGOMAXPROCS(t *testing.T) {
 	}
 	if !reflect.DeepEqual(one, four) {
 		t.Errorf("the two Results differ (M equal: %v, TraceStats equal: %v)", one.M == four.M, one.TraceStats == four.TraceStats)
+	}
+}
+
+// TestOneShardRunIndependentOfGOMAXPROCS: one preconditioned, warmed-up
+// device gives the same whole Result — metrics, Digest, the shard's
+// EventHash, trace statistics and cache samples — on one core as on two and
+// four, in every admission mode, with an absorbed fault plan and with cache
+// sampling attached.
+func TestOneShardRunIndependentOfGOMAXPROCS(t *testing.T) {
+	type tc struct {
+		name string
+		mod  func(*Options)
+	}
+	var cases []tc
+	for _, s := range []Scheme{SchemeTPFTL, SchemeDFTL} {
+		for _, adm := range []tc{
+			{"qd1", func(o *Options) {}},
+			{"qd8", func(o *Options) { o.QueueDepth = 8; o.Channels, o.Dies = 4, 2 }},
+			{"openloop", func(o *Options) { o.OpenLoop = true; o.Channels, o.Dies = 2, 2 }},
+		} {
+			cases = append(cases, tc{string(s) + "/" + adm.name, func(o *Options) { o.Scheme = s; adm.mod(o) }})
+		}
+	}
+	cases = append(cases,
+		tc{"TPFTL/faults", func(o *Options) {
+			o.QueueDepth = 4
+			o.Channels = 2
+			o.Faults = &flash.FaultPlan{Seed: 5, ReadProb: 0.002, ProgramProb: 0.002}
+		}},
+		tc{"TPFTL/samples", func(o *Options) { o.SampleEvery = 500 }},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var res [3]*Result
+			for i, procs := range []int{1, 2, 4} {
+				atGOMAXPROCS(procs, func() {
+					o := streamTestOptions(SchemeTPFTL)
+					// Small enough for the ftlsan build's per-request
+					// whole-device checks to finish in seconds.
+					o.AddressSpace = 16 << 20
+					o.Requests = 2_000
+					o.ResetAfterWarmup = 200
+					o.Precondition = 1
+					c.mod(&o)
+					var err error
+					if res[i], err = Run(o); err != nil {
+						t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
+					}
+				})
+			}
+			if res[0].M.Requests == 0 || len(res[0].Shards) != 1 || res[0].Digest == 0 {
+				t.Fatalf("%d requests, %d shard results, digest %#x", res[0].M.Requests, len(res[0].Shards), res[0].Digest)
+			}
+			if c.name == "TPFTL/faults" && (res[0].M.FaultRetries == 0 || res[0].M.FaultRetries != res[0].M.InjectedFaults) {
+				t.Fatalf("%d faults injected, %d retried: the plan must fire and be absorbed", res[0].M.InjectedFaults, res[0].M.FaultRetries)
+			}
+			if c.name == "TPFTL/samples" && len(res[0].Samples) < 3 {
+				t.Fatalf("%d cache samples", len(res[0].Samples))
+			}
+			for i, procs := range []int{2, 4} {
+				got := res[i+1]
+				if got.Shards[0].EventHash != res[0].Shards[0].EventHash || got.Digest != res[0].Digest {
+					t.Errorf("GOMAXPROCS=%d: EventHash %#x, digest %#x; at 1: %#x, %#x",
+						procs, got.Shards[0].EventHash, got.Digest, res[0].Shards[0].EventHash, res[0].Digest)
+				}
+				if !reflect.DeepEqual(got, res[0]) {
+					t.Errorf("GOMAXPROCS=%d: Result differs from GOMAXPROCS=1 (M equal: %v, TraceStats equal: %v, samples equal: %v)",
+						procs, got.M == res[0].M, got.TraceStats == res[0].TraceStats, reflect.DeepEqual(got.Samples, res[0].Samples))
+				}
+			}
+		})
 	}
 }
 
