@@ -15,14 +15,15 @@ vet:
 		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # The second line re-runs the tests of what happens concurrently around and
-# inside a sharded run — per-shard set-up and teardown, the figure sweeps,
-# the lane workers, the live plane — at three GOMAXPROCS values, so the
-# goroutines are scheduled both on fewer and on more Ps than the runner has
-# cores.
+# inside a run — per-shard set-up and teardown, the figure sweeps, the lane
+# workers, the live plane, a device's timing half on its own goroutine — at
+# three GOMAXPROCS values, so the goroutines are scheduled both on fewer and
+# on more Ps than the runner has cores (the host pipelines the timing half
+# only from two Ps per shard up).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/sim \
-		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence'
+	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/host \
+		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream'
 
 # ftlint is the repo's own static-analysis suite (cmd/ftlint): ten analyzers
 # covering global randomness, cache accounting outside the helpers, discarded

@@ -13,6 +13,8 @@
 // heap happened to have free, so the same binary ran in two speeds.
 package cacheline
 
+import "unsafe"
+
 // guard is the dead space on each side of an isolated value: a pair of
 // 64-byte lines, because the adjacent-line prefetcher fetches lines in
 // aligned pairs and a pair is the unit two cores contend for.
@@ -31,4 +33,16 @@ type isolated[T any] struct {
 func Isolated[T any](v T) *T {
 	p := &isolated[T]{v: v}
 	return &p.v
+}
+
+// IsolatedSlice returns a zeroed slice of n elements no part of which shares
+// a cache line (or line pair) with any other object: Isolated for a per-die
+// array whose length is known only at run time. The slice's capacity is n.
+func IsolatedSlice[T any](n int) []T {
+	var zero T
+	pad := 1
+	if size := int(unsafe.Sizeof(zero)); size > 0 {
+		pad = (guard + size - 1) / size
+	}
+	return make([]T, n+2*pad)[pad : pad+n : pad+n]
 }

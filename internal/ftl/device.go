@@ -46,43 +46,42 @@ type Device struct {
 	tpBuf   []flash.PPN // padded copy ReadTP returns for a partial last page; nil when every page is full
 	gcMoves []GCMove    // collect's scratch, handed to Translator.OnGCDataMoves
 
-	// sched is the event-driven clock of the parallel backend: flash
-	// operations are issued onto the die of their block and overlap when
-	// independent (see internal/ssd). At 1 channel × 1 die it reproduces
-	// the scalar-clock timing of the original device bit-for-bit.
-	sched   *ssd.Scheduler
-	serving bool          // inside a request; timing charged only then
-	resetAt time.Duration // simulated time of the last metrics reset
-	// busyAtReset snapshots per-channel busy time at the last metrics
-	// reset, so Metrics reports busy deltas of the measured phase only.
-	busyAtReset [MaxChannels]time.Duration
+	// log is the operation log that feeds the timing half (tl, below); pipe
+	// is non-nil once the timing half has run on a goroutine of its own.
+	log     oplog
+	pipe    *pipe
+	serving bool // inside a request; operations are logged only then
 
 	seq  int64 // program sequence counter (crash-recovery ordering)
 	ph   phase
 	inGC bool
+	// reqMiss and reqPrefetch classify the request being served for the
+	// translation-phase histograms; its end record carries them.
+	reqMiss     bool
+	reqPrefetch bool
 
+	// m holds the logical half's counters, and the phase histograms the
+	// timing half records (tl.phases points at m.Phases); tl.fold adds the
+	// rest of the timing-owned fields. Nothing after m is written while a
+	// request is served, so the histograms' last lines share no line with a
+	// field the logical half writes.
 	m Metrics
 
 	// Observability (all nil/zero when disabled; the disabled path does no
 	// work — see internal/obs). tracer mirrors the scheduler's tracer so the
 	// device can emit request spans; metricsW streams a JSONL snapshot every
-	// metricsEvery served requests. The per-request phase accumulators
-	// (reqXlate/reqData/reqWB and the hit/miss/prefetch classification) are
-	// reset at admission and folded into m.Phases at completion.
+	// metricsEvery served requests. Each of the three reads the clock per
+	// request, so a host keeps an observed device's timing half inline
+	// (Observed).
 	tracer       *obs.Tracer
 	metricsW     *obs.MetricsWriter
 	metricsEvery int64
 	// live is the shard's telemetry cell (nil when the live plane is off —
 	// the disabled path pays one nil check and allocates nothing). Epochs
 	// and recorder appends happen only on the serving goroutine.
-	live        *live.Cell
-	snapSeq     int64
-	lastExport  obs.Counters
-	reqXlate    time.Duration
-	reqData     time.Duration
-	reqWB       time.Duration
-	reqMiss     bool
-	reqPrefetch bool
+	live       *live.Cell
+	snapSeq    int64
+	lastExport obs.Counters
 
 	// OnSample, if set, is invoked every SampleEvery user page accesses
 	// with the current page-access count; the Fig. 1/2 instrumentation
@@ -91,6 +90,19 @@ type Device struct {
 	SampleEvery int64
 
 	formatted bool
+
+	// tl is the timing half (see oplog.go): the event-driven clock of the
+	// parallel backend, on which flash operations are issued onto the die
+	// of their block and overlap when independent (see internal/ssd), and
+	// the response-time accounting. At 1 channel × 1 die it reproduces the
+	// scalar-clock timing of the original device bit-for-bit. A pipelined
+	// timing goroutine writes it on every operation, so it sits between two
+	// line pairs of dead space, where no field the logical half touches can
+	// share its lines; embedded rather than allocated apart, it costs the
+	// inline path no pointer load.
+	_  [128]byte
+	tl timeline
+	_  [128]byte
 }
 
 // NewDevice builds a device with the given configuration and policy.
@@ -122,8 +134,8 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		truth:        make([]flash.PPN, logicalPages),
 		unmapped:     make([]int32, numTPs),
 		gcMoves:      make([]GCMove, 0, cfg.PagesPerBlock),
-		sched:        ssd.NewScheduler(cfg.Channels, cfg.Dies),
 	}
+	d.tl = newTimeline(cfg, d)
 	if logicalPages%int64(entriesPerTP) != 0 {
 		d.tpBuf = make([]flash.PPN, entriesPerTP)
 	}
@@ -157,12 +169,7 @@ func (d *Device) Metrics() Metrics {
 	fc := d.chip.Config()
 	m.Channels = fc.NumChannels()
 	m.DiesPerChannel = fc.NumDies() / m.Channels
-	for c := 0; c < m.Channels && c < MaxChannels; c++ {
-		m.ChanBusy[c] = d.sched.ChannelBusy(c) - d.busyAtReset[c]
-	}
-	if now := d.sched.Now(); now > d.resetAt {
-		m.Elapsed = now - d.resetAt
-	}
+	d.tl.fold(&m)
 	return m
 }
 
@@ -174,13 +181,11 @@ func (d *Device) Metrics() Metrics {
 func (d *Device) ResetMetrics() {
 	if c := d.live; c != nil {
 		d.publishLive()
-		c.FoldBase(d.m.Counters())
+		m := d.Metrics()
+		c.FoldBase(m.Counters())
 	}
 	d.m = Metrics{}
-	for c := 0; c < d.cfg.Channels; c++ {
-		d.busyAtReset[c] = d.sched.ChannelBusy(c)
-	}
-	d.resetAt = d.sched.Now()
+	d.tl.reset()
 	d.lastExport = obs.Counters{}
 }
 
@@ -190,7 +195,7 @@ func (d *Device) ResetMetrics() {
 // Tracing reads the simulated clock and never advances it.
 func (d *Device) SetTracer(t *obs.Tracer) {
 	d.tracer = t
-	d.sched.SetTracer(t)
+	d.tl.sched.SetTracer(t)
 	if t == nil {
 		return
 	}
@@ -217,7 +222,8 @@ func (d *Device) PublishLive() { d.publishLive() }
 // into the cell. Cold path: only reached with the live plane enabled.
 func (d *Device) publishLive() {
 	if c := d.live; c != nil {
-		c.Publish(int64(d.sched.Now()), d.m.Counters(), int64(d.m.MaxResponse))
+		m := d.Metrics()
+		c.Publish(int64(d.tl.sched.Now()), m.Counters(), int64(m.MaxResponse))
 	}
 }
 
@@ -232,7 +238,7 @@ func (d *Device) recordLive(c *live.Cell, req *trace.Request, arrival, admit, co
 		return
 	}
 	c.Recorder().Append(live.Record{
-		SimNS:      int64(d.sched.Now()),
+		SimNS:      int64(d.tl.sched.Now()),
 		Kind:       liveKind(req.Op),
 		Off:        req.Offset,
 		N:          req.Length,
@@ -240,7 +246,7 @@ func (d *Device) recordLive(c *live.Cell, req *trace.Request, arrival, admit, co
 		AdmitNS:    int64(admit),
 		CompleteNS: int64(complete),
 	})
-	if c.Due(d.m.Requests) {
+	if c.Due(d.tl.requests) {
 		d.publishLive()
 	}
 }
@@ -283,7 +289,7 @@ func (d *Device) SetMetricsExport(w io.Writer, every int64) {
 func (d *Device) FinishObservability() error {
 	var firstErr error
 	if d.metricsW != nil {
-		if d.m.Requests > d.lastExport[obs.CtrRequests] || d.snapSeq == 0 {
+		if d.tl.requests > d.lastExport[obs.CtrRequests] || d.snapSeq == 0 {
 			d.exportSnapshot()
 		}
 		firstErr = d.metricsW.Flush()
@@ -304,7 +310,7 @@ func (d *Device) exportSnapshot() {
 	d.snapSeq++
 	rec := obs.SnapshotRecord{
 		Seq:       d.snapSeq,
-		SimTimeNS: int64(d.sched.Now()),
+		SimTimeNS: int64(d.tl.sched.Now()),
 		Requests:  cur[obs.CtrRequests],
 		Delta:     cur.Sub(d.lastExport),
 		Total:     cur,
@@ -316,11 +322,17 @@ func (d *Device) exportSnapshot() {
 
 // Now returns the simulated device clock: the completion time of the latest
 // retired request.
-func (d *Device) Now() time.Duration { return d.sched.Now() }
+func (d *Device) Now() time.Duration { return d.tl.sched.Now() }
 
 // Scheduler exposes the event-driven backend clock (tests and the
 // simulation harness read utilization and the event hash from it).
-func (d *Device) Scheduler() *ssd.Scheduler { return d.sched }
+func (d *Device) Scheduler() *ssd.Scheduler { return d.tl.sched }
+
+// Observed reports whether a per-request observer is attached: a span
+// tracer, a metrics export or a live-telemetry cell. Each reads the clock as
+// requests are served, so a host runs an observed device's timing half
+// inline rather than beside it (StartTiming).
+func (d *Device) Observed() bool { return d.tracer != nil || d.metricsW != nil || d.live != nil }
 
 // Format pre-fills the device: every logical page is written once in LPN
 // order and the full mapping table is laid out in translation pages, putting
@@ -415,71 +427,95 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 // arrival admission go through ServeAt, driven by ssd.Admitter.
 func (d *Device) Serve(req trace.Request) (time.Duration, error) {
 	arrival := time.Duration(req.Arrival)
-	admit := d.sched.Now()
+	admit := d.tl.sched.Now()
 	if arrival > admit {
 		admit = arrival
 	}
-	_, resp, err := d.serveAdmitted(req, admit)
-	return resp, err
+	complete, err := d.ServeAt(req, admit)
+	if err != nil {
+		return 0, err
+	}
+	return complete - arrival, nil
 }
 
 // ServeAt executes one request admitted at the given simulated time (never
 // before its arrival) and returns its completion time. It implements
 // ssd.Server: the frontend picks admission times, the device schedules the
 // request's flash operations onto its dies from there. Logical effects
-// apply in call order; only timing overlaps between requests.
+// apply in call order; only timing overlaps between requests. The timing
+// half runs inline: each of the request's log records is stepped, from
+// admit, as soon as it is emitted.
 func (d *Device) ServeAt(req trace.Request, admit time.Duration) (time.Duration, error) {
-	complete, _, err := d.serveAdmitted(req, admit)
-	return complete, err
+	if d.log.c != nil {
+		return 0, errf("ServeAt while the timing half runs beside the device: use Apply")
+	}
+	return d.serve(req, admit)
 }
 
-func (d *Device) serveAdmitted(req trace.Request, admit time.Duration) (complete, resp time.Duration, err error) {
+// Apply runs the logical half of one request while the timing half runs on
+// its own goroutine (StartTiming), which schedules the request once it
+// reaches it in the log. It returns the request's error, if any; the
+// request's flash operations issued before the error still reach the
+// schedule, as under ServeAt.
+func (d *Device) Apply(req trace.Request) error {
+	if d.log.c == nil {
+		return errf("Apply without StartTiming: use ServeAt")
+	}
+	_, err := d.serve(req, 0)
+	return err
+}
+
+// serve is the logical half of one request: it changes the device's state,
+// and emits the request's begin record, its flash operations in issue order
+// and its end — or, when it fails, the operations so far and a failure. With
+// the timing half inline it returns the completion time.
+func (d *Device) serve(req trace.Request, admit time.Duration) (complete time.Duration, err error) {
 	if err := req.Validate(); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if req.End() > d.cfg.LogicalBytes {
-		return 0, 0, errf("request [%d,%d) beyond capacity %d", req.Offset, req.End(), d.cfg.LogicalBytes)
+		return 0, errf("request [%d,%d) beyond capacity %d", req.Offset, req.End(), d.cfg.LogicalBytes)
 	}
 	arrival := time.Duration(req.Arrival)
-	if admit < arrival {
-		admit = arrival
+	inline := d.log.c == nil
+	if inline {
+		if admit < arrival {
+			admit = arrival
+		}
+		if c := d.live; c != nil {
+			// Deferred so a failing request — the one a post-mortem cares
+			// about — still lands in the flight recorder (complete stays 0).
+			defer func() { d.recordLive(c, &req, arrival, admit, complete) }()
+		}
 	}
 	d.ph = phaseAT
 	d.serving = true
-	defer func() { d.serving = false }()
-	d.sched.BeginRequest(admit)
-	d.reqXlate, d.reqData, d.reqWB = 0, 0, 0
 	d.reqMiss, d.reqPrefetch = false, false
-	gcBase := d.m.GCTime
-	if c := d.live; c != nil {
-		// Deferred so a failing request — the one a post-mortem cares
-		// about — still lands in the flight recorder (complete stays 0).
-		defer func() { d.recordLive(c, &req, arrival, admit, complete) }()
+	d.log.brk = false
+	if inline {
+		d.tl.begin(arrival, req.Op, admit)
+	} else {
+		d.put(logRec{arrival, pack(recBegin, uint8(req.Op), 0, 0)})
 	}
-
 	switch req.Op {
 	case trace.OpRead, trace.OpWrite, trace.OpWriteFUA:
 		first, last := req.Pages(d.cfg.PageSize)
 		d.tr.BeginRequest(LPN(first), LPN(last), req.IsWrite())
-		for lpn := LPN(first); lpn <= LPN(last); lpn++ {
+		for lpn := LPN(first); lpn <= LPN(last) && err == nil; lpn++ {
 			// Page sub-operations of one request carry no dependency on
 			// each other: each opens a fresh chain from the admission time,
 			// so sub-ops striped onto different dies overlap.
-			d.sched.BreakChain()
-			var err error
+			d.breakChain()
 			if req.IsWrite() {
 				err = d.writePage(lpn)
 			} else {
 				err = d.readPage(lpn)
 			}
-			if err != nil {
-				return 0, 0, err
-			}
-			if d.SampleEvery > 0 && d.m.PageAccesses()%d.SampleEvery == 0 && d.OnSample != nil {
+			if err == nil && d.SampleEvery > 0 && d.m.PageAccesses()%d.SampleEvery == 0 && d.OnSample != nil {
 				d.OnSample(d.m.PageAccesses())
 			}
 		}
-		if req.Op == trace.OpWriteFUA {
+		if req.Op == trace.OpWriteFUA && err == nil {
 			// Every acknowledged program is durable in this device (no
 			// volatile data buffer inside), so FUA costs nothing extra
 			// here; the counter feeds the host-interface accounting and
@@ -488,69 +524,36 @@ func (d *Device) serveAdmitted(req trace.Request, admit time.Duration) (complete
 		}
 	case trace.OpTrim:
 		d.m.TrimRequests++
-		if err := d.trimRequest(req); err != nil {
-			return 0, 0, err
-		}
+		err = d.trimRequest(req)
 	case trace.OpFlush:
 		d.m.FlushRequests++
-		if err := d.flushMapping(); err != nil {
-			return 0, 0, err
-		}
+		err = d.flushMapping()
 	default:
-		return 0, 0, errf("unhandled request op %v", req.Op)
+		err = errf("unhandled request op %v", req.Op)
 	}
-
-	complete = d.sched.EndRequest()
-	resp = complete - arrival
-	d.m.Requests++
-	d.m.ServiceTime += complete - admit
-	d.m.ResponseTime += resp
-	d.m.QueueTime += admit - arrival
-	d.m.ObserveResponse(resp)
-	d.observeRequest(arrival, admit, complete, d.m.GCTime-gcBase, req.Op)
-	if SanitizerEnabled {
-		if err := d.sanitize(); err != nil {
-			return 0, 0, err
+	if err == nil && SanitizerEnabled {
+		err = d.sanitize()
+	}
+	d.serving = false
+	if err != nil {
+		if !inline {
+			d.put(logRec{0, pack(recFail, 0, 0, 0)})
 		}
+		return 0, err
 	}
-	return complete, resp, nil
-}
-
-// observeRequest attributes one completed request's latency across the
-// phase histograms and feeds the tracer/export sinks. For reads and writes,
-// translation time goes to exactly one of the hit/miss/prefetch phases —
-// classified by whether any cache lookup missed and whether a miss load
-// prefetched extra entries — so those three counts sum to the read/write
-// request count. Trims and flushes record their flash time into their own
-// phases instead.
-//
-//ftl:hotpath
-func (d *Device) observeRequest(arrival, admit, complete, gcStall time.Duration, op trace.Op) {
-	d.m.Phases[obs.PhaseQueue].Record(admit - arrival)
-	switch op {
-	case trace.OpTrim:
-		d.m.Phases[obs.PhaseTrim].Record(d.reqWB)
-	case trace.OpFlush:
-		d.m.Phases[obs.PhaseFlush].Record(d.reqWB)
-	default:
-		xp := obs.PhaseXlateHit
-		if d.reqMiss {
-			xp = obs.PhaseXlateMiss
-			if d.reqPrefetch {
-				xp = obs.PhaseXlatePrefetch
-			}
-		}
-		d.m.Phases[xp].Record(d.reqXlate)
-		d.m.Phases[obs.PhaseData].Record(d.reqData)
-		d.m.Phases[obs.PhaseWriteback].Record(d.reqWB)
+	var class uint8
+	if d.reqMiss {
+		class |= recMiss
 	}
-	d.m.Phases[obs.PhaseGCStall].Record(gcStall)
-	if t := d.tracer; t != nil {
-		t.RequestSpan(op.String(), d.m.Requests, arrival, complete)
+	if d.reqPrefetch {
+		class |= recPrefetch
 	}
-	if d.metricsW != nil && d.m.Requests%d.metricsEvery == 0 {
-		d.exportSnapshot()
+	if inline {
+		d.tl.end(class, admit)
+		return d.tl.complete, nil
 	}
+	d.put(logRec{0, pack(recEnd, 0, class, 0)})
+	return 0, nil
 }
 
 // sanitize runs the per-operation invariant suite when the binary is built
@@ -588,8 +591,7 @@ func (d *Device) readPage(lpn LPN) error {
 	if err != nil {
 		return err
 	}
-	d.issuePage(ppn, lat, obs.OpDataRead)
-	d.reqData += lat
+	d.issuePage(ppn, lat, obs.OpDataRead, sumData)
 	d.m.FlashReads++
 	return nil
 }
@@ -619,8 +621,7 @@ func (d *Device) writePage(lpn LPN) error {
 	if err != nil {
 		return err
 	}
-	d.issuePage(ppn, lat, obs.OpDataProgram)
-	d.reqData += lat
+	d.issuePage(ppn, lat, obs.OpDataProgram, sumData)
 	d.m.FlashPrograms++
 	if old.Valid() {
 		if err := d.bm.invalidate(old); err != nil {
@@ -646,7 +647,7 @@ func (d *Device) trimRequest(req trace.Request) error {
 		if end > LPN(last) {
 			end = LPN(last)
 		}
-		d.sched.BreakChain()
+		d.breakChain()
 		if err := d.trimTP(v, lpn, end); err != nil {
 			return err
 		}
@@ -686,12 +687,9 @@ func (d *Device) trimTP(v VTPN, lo, hi LPN) error {
 		if err != nil {
 			return err
 		}
-		d.issuePage(old, lat, obs.OpTransRead)
+		d.issuePage(old, lat, obs.OpTransRead, sumWB)
 		d.m.FlashReads++
 		d.m.TransReadsAT++
-		if d.serving {
-			d.reqWB += lat
-		}
 	}
 	ppn, err := d.bm.alloc(blockTrans)
 	if err != nil {
@@ -701,12 +699,9 @@ func (d *Device) trimTP(v VTPN, lo, hi LPN) error {
 	if err != nil {
 		return err
 	}
-	d.issuePage(ppn, lat, obs.OpTransProgram)
+	d.issuePage(ppn, lat, obs.OpTransProgram, sumWB)
 	d.m.FlashPrograms++
 	d.m.TransWritesAT++
-	if d.serving {
-		d.reqWB += lat
-	}
 	// Commit point: the cleared translation page is on flash.
 	if old.Valid() {
 		if err := d.bm.invalidate(old); err != nil {
@@ -795,31 +790,50 @@ func (d *Device) foldTPPersist(v VTPN) {
 	}
 }
 
-// issuePage charges one completed flash operation on p's die to the
-// event-driven clock; issueBlock does the same for a block-level operation
+// issuePage logs one completed flash operation on page p's die for the
+// timing half, which schedules it there and charges its latency to the
+// request's sum (sumXlate, sumData or sumWB; every operation issued during GC
+// goes to sumGC). issueBlock does the same for a block-level operation
 // (erase). Operations run outside a request — Format, Precondition, and the
-// GC they trigger — keep their metric attribution but are not scheduled:
-// the measured timeline starts pristine, exactly as the scalar-clock device
+// GC they trigger — keep their metric attribution but are not logged: the
+// measured timeline starts pristine, exactly as the scalar-clock device
 // discarded pre-measurement latency.
 //
 //ftl:hotpath
-func (d *Device) issuePage(p flash.PPN, lat time.Duration, op obs.Op) {
-	d.issueDie(d.chip.DieOf(p), lat, op)
+func (d *Device) issuePage(p flash.PPN, lat time.Duration, op obs.Op, sum uint8) {
+	if d.ph == phaseGC {
+		d.m.GCTime += lat
+		op, sum = op.GC(), sumGC
+	}
+	if !d.serving {
+		return
+	}
+	die := d.chip.DieOf(p)
+	if d.log.c == nil {
+		d.tl.issue(die, lat, op, sum)
+		return
+	}
+	if d.log.brk {
+		sum |= recBreak
+		d.log.brk = false
+	}
+	d.put(logRec{lat, pack(recOp, uint8(op), sum, die)})
 }
 
 func (d *Device) issueBlock(b flash.BlockID, lat time.Duration, op obs.Op) {
-	d.issueDie(d.chip.DieOfBlock(b), lat, op)
+	d.issuePage(d.chip.PageAt(b, 0), lat, op, sumGC)
 }
 
-//ftl:hotpath
-func (d *Device) issueDie(die int, lat time.Duration, op obs.Op) {
-	if d.ph == phaseGC {
-		d.m.GCTime += lat
-		op = op.GC()
+// breakChain starts a new dependency chain at the request's admission time:
+// the next flash operation of the request depends on none before it. Inline
+// the timing half breaks the chain at once; pipelined the next operation's
+// record carries the break.
+func (d *Device) breakChain() {
+	if d.log.c == nil {
+		d.tl.brk()
+		return
 	}
-	if d.serving {
-		d.sched.IssueOp(die, lat, op)
-	}
+	d.log.brk = true
 }
 
 // --- Fault-tolerant chip access ------------------------------------------
@@ -943,15 +957,12 @@ func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.issuePage(phys, lat, obs.OpTransRead)
+		d.issuePage(phys, lat, obs.OpTransRead, sumXlate)
 		d.m.FlashReads++
 		if d.ph == phaseGC {
 			d.m.TransReadsGC++
 		} else {
 			d.m.TransReadsAT++
-			if d.serving {
-				d.reqXlate += lat
-			}
 		}
 	}
 	lo := int64(v) * int64(d.entriesPerTP)
@@ -1002,15 +1013,12 @@ func (d *Device) WriteTP(v VTPN, updates []EntryUpdate, fullPage bool) error {
 		if err != nil {
 			return err
 		}
-		d.issuePage(old, lat, obs.OpTransRead)
+		d.issuePage(old, lat, obs.OpTransRead, sumWB)
 		d.m.FlashReads++
 		if d.ph == phaseGC {
 			d.m.TransReadsGC++
 		} else {
 			d.m.TransReadsAT++
-			if d.serving {
-				d.reqWB += lat
-			}
 		}
 	}
 	ppn, err := d.bm.alloc(blockTrans)
@@ -1021,15 +1029,12 @@ func (d *Device) WriteTP(v VTPN, updates []EntryUpdate, fullPage bool) error {
 	if err != nil {
 		return err
 	}
-	d.issuePage(ppn, lat, obs.OpTransProgram)
+	d.issuePage(ppn, lat, obs.OpTransProgram, sumWB)
 	d.m.FlashPrograms++
 	if d.ph == phaseGC {
 		d.m.TransWritesGC++
 	} else {
 		d.m.TransWritesAT++
-		if d.serving {
-			d.reqWB += lat
-		}
 	}
 	if old.Valid() {
 		if err := d.bm.invalidate(old); err != nil {

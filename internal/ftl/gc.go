@@ -88,10 +88,10 @@ func (d *Device) maybeWearLevel() error {
 		d.m.WearLevelMoves++
 		if c := d.live; c != nil {
 			c.Recorder().Append(live.Record{
-				SimNS:      int64(d.sched.Now()),
+				SimNS:      int64(d.tl.sched.Now()),
 				Kind:       live.KindWearLevel,
 				Off:        int64(minBlk),
-				CompleteNS: int64(d.sched.Now()),
+				CompleteNS: int64(d.tl.sched.Now()),
 			})
 		}
 	}
@@ -178,12 +178,15 @@ func (d *Device) collect(blk flash.BlockID) error {
 	if c := d.live; c != nil {
 		// One scheduler event per collection in the flight recorder: the
 		// victim block and how many valid pages it forced us to migrate.
+		// The logical half reads the clock here only because a live cell
+		// keeps the timing half inline (Observed): the clock is the last
+		// retired request's, as when the collection was issued.
 		c.Recorder().Append(live.Record{
-			SimNS:      int64(d.sched.Now()),
+			SimNS:      int64(d.tl.sched.Now()),
 			Kind:       recKind,
 			Off:        int64(blk),
 			N:          int64(validCount),
-			CompleteNS: int64(d.sched.Now()),
+			CompleteNS: int64(d.tl.sched.Now()),
 		})
 	}
 	return nil
@@ -204,7 +207,7 @@ func (d *Device) migratePage(ppn flash.PPN, meta flash.Meta) (flash.PPN, error) 
 	if err != nil {
 		return flash.InvalidPPN, err
 	}
-	d.issuePage(ppn, lat, readOp)
+	d.issuePage(ppn, lat, readOp, sumGC)
 	d.m.FlashReads++
 	newPPN, err := d.bm.alloc(kind)
 	if err != nil {
@@ -217,7 +220,7 @@ func (d *Device) migratePage(ppn flash.PPN, meta flash.Meta) (flash.PPN, error) 
 	if err != nil {
 		return flash.InvalidPPN, err
 	}
-	d.issuePage(newPPN, lat, progOp)
+	d.issuePage(newPPN, lat, progOp, sumGC)
 	d.m.FlashPrograms++
 	// Invalidate directly on the chip: the old page is inside the victim
 	// block being collected, which must not re-enter the GC candidate heap.

@@ -3,6 +3,7 @@ package host
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 
 	"repro/internal/cacheline"
@@ -46,13 +47,22 @@ type Host struct {
 // shard is one slice of the LPN space: a private device plus the admission
 // queue of its serial request loop. Everything here is touched only by the
 // goroutine serving the shard (or, between runs, by the host's caller), never
-// concurrently.
+// concurrently — except adm, which the device's timing goroutine owns while
+// the timing half is pipelined.
 type shard struct {
 	id  int
 	dev *ftl.Device
 
-	adm ssd.Admitter // this run's admission queue
-	err error
+	// adm is this run's admission queue, on cache lines of its own: a
+	// pipelined timing half writes it on every request.
+	adm *ssd.Admitter
+	// piped is set for a run whose timing half runs beside the logical half
+	// (see ReplayStream).
+	piped bool
+	// served counts the requests of this run's served batches: the index,
+	// in the shard's stream, of the next batch's first request.
+	served int64
+	err    error
 
 	// pull is the one-shard host's pull buffer, kept across replays so a
 	// warm-up and the measured phase share it.
@@ -78,7 +88,7 @@ func New(lay Layout, devs []*ftl.Device, opt Options) (*Host, error) {
 		if got, want := dev.Config().LogicalBytes, lay.ShardBytes(s); got != want {
 			return nil, fmt.Errorf("host: shard %d advertises %d B, layout assigns %d B", s, got, want)
 		}
-		h.shards[s] = cacheline.Isolated(shard{id: s, dev: dev})
+		h.shards[s] = cacheline.Isolated(shard{id: s, dev: dev, adm: cacheline.Isolated(ssd.Admitter{})})
 	}
 	return h, nil
 }
@@ -115,16 +125,41 @@ func (h *Host) SetLive(cells []*live.Cell) {
 // deeper queues and open loop start empty. This is the one place that rule
 // lives.
 func (s *shard) reset(qd int) {
-	s.adm = *ssd.NewAdmitter(qd)
+	*s.adm = *ssd.NewAdmitter(qd)
 	s.err = nil
+	s.served = 0
 	if qd == 1 {
 		s.adm.Occupy(s.dev.Now())
 	}
 }
 
-// serveBatch admits a batch of local requests, in order, against the shard's
-// queue-depth policy — the one per-batch serve function, run by the caller's
-// goroutine on a one-shard host and by the shard's worker otherwise. Logical
+// start begins a run's serving. With spare cores (pipe) and no per-request
+// observer on the device, the device's timing half — scheduler, admission
+// through adm, response accounting — moves to a goroutine of its own, fed
+// the operation log, while the goroutine serving the shard runs only the
+// logical half. Otherwise both halves run on the serving goroutine. The
+// simulated results are the same either way.
+func (s *shard) start(pipe bool) {
+	s.piped = pipe && !s.dev.Observed()
+	if s.piped {
+		s.dev.StartTiming(s.adm)
+	}
+}
+
+// stop joins the run's timing goroutine, if any: afterwards the device's
+// clock, metrics and event hash, and adm, cover every request served.
+func (s *shard) stop() {
+	if s.piped {
+		s.dev.StopTiming()
+		s.piped = false
+	}
+}
+
+// serveBatch serves a batch of local requests, in order — the one per-batch
+// serve function, run by the caller's goroutine on a one-shard host and by
+// the shard's worker otherwise. Inline, each request is admitted against the
+// shard's queue-depth policy and served; pipelined, the device applies it and
+// logs its flash operations for the timing goroutine, which admits it. Logical
 // effects apply in call order; only simulated timing overlaps. The first
 // device error sticks, carrying the failing request's index in the shard's
 // stream; later batches are dropped unserved.
@@ -133,12 +168,21 @@ func (s *shard) serveBatch(b []trace.Request) {
 		return
 	}
 	for i := range b {
-		if _, err := s.adm.Admit(s.dev, b[i]); err != nil {
-			s.err = fmt.Errorf("shard %d: request %d: %w", s.id, s.adm.Stats().Admitted, err)
+		var err error
+		if s.piped {
+			err = s.dev.Apply(b[i])
+		} else {
+			_, err = s.adm.Admit(s.dev, b[i])
+		}
+		if err != nil {
+			s.err = fmt.Errorf("shard %d: request %d: %w", s.id, s.served+int64(i), err)
 			break
 		}
 	}
+	s.served += int64(len(b))
 	if s.cell != nil {
+		// A live cell is an observer, so this run is inline and adm is
+		// this goroutine's to read.
 		st := s.adm.Stats()
 		s.cell.SetQueueStats(st.Admitted, st.DepthSum, st.MaxDepth)
 	}
@@ -214,6 +258,11 @@ func (h *Host) Replay(reqs []trace.Request, o ReplayOptions) (*Outcome, error) {
 // nothing and cost memory (see DESIGN, "Request path"). Two or more shards
 // are routed across concurrent per-shard workers (route).
 //
+// When GOMAXPROCS leaves two cores per shard, each device's timing model runs
+// beside it on a goroutine of its own (shard.start), joined before
+// ReplayStream returns; a device with a tracer, a metrics export or a live
+// cell attached keeps it inline. Neither changes a simulated number.
+//
 // A failing source — or, where requests are routed, a request the layout
 // cannot place — aborts the run with a nil outcome; a device error (at one
 // shard that includes a malformed or out-of-range request) returns the
@@ -221,35 +270,61 @@ func (h *Host) Replay(reqs []trace.Request, o ReplayOptions) (*Outcome, error) {
 // request's index in that shard's stream and the device's own error
 // (errors.Is sees through to flash.ErrPowerCut).
 func (h *Host) ReplayStream(it trace.Iterator, o ReplayOptions) (*Outcome, error) {
-	batch := o.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	qd := h.opt.depth()
-	for _, sh := range h.shards {
-		sh.reset(qd)
-	}
-
-	var requests, fragments int64
-	var err error
-	if len(h.shards) == 1 {
-		requests, err = h.shards[0].drain(it, batch)
-		fragments = requests
-	} else {
-		requests, fragments, err = h.route(it, batch, o.Clients)
-	}
+	requests, fragments, err := h.serve(it, o)
 	if err != nil {
 		return nil, err
 	}
 	out := h.collect()
 	out.Requests = requests
 	out.Fragments = fragments
+	return out, h.shardErr()
+}
+
+// Warm serves a stream exactly as ReplayStream does and returns its error,
+// but builds no Outcome: a warm-up whose metrics are reset right after does
+// not need the two Metrics copies (55 KB each) per shard that collecting
+// costs.
+func (h *Host) Warm(it trace.Iterator, o ReplayOptions) error {
+	if _, _, err := h.serve(it, o); err != nil {
+		return err
+	}
+	return h.shardErr()
+}
+
+// shardErr returns the lowest shard's device error of the last replay.
+func (h *Host) shardErr() error {
 	for _, sh := range h.shards {
 		if sh.err != nil {
-			return out, sh.err
+			return sh.err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// serve runs one replay of the source on the shards and returns the
+// requests and fragments it routed, or the source's error.
+func (h *Host) serve(it trace.Iterator, o ReplayOptions) (requests, fragments int64, err error) {
+	batch := o.Batch
+	if batch <= 0 {
+		batch = DefaultBatch
+	}
+	qd := h.opt.depth()
+	pipe := runtime.GOMAXPROCS(0) >= 2*len(h.shards)
+	for _, sh := range h.shards {
+		sh.reset(qd)
+		sh.start(pipe)
+	}
+
+	if len(h.shards) == 1 {
+		requests, err = h.shards[0].drain(it, batch)
+		fragments = requests
+	} else {
+		requests, fragments, err = h.route(it, batch, o.Clients)
+	}
+	for _, sh := range h.shards {
+		sh.stop()
+	}
+	return requests, fragments, err
 }
 
 // drain serves the whole source on the calling goroutine and returns the

@@ -1,6 +1,7 @@
 package host
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -297,11 +298,13 @@ func TestClientsOfShard(t *testing.T) {
 	}
 }
 
-// TestShardStateSharesNoLinePair pins what keeps two shard workers from
-// trading cache lines: the structs a worker writes on every operation — the
-// shard's admission state, its device's chip and scheduler, its translator —
-// overlap no 128-byte line pair of another shard's, although the shards are
-// built back to back and the allocator hands them neighbouring slots.
+// TestShardStateSharesNoLinePair pins what keeps two shard workers — and a
+// shard's worker and its device's timing goroutine — from trading cache
+// lines: the structs written on every operation — the shard's state, its
+// admission queue, its device's chip and scheduler, its translator — overlap
+// no 128-byte line pair of one another or of another shard's, although the
+// shards are built back to back and the allocator hands them neighbouring
+// slots.
 func TestShardStateSharesNoLinePair(t *testing.T) {
 	const pair = 128
 	h := newTestHost(t, ftl.DefaultConfig(16<<20), 4, Options{QueueDepth: 8})
@@ -317,6 +320,7 @@ func TestShardStateSharesNoLinePair(t *testing.T) {
 		tr := sh.dev.Translator().(*core.FTL)
 		for _, sp := range []span{
 			of("shard", unsafe.Pointer(sh), unsafe.Sizeof(*sh)),
+			of("admission queue", unsafe.Pointer(sh.adm), unsafe.Sizeof(*sh.adm)),
 			of("chip", unsafe.Pointer(sh.dev.Chip()), unsafe.Sizeof(*sh.dev.Chip())),
 			of("scheduler", unsafe.Pointer(sh.dev.Scheduler()), unsafe.Sizeof(*sh.dev.Scheduler())),
 			of("translator", unsafe.Pointer(tr), unsafe.Sizeof(*tr)),
@@ -333,63 +337,117 @@ func TestShardStateSharesNoLinePair(t *testing.T) {
 }
 
 // probeIter is a request source that records, at every pull, the buffer it
-// was handed and how many goroutines exist.
+// was handed, the goroutine pulling and how many goroutines exist.
 type probeIter struct {
-	it         trace.Iterator
-	bufs       map[*trace.Request]int // backing array → capacity, per distinct buffer
-	goroutines int                    // high water of runtime.NumGoroutine inside Next
+	it      trace.Iterator
+	bufs    map[*trace.Request]int // backing array → capacity, per distinct buffer
+	pullers map[string]bool        // ids of the goroutines that called Next
+	// lo and hi are the low and high water of runtime.NumGoroutine inside
+	// Next.
+	lo, hi int
 }
 
 func (p *probeIter) Next(batch []trace.Request) (int, error) {
 	if p.bufs == nil {
-		p.bufs = map[*trace.Request]int{}
+		p.bufs, p.pullers, p.lo = map[*trace.Request]int{}, map[string]bool{}, 1<<30
 	}
 	p.bufs[unsafe.SliceData(batch)] = cap(batch)
-	if n := runtime.NumGoroutine(); n > p.goroutines {
-		p.goroutines = n
-	}
+	p.pullers[goroutineID()] = true
+	n := runtime.NumGoroutine()
+	p.lo, p.hi = min(p.lo, n), max(p.hi, n)
 	return p.it.Next(batch)
 }
 
+// goroutineID reads the calling goroutine's id off its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
 // TestOneShardServesOnCaller pins the shape of the one-shard request path:
-// ReplayStream serves on the calling goroutine (no worker is started) through
-// one Batch-sized pull buffer (no lanes), and what it allocates does not grow
-// with the trace. Two shards, by contrast, do start workers.
+// ReplayStream pulls on the calling goroutine (no router, no lanes) through
+// one Batch-sized pull buffer that a warm-up and the measured phase share,
+// and the device's logical half runs there too. At GOMAXPROCS 1 nothing else
+// runs. With a spare core the device's timing half runs beside it on exactly
+// one more goroutine, joined before ReplayStream returns and fed by one set
+// of log chunks that both replays reuse. What the host allocates per replay
+// does not grow with the trace. Two shards, by contrast, start workers.
 func TestOneShardServesOnCaller(t *testing.T) {
 	const space = 16 << 20
 	const batch = 96
 	base := ftl.DefaultConfig(space)
 	reqs := mixedTrace(5, 2000, space, int64(base.PageSize), 0)
+	caller := goroutineID()
 
-	h := newTestHost(t, base, 1, Options{QueueDepth: 4})
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			h := newTestHost(t, base, 1, Options{QueueDepth: 4})
+			before := runtime.NumGoroutine()
+			// Two replays off one source, the way sim.Run splits warm-up
+			// from the measured phase: they share the buffer and the log.
+			p := &probeIter{it: trace.NewSliceIterator(reqs)}
+			var logBytes []int64
+			var big uint64 // objects of 8 KiB or more the measured replay allocates
+			for i, it := range []trace.Iterator{trace.Limit(p, 500), p} {
+				var ms0, ms1 runtime.MemStats
+				runtime.ReadMemStats(&ms0)
+				var err error
+				if i == 0 {
+					err = h.Warm(it, ReplayOptions{Clients: 4, Batch: batch})
+				} else {
+					_, err = h.ReplayStream(it, ReplayOptions{Clients: 4, Batch: batch})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms1)
+				big = bigObjects(&ms1) - bigObjects(&ms0)
+				if n := runtime.NumGoroutine(); n != before {
+					t.Errorf("GOMAXPROCS=%d: %d goroutines after ReplayStream returned, %d before", procs, n, before)
+				}
+				logBytes = append(logBytes, h.Device(0).LogBytes())
+			}
+			want := before
+			if procs >= 2 {
+				want++
+			}
+			if p.lo != want || p.hi != want {
+				t.Errorf("GOMAXPROCS=%d: %d to %d goroutines while serving, want %d (%d before the call)", procs, p.lo, p.hi, want, before)
+			}
+			if len(p.pullers) != 1 || !p.pullers[caller] {
+				t.Errorf("GOMAXPROCS=%d: pulled on goroutines %v, want the caller's (%s) only", procs, p.pullers, caller)
+			}
+			if len(p.bufs) != 1 {
+				t.Errorf("GOMAXPROCS=%d: pulled into %d distinct buffers over two replays, want 1", procs, len(p.bufs))
+			}
+			for _, c := range p.bufs {
+				if c != batch {
+					t.Errorf("GOMAXPROCS=%d: pull buffer holds %d requests, want Batch = %d", procs, c, batch)
+				}
+			}
+			switch {
+			case procs == 1 && (logBytes[0] != 0 || logBytes[1] != 0):
+				t.Errorf("inline replays hold %v B of log chunks, want none", logBytes)
+			case procs >= 2 && (logBytes[0] == 0 || logBytes[0] > 64<<10 || logBytes[1] != logBytes[0]):
+				t.Errorf("the pipelined replays hold %v B of log chunks, want one set of at most 64 KiB", logBytes)
+			case big != 0:
+				// The measured replay's chunks are the warm-up's.
+				t.Errorf("GOMAXPROCS=%d: the measured replay allocated %d objects of 8 KiB or more", procs, big)
+			}
+		}()
+	}
+
 	before := runtime.NumGoroutine()
-	// Two replays off one source, the way sim.Run splits warm-up from the
-	// measured phase: they share the buffer too.
-	p := &probeIter{it: trace.NewSliceIterator(reqs)}
-	for _, it := range []trace.Iterator{trace.Limit(p, 500), p} {
-		if _, err := h.ReplayStream(it, ReplayOptions{Clients: 4, Batch: batch}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if p.goroutines != before {
-		t.Errorf("one shard: %d goroutines while serving, %d before the call", p.goroutines, before)
-	}
-	if len(p.bufs) != 1 {
-		t.Errorf("one shard pulled into %d distinct buffers over two replays, want 1", len(p.bufs))
-	}
-	for _, c := range p.bufs {
-		if c != batch {
-			t.Errorf("pull buffer holds %d requests, want Batch = %d", c, batch)
-		}
-	}
-
 	h2 := newTestHost(t, base, 2, Options{QueueDepth: 4})
 	p2 := &probeIter{it: trace.NewSliceIterator(reqs)}
 	if _, err := h2.ReplayStream(p2, ReplayOptions{Batch: batch}); err != nil {
 		t.Fatal(err)
 	}
-	if p2.goroutines < before+2 {
-		t.Errorf("two shards: %d goroutines while serving, want a worker per shard over %d", p2.goroutines, before)
+	if p2.hi < before+2 {
+		t.Errorf("two shards: %d goroutines while serving, want a worker per shard over %d", p2.hi, before)
 	}
 
 	if !allocGuardsEnabled {
@@ -397,6 +455,9 @@ func TestOneShardServesOnCaller(t *testing.T) {
 	}
 	// An empty source isolates what the host itself allocates per replay
 	// (whatever the device allocates while serving is the device's).
+	// AllocsPerRun runs at GOMAXPROCS 1, so this is the inline arrangement;
+	// TestPipelinedReplayAllocatesNothingPerRequest covers the other.
+	h := newTestHost(t, base, 1, Options{QueueDepth: 4})
 	allocs := func(h *Host) float64 {
 		return testing.AllocsPerRun(10, func() {
 			if _, err := h.ReplayStream(trace.NewSliceIterator(nil), ReplayOptions{Batch: batch}); err != nil {

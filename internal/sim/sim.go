@@ -419,7 +419,7 @@ func Run(o Options) (*Result, error) {
 	if warm := o.ResetAfterWarmup; warm > 0 {
 		// Limit does not advance the source past the prefix, so the
 		// measured phase continues from the same iterator.
-		if _, err := h.ReplayStream(trace.Limit(it, int64(warm)), replay); err != nil {
+		if err := h.Warm(trace.Limit(it, int64(warm)), replay); err != nil {
 			return nil, fmt.Errorf("sim: %s/%s warm-up: %w", o.Scheme, profile.Name, err)
 		}
 		_ = perShard(n, func(s int) error {

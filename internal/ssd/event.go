@@ -33,6 +33,13 @@ type EventQueue struct {
 	h []Event
 }
 
+// minEvents is the smallest backing array a queue allocates: 128 bytes, a
+// size class whose objects fill whole line pairs. A smaller one would share
+// its lines with whatever the allocator put beside it, and with the device's
+// timing half on a goroutine of its own (ftl.Device.StartTiming) the queue is
+// written on every request by a different core than its neighbours are.
+const minEvents = 128 / 16
+
 // Len returns the number of pending events.
 func (q *EventQueue) Len() int { return len(q.h) }
 
@@ -40,6 +47,9 @@ func (q *EventQueue) Len() int { return len(q.h) }
 //
 //ftl:hotpath
 func (q *EventQueue) Push(e Event) {
+	if q.h == nil {
+		q.h = make([]Event, 0, minEvents)
+	}
 	q.h = append(q.h, e)
 	// Sift up.
 	h := q.h

@@ -4,9 +4,14 @@
 // (bounded queue depth).
 //
 // The flash chip (internal/flash) stays a pure state machine and the FTL
-// (internal/ftl) stays a sequential program; this package owns *time*. Every
-// flash operation the device issues is labelled with the die its block lives
-// on, and the Scheduler assigns it a start time that respects two
+// (internal/ftl) stays a sequential program; this package owns *time*. The
+// device does not call the Scheduler while it applies a request: it logs each
+// flash operation it issues (page, latency, label, whether a new chain starts
+// there) in its operation log, and the device's timing half replays that log
+// into the Scheduler — right after each record on the serving goroutine, or on
+// a goroutine of its own fed chunks of the log (ftl.Device.StartTiming). Either
+// way the Scheduler sees the same calls in the same order. Each operation is
+// placed on the die its block lives on, at a start time that respects two
 // constraints:
 //
 //   - die occupancy: a die executes one operation at a time, so operations
@@ -85,8 +90,8 @@ func NewScheduler(channels, diesPerChannel int) *Scheduler {
 	return cacheline.Isolated(Scheduler{
 		channels: channels,
 		dies:     n,
-		dieFree:  make([]time.Duration, n),
-		dieBusy:  make([]time.Duration, n),
+		dieFree:  cacheline.IsolatedSlice[time.Duration](n),
+		dieBusy:  cacheline.IsolatedSlice[time.Duration](n),
 		sum:      1469598103934665603, // FNV-1a offset basis
 	})
 }
