@@ -52,7 +52,6 @@ func (e *stubEnv) NoteReplacement(dirty bool) {
 }
 
 func (e *stubEnv) NoteLookup(bool)        {}
-func (e *stubEnv) NoteGCMapUpdate(bool)   {}
 func (e *stubEnv) NoteBatchWriteback(int) {}
 
 // TestStandaloneUpdateChargesNodeOnce: the standalone-update eviction loop

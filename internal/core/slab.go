@@ -9,7 +9,8 @@
 // much as the reuse: a recycled node carrying a stale dirty bit or offset
 // would silently corrupt the cache, so release restores every field to a
 // recognizable sentinel and CheckInvariants audits the free lists (the ftlsan
-// build additionally audits each TP node's offset table at release time).
+// build additionally audits each TP node's offset table and dirty bitmap at
+// release time).
 package core
 
 import (
@@ -112,15 +113,16 @@ func (s *entrySlab) check(live int) error {
 // calls; the free list itself is a plain stack.
 const slabChunk = 256
 
-// tpSlab recycles tpNodes. The dense byOff table is retained across recycles:
-// removeEntry zeroes each slot and a node is only released when empty, so the
-// table is already all-zero and reuse costs nothing.
+// tpSlab recycles tpNodes. The dense byOff table and dirtyBits are retained
+// across recycles: removeEntry zeroes each slot and bit and a node is only
+// released when empty, so both are already all-zero and reuse costs nothing.
 type tpSlab struct {
 	free []*tpNode
 	err  error // sticky: set when the ftlsan release audit finds a stale slot
 }
 
-// get returns a reset TP node whose byOff table has exactly ePerTP slots.
+// get returns a reset TP node whose byOff table has exactly ePerTP slots and
+// whose dirtyBits has a bit for each.
 //
 //ftl:hotpath
 func (s *tpSlab) get(ePerTP int) *tpNode {
@@ -134,6 +136,7 @@ func (s *tpSlab) get(ePerTP int) *tpNode {
 	s.free = s.free[:n-1]
 	if len(tp.byOff) != ePerTP {
 		tp.byOff = make([]int32, ePerTP)
+		tp.dirtyBits = make([]uint64, (ePerTP+63)/64)
 	}
 	return tp
 }
@@ -160,13 +163,19 @@ func (s *tpSlab) put(tp *tpNode) {
 				break
 			}
 		}
+		for w, word := range tp.dirtyBits {
+			if word != 0 {
+				s.err = fmt.Errorf("tpftl: tp node %d released with dirty bits %#x in word %d", tp.vtpn, word, w)
+				break
+			}
+		}
 	}
 	resetTPNode(tp)
 	s.free = append(s.free, tp)
 }
 
 // resetTPNode restores the sentinel state a free TP node must carry. byOff
-// is deliberately kept: its slots are already zero (see tpSlab doc).
+// and dirtyBits are kept: they are already zero (see tpSlab doc).
 func resetTPNode(tp *tpNode) {
 	tp.vtpn = -1
 	tp.dirty = 0

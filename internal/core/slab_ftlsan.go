@@ -3,6 +3,6 @@
 package core
 
 // slabDeepCheck arms the O(entries-per-TP) release-time audit of each TP
-// node's offset table. Only the ftlsan build pays for it; the plain build
+// node's offset table and dirty bitmap. Only the ftlsan build pays for it; the plain build
 // still audits the free lists through CheckInvariants.
 const slabDeepCheck = true

@@ -33,6 +33,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/cacheline"
 	"repro/internal/flash"
@@ -146,14 +147,54 @@ type entryNode struct {
 // hashing on the hit path and no map allocation per node. A slot holds the
 // entry's slab position plus one, 0 for uncached: every entry lives in the
 // one slab, so 4 bytes name it where a pointer took 8 (the §4.1 move — store
-// the offset, not the LPN — applied to the cache's own index).
+// the offset, not the LPN — applied to the cache's own index). dirtyBits lets
+// the batch writebacks find the dirty entries in O(ePerTP/64 + dirty).
 type tpNode struct {
-	node     lru.Node[*tpNode] // links within the page-level list
-	vtpn     ftl.VTPN
-	entries  lru.List[*entryNode] // entry-level LRU, MRU..LRU
-	byOff    []int32              // dense offset→slab position+1 table, kept (all zero) across recycles
-	dirty    int                  // dirty entry count
-	stampSum uint64               // Σ entry stamps; avg = stampSum/len (HotnessAvg)
+	node      lru.Node[*tpNode] // links within the page-level list
+	vtpn      ftl.VTPN
+	entries   lru.List[*entryNode] // entry-level LRU, MRU..LRU
+	byOff     []int32              // dense offset→slab position+1 table, kept (all zero) across recycles
+	dirtyBits []uint64             // offset bitmap of the dirty entries, kept (all zero) across recycles
+	dirty     int                  // dirty entry count: the bitmap's population
+	stampSum  uint64               // Σ entry stamps; avg = stampSum/len (HotnessAvg)
+}
+
+// markDirty makes e, an entry of tp, dirty.
+func (tp *tpNode) markDirty(e *entryNode) {
+	if !e.dirty {
+		e.dirty = true
+		tp.dirty++
+		tp.dirtyBits[e.off>>6] |= 1 << (e.off & 63)
+	}
+}
+
+// markClean makes e, an entry of tp, clean.
+func (tp *tpNode) markClean(e *entryNode) {
+	if e.dirty {
+		e.dirty = false
+		tp.dirty--
+		tp.dirtyBits[e.off>>6] &^= 1 << (e.off & 63)
+	}
+}
+
+// appendDirty appends every dirty entry of tp except keep, in ascending
+// offset order, to ups and marks it clean; keep (nil for none) is appended
+// but stays dirty. It returns the extended batch and how many it cleaned.
+//
+//ftl:hotpath
+func (f *FTL) appendDirty(tp *tpNode, keep *entryNode, ups []ftl.EntryUpdate) ([]ftl.EntryUpdate, int) {
+	cleaned := 0
+	for w, word := range tp.dirtyBits {
+		for ; word != 0; word &= word - 1 {
+			e := f.entryAt(tp, int32(w<<6+bits.TrailingZeros64(word)))
+			ups = append(ups, ftl.EntryUpdate{Off: int(e.off), PPN: e.ppn})
+			if e != keep {
+				tp.markClean(e)
+				cleaned++
+			}
+		}
+	}
+	return ups, cleaned
 }
 
 func (tp *tpNode) avgStamp() float64 {
@@ -186,17 +227,11 @@ type FTL struct {
 
 	// Reusable scratch buffers for the hot paths that previously allocated
 	// per call. prefetchBuf backs prefetchSet's result; evictScratch backs
-	// evictRun's writeback batch; gcPending/gcScratch back OnGCDataMoves'
-	// sorted flush. evictRun and OnGCDataMoves need separate buffers: a
-	// writeback inside evictRun can trigger GC, which re-enters the
-	// translator through OnGCDataMoves while evictScratch is still live.
+	// evictRun's writeback batch and flushScratch FlushDirty's. Each batch
+	// stays live across its WriteTP, which can trigger GC, whose map updates
+	// build their batches in the device's own scratch.
 	prefetchBuf  []int32
 	evictScratch []ftl.EntryUpdate
-	gcPending    []gcFlush
-	gcScratch    []ftl.EntryUpdate
-	// flushScratch backs FlushDirty's per-page batch. It must be distinct
-	// from evictScratch and gcScratch: a flush writeback can trigger GC,
-	// which re-enters through OnGCDataMoves while the flush batch is live.
 	flushScratch []ftl.EntryUpdate
 
 	used    int64 // bytes charged against cfg.CacheBytes
@@ -228,6 +263,7 @@ type FTL struct {
 var _ ftl.Translator = (*FTL)(nil)
 var _ ftl.Inspector = (*FTL)(nil)
 var _ ftl.GeometryAware = (*FTL)(nil)
+var _ ftl.DirtyAppender = (*FTL)(nil)
 
 // New returns a TPFTL instance.
 func New(cfg Config) *FTL {
@@ -624,11 +660,11 @@ func (f *FTL) stepCounter(delta int) {
 //ftl:hotpath
 func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryNode {
 	e := f.eslab.get()
-	e.owner, e.off, e.ppn, e.dirty = tp, off, ppn, dirty
+	e.owner, e.off, e.ppn = tp, off, ppn
 	tp.byOff[off] = e.idx + 1
 	tp.entries.PushFront(&e.node)
 	if dirty {
-		tp.dirty++
+		tp.markDirty(e)
 	}
 	f.stamp++
 	e.stamp = f.stamp
@@ -647,9 +683,7 @@ func (f *FTL) removeEntry(e *entryNode) {
 	tp.entries.Remove(&e.node)
 	tp.byOff[e.off] = 0
 	tp.stampSum -= e.stamp
-	if e.dirty {
-		tp.dirty--
-	}
+	tp.markClean(e)
 	f.eslab.put(e)
 	f.entries--
 	f.used -= f.entryBytes
@@ -726,27 +760,11 @@ func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 	// Dirty victim: compose the writeback. With batch update every dirty
 	// entry of the TP node joins the same translation-page update and
 	// stays cached clean (§4.4); without it only the victim is written.
-	// The batch reuses evictScratch; GC re-entered from the WriteTP below
-	// flushes through the separate gcPending/gcScratch buffers.
 	v := tp.vtpn
 	updates := f.evictScratch[:0]
 	cleaned := 0
 	if f.cfg.BatchUpdate {
-		// tp.dirty counts the node's dirty entries (the victim included),
-		// so the walk stops at the last one instead of at the list's end.
-		for n, left := tp.entries.Front(), tp.dirty; n != nil && left > 0; n = n.Next() {
-			e := n.Value
-			if !e.dirty {
-				continue
-			}
-			left--
-			updates = append(updates, ftl.EntryUpdate{Off: int(e.off), PPN: e.ppn})
-			if e != victim {
-				e.dirty = false
-				tp.dirty--
-				cleaned++
-			}
-		}
+		updates, cleaned = f.appendDirty(tp, victim, updates)
 	} else {
 		updates = append(updates, ftl.EntryUpdate{Off: int(victim.off), PPN: victim.ppn})
 	}
@@ -785,10 +803,7 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	if tp := f.tpAt(v); tp != nil {
 		if e := f.entryAt(tp, off); e != nil {
 			e.ppn = ppn
-			if !e.dirty {
-				e.dirty = true
-				tp.dirty++
-			}
+			tp.markDirty(e)
 			f.touch(tp, e)
 			return nil
 		}
@@ -849,8 +864,7 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 // in ascending VTPN order (the dense directory is index-ordered already).
 // Entries are marked clean as they are captured, BEFORE the flash write: a
 // GC triggered mid-flush refreshes cached entries in place and must leave
-// them dirty again. The batch uses flushScratch, not evictScratch or
-// gcScratch, because the WriteTP below can re-enter through OnGCDataMoves.
+// them dirty again.
 func (f *FTL) FlushDirty(env ftl.Env) error {
 	f.ePerTP = env.EntriesPerTP()
 	for v := 0; v < len(f.byVTPN); v++ {
@@ -858,20 +872,9 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 		if tp == nil || tp.dirty == 0 {
 			continue
 		}
-		ups := f.flushScratch[:0]
-		for n, left := tp.entries.Front(), tp.dirty; n != nil && left > 0; n = n.Next() {
-			e := n.Value
-			if !e.dirty {
-				continue
-			}
-			left--
-			ups = append(ups, ftl.EntryUpdate{Off: int(e.off), PPN: e.ppn})
-			e.dirty = false
-		}
-		tp.dirty = 0
-		ftl.SortUpdates(ups)
+		ups, cleaned := f.appendDirty(tp, nil, f.flushScratch[:0])
 		f.flushScratch = ups
-		env.NoteBatchWriteback(len(ups) - 1)
+		env.NoteBatchWriteback(cleaned - 1)
 		if err := env.WriteTP(ftl.VTPN(v), ups, false); err != nil {
 			return err
 		}
@@ -879,81 +882,39 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 	return nil
 }
 
-// OnGCDataMoves implements ftl.Translator (§4.4): cached entries are
-// updated in place (GC hits); misses are grouped per translation page, and
-// with batch update each flash update also flushes every cached dirty entry
-// of that page.
+// RefreshGC implements ftl.Translator: a cached entry takes the migrated
+// page's new location and turns dirty, without counting as an access.
 //
 //ftl:hotpath
-func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
-	f.ePerTP = env.EntriesPerTP()
-	pend := f.gcPending[:0]
-	for _, mv := range moves {
-		v := ftl.VTPNOf(mv.LPN, f.ePerTP)
-		off := int32(ftl.OffOf(mv.LPN, f.ePerTP))
-		if tp := f.tpAt(v); tp != nil {
-			if e := f.entryAt(tp, off); e != nil {
-				e.ppn = mv.NewPPN
-				if !e.dirty {
-					e.dirty = true
-					tp.dirty++
-				}
-				env.NoteGCMapUpdate(true)
-				continue
-			}
-		}
-		env.NoteGCMapUpdate(false)
-		pend = append(pend, gcFlush{v: v, up: ftl.EntryUpdate{Off: int(off), PPN: mv.NewPPN}})
+func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
+	tp := f.tpAt(ftl.VTPNOf(lpn, f.ePerTP))
+	if tp == nil {
+		return false
 	}
-	// Flush in ascending vtpn order: an unordered flush would permute the
-	// WriteTP sequence — and with it physical page allocation and die
-	// assignment — making otherwise identical runs schedule differently.
-	// The stable insertion sort keeps the within-page move order and runs
-	// on the reusable pending buffer (moves per GC pass are bounded by the
-	// pages of one block, so quadratic is fine and nothing allocates).
-	for i := 1; i < len(pend); i++ {
-		for j := i; j > 0 && pend[j].v < pend[j-1].v; j-- {
-			pend[j], pend[j-1] = pend[j-1], pend[j]
-		}
+	e := f.entryAt(tp, int32(ftl.OffOf(lpn, f.ePerTP)))
+	if e == nil {
+		return false
 	}
-	f.gcPending = pend
-	for i := 0; i < len(pend); {
-		v := pend[i].v
-		ups := f.gcScratch[:0]
-		for ; i < len(pend) && pend[i].v == v; i++ {
-			ups = append(ups, pend[i].up)
-		}
-		if f.cfg.BatchUpdate {
-			if tp := f.tpAt(v); tp != nil && tp.dirty > 0 {
-				cleaned := 0
-				for n, left := tp.entries.Front(), tp.dirty; n != nil && left > 0; n = n.Next() {
-					e := n.Value
-					if !e.dirty {
-						continue
-					}
-					left--
-					ups = append(ups, ftl.EntryUpdate{Off: int(e.off), PPN: e.ppn})
-					e.dirty = false
-					cleaned++
-				}
-				tp.dirty = 0
-				env.NoteBatchWriteback(cleaned)
-			}
-		}
-		f.gcScratch = ups
-		if err := env.WriteTP(v, ups, false); err != nil {
-			return err
-		}
-	}
-	return nil
+	e.ppn = ppn
+	tp.markDirty(e)
+	return true
 }
 
-// gcFlush is one pending GC map update destined for translation page v;
-// OnGCDataMoves collects these into a reusable buffer and flushes them
-// grouped by page in ascending vtpn order.
-type gcFlush struct {
-	v  ftl.VTPN
-	up ftl.EntryUpdate
+// AppendDirty implements ftl.DirtyAppender (§4.4): with batch update, the
+// flash update GC makes to translation page v also writes back every cached
+// dirty entry of v, which stays cached clean. Without it, ups is returned
+// as is.
+//
+//ftl:hotpath
+func (f *FTL) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) ([]ftl.EntryUpdate, int) {
+	if !f.cfg.BatchUpdate {
+		return ups, 0
+	}
+	tp := f.tpAt(v)
+	if tp == nil || tp.dirty == 0 {
+		return ups, 0
+	}
+	return f.appendDirty(tp, nil, ups)
 }
 
 // Snapshot implements ftl.Inspector.
@@ -1020,6 +981,9 @@ func (f *FTL) CheckInvariants() error {
 			if int(e.off) >= len(tp.byOff) || tp.byOff[e.off] != e.idx+1 {
 				return fmt.Errorf("tpftl: entry %d/%d not in offset index", tp.vtpn, e.off)
 			}
+			if bit := tp.dirtyBits[e.off>>6]>>(e.off&63)&1 != 0; bit != e.dirty {
+				return fmt.Errorf("tpftl: entry %d/%d dirty %v, dirty bit %v", tp.vtpn, e.off, e.dirty, bit)
+			}
 			if e.dirty {
 				dirty++
 			}
@@ -1028,6 +992,15 @@ func (f *FTL) CheckInvariants() error {
 		}
 		if dirty != tp.dirty {
 			return fmt.Errorf("tpftl: tp %d dirty count %d, counted %d", tp.vtpn, tp.dirty, dirty)
+		}
+		// Every cached dirty entry has its bit and no clean one does, so a
+		// population above the count is a bit naming an uncached offset.
+		set := 0
+		for _, word := range tp.dirtyBits {
+			set += bits.OnesCount64(word)
+		}
+		if set != tp.dirty {
+			return fmt.Errorf("tpftl: tp %d has %d dirty bits for %d dirty entries", tp.vtpn, set, tp.dirty)
 		}
 		if sum != tp.stampSum {
 			return fmt.Errorf("tpftl: tp %d stamp sum %d, counted %d", tp.vtpn, tp.stampSum, sum)

@@ -1,12 +1,14 @@
 package core
 
-// The three batch walks over a TP node's entry list (evictRun,
-// OnGCDataMoves, FlushDirty) stop once tp.dirty entries have been collected
-// instead of running to the end of the list. These tests put the dirty
-// entries at the LRU tail with clean ones in front — the order in which an
-// exit that comes one entry early, or that keys on the first clean entry,
-// loses a writeback — and check that every dirty entry reaches WriteTP, in
-// list order, and that the cache's own invariants hold afterwards.
+// The three batch walks over a TP node's dirty entries (evictRun,
+// AppendDirty, FlushDirty) go over the node's dirty bitmap, not its entry
+// list. These tests put the dirty entries at the LRU tail with clean ones in
+// front — the order in which a list walk that stops one entry early, or keys
+// on the first clean entry, loses a writeback — and check that every dirty
+// entry reaches the batch and that the cache's own invariants, the bitmap's
+// among them, hold afterwards. A batch is compared as a set: WriteTP applies
+// it by offset, so the order of its updates is not observable
+// (ftl.TestWriteTPIgnoresUpdateOrder).
 
 import (
 	"slices"
@@ -65,8 +67,15 @@ func dirtyTailCache(t *testing.T, cfg Config) (*FTL, *recordingEnv) {
 	return f, env
 }
 
-// wantDirty is the dirty tail in list order, as WriteTP updates.
-var wantDirty = []ftl.EntryUpdate{{Off: 3, PPN: 103}, {Off: 2, PPN: 102}, {Off: 1, PPN: 101}}
+// wantDirty is the dirty tail as WriteTP updates, sorted by offset.
+var wantDirty = []ftl.EntryUpdate{{Off: 1, PPN: 101}, {Off: 2, PPN: 102}, {Off: 3, PPN: 103}}
+
+// byOffset returns the batch sorted by offset.
+func byOffset(ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	ups = slices.Clone(ups)
+	slices.SortFunc(ups, func(a, b ftl.EntryUpdate) int { return a.Off - b.Off })
+	return ups
+}
 
 func checkClean(t *testing.T, f *FTL) {
 	t.Helper()
@@ -86,8 +95,8 @@ func TestEvictOneBatchWalkReachesDirtyTail(t *testing.T) {
 	if err != nil || !evicted {
 		t.Fatalf("evictRun = %v, %v", evicted, err)
 	}
-	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(env.batches[0], wantDirty) {
-		t.Fatalf("WriteTP batches %v on pages %v, want one batch %v on page 0", env.batches, env.vtpns, wantDirty)
+	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(byOffset(env.batches[0]), wantDirty) {
+		t.Fatalf("WriteTP batches %v on pages %v, want one batch of %v on page 0", env.batches, env.vtpns, wantDirty)
 	}
 	if tp := f.byVTPN[0]; tp.entries.Len() != 5 || tp.byOff[1] != 0 {
 		t.Fatalf("victim off 1 still cached (%d entries)", tp.entries.Len())
@@ -95,16 +104,14 @@ func TestEvictOneBatchWalkReachesDirtyTail(t *testing.T) {
 	checkClean(t, f)
 }
 
-func TestOnGCDataMovesBatchWalkReachesDirtyTail(t *testing.T) {
+func TestAppendDirtyBatchWalkReachesDirtyTail(t *testing.T) {
 	// A GC miss on page 0 (lpn 5 is not cached) forces a flash update of
 	// the page; batch update appends every cached dirty entry of it.
-	f, env := dirtyTailCache(t, DefaultConfig(0))
-	if err := f.OnGCDataMoves(env, []ftl.GCMove{{LPN: 5, OldPPN: 5, NewPPN: 205}}); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]ftl.EntryUpdate{{Off: 5, PPN: 205}}, wantDirty...)
-	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(env.batches[0], want) {
-		t.Fatalf("WriteTP batches %v on pages %v, want one batch %v on page 0", env.batches, env.vtpns, want)
+	f, _ := dirtyTailCache(t, DefaultConfig(0))
+	ups, cleaned := f.AppendDirty(0, []ftl.EntryUpdate{{Off: 5, PPN: 205}})
+	want := append(slices.Clone(wantDirty), ftl.EntryUpdate{Off: 5, PPN: 205})
+	if !slices.Equal(byOffset(ups), want) || cleaned != len(wantDirty) {
+		t.Fatalf("AppendDirty = %v cleaning %d, want %v cleaning %d", ups, cleaned, want, len(wantDirty))
 	}
 	checkClean(t, f)
 }
@@ -114,11 +121,8 @@ func TestFlushDirtyWalkReachesDirtyTail(t *testing.T) {
 	if err := f.FlushDirty(env); err != nil {
 		t.Fatal(err)
 	}
-	// FlushDirty orders its batch by offset.
-	want := slices.Clone(wantDirty)
-	slices.Reverse(want)
-	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(env.batches[0], want) {
-		t.Fatalf("WriteTP batches %v on pages %v, want one batch %v on page 0", env.batches, env.vtpns, want)
+	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(byOffset(env.batches[0]), wantDirty) {
+		t.Fatalf("WriteTP batches %v on pages %v, want one batch of %v on page 0", env.batches, env.vtpns, wantDirty)
 	}
 	checkClean(t, f)
 }

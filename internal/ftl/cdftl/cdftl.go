@@ -346,34 +346,21 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 	return nil
 }
 
-// OnGCDataMoves implements ftl.Translator.
-func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
-	f.ePerTP = env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
-	for _, mv := range moves {
-		v := ftl.VTPNOf(mv.LPN, f.ePerTP)
-		off := int32(ftl.OffOf(mv.LPN, f.ePerTP))
-		if e, ok := f.cmt[mv.LPN]; ok {
-			e.ppn = mv.NewPPN
-			e.dirty = true
-			env.NoteGCMapUpdate(true)
-			continue
-		}
-		if p, ok := f.ctp[v]; ok {
-			p.vals[off] = mv.NewPPN
-			p.dirty[off] = struct{}{}
-			env.NoteGCMapUpdate(true)
-			continue
-		}
-		env.NoteGCMapUpdate(false)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: int(off), PPN: mv.NewPPN})
+// RefreshGC implements ftl.Translator: the entry is refreshed in whichever
+// level caches it, the CMT first.
+func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
+	if e, ok := f.cmt[lpn]; ok {
+		e.ppn = ppn
+		e.dirty = true
+		return true
 	}
-	for _, v := range ftl.SortedVTPNs(pending) {
-		if err := env.WriteTP(v, pending[v], false); err != nil {
-			return err
-		}
+	if p, ok := f.ctp[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
+		off := int32(ftl.OffOf(lpn, f.ePerTP))
+		p.vals[off] = ppn
+		p.dirty[off] = struct{}{}
+		return true
 	}
-	return nil
+	return false
 }
 
 // Snapshot implements ftl.Inspector.

@@ -43,8 +43,15 @@ type Device struct {
 	// has anything to fold.
 	unmapped []int32
 
-	tpBuf   []flash.PPN // padded copy ReadTP returns for a partial last page; nil when every page is full
-	gcMoves []GCMove    // collect's scratch, handed to Translator.OnGCDataMoves
+	tpBuf []flash.PPN // padded copy ReadTP returns for a partial last page; nil when every page is full
+
+	// collect's scratch (gc.go). gcHead/gcTail, indexed by VTPN, are valid
+	// while the page's gcTouched bit is set; gcTouched is zero between GCs.
+	gcMoves   []gcMove
+	gcHead    []int32
+	gcTail    []int32
+	gcTouched []uint64
+	gcUps     []EntryUpdate
 
 	// log is the operation log that feeds the timing half (tl, below); pipe
 	// is non-nil once the timing half has run on a goroutine of its own.
@@ -133,7 +140,11 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		persist:      make([]flash.PPN, logicalPages),
 		truth:        make([]flash.PPN, logicalPages),
 		unmapped:     make([]int32, numTPs),
-		gcMoves:      make([]GCMove, 0, cfg.PagesPerBlock),
+		gcMoves:      make([]gcMove, 0, cfg.PagesPerBlock),
+		gcHead:       make([]int32, numTPs),
+		gcTail:       make([]int32, numTPs),
+		gcTouched:    make([]uint64, (numTPs+63)/64),
+		gcUps:        make([]EntryUpdate, 0, cfg.PagesPerBlock),
 	}
 	d.tl = newTimeline(cfg, d)
 	if logicalPages%int64(entriesPerTP) != 0 {
@@ -1060,14 +1071,6 @@ func (d *Device) NoteReplacement(dirty bool) {
 	d.m.Replacements++
 	if dirty {
 		d.m.DirtyReplaced++
-	}
-}
-
-// NoteGCMapUpdate implements Env.
-func (d *Device) NoteGCMapUpdate(hit bool) {
-	d.m.GCMapUpdates++
-	if hit {
-		d.m.GCMapHits++
 	}
 }
 

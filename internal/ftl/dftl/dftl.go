@@ -7,9 +7,9 @@
 // only it — is loaded from its translation page. On eviction of a dirty
 // entry, only that entry is written back (a read-modify-write of its
 // translation page); the paper's §3.2 identifies this per-entry writeback as
-// DFTL's key inefficiency. During GC, mapping updates for migrated data
-// pages that share a translation page are batched into one update, as in the
-// original DFTL design.
+// DFTL's key inefficiency. During GC, the device batches the mapping updates
+// of uncached migrated pages that share a translation page into one update,
+// as in the original DFTL design.
 package dftl
 
 import (
@@ -261,30 +261,16 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 	return nil
 }
 
-// OnGCDataMoves implements ftl.Translator. Updates for moves whose entries
-// are cached happen in RAM (GC hits); the rest are grouped by translation
-// page and applied in one batch update per page — DFTL's original GC-time
-// batching.
-func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
-	e := env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
-	for _, mv := range moves {
-		if ent, ok := f.entries[mv.LPN]; ok {
-			ent.ppn = mv.NewPPN
-			ent.dirty = true
-			env.NoteGCMapUpdate(true)
-			continue
-		}
-		env.NoteGCMapUpdate(false)
-		v := ftl.VTPNOf(mv.LPN, e)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: ftl.OffOf(mv.LPN, e), PPN: mv.NewPPN})
+// RefreshGC implements ftl.Translator: a cached entry takes the migrated
+// page's new location in RAM; the device batches the misses per translation
+// page (DFTL's original GC-time batching).
+func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
+	e, ok := f.entries[lpn]
+	if ok {
+		e.ppn = ppn
+		e.dirty = true
 	}
-	for _, v := range ftl.SortedVTPNs(pending) {
-		if err := env.WriteTP(v, pending[v], false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ok
 }
 
 // Snapshot implements ftl.Inspector.

@@ -65,7 +65,6 @@ func (e *faultyEnv) WriteTP(v ftl.VTPN, updates []ftl.EntryUpdate, fullPage bool
 
 func (e *faultyEnv) NoteLookup(bool)        {}
 func (e *faultyEnv) NoteReplacement(bool)   {}
-func (e *faultyEnv) NoteGCMapUpdate(bool)   {}
 func (e *faultyEnv) NoteBatchWriteback(int) {}
 
 // invariants runs the scheme's CheckInvariants when it has one.
@@ -163,23 +162,6 @@ func TestUpdatePropagatesWriteTPError(t *testing.T) {
 			env.writeErr = nil
 			if err := tr.Update(env, next(), 4000); err != nil {
 				t.Fatalf("Update after fault cleared: %v", err)
-			}
-			invariants(t, tr)
-		})
-	}
-}
-
-func TestOnGCDataMovesPropagatesWriteTPError(t *testing.T) {
-	for _, tc := range translatorsUnderTest() {
-		t.Run(tc.name, func(t *testing.T) {
-			tr := tc.make()
-			env := newFaultyEnv()
-			env.writeErr = errInjected
-			// The moved page's mapping is not cached, so the update must
-			// go to flash — and fail.
-			moves := []ftl.GCMove{{LPN: 200, OldPPN: 1200, NewPPN: 5000}}
-			if err := tr.OnGCDataMoves(env, moves); !errors.Is(err, errInjected) {
-				t.Fatalf("OnGCDataMoves returned %v, want the injected WriteTP error", err)
 			}
 			invariants(t, tr)
 		})

@@ -37,13 +37,6 @@ const EntryBytesInFlash = 4
 // (4 B LPN + 4 B PPN), DFTL's unit.
 const EntryBytesRAM = 8
 
-// GCMove describes one valid data page migrated by garbage collection.
-type GCMove struct {
-	LPN    LPN
-	OldPPN flash.PPN
-	NewPPN flash.PPN
-}
-
 // EntryUpdate is one slot modification applied to a translation page.
 type EntryUpdate struct {
 	Off int // entry offset within the translation page
@@ -57,8 +50,7 @@ func SortUpdates(ups []EntryUpdate) {
 }
 
 // SortedVTPNs returns the map's keys in ascending order, so multi-page
-// writebacks (flush barriers, GC batches) visit translation pages
-// deterministically.
+// flush writebacks visit translation pages deterministically.
 func SortedVTPNs[V any](m map[VTPN]V) []VTPN {
 	keys := make([]VTPN, 0, len(m))
 	for v := range m {
@@ -71,7 +63,8 @@ func SortedVTPNs[V any](m map[VTPN]V) []VTPN {
 // Translator is the mapping-cache policy of one FTL scheme. Implementations
 // perform flash operations only through the Env they are handed, which
 // charges latencies to the in-flight request and attributes them to the
-// paper's counters.
+// paper's counters. The device owns garbage collection's map updates; see
+// RefreshGC, DirtyAppender and GCBatchEnder.
 type Translator interface {
 	// Name returns the scheme name used in reports ("DFTL", "TPFTL", ...).
 	Name() string
@@ -95,13 +88,12 @@ type Translator interface {
 	// context (TPFTL's request-level prefetching) use it; others ignore it.
 	BeginRequest(first, last LPN, write bool)
 
-	// OnGCDataMoves updates the mappings of the valid pages migrated out
-	// of one GC victim data block. Implementations batch updates that
-	// share a translation page into one flash update and must call
-	// env.NoteGCMapUpdate for each move. moves is device scratch, valid
-	// only for the duration of the call: the next collection overwrites
-	// it, so implementations must not retain it.
-	OnGCDataMoves(env Env, moves []GCMove) error
+	// RefreshGC offers the new location of a page garbage collection
+	// migrated. A cached entry is updated in RAM and marked dirty, with no
+	// flash operation or cache reordering, and true returned (a GC hit).
+	// On false (a GC miss) the device writes the update itself, batched
+	// per translation page.
+	RefreshGC(lpn LPN, ppn flash.PPN) (cached bool)
 
 	// Discard drops any cached entry for lpn without writing it back: the
 	// host has trimmed the page, so a dirty entry's pending mapping must
@@ -148,6 +140,20 @@ type Warmer interface {
 	Warm(persisted func(LPN) flash.PPN)
 }
 
+// DirtyAppender is implemented by schemes whose GC-time translation-page
+// write also carries the page's cached dirty entries (TPFTL's §4.4 batch
+// update). Before writing page v's misses ups, the device calls AppendDirty,
+// which appends v's dirty entries, marks them clean and counts them.
+type DirtyAppender interface {
+	AppendDirty(v VTPN, ups []EntryUpdate) ([]EntryUpdate, int)
+}
+
+// GCBatchEnder is implemented by schemes that act after a collection's last
+// translation-page write (S-FTL trims back to budget what GC hits grew).
+type GCBatchEnder interface {
+	EndGCBatch(env Env) error
+}
+
 // Env is the device interface handed to Translator implementations.
 type Env interface {
 	// EntriesPerTP returns the number of mapping entries per translation
@@ -178,10 +184,6 @@ type Env interface {
 	// NoteReplacement records one cache-entry replacement and whether the
 	// victim was dirty (the paper's Prd numerator/denominator).
 	NoteReplacement(dirty bool)
-	// NoteGCMapUpdate records, for one migrated data page, whether its
-	// mapping entry was cached (a GC hit, Hgcr) or required a flash
-	// update (a GC miss).
-	NoteGCMapUpdate(hit bool)
 	// NoteBatchWriteback records how many dirty entries one translation
 	// page update cleaned (batch-update efficiency instrumentation).
 	NoteBatchWriteback(cleaned int)

@@ -1,6 +1,8 @@
 package ftl
 
 import (
+	"math/bits"
+
 	"repro/internal/flash"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
@@ -98,11 +100,10 @@ func (d *Device) maybeWearLevel() error {
 }
 
 // collect reclaims one victim block: migrate its valid pages, update the
-// affected mappings (via the Translator for data pages, the GTD for
-// translation pages), erase it and return it to the free list. The data
-// moves are gathered in d.gcMoves, reused by every collection: collect never
-// re-enters (maybeGC is a no-op under inGC) and translators do not keep the
-// slice past OnGCDataMoves.
+// affected mappings (updateGCMaps for data pages, the GTD for translation
+// pages), erase it and return it to the free list. The data moves are
+// gathered in d.gcMoves, reused by every collection: collect never re-enters
+// (maybeGC is a no-op under inGC).
 //
 //ftl:hotpath
 func (d *Device) collect(blk flash.BlockID) error {
@@ -129,7 +130,7 @@ func (d *Device) collect(blk flash.BlockID) error {
 			}
 			d.truth[lpn] = newPPN
 			d.m.GCDataMigrations++
-			moves = append(moves, GCMove{LPN: lpn, OldPPN: ppn, NewPPN: newPPN})
+			moves = append(moves, gcMove{lpn: lpn, ppn: newPPN})
 		case flash.KindTranslation:
 			v := VTPN(meta.Tag)
 			if d.gtd[v] != ppn {
@@ -148,10 +149,7 @@ func (d *Device) collect(blk flash.BlockID) error {
 	}
 
 	if len(moves) > 0 {
-		// The migrated data pages' mapping entries must be updated; the
-		// Translator batches updates sharing a translation page (all
-		// schemes inherit DFTL's GC-time batch update).
-		if err := d.tr.OnGCDataMoves(d, moves); err != nil {
+		if err := d.updateGCMaps(moves); err != nil {
 			return err
 		}
 	}
@@ -188,6 +186,72 @@ func (d *Device) collect(blk flash.BlockID) error {
 			N:          int64(validCount),
 			CompleteNS: int64(d.tl.sched.Now()),
 		})
+	}
+	return nil
+}
+
+// gcMove is one data page a collection migrated; next chains a GC miss to
+// the next one on its translation page (-1 ends the chain).
+type gcMove struct {
+	lpn  LPN
+	ppn  flash.PPN
+	next int32
+}
+
+// updateGCMaps is DFTL's GC-time batch update, which every scheme inherits.
+// The first pass offers each move to the translator (RefreshGC: a GC hit)
+// and chains each miss onto its translation page, marked in gcTouched. The
+// second pass writes each marked page once, in ascending VTPN order: its
+// misses in move order, then any dirty entries DirtyAppender adds. Nothing
+// is sorted: the order inside one page is not observable, since WriteTP
+// applies updates by offset and their offsets are distinct.
+//
+//ftl:hotpath
+func (d *Device) updateGCMaps(moves []gcMove) error {
+	app, _ := d.tr.(DirtyAppender)
+	lo, hi := len(d.gcTouched), -1
+	for i := range moves {
+		mv := &moves[i]
+		d.m.GCMapUpdates++
+		if d.tr.RefreshGC(mv.lpn, mv.ppn) {
+			d.m.GCMapHits++
+			continue
+		}
+		mv.next = -1
+		v := VTPNOf(mv.lpn, d.entriesPerTP)
+		w, bit := int(v>>6), uint64(1)<<(v&63)
+		if d.gcTouched[w]&bit == 0 {
+			d.gcTouched[w] |= bit
+			d.gcHead[v] = int32(i)
+			lo, hi = min(lo, w), max(hi, w)
+		} else {
+			moves[d.gcTail[v]].next = int32(i)
+		}
+		d.gcTail[v] = int32(i)
+	}
+	for w := lo; w <= hi; w++ {
+		word := d.gcTouched[w]
+		d.gcTouched[w] = 0
+		for ; word != 0; word &= word - 1 {
+			v := VTPN(w<<6 + bits.TrailingZeros64(word))
+			ups := d.gcUps[:0]
+			for i := d.gcHead[v]; i >= 0; i = moves[i].next {
+				ups = append(ups, EntryUpdate{Off: OffOf(moves[i].lpn, d.entriesPerTP), PPN: moves[i].ppn})
+			}
+			if app != nil {
+				var cleaned int
+				ups, cleaned = app.AppendDirty(v, ups)
+				d.NoteBatchWriteback(cleaned)
+			}
+			d.gcUps = ups
+			if err := d.WriteTP(v, ups, false); err != nil {
+				clear(d.gcTouched[w+1 : hi+1]) // the bitmap is all zero between collections
+				return err
+			}
+		}
+	}
+	if e, ok := d.tr.(GCBatchEnder); ok {
+		return e.EndGCBatch(d)
 	}
 	return nil
 }

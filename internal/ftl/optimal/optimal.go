@@ -55,14 +55,11 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 // no translation-page operations, so a host flush barrier is free.
 func (f *FTL) FlushDirty(env ftl.Env) error { return nil }
 
-// OnGCDataMoves implements ftl.Translator: all entries are resident, so
-// every update is a GC hit with zero flash cost.
-func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
-	for _, mv := range moves {
-		f.table[mv.LPN] = mv.NewPPN
-		env.NoteGCMapUpdate(true)
-	}
-	return nil
+// RefreshGC implements ftl.Translator: all entries are resident, so every
+// update is a GC hit with zero flash cost.
+func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
+	f.table[lpn] = ppn
+	return true
 }
 
 // Warm pre-loads the table from the device's persisted state; call after

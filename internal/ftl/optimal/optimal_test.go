@@ -74,7 +74,6 @@ func (nilEnv) ReadTP(ftl.VTPN) ([]flash.PPN, error)            { return nil, nil
 func (nilEnv) WriteTP(ftl.VTPN, []ftl.EntryUpdate, bool) error { return nil }
 func (nilEnv) NoteLookup(bool)                                 {}
 func (nilEnv) NoteReplacement(bool)                            {}
-func (nilEnv) NoteGCMapUpdate(bool)                            {}
 func (nilEnv) NoteBatchWriteback(int)                          {}
 
 func TestGCMovesAreAllHits(t *testing.T) {

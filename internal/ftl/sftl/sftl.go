@@ -188,12 +188,7 @@ func (f *FTL) loadPage(env ftl.Env, v ftl.VTPN) (*cachedPage, error) {
 	f.pages.PushFront(&p.node)
 	f.used += p.cost
 	// The exact compressed size is only known now; evict if over budget.
-	for f.used > f.pageBudget && f.pages.Len() > 1 {
-		if err := f.evictLRU(env); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return p, f.fitBudget(env)
 }
 
 // evictLRU evicts the least recently used cached page.
@@ -311,12 +306,7 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	f.setEntry(p, off, ppn)
 	f.pages.MoveToFront(&p.node)
 	// A PPN update can break runs and grow the compressed size.
-	for f.used > f.pageBudget && f.pages.Len() > 1 {
-		if err := f.evictLRU(env); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.fitBudget(env)
 }
 
 // setEntry updates one slot and incrementally maintains the run count.
@@ -413,43 +403,30 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 	return nil
 }
 
-// OnGCDataMoves implements ftl.Translator.
-func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
-	f.ePerTP = env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
-	for _, mv := range moves {
-		v := ftl.VTPNOf(mv.LPN, f.ePerTP)
-		off := int32(ftl.OffOf(mv.LPN, f.ePerTP))
-		if p := f.byVTPN[v]; p != nil {
-			f.setEntry(p, off, mv.NewPPN)
-			env.NoteGCMapUpdate(true)
-			continue
-		}
-		if ents := f.buffer[v]; ents != nil {
-			if _, ok := ents[off]; ok {
-				ents[off] = mv.NewPPN
-				env.NoteGCMapUpdate(true)
-				continue
-			}
-		}
-		env.NoteGCMapUpdate(false)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: int(off), PPN: mv.NewPPN})
+// RefreshGC implements ftl.Translator: the entry is refreshed in its cached
+// page, else in the dirty buffer.
+func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
+	v := ftl.VTPNOf(lpn, f.ePerTP)
+	off := int32(ftl.OffOf(lpn, f.ePerTP))
+	if p := f.byVTPN[v]; p != nil {
+		f.setEntry(p, off, ppn)
+		return true
 	}
-	// Flush in ascending vtpn order: map iteration order would permute the
-	// WriteTP sequence — and with it physical page allocation and die
-	// assignment — making otherwise identical runs schedule differently
-	// (same fix as TPFTL's OnGCDataMoves).
-	vtpns := make([]ftl.VTPN, 0, len(pending))
-	for v := range pending {
-		vtpns = append(vtpns, v)
-	}
-	sort.Slice(vtpns, func(i, j int) bool { return vtpns[i] < vtpns[j] })
-	for _, v := range vtpns {
-		if err := env.WriteTP(v, pending[v], false); err != nil {
-			return err
+	if ents := f.buffer[v]; ents != nil {
+		if _, ok := ents[off]; ok {
+			ents[off] = ppn
+			return true
 		}
 	}
-	// Updates may have grown compressed sizes past the budget.
+	return false
+}
+
+// EndGCBatch implements ftl.GCBatchEnder: the collection's refreshes may
+// have grown compressed page sizes past the budget.
+func (f *FTL) EndGCBatch(env ftl.Env) error { return f.fitBudget(env) }
+
+// fitBudget evicts LRU pages until the cached pages fit their budget.
+func (f *FTL) fitBudget(env ftl.Env) error {
 	for f.used > f.pageBudget && f.pages.Len() > 1 {
 		if err := f.evictLRU(env); err != nil {
 			return err

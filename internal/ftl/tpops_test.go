@@ -347,15 +347,16 @@ func TestSteadyStateCollectionAllocates0(t *testing.T) {
 
 // TestPerPageSizesPinned keeps the per-page layout from growing back
 // unnoticed: a PPN is the paper's 4 bytes (truth, persist, the GTD and the
-// ReadTP view are arrays of them) and a GC move fits two to a cache line's
-// quarter. The two records that are not exported are pinned where they live:
-// flash.TestOOBRecordIs8Bytes and core.TestEntryNodeFitsCacheLine.
+// ReadTP view are arrays of them) and an entry of collect's move scratch is
+// 16 bytes, four to a cache line. Two records of other packages are pinned
+// where they live: flash.TestOOBRecordIs8Bytes and
+// core.TestEntryNodeFitsCacheLine.
 func TestPerPageSizesPinned(t *testing.T) {
 	if got := unsafe.Sizeof(flash.PPN(0)); got != 4 {
 		t.Errorf("flash.PPN is %d bytes, want 4", got)
 	}
-	if got := unsafe.Sizeof(ftl.GCMove{}); got != 16 {
-		t.Errorf("ftl.GCMove is %d bytes, want 16", got)
+	if got := ftl.GCMoveBytes; got != 16 {
+		t.Errorf("a GC move is %d bytes, want 16", got)
 	}
 }
 

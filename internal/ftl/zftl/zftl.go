@@ -323,33 +323,20 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 	return nil
 }
 
-// OnGCDataMoves implements ftl.Translator.
-func (f *FTL) OnGCDataMoves(env ftl.Env, moves []ftl.GCMove) error {
-	f.ePerTP = env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
-	for _, mv := range moves {
-		v := ftl.VTPNOf(mv.LPN, f.ePerTP)
-		off := int32(ftl.OffOf(mv.LPN, f.ePerTP))
-		if p, ok := f.tier2[v]; ok {
-			p.vals[off] = mv.NewPPN
-			p.dirty[off] = struct{}{}
-			env.NoteGCMapUpdate(true)
-			continue
-		}
-		if _, ok := f.tier1[mv.LPN]; ok {
-			f.tier1[mv.LPN] = mv.NewPPN
-			env.NoteGCMapUpdate(true)
-			continue
-		}
-		env.NoteGCMapUpdate(false)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: int(off), PPN: mv.NewPPN})
+// RefreshGC implements ftl.Translator: the entry is refreshed in its cached
+// tier-2 page, else in the tier-1 dirty area.
+func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
+	if p, ok := f.tier2[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
+		off := int32(ftl.OffOf(lpn, f.ePerTP))
+		p.vals[off] = ppn
+		p.dirty[off] = struct{}{}
+		return true
 	}
-	for _, v := range ftl.SortedVTPNs(pending) {
-		if err := env.WriteTP(v, pending[v], false); err != nil {
-			return err
-		}
+	if _, ok := f.tier1[lpn]; ok {
+		f.tier1[lpn] = ppn
+		return true
 	}
-	return nil
+	return false
 }
 
 // DirtyCached returns dirty entries for Device.CheckConsistency.
