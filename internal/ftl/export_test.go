@@ -17,6 +17,35 @@ func (d *Device) ScanEveryFold() {
 	}
 }
 
+// BlockMgrImage hands put the block manager's state, one value at a time in
+// a fixed order: per die the free FIFO from its head and the two frontiers,
+// then the round-robin cursors and the invalidation tick, every block's kind
+// and last-invalidation tick, and the victim heap's array.
+func (d *Device) BlockMgrImage(put func(int64)) {
+	bm := d.bm
+	for die := 0; die < bm.numDies; die++ {
+		free := bm.free[die][bm.frHead[die]:]
+		put(int64(len(free)))
+		for _, b := range free {
+			put(int64(b))
+		}
+		put(int64(bm.dataFrontier[die]))
+		put(int64(bm.transFrontier[die]))
+	}
+	put(int64(bm.dataRR))
+	put(int64(bm.transRR))
+	put(bm.tick)
+	for b, k := range bm.kinds {
+		put(int64(k))
+		put(bm.lastMod[b])
+	}
+	put(int64(len(bm.victims.items)))
+	for _, v := range bm.victims.items {
+		put(int64(v.blk))
+		put(int64(v.invalid))
+	}
+}
+
 // CollectOne collects the block garbage collection would pick next, as
 // maybeGC does, and reports whether there was one. Outside a request no
 // operation reaches the timing half, so what it costs is the collection's
