@@ -12,7 +12,8 @@ import (
 
 // TestVictimHeapMatchesBruteForce randomly programs and invalidates pages
 // and checks that popVictim always returns a block with the maximum invalid
-// count among reclaimable full blocks.
+// count among reclaimable full blocks, and that the block manager passes its
+// own audit after every step.
 func TestVictimHeapMatchesBruteForce(t *testing.T) {
 	cfg := flash.DefaultConfig(32)
 	cfg.PagesPerBlock = 16
@@ -47,7 +48,7 @@ func TestVictimHeapMatchesBruteForce(t *testing.T) {
 			if bm.freeCount() < 2 {
 				break
 			}
-			ppn, err := bm.alloc(blockData)
+			ppn, _, err := bm.alloc(blockData)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,6 +98,71 @@ func TestVictimHeapMatchesBruteForce(t *testing.T) {
 			}
 			bm.release(got)
 		}
+		if err := bm.check(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+}
+
+// TestAllocReturnsPageDie allocates pages of both kinds on a 16-die device of
+// 40 four-page blocks until it is full, frees blocks and fills it again, and
+// requires the die alloc returns to be the die of the page for every
+// allocation. Dies hold two or three blocks each, so round-robin dies run dry
+// constantly and the fallback to the following dies is exercised.
+func TestAllocReturnsPageDie(t *testing.T) {
+	cfg := flash.DefaultConfig(40)
+	cfg.PagesPerBlock = 4
+	cfg.Channels, cfg.DiesPerChannel = 4, 4
+	chip, err := flash.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm := newBlockMgr(chip)
+	rng := rand.New(rand.NewSource(5))
+	allocs, fallbacks := 0, 0
+	for round := 0; round < 4; round++ {
+		for {
+			kind, rr := blockData, bm.dataRR
+			if rng.Intn(3) == 0 {
+				kind, rr = blockTrans, bm.transRR
+			}
+			ppn, die, err := bm.alloc(kind)
+			if err != nil {
+				break // device full
+			}
+			if want := chip.DieOf(ppn); die != want {
+				t.Fatalf("round %d: alloc returned page %d with die %d, page lies on die %d", round, ppn, die, want)
+			}
+			if die != rr {
+				fallbacks++
+			}
+			allocs++
+			if _, err := chip.Program(ppn, flash.Meta{Kind: flash.KindData, Tag: int64(allocs)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bm.check(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		// Free a random half of the full blocks that are no longer frontiers.
+		for b := range bm.kinds {
+			blk := flash.BlockID(b)
+			if bm.kinds[blk] == blockFree || bm.isFrontier(blk) || rng.Intn(2) == 0 {
+				continue
+			}
+			for off := 0; off < cfg.PagesPerBlock; off++ {
+				if err := chip.Invalidate(chip.PageAt(blk, off)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := chip.Erase(blk); err != nil {
+				t.Fatal(err)
+			}
+			bm.release(blk)
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatalf("none of %d allocations fell back from its round-robin die", allocs)
 	}
 }
 
@@ -132,6 +198,9 @@ func (h *boxedVictimHeap) Pop() any {
 // pops and removals, with keys drawn from a small range so ties are the
 // rule, and requires the same array after every step: same pop order among
 // equal invalid counts (victim order feeds EventHash), same index upkeep.
+// The re-keys are of both kinds: arbitrary ones through fix, and the
+// grow-only ones maybeEnqueue makes through up alone, each against
+// heap.Fix.
 func TestVictimHeapMatchesContainerHeap(t *testing.T) {
 	const blocks = 200
 	newIdx := func() []int {
@@ -152,6 +221,11 @@ func TestVictimHeapMatchesContainerHeap(t *testing.T) {
 		case op < 5 && i < 0:
 			got.push(victim{blk: blk, invalid: invalid})
 			heap.Push(&want, victim{blk: blk, invalid: invalid})
+		case op < 3:
+			got.items[i].invalid++
+			got.up(i)
+			want.items[i].invalid++
+			heap.Fix(&want, i)
 		case op < 5:
 			got.items[i].invalid = invalid
 			got.fix(i)
