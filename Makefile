@@ -25,11 +25,9 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/host \
 		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream'
 
-# ftlint is the repo's own static-analysis suite (cmd/ftlint): ten analyzers
-# covering global randomness, cache accounting outside the helpers, discarded
-# flash-chip errors, magic geometry literals, hot-path allocation, observability
-# hook discipline, non-exhaustive op switches, order-sensitive map iteration,
-# package-level mutable state, and clock discipline. ftlint is a vet tool and
+# ftlint is the repo's own static-analysis suite (cmd/ftlint): two analyzers,
+# for the bug classes no test fails on — non-exhaustive switches over the
+# request-op enum and order-sensitive map iteration. ftlint is a vet tool and
 # nothing else: `go vet -vettool` drives it once per build unit, so _test.go
 # files are covered. Any finding fails the target; the one way to tolerate one
 # is a reviewed `//lint:ignore <analyzer> <reason>` at the site.

@@ -1,12 +1,8 @@
-// Command ftlint is this repository's static-analysis suite: ten
-// repo-specific analyzers that keep known bug classes from coming back
-// (global randomness, drifting cache accounting, swallowed flash errors,
-// hardcoded geometry, allocations on the marked translation hot path,
-// unguarded or allocating observability hooks on that same path,
-// non-exhaustive switches over the request-op enum, order-sensitive map
-// iteration, shared package-level state, and clock-discipline violations).
-// The authoritative analyzer list lives in internal/analysis/registry;
-// this command only drives it.
+// Command ftlint is this repository's static-analysis suite: two
+// repo-specific analyzers for the bug classes no test fails on when they
+// come back (non-exhaustive switches over the request-op enum, and
+// order-sensitive map iteration). The authoritative analyzer list lives in
+// internal/analysis/registry; this command only drives it.
 //
 // ftlint is a vet tool and nothing else:
 //

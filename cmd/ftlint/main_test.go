@@ -32,20 +32,22 @@ func TestVetToolEndToEnd(t *testing.T) {
 		"go.mod": "module lintprobe\n\ngo 1.22\n",
 		"probe.go": `package lintprobe
 
-import "math/rand"
-
-func Loud() int {
-	return rand.Intn(6)
+func Loud(m map[int]int, emit func(int)) {
+	for k := range m {
+		emit(k)
+	}
 }
 
-func Quiet() int {
-	//lint:ignore randsource probe: a reviewed, reason-carrying suppression
-	return rand.Intn(6)
+func Quiet(m map[int]int, emit func(int)) {
+	for k := range m {
+		//lint:ignore maporder probe: a reviewed, reason-carrying suppression
+		emit(k)
+	}
 }
 `,
 		"probe_test.go": `package lintprobe
 
-//lint:ignore randsource
+//lint:ignore maporder
 var _ = Loud
 `,
 	} {
@@ -63,8 +65,8 @@ var _ = Loud
 		t.Fatalf("go vet -vettool over a module with findings: err = %v, want a non-zero exit\n%s", err, report)
 	}
 	for _, want := range []string{
-		"probe.go:6:9: use of global math/rand.Intn",
-		"(randsource)",
+		"probe.go:5:3: range over map m: loop body passes an iteration-derived value to emit",
+		"(maporder)",
 		"probe_test.go:3:1: malformed suppression directive",
 		"(lintdirective)",
 	} {
@@ -72,7 +74,7 @@ var _ = Loud
 			t.Errorf("vet output lacks %q:\n%s", want, report)
 		}
 	}
-	if strings.Contains(report, "probe.go:11") {
+	if strings.Contains(report, "probe.go:12") {
 		t.Errorf("the //lint:ignore'd call was reported:\n%s", report)
 	}
 }

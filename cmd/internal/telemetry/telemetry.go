@@ -3,7 +3,7 @@
 // that computes requests/sec, ETA and peak RSS, the periodic stderr progress
 // line for headless runs, and the SIGQUIT flight-recorder dump.
 //
-// It extends cmd/internal/memwatch's clocksafe-exempt pattern: wall time
+// It extends cmd/internal/memwatch's pattern: wall time
 // exists only here (and in memwatch), under cmd/, on goroutines that observe
 // the simulation without ever advancing it. The simulator packages publish
 // into the plane at simulated cadences and contain no wall-clock calls; this

@@ -9,7 +9,7 @@
 // An Analyzer receives one type-checked package per Pass and reports
 // Diagnostics through Pass.Report. Analyzers must be stateless across
 // passes; per-run configuration lives in exported package variables of the
-// analyzer's package (see e.g. cacheaccount.AllowedFuncs).
+// analyzer's package (see e.g. maporder.PureCalls).
 package analysis
 
 import (
@@ -17,7 +17,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"path/filepath"
 	"strings"
 )
 
@@ -55,15 +54,10 @@ type Diagnostic struct {
 }
 
 // InTestFile reports whether pos lies in a _test.go file. Analyzers that
-// police library/CLI determinism or geometry skip tests, which may
-// legitimately pin literals or exercise global state.
+// police simulation state skip tests, which may range over maps in any
+// order to check results.
 func (p *Pass) InTestFile(pos token.Pos) bool {
 	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
-// FileBase returns the basename of the file containing pos.
-func (p *Pass) FileBase(pos token.Pos) string {
-	return filepath.Base(p.Fset.Position(pos).Filename)
 }
 
 // Finding pairs a diagnostic with the analyzer that produced it; drivers
@@ -117,9 +111,8 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 // source line of pos: trailing on the same line, or a comment on the line
 // immediately above. It returns the reason text and whether the directive
 // was found at all — analyzers that require a justification treat a found
-// directive with an empty reason as its own finding. The shared semantic
-// annotations (//ftl:orderinsensitive, //ftl:shardsafe) go through this so
-// placement rules stay identical across analyzers.
+// directive with an empty reason as its own finding, as maporder does for
+// //ftl:orderinsensitive.
 func (p *Pass) DirectiveAt(pos token.Pos, directive string) (reason string, found bool) {
 	target := p.Fset.Position(pos)
 	for _, f := range p.Files {

@@ -30,7 +30,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
-	"sort"
 	"strings"
 	"testing"
 
@@ -231,18 +230,3 @@ func stdExportFile(path string) (string, error) {
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// SortFindings orders findings by position for deterministic output; shared
-// by driver tests.
-func SortFindings(fs []analysis.Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i].Position, fs[j].Position
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		return a.Column < b.Column
-	})
-}

@@ -12,29 +12,13 @@ import (
 	"sort"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/cacheaccount"
-	"repro/internal/analysis/clocksafe"
-	"repro/internal/analysis/flasherr"
-	"repro/internal/analysis/geometry"
-	"repro/internal/analysis/globalstate"
-	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/obscheck"
 	"repro/internal/analysis/opswitch"
-	"repro/internal/analysis/randsource"
 )
 
 var all = []*analysis.Analyzer{
-	cacheaccount.Analyzer,
-	clocksafe.Analyzer,
-	flasherr.Analyzer,
-	geometry.Analyzer,
-	globalstate.Analyzer,
-	hotalloc.Analyzer,
 	maporder.Analyzer,
-	obscheck.Analyzer,
 	opswitch.Analyzer,
-	randsource.Analyzer,
 }
 
 // All returns the full analyzer suite, sorted by name, as a fresh slice.

@@ -14,9 +14,9 @@
 // anything and is itself reported as a finding under the pseudo-analyzer
 // "lintdirective", so a bare mute can never land silently.
 //
-// These are the blunt instrument. The semantic annotations the analyzers
-// define themselves (//ftl:orderinsensitive, //ftl:shardsafe) are preferred
-// where they exist: they state a property, not just "be quiet".
+// These are the blunt instrument. maporder's semantic annotation
+// (//ftl:orderinsensitive) is preferred where it applies: it states a
+// property, not just "be quiet".
 package analysis
 
 import (

@@ -35,8 +35,6 @@ type entrySlab struct {
 // position never handed out. More live entries than the array was reserved
 // for (FTL.reserveEntries) is a bug in the cache's accounting and panics
 // (slice bounds).
-//
-//ftl:hotpath
 func (s *entrySlab) get() *entryNode {
 	if n := len(s.free); n > 0 {
 		e := &s.nodes[s.free[n-1]]
@@ -54,8 +52,6 @@ func (s *entrySlab) get() *entryNode {
 
 // put resets e and returns its position to the free list. e must already be
 // unlinked from its entry list.
-//
-//ftl:hotpath
 func (s *entrySlab) put(e *entryNode) {
 	resetEntry(e)
 	s.free = append(s.free, e.idx)
@@ -123,8 +119,6 @@ type tpSlab struct {
 
 // get returns a reset TP node whose byOff table has exactly ePerTP slots and
 // whose dirtyBits has a bit for each.
-//
-//ftl:hotpath
 func (s *tpSlab) get(ePerTP int) *tpNode {
 	n := len(s.free)
 	if n == 0 {
@@ -153,8 +147,6 @@ func (s *tpSlab) grow() {
 
 // put resets tp and returns it to the free list. tp must be empty (no
 // entries) and unlinked from the page list.
-//
-//ftl:hotpath
 func (s *tpSlab) put(tp *tpNode) {
 	if slabDeepCheck && s.err == nil {
 		for off, slot := range tp.byOff {

@@ -180,8 +180,6 @@ func (tp *tpNode) markClean(e *entryNode) {
 // appendDirty appends every dirty entry of tp except keep, in ascending
 // offset order, to ups and marks it clean; keep (nil for none) is appended
 // but stays dirty. It returns the extended batch and how many it cleaned.
-//
-//ftl:hotpath
 func (f *FTL) appendDirty(tp *tpNode, keep *entryNode, ups []ftl.EntryUpdate) ([]ftl.EntryUpdate, int) {
 	cleaned := 0
 	for w, word := range tp.dirtyBits {
@@ -331,8 +329,6 @@ func (f *FTL) BeginRequest(first, last ftl.LPN, write bool) {
 }
 
 // Translate implements ftl.Translator.
-//
-//ftl:hotpath
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
@@ -351,8 +347,6 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 
 // load handles a cache miss: it decides the prefetch set, makes room, reads
 // the translation page once and installs the entries.
-//
-//ftl:hotpath
 func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, error) {
 	f.reserveEntries(env)
 	tp := f.tpAt(v)
@@ -477,8 +471,6 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 // prefetchSet returns the extra offsets (same translation page, uncached,
 // ascending, excluding off) to load together with the demanded entry. The
 // result aliases f.prefetchBuf; it is valid until the next miss.
-//
-//ftl:hotpath
 func (f *FTL) prefetchSet(tp *tpNode, lpn ftl.LPN, off, pageEnd int32) []int32 {
 	extras := f.prefetchBuf[:0]
 
@@ -525,8 +517,6 @@ func (f *FTL) prefetchSet(tp *tpNode, lpn ftl.LPN, off, pageEnd int32) []int32 {
 }
 
 // touch records an access to e and restores the page-level ordering.
-//
-//ftl:hotpath
 func (f *FTL) touch(tp *tpNode, e *entryNode) {
 	tp.entries.MoveToFront(&e.node)
 	f.stamp++
@@ -537,8 +527,6 @@ func (f *FTL) touch(tp *tpNode, e *entryNode) {
 
 // reposition restores tp's position in the page-level list after its
 // hotness changed.
-//
-//ftl:hotpath
 func (f *FTL) reposition(tp *tpNode) {
 	if f.cfg.Hotness == HotnessLRU {
 		f.pages.MoveToFront(&tp.node)
@@ -560,8 +548,6 @@ func (f *FTL) reposition(tp *tpNode) {
 // tpAt returns the cached TP node for v, or nil. The directory only grows
 // when a node is installed (newTPNode), so a VTPN beyond the table is simply
 // not cached.
-//
-//ftl:hotpath
 func (f *FTL) tpAt(v ftl.VTPN) *tpNode {
 	if int(v) < len(f.byVTPN) {
 		return f.byVTPN[v]
@@ -571,8 +557,6 @@ func (f *FTL) tpAt(v ftl.VTPN) *tpNode {
 
 // entryAt returns tp's cached entry at off, or nil: one load from the offset
 // table and the node's address from its position — no hash, no probe.
-//
-//ftl:hotpath
 func (f *FTL) entryAt(tp *tpNode, off int32) *entryNode {
 	if slot := tp.byOff[off]; slot != 0 {
 		return &f.eslab.nodes[slot-1]
@@ -606,8 +590,6 @@ func (f *FTL) growIndex(n int) {
 
 // newTPNode creates and links a TP node, charging its overhead and stepping
 // the selective-prefetch counter (§4.3: +1 on load).
-//
-//ftl:hotpath
 func (f *FTL) newTPNode(v ftl.VTPN) *tpNode {
 	tp := f.tslab.get(f.ePerTP)
 	tp.vtpn = v
@@ -622,8 +604,6 @@ func (f *FTL) newTPNode(v ftl.VTPN) *tpNode {
 }
 
 // dropTPNode unlinks an empty TP node (§4.3: −1 on eviction).
-//
-//ftl:hotpath
 func (f *FTL) dropTPNode(tp *tpNode) {
 	f.pages.Remove(&tp.node)
 	f.byVTPN[tp.vtpn] = nil
@@ -656,8 +636,6 @@ func (f *FTL) stepCounter(delta int) {
 // past the colder nodes in stages ends where one bubble with the final
 // average ends (exactly so while stampSum stays below 2⁵³, the float64
 // mantissa).
-//
-//ftl:hotpath
 func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryNode {
 	e := f.eslab.get()
 	e.owner, e.off, e.ppn = tp, off, ppn
@@ -676,8 +654,6 @@ func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryN
 
 // removeEntry unlinks e and recycles it; the TP node is dropped when it
 // empties.
-//
-//ftl:hotpath
 func (f *FTL) removeEntry(e *entryNode) {
 	tp := e.owner
 	tp.entries.Remove(&e.node)
@@ -712,8 +688,6 @@ func (f *FTL) removeEntry(e *entryNode) {
 // writeback: a dirty victim, which is written back last, the node dropped
 // once it empties, or, under HotnessAvg, the node no longer coldest after a
 // removal repositioned it.
-//
-//ftl:hotpath
 func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 	coldN := f.pages.Back()
 	if coldN == nil {
@@ -782,8 +756,6 @@ func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 
 // prevClean returns the first clean entry from n toward the MRU end, n
 // included, or nil.
-//
-//ftl:hotpath
 func prevClean(n *lru.Node[*entryNode]) *lru.Node[*entryNode] {
 	for ; n != nil; n = n.Prev() {
 		if !n.Value.dirty {
@@ -794,8 +766,6 @@ func prevClean(n *lru.Node[*entryNode]) *lru.Node[*entryNode] {
 }
 
 // Update implements ftl.Translator.
-//
-//ftl:hotpath
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
@@ -845,8 +815,6 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 // translation page itself as part of the discard). removeEntry handles the
 // dirty count and drops the TP node when it empties — all slab-recycled,
 // nothing allocates.
-//
-//ftl:hotpath
 func (f *FTL) Discard(lpn ftl.LPN) {
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	tp := f.tpAt(v)
@@ -884,8 +852,6 @@ func (f *FTL) FlushDirty(env ftl.Env) error {
 
 // RefreshGC implements ftl.Translator: a cached entry takes the migrated
 // page's new location and turns dirty, without counting as an access.
-//
-//ftl:hotpath
 func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
 	tp := f.tpAt(ftl.VTPNOf(lpn, f.ePerTP))
 	if tp == nil {
@@ -904,8 +870,6 @@ func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
 // flash update GC makes to translation page v also writes back every cached
 // dirty entry of v, which stays cached clean. Without it, ups is returned
 // as is.
-//
-//ftl:hotpath
 func (f *FTL) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) ([]ftl.EntryUpdate, int) {
 	if !f.cfg.BatchUpdate {
 		return ups, 0

@@ -223,23 +223,15 @@ const (
 )
 
 // makeCell packs a state and a kind.
-//
-//ftl:hotpath
 func makeCell(s PageState, k PageKind) cell { return cell(s) | cell(k)<<cellKindShift }
 
 // state unpacks the page state.
-//
-//ftl:hotpath
 func (c cell) state() PageState { return PageState(c & cellStateMask) }
 
 // kind unpacks the page kind.
-//
-//ftl:hotpath
 func (c cell) kind() PageKind { return PageKind(c >> cellKindShift) }
 
 // with returns c in state s, its kind kept.
-//
-//ftl:hotpath
 func (c cell) with(s PageState) cell { return c&^cellStateMask | cell(s) }
 
 // oob is a programmed page's out-of-band record: the tag at the 4 bytes a
@@ -356,8 +348,6 @@ func (c *Chip) State(p PPN) PageState {
 
 // MetaOf returns the out-of-band metadata of page p: what Program stored,
 // the sequence number absolute again. A free page has none.
-//
-//ftl:hotpath
 func (c *Chip) MetaOf(p PPN) Meta {
 	c.mustContain(p)
 	cl := c.cells[p]
@@ -372,8 +362,6 @@ func (c *Chip) MetaOf(p PPN) Meta {
 // number: a caller that programs a copy under a fresh one (GC's migration)
 // would derive p's block only to throw the result away. A free page's record
 // is zero, so it reads as KindNone and tag 0.
-//
-//ftl:hotpath
 func (c *Chip) TagOf(p PPN) (PageKind, int64) {
 	c.mustContain(p)
 	return c.cells[p].kind(), int64(c.oob[p].tag)
@@ -420,8 +408,6 @@ func (e *OpError) Error() string {
 // legitimately read a page that was invalidated between scheduling and
 // execution, and reading stale data is physically possible). It returns the
 // read latency.
-//
-//ftl:hotpath
 func (c *Chip) Read(p PPN) (time.Duration, error) {
 	c.mustContain(p)
 	if c.faults != nil {
@@ -444,8 +430,6 @@ func (c *Chip) Read(p PPN) (time.Duration, error) {
 // be no lower than, and fit 32 bits above, the Seq of the block's first
 // program since its last erase. A refused program changes nothing. It
 // returns the program latency.
-//
-//ftl:hotpath
 func (c *Chip) Program(p PPN, m Meta) (time.Duration, error) {
 	c.mustContain(p)
 	q, r := c.perBlock.DivMod(uint32(p))
@@ -510,8 +494,6 @@ func seqError(p PPN, blk BlockID, seq, base int64) error {
 
 // Invalidate marks a previously valid page invalid. It costs nothing (it is
 // a RAM-side bookkeeping action in a real FTL).
-//
-//ftl:hotpath
 func (c *Chip) Invalidate(p PPN) error {
 	_, err := c.MarkInvalid(p)
 	return err
@@ -519,8 +501,6 @@ func (c *Chip) Invalidate(p PPN) error {
 
 // MarkInvalid is Invalidate that also returns p's block, for a caller that
 // keys its own bookkeeping by block: the block is derived once, here.
-//
-//ftl:hotpath
 func (c *Chip) MarkInvalid(p PPN) (BlockID, error) {
 	c.mustContain(p)
 	if c.faults != nil && c.faults.cut {
@@ -540,8 +520,6 @@ func (c *Chip) MarkInvalid(p PPN) (BlockID, error) {
 // Erase erases blk, freeing all its pages. All pages must be invalid (the
 // FTL must migrate valid pages first); erasing live data is a simulator bug.
 // It returns the erase latency.
-//
-//ftl:hotpath
 func (c *Chip) Erase(blk BlockID) (time.Duration, error) {
 	c.mustContainBlock(blk)
 	if c.faults != nil {

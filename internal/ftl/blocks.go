@@ -116,8 +116,6 @@ func (bm *blockMgr) isFrontier(blk flash.BlockID) bool {
 // opening a new block from die's free list when the frontier is full. It
 // fails (without error) when the frontier is full and the die has no free
 // block left.
-//
-//ftl:hotpath
 func (bm *blockMgr) tryAllocOnDie(kind blockKind, die int) (flash.PPN, bool) {
 	frontier := &bm.dataFrontier[die]
 	if kind == blockTrans {
@@ -151,8 +149,6 @@ func (bm *blockMgr) tryAllocOnDie(kind blockKind, die int) (flash.PPN, bool) {
 // to the following dies in turn — a die running dry must degrade striping,
 // not fail the write. The caller is responsible for keeping the free count
 // above the GC threshold.
-//
-//ftl:hotpath
 func (bm *blockMgr) alloc(kind blockKind) (flash.PPN, int, error) {
 	rr := &bm.dataRR
 	if kind == blockTrans {
@@ -179,8 +175,6 @@ func (bm *blockMgr) alloc(kind blockKind) (flash.PPN, int, error) {
 
 // invalidate marks ppn invalid and enqueues its block as a GC candidate if
 // the block is full.
-//
-//ftl:hotpath
 func (bm *blockMgr) invalidate(ppn flash.PPN) error {
 	blk, err := bm.chip.MarkInvalid(ppn)
 	if err != nil {
@@ -194,8 +188,6 @@ func (bm *blockMgr) invalidate(ppn flash.PPN) error {
 
 // maybeEnqueue inserts or re-keys blk in the victim heap when it is full,
 // reclaimable and not an open frontier.
-//
-//ftl:hotpath
 func (bm *blockMgr) maybeEnqueue(blk flash.BlockID) {
 	if i := bm.victims.idx[blk]; i >= 0 {
 		// A block in the heap is already known to be full, closed and
@@ -430,8 +422,6 @@ func (h *victimHeap) down(i0, n int) bool {
 }
 
 // push adds a block that is not in the heap.
-//
-//ftl:hotpath
 func (h *victimHeap) push(v victim) {
 	h.idx[v.blk] = len(h.items)
 	h.items = append(h.items, v)
@@ -439,8 +429,6 @@ func (h *victimHeap) push(v victim) {
 }
 
 // fix restores the heap order after items[i].invalid changed.
-//
-//ftl:hotpath
 func (h *victimHeap) fix(i int) {
 	if !h.down(i, len(h.items)) {
 		h.up(i)
@@ -449,8 +437,6 @@ func (h *victimHeap) fix(i int) {
 
 // remove takes item i (0 is the maximum) out of the heap and returns its
 // block.
-//
-//ftl:hotpath
 func (h *victimHeap) remove(i int) flash.BlockID {
 	n := len(h.items) - 1
 	h.swap(i, n)

@@ -9,7 +9,7 @@ import (
 // Default flash geometry (the paper's Table 3 configuration). Anything that
 // needs a page size without a Config in hand — translator constructors sizing
 // cache slots, capacity math in the harness — should name these rather than
-// repeat the numbers; the geometry analyzer in cmd/ftlint enforces that.
+// repeat the numbers.
 const (
 	// DefaultPageBytes is the default flash page size (4 KB).
 	DefaultPageBytes = 4096

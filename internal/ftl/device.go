@@ -244,8 +244,6 @@ func (d *Device) publishLive() {
 // to the flight recorder and publishes an epoch when one is due. The
 // recorder ring is pre-allocated and Record is pointer-free, so this
 // allocates nothing per request.
-//
-//ftl:hotpath
 func (d *Device) recordLive(c *live.Cell, req *trace.Request, arrival, admit, complete time.Duration) {
 	if c == nil {
 		return
@@ -585,7 +583,6 @@ func (d *Device) sanitize() error {
 	return SanitizeCheck(d.tr.Name(), checks...)
 }
 
-//ftl:hotpath
 func (d *Device) readPage(lpn LPN) error {
 	d.m.PageReads++
 	ppn, err := d.tr.Translate(d, lpn)
@@ -609,7 +606,6 @@ func (d *Device) readPage(lpn LPN) error {
 	return nil
 }
 
-//ftl:hotpath
 func (d *Device) writePage(lpn LPN) error {
 	d.m.PageWrites++
 	old, err := d.tr.Translate(d, lpn)
@@ -759,8 +755,6 @@ func (d *Device) flushMapping() error {
 // entry and keeps unmapped[v] — the count of InvalidPPN slots of lpn's
 // translation page — in step, which is what lets foldTPPersist skip a page
 // without reading it.
-//
-//ftl:hotpath
 func (d *Device) setPersist(lpn int64, ppn flash.PPN) {
 	if was, now := d.persist[lpn] == flash.InvalidPPN, ppn == flash.InvalidPPN; was != now {
 		v, _ := d.perTP.DivMod(uint32(lpn))
@@ -788,8 +782,6 @@ func (d *Device) setPersist(lpn int64, ppn flash.PPN) {
 // page at all until the host trims, so the common call costs one load. A
 // page with holes pays the walk over its entriesPerTP slots of persist and
 // truth on every program for as long as it keeps a hole.
-//
-//ftl:hotpath
 func (d *Device) foldTPPersist(v VTPN) {
 	if d.unmapped[v] == 0 {
 		return
@@ -814,8 +806,6 @@ func (d *Device) foldTPPersist(v VTPN) {
 // trigger — keep their metric attribution but are not logged: the measured
 // timeline starts pristine, exactly as the scalar-clock device discarded
 // pre-measurement latency.
-//
-//ftl:hotpath
 func (d *Device) issuePage(die int, lat time.Duration, op obs.Op, sum uint8) {
 	if d.ph == phaseGC {
 		d.m.GCTime += lat
@@ -839,8 +829,6 @@ func (d *Device) issuePage(die int, lat time.Duration, op obs.Op, sum uint8) {
 // a request is served: ReadTP and WriteTP also run in the GC Precondition
 // triggers, where it is not derived. (readPage and trimTP run only inside a
 // request and call DieOf directly.)
-//
-//ftl:hotpath
 func (d *Device) readDie(p flash.PPN) int {
 	if !d.serving {
 		return 0
@@ -883,8 +871,6 @@ const (
 // chipRead, chipProgram and chipErase run one chip operation. The no-fault
 // path is the chip call and one error test; a failed first attempt goes to
 // retryOp.
-//
-//ftl:hotpath
 func (d *Device) chipRead(p flash.PPN) (time.Duration, error) {
 	lat, err := d.chip.Read(p)
 	if err != nil {
@@ -893,7 +879,6 @@ func (d *Device) chipRead(p flash.PPN) (time.Duration, error) {
 	return lat, nil
 }
 
-//ftl:hotpath
 func (d *Device) chipProgram(p flash.PPN, m flash.Meta) (time.Duration, error) {
 	lat, err := d.chip.Program(p, m)
 	if err != nil {
@@ -902,7 +887,6 @@ func (d *Device) chipProgram(p flash.PPN, m flash.Meta) (time.Duration, error) {
 	return lat, nil
 }
 
-//ftl:hotpath
 func (d *Device) chipErase(blk flash.BlockID) (time.Duration, error) {
 	lat, err := d.chip.Erase(blk)
 	if err != nil {
@@ -970,8 +954,6 @@ func (d *Device) NumLPNs() int64 { return d.logicalPages }
 // flash operation is charged. A full page is returned as a capacity-clipped
 // view of d.persist, not a copy; only a partial last page is copied, to pad
 // it to entriesPerTP slots.
-//
-//ftl:hotpath
 func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 	if v < 0 || int(v) >= d.numTPs {
 		return nil, errf("ReadTP: vtpn %d out of range [0,%d)", v, d.numTPs)
@@ -1003,8 +985,6 @@ func (d *Device) ReadTP(v VTPN) ([]flash.PPN, error) {
 // WriteTP implements Env: a translation-page update. Without fullPage it is
 // a read-modify-write (Tfr+Tfw, Eq. 1); with fullPage only the program is
 // charged (S-FTL's whole-page writeback).
-//
-//ftl:hotpath
 func (d *Device) WriteTP(v VTPN, updates []EntryUpdate, fullPage bool) error {
 	if v < 0 || int(v) >= d.numTPs {
 		return errf("WriteTP: vtpn %d out of range [0,%d)", v, d.numTPs)

@@ -21,8 +21,6 @@ type entrySlab struct {
 }
 
 // get returns a reset entry, growing the slab if the free list is empty.
-//
-//ftl:hotpath
 func (s *entrySlab) get() *entry {
 	n := len(s.free)
 	if n == 0 {
@@ -47,8 +45,6 @@ func (s *entrySlab) grow() {
 
 // put resets e and returns it to the free list. e must already be unlinked
 // from its LRU segment and removed from the entry map.
-//
-//ftl:hotpath
 func (s *entrySlab) put(e *entry) {
 	resetEntry(e)
 	s.free = append(s.free, e)

@@ -104,8 +104,6 @@ func (d *Device) maybeWearLevel() error {
 // pages), erase it and return it to the free list. The data moves are
 // gathered in d.gcMoves, reused by every collection: collect never re-enters
 // (maybeGC is a no-op under inGC).
-//
-//ftl:hotpath
 func (d *Device) collect(blk flash.BlockID) error {
 	kind := d.bm.kinds[blk]
 	ppb := d.cfg.PagesPerBlock
@@ -208,8 +206,6 @@ type gcMove struct {
 // misses in move order, then any dirty entries DirtyAppender adds. Nothing
 // is sorted: the order inside one page is not observable, since WriteTP
 // applies updates by offset and their offsets are distinct.
-//
-//ftl:hotpath
 func (d *Device) updateGCMaps(moves []gcMove) error {
 	app, _ := d.tr.(DirtyAppender)
 	lo, hi := len(d.gcTouched), -1
@@ -265,8 +261,6 @@ func (d *Device) updateGCMaps(moves []gcMove) error {
 
 // migratePage copies one valid page, on the victim's die, to the write
 // frontier of its kind (read + program) and invalidates the original.
-//
-//ftl:hotpath
 func (d *Device) migratePage(ppn flash.PPN, meta flash.Meta, die int) (flash.PPN, error) {
 	kind := blockData
 	readOp, progOp := obs.OpDataRead, obs.OpDataProgram

@@ -83,8 +83,6 @@ type Metrics struct {
 
 // ObserveResponse records one response time: the response-phase histogram
 // and MaxResponse.
-//
-//ftl:hotpath
 func (m *Metrics) ObserveResponse(d time.Duration) {
 	if d > m.MaxResponse {
 		m.MaxResponse = d

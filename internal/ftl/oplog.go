@@ -229,8 +229,6 @@ var errRequestFailed = errors.New("ftl: logged request failed")
 
 // put stores r in the next slot of the chunk being written, handing the
 // chunk to the timing goroutine first when it is full.
-//
-//ftl:hotpath
 func (d *Device) put(r logRec) {
 	c := d.log.c
 	if c.n == len(c.recs) {
@@ -262,8 +260,6 @@ func (d *Device) flushLog() *logChunk {
 // The timing half reads only the timeline and the record: a pipelined
 // timing goroutine that loaded a field of the Device would pull the cache
 // lines the logical half writes on every operation across the cores.
-//
-//ftl:hotpath
 func (t *timeline) step(r logRec, admit time.Duration) (done bool, err error) {
 	switch r.meta.kind() {
 	case recBegin:
@@ -298,8 +294,6 @@ func (t *timeline) brk() { t.sched.BreakChain() }
 // issue schedules an operation record — latency lat, label op — on its die
 // and charges lat to the sum bits name. It is small enough to be inlined
 // into the logical half's inline path.
-//
-//ftl:hotpath
 func (t *timeline) issue(die int, lat time.Duration, op obs.Op, bits uint8) {
 	t.sums[bits&sumMask] += lat
 	t.sched.IssueOp(die, lat, op)
@@ -314,8 +308,6 @@ func (t *timeline) issue(die int, lat time.Duration, op obs.Op, bits uint8) {
 // request count. Trims and flushes record their flash time into their own
 // phases instead. Last, the device's tracer and metrics export see the
 // request.
-//
-//ftl:hotpath
 func (t *timeline) end(class uint8, admit time.Duration) {
 	complete := t.sched.EndRequest()
 	t.complete = complete

@@ -10,9 +10,9 @@
 // prefetching and batch writeback — wholly inside one shard, while
 // interleaving chunks balances sequential and clustered workloads across
 // shards. Each shard owns a full ftl.Device: private mapping cache, GC,
-// block manager and scheduler clock. Shards share no mutable state (the
-// globalstate analyzer proves the tree has none), so they run on separate
-// goroutines without locks.
+// block manager and scheduler clock. Shards share no mutable state (no
+// package-level variable is written after initialization), so they run on
+// separate goroutines without locks.
 //
 // Because a contiguous byte range covers every chunk between its first and
 // last, the chunks it owns on one shard are consecutive local chunks and its

@@ -10,8 +10,7 @@
 // The list is generic over the element type: Node[T].Value is a T (in
 // practice a pointer back to the containing struct), so walking a list never
 // boxes values into interfaces and never allocates — a property the
-// hot-path allocation guards (AllocsPerRun tests, the hotalloc analyzer)
-// hold the translators to.
+// hot-path allocation guards (AllocsPerRun tests) hold the translators to.
 //
 // A List is ordered from MRU (front) to LRU (back).
 package lru

@@ -55,8 +55,6 @@ type CounterDef struct {
 // order. (*ftl.Metrics).Counters binds each row to its source field; the
 // JSONL encoding, its validator, the live plane and the Prometheus
 // exposition are all loops over this table.
-//
-//ftl:shardsafe immutable counter table: initialized once, only ever read
 var CounterTable = [NumCounters]CounterDef{
 	CtrRequests:      {Key: "requests", Family: "ftl_requests_total", Help: "Host requests served."},
 	CtrPageReads:     {Key: "page_reads", Family: "ftl_page_reads_total", Help: "User data page reads."},

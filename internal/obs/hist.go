@@ -58,8 +58,6 @@ func bucketUpper(i int) int64 {
 }
 
 // Record adds one duration observation. Negative durations clamp to zero.
-//
-//ftl:hotpath
 func (h *Histogram) Record(d time.Duration) {
 	v := int64(d)
 	if v < 0 {

@@ -11,10 +11,10 @@
 // race the simulation or take a lock it holds. With no Cell attached the hot
 // path pays a single nil check and zero allocations.
 //
-// Wall-clock discipline: this package contains no wall-clock calls at all
-// (the clocksafe analyzer bans them under internal/). Rates, ETA and RSS live
-// in Progress, which is computed by a sampler goroutine in cmd/ — the only
-// layer allowed to see wall time — and stored back here atomically.
+// Wall-clock discipline: this package contains no wall-clock calls at all.
+// Rates, ETA and RSS live in Progress, which is computed by a sampler
+// goroutine in cmd/ — the only layer allowed to see wall time — and stored
+// back here atomically.
 package live
 
 import (

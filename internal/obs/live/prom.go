@@ -21,7 +21,8 @@ type promSeries struct {
 	val     func(c *Cell, s *Snapshot) float64
 }
 
-//ftl:shardsafe immutable metric-family catalog: initialized once, only ever read
+// promPlane is the metric-family catalog: initialized once, then only read,
+// by every scraper at once.
 var promPlane = []promSeries{
 	{"ftl_telemetry_epochs_total", "counter", "Telemetry epochs published.", false,
 		func(_ *Cell, s *Snapshot) float64 { return float64(s.Seq) }},

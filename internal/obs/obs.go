@@ -11,8 +11,8 @@
 //     a tracer or an exporter must leave every simulated metric — timings,
 //     counters, the scheduler's EventHash — bit-for-bit unchanged.
 //   - The disabled path is allocation-free: Histogram.Record is a plain
-//     array increment, and tracer hooks sit behind nil checks (the obscheck
-//     analyzer enforces the guard inside //ftl:hotpath functions).
+//     array increment, and tracer hooks sit behind nil checks (the
+//     AllocsPerRun guards pin both).
 package obs
 
 // Phase labels the activity a per-request latency observation is attributed

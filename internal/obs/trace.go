@@ -17,7 +17,7 @@ import (
 // All record builders append into one reusable buffer with strconv — no
 // fmt, no per-event allocation once the buffer has grown to steady state.
 // Callers on hot paths must nil-guard the tracer so the disabled path does
-// no work at all (enforced by the obscheck analyzer).
+// no work at all; a nil Tracer panics on its first event.
 type Tracer struct {
 	w      *bufio.Writer
 	buf    []byte

@@ -44,8 +44,6 @@ const minEvents = 128 / 16
 func (q *EventQueue) Len() int { return len(q.h) }
 
 // Push adds a completion event.
-//
-//ftl:hotpath
 func (q *EventQueue) Push(e Event) {
 	if q.h == nil {
 		q.h = make([]Event, 0, minEvents)
@@ -65,8 +63,6 @@ func (q *EventQueue) Push(e Event) {
 }
 
 // Pop removes and returns the earliest event. It panics on an empty queue.
-//
-//ftl:hotpath
 func (q *EventQueue) Pop() Event {
 	h := q.h
 	top := h[0]
@@ -105,8 +101,6 @@ func (q *EventQueue) Peek() (Event, bool) {
 // DrainThrough pops every event with Time ≤ t and returns how many were
 // drained. The frontend uses it under open-loop admission to count the
 // requests still in flight when a new one arrives.
-//
-//ftl:hotpath
 func (q *EventQueue) DrainThrough(t time.Duration) int {
 	n := 0
 	for len(q.h) > 0 && q.h[0].Time <= t {

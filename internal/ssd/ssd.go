@@ -133,8 +133,6 @@ func (s *Scheduler) BreakChain() {
 // Issue schedules one operation of latency lat on die. It starts at the
 // later of the chain's ready time and the die's busy-until window, occupies
 // the die for lat, extends the chain, and returns the completion time.
-//
-//ftl:hotpath
 func (s *Scheduler) Issue(die int, lat time.Duration) time.Duration {
 	return s.IssueOp(die, lat, obs.OpUnknown)
 }
@@ -142,8 +140,6 @@ func (s *Scheduler) Issue(die int, lat time.Duration) time.Duration {
 // IssueOp is Issue with an operation label for the span trace. The label
 // affects only tracing: schedule, metrics, and EventHash are identical for
 // every op value.
-//
-//ftl:hotpath
 func (s *Scheduler) IssueOp(die int, lat time.Duration, op obs.Op) time.Duration {
 	start := s.chain
 	if s.dieFree[die] > start {
@@ -193,8 +189,6 @@ func (s *Scheduler) ChannelBusy(ch int) time.Duration {
 // xor-multiply over the (die, start, end) words). The fold is
 // order-sensitive: the same operation set in a different schedule order
 // yields a different EventHash.
-//
-//ftl:hotpath
 func (s *Scheduler) record(die int, start, end time.Duration) {
 	s.sum = fnvWord(s.sum, uint64(die))
 	s.sum = fnvWord(s.sum, uint64(start))
