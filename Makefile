@@ -11,7 +11,7 @@ test:
 # vet also gates formatting: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
-	@out="$$(gofmt -l *.go bench cmd examples internal)"; \
+	@out="$$(gofmt -l *.go bench cmd internal)"; \
 		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # The second line re-runs the tests of what happens concurrently around and
@@ -76,14 +76,10 @@ bench-ci:
 	done
 
 # The referee benchmark's own tests (< 1 s). `go test ./...` at the root does
-# not reach them: bench/ has its own go.mod. The second line runs every root
-# benchmark (bench_test.go, ext_bench_test.go) once (~5 s), which nothing
-# else does: BenchmarkMappingGranularity is where EXPERIMENTS.md's §2.1
-# numbers come from and the only end-to-end driver of the block, BAST and
-# FAST devices.
+# not reach them: bench/ has its own go.mod. The paper's experiments and the
+# extensions are pinned by cmd/experiments' golden, which `go test ./...` runs.
 bench-test:
 	$(GO) test -C bench ./...
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 # Host-interface smoke: run the trim-heavy and fsync-heavy profiles end to
 # end (generated workload → buffer → device → metrics), then verify the

@@ -1,7 +1,8 @@
 // Command experiments regenerates every table and figure of the TPFTL
-// paper's evaluation (§5) and prints them as text tables.
+// paper's evaluation (§5), and the extension experiments beyond it, and
+// prints them as text tables.
 //
-// Experiments (-exp):
+// Experiments (-exp, a comma-separated list):
 //
 //	table2  Table 2  — DFTL's deviation from the optimal FTL
 //	fig1    Fig. 1   — distribution of entries in DFTL's mapping cache
@@ -13,112 +14,170 @@
 //	fig9    Fig. 9   — cache-size sweep: hit ratio, response time, WA
 //	fig10   Fig. 10  — cache space-utilization improvement over DFTL
 //	model   Eq. 1-13 — analytic model evaluated on measured parameters
-//	all     everything above
+//	all     every experiment above
+//	ext     extensions: mapping granularity (block, BAST, FAST, TPFTL),
+//	        GC policy, wear levelling, hotness ordering, CFLRU data
+//	        buffer, recovery scan (not part of all)
 //
 // The default scale (300k requests, MSR workloads at 2 GB) regenerates the
 // paper's shapes in minutes; -requests and -msrscale restore full scale.
 // -allschemes adds the related-work schemes (CDFTL, ZFTL) to the comparison
-// and -json writes machine-readable results alongside the tables.
+// and -json writes every result it printed as one JSON document.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
+// paperExperiments are the names -exp all selects, in -exp's order.
+var paperExperiments = []string{"table2", "fig1", "fig2", "fig6", "fig7", "fig8", "fig9", "fig10", "model"}
+
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "experiment: all, table2, fig1, fig2, fig6, fig7, fig8, fig9, fig10, model")
-		requests = flag.Int("requests", 0, "requests per run (default 300000)")
-		msrScale = flag.Int64("msrscale", 0, "MSR address-space scale in bytes (default 2 GiB; 0 keeps default, use 17179869184 for the paper's 16 GiB)")
-		seed     = flag.Int64("seed", 0, "workload seed (default 42)")
-		allSch   = flag.Bool("allschemes", false, "include CDFTL and ZFTL in the comparison")
-		jsonOut  = flag.String("json", "", "also write machine-readable results to this file")
-	)
-	flag.Parse()
-	e := sim.ExpConfig{Requests: *requests, MSRScale: *msrScale, Seed: *seed, AllSchemes: *allSch}.Defaults()
-	collect := newCollector(*jsonOut)
-	defer collect.write()
-
-	want := map[string]bool{}
-	for _, name := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(strings.ToLower(name))] = true
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	all := want["all"]
-
-	start := time.Now()
-	run := func(name string, fn func(sim.ExpConfig) error) {
-		if !all && !want[name] {
-			return
-		}
-		t0 := time.Now()
-		if err := fn(e); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("[%s done in %v]\n\n", name, time.Since(t0).Round(time.Millisecond))
-	}
-
-	// fig6/fig7a/table2 share one comparison sweep; run it once.
-	if all || want["table2"] || want["fig6"] || want["fig7"] {
-		t0 := time.Now()
-		cells, err := e.RunComparison()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: comparison:", err)
-			os.Exit(1)
-		}
-		collect.add("comparison", cells)
-		if all || want["fig6"] {
-			printFig6(cells)
-		}
-		if all || want["fig7"] {
-			printFig7a(cells)
-		}
-		if all || want["table2"] {
-			printTable2(cells)
-			collect.add("table2", sim.Table2(cells))
-		}
-		fmt.Printf("[comparison done in %v]\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	run("fig1", func(e sim.ExpConfig) error { return runFig1(e) })
-	run("fig2", func(e sim.ExpConfig) error { return runFig2(e) })
-	if all || want["fig7"] || want["fig8"] {
-		t0 := time.Now()
-		cells, err := e.RunAblation()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: ablation:", err)
-			os.Exit(1)
-		}
-		printAblation(cells)
-		collect.add("ablation", cells)
-		fmt.Printf("[ablation done in %v]\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	if all || want["fig8"] || want["fig9"] {
-		t0 := time.Now()
-		cells, err := e.RunCacheSweep()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments: sweep:", err)
-			os.Exit(1)
-		}
-		printSweep(cells)
-		collect.add("cacheSweep", cells)
-		fmt.Printf("[cache sweep done in %v]\n\n", time.Since(t0).Round(time.Millisecond))
-	}
-	run("fig10", func(e sim.ExpConfig) error { return runFig10(e) })
-	run("model", func(e sim.ExpConfig) error { return runModel(e) })
-
-	fmt.Printf("total %v\n", time.Since(start).Round(time.Millisecond))
 }
 
-func printFig6(cells []sim.ComparisonCell) {
+// run parses args, runs the selected experiments and prints their tables to
+// w; an experiment that fails and a -json file that cannot be written are
+// errors.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	var (
+		exp      = fs.String("exp", "all", "experiments: all, ext, or a list of "+strings.Join(paperExperiments, ", "))
+		requests = fs.Int("requests", 0, "requests per run (default 300000)")
+		msrScale = fs.Int64("msrscale", 0, "MSR address-space scale in bytes (default 2 GiB; 0 keeps default, use 17179869184 for the paper's 16 GiB)")
+		seed     = fs.Int64("seed", 0, "workload seed (default 42)")
+		allSch   = fs.Bool("allschemes", false, "include CDFTL and ZFTL in the comparison")
+		jsonOut  = fs.String("json", "", "also write machine-readable results to this file")
+	)
+	fs.Parse(args)
+	want, err := selectExperiments(*exp)
+	if err != nil {
+		return err
+	}
+	// Create the JSON file first, so a path that cannot be written fails
+	// before the experiments run rather than after.
+	var jsonFile *os.File
+	if *jsonOut != "" {
+		if jsonFile, err = os.Create(*jsonOut); err != nil {
+			return err
+		}
+		defer jsonFile.Close()
+	}
+	e := sim.ExpConfig{Requests: *requests, MSRScale: *msrScale, Seed: *seed, AllSchemes: *allSch}.Defaults()
+	results := map[string]any{}
+
+	// Each step runs one driver and prints and records what the selected
+	// experiments need of it. fig6, fig7 and table2 share the comparison
+	// sweep, fig7 and fig8 the ablation, fig8 and fig9 the cache sweep.
+	steps := []struct {
+		name string
+		on   bool
+		run  func() error
+	}{
+		{"comparison", want["table2"] || want["fig6"] || want["fig7"], func() error {
+			cells, err := e.RunComparison()
+			if err != nil {
+				return err
+			}
+			results["comparison"] = cells
+			if want["fig6"] {
+				printFig6(w, cells)
+			}
+			if want["fig7"] {
+				printFig7a(w, cells)
+			}
+			if want["table2"] {
+				printTable2(w, cells)
+				results["table2"] = sim.Table2(cells)
+			}
+			return nil
+		}},
+		{"fig1", want["fig1"], record(w, results, "fig1", e.RunCacheDistribution, printFig1)},
+		{"fig2", want["fig2"], record(w, results, "fig2", e.RunSpatialLocality, printFig2)},
+		{"ablation", want["fig7"] || want["fig8"], record(w, results, "ablation", e.RunAblation, printAblation)},
+		{"cache sweep", want["fig8"] || want["fig9"], record(w, results, "cacheSweep", e.RunCacheSweep, printSweep)},
+		{"fig10", want["fig10"], record(w, results, "fig10", e.RunSpaceUtilization, printFig10)},
+		{"model", want["model"], record(w, results, "model", e.RunModel, printModel)},
+		{"ext", want["ext"], record(w, results, "ext", e.RunExtensions, printExtensions)},
+	}
+	start := time.Now()
+	for _, s := range steps {
+		if !s.on {
+			continue
+		}
+		t0 := time.Now()
+		if err := s.run(); err != nil {
+			return fmt.Errorf("%s: %w", s.name, err)
+		}
+		fmt.Fprintf(w, "[%s done in %v]\n\n", s.name, time.Since(t0).Round(time.Millisecond))
+	}
+	fmt.Fprintf(w, "total %v\n", time.Since(start).Round(time.Millisecond))
+
+	if jsonFile == nil {
+		return nil
+	}
+	blob, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
+		return err
+	}
+	if _, err := jsonFile.Write(blob); err != nil {
+		return err
+	}
+	if err := jsonFile.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "wrote %s\n", *jsonOut)
+	return nil
+}
+
+// record returns a step that runs an experiment and, if it succeeds, records
+// its result under key and prints it.
+func record[T any](w io.Writer, results map[string]any, key string, run func() (T, error), print func(io.Writer, T)) func() error {
+	return func() error {
+		r, err := run()
+		if err == nil {
+			results[key] = r
+			print(w, r)
+		}
+		return err
+	}
+}
+
+// selectExperiments parses -exp into the set of experiments to run; all
+// stands for every paper experiment.
+func selectExperiments(list string) (map[string]bool, error) {
+	valid := map[string]bool{"all": true, "ext": true}
+	for _, name := range paperExperiments {
+		valid[name] = true
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if !valid[name] {
+			return nil, fmt.Errorf("unknown experiment %q (want all, ext, %s)", name, strings.Join(paperExperiments, ", "))
+		}
+		want[name] = true
+	}
+	if want["all"] {
+		for _, name := range paperExperiments {
+			want[name] = true
+		}
+	}
+	return want, nil
+}
+
+func printFig6(w io.Writer, cells []sim.ComparisonCell) {
 	workloads := sim.WorkloadsOf(cells)
 	schemes := sim.SchemesOf(cells)
 	byKey := map[string]map[sim.Scheme]sim.ComparisonCell{}
@@ -129,97 +188,93 @@ func printFig6(cells []sim.ComparisonCell) {
 		byKey[c.Workload][c.Scheme] = c
 	}
 	header := func(title string) {
-		fmt.Println(title)
-		fmt.Printf("%-12s", "workload")
+		fmt.Fprintln(w, title)
+		fmt.Fprintf(w, "%-12s", "workload")
 		for _, s := range schemes {
-			fmt.Printf("%12s", s)
+			fmt.Fprintf(w, "%12s", s)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	row := func(w string, get func(sim.ComparisonCell) string) {
-		fmt.Printf("%-12s", w)
+	row := func(wl string, get func(sim.ComparisonCell) string) {
+		fmt.Fprintf(w, "%-12s", wl)
 		for _, s := range schemes {
-			fmt.Printf("%12s", get(byKey[w][s]))
+			fmt.Fprintf(w, "%12s", get(byKey[wl][s]))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	header("Fig. 6a — probability of replacing a dirty entry")
-	for _, w := range workloads {
-		row(w, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.1f%%", c.Prd*100) })
+	for _, wl := range workloads {
+		row(wl, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.1f%%", c.Prd*100) })
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	header("Fig. 6b — cache hit ratio")
-	for _, w := range workloads {
-		row(w, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.1f%%", c.Hr*100) })
+	for _, wl := range workloads {
+		row(wl, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.1f%%", c.Hr*100) })
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	norm := sim.NormalizeToDFTL(cells, func(c sim.ComparisonCell) float64 { return float64(c.TReads) })
 	header("Fig. 6c — translation page reads (normalized to DFTL)")
-	for _, w := range workloads {
-		row(w, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.3f", norm[w][c.Scheme]) })
+	for _, wl := range workloads {
+		row(wl, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.3f", norm[wl][c.Scheme]) })
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	norm = sim.NormalizeToDFTL(cells, func(c sim.ComparisonCell) float64 { return float64(c.TWrites) })
 	header("Fig. 6d — translation page writes (normalized to DFTL)")
-	for _, w := range workloads {
-		row(w, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.3f", norm[w][c.Scheme]) })
+	for _, wl := range workloads {
+		row(wl, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.3f", norm[wl][c.Scheme]) })
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	norm = sim.NormalizeToDFTL(cells, func(c sim.ComparisonCell) float64 { return float64(c.Resp) })
 	header("Fig. 6e — system response time (normalized to DFTL)")
-	for _, w := range workloads {
-		row(w, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.3f", norm[w][c.Scheme]) })
+	for _, wl := range workloads {
+		row(wl, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.3f", norm[wl][c.Scheme]) })
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	header("Fig. 6f — write amplification")
-	for _, w := range workloads {
-		row(w, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.2f", c.WA) })
+	for _, wl := range workloads {
+		row(wl, func(c sim.ComparisonCell) string { return fmt.Sprintf("%.2f", c.WA) })
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func printFig7a(cells []sim.ComparisonCell) {
+func printFig7a(w io.Writer, cells []sim.ComparisonCell) {
 	workloads := sim.WorkloadsOf(cells)
 	schemes := sim.SchemesOf(cells)
 	norm := sim.NormalizeToDFTL(cells, func(c sim.ComparisonCell) float64 { return float64(c.Erases) })
-	fmt.Println("Fig. 7a — block erase count (normalized to DFTL)")
-	fmt.Printf("%-12s", "workload")
+	fmt.Fprintln(w, "Fig. 7a — block erase count (normalized to DFTL)")
+	fmt.Fprintf(w, "%-12s", "workload")
 	for _, s := range schemes {
-		fmt.Printf("%12s", s)
+		fmt.Fprintf(w, "%12s", s)
 	}
-	fmt.Println()
-	for _, w := range workloads {
-		fmt.Printf("%-12s", w)
+	fmt.Fprintln(w)
+	for _, wl := range workloads {
+		fmt.Fprintf(w, "%-12s", wl)
 		for _, s := range schemes {
-			fmt.Printf("%12.3f", norm[w][s])
+			fmt.Fprintf(w, "%12.3f", norm[wl][s])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func printTable2(cells []sim.ComparisonCell) {
-	fmt.Println("Table 2 — deviations of DFTL from the optimal FTL")
-	fmt.Printf("%-12s %12s %12s\n", "workload", "performance", "erasure")
+func printTable2(w io.Writer, cells []sim.ComparisonCell) {
+	fmt.Fprintln(w, "Table 2 — deviations of DFTL from the optimal FTL")
+	fmt.Fprintf(w, "%-12s %12s %12s\n", "workload", "performance", "erasure")
 	for _, r := range sim.Table2(cells) {
-		fmt.Printf("%-12s %11.1f%% %11.1f%%\n", r.Workload, r.Performance*100, r.Erasure*100)
+		fmt.Fprintf(w, "%-12s %11.1f%% %11.1f%%\n", r.Workload, r.Performance*100, r.Erasure*100)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func runFig1(e sim.ExpConfig) error {
-	results, err := e.RunCacheDistribution()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 1a — average number of entries in each cached translation page (DFTL)")
-	fmt.Printf("%-12s %10s %10s %10s\n", "workload", "min", "mean", "max")
+func printFig1(w io.Writer, results []sim.DistributionResult) {
+	fmt.Fprintln(w, "Fig. 1a — average number of entries in each cached translation page (DFTL)")
+	fmt.Fprintf(w, "%-12s %10s %10s %10s\n", "workload", "min", "mean", "max")
 	for _, r := range results {
 		min, max, sum := 1e18, 0.0, 0.0
 		for _, v := range r.AvgEntriesPerTP {
@@ -237,11 +292,11 @@ func runFig1(e sim.ExpConfig) error {
 		} else {
 			min = 0
 		}
-		fmt.Printf("%-12s %10.1f %10.1f %10.1f\n", r.Workload, min, mean, max)
+		fmt.Fprintf(w, "%-12s %10.1f %10.1f %10.1f\n", r.Workload, min, mean, max)
 	}
-	fmt.Println()
-	fmt.Println("Fig. 1b — CDF of dirty entries per cached translation page (DFTL)")
-	fmt.Printf("%-12s %10s %14s %14s %14s\n", "workload", "mean", "P(≤1 dirty)", "P(≤5 dirty)", "P(≤15 dirty)")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Fig. 1b — CDF of dirty entries per cached translation page (DFTL)")
+	fmt.Fprintf(w, "%-12s %10s %14s %14s %14s\n", "workload", "mean", "P(≤1 dirty)", "P(≤5 dirty)", "P(≤15 dirty)")
 	for _, r := range results {
 		at := func(k int) float64 {
 			if len(r.DirtyCDF) == 0 {
@@ -252,31 +307,26 @@ func runFig1(e sim.ExpConfig) error {
 			}
 			return r.DirtyCDF[k]
 		}
-		fmt.Printf("%-12s %10.2f %13.1f%% %13.1f%% %13.1f%%\n",
+		fmt.Fprintf(w, "%-12s %10.2f %13.1f%% %13.1f%% %13.1f%%\n",
 			r.Workload, r.MeanDirtyPerTP, at(1)*100, at(5)*100, at(15)*100)
 	}
-	fmt.Println()
-	return nil
+	fmt.Fprintln(w)
 }
 
-func runFig2(e sim.ExpConfig) error {
-	r, err := e.RunSpatialLocality()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 2b — cached translation pages in DFTL over time (Financial1)")
+func printFig2(w io.Writer, r *sim.SpatialResult) {
+	fmt.Fprintln(w, "Fig. 2b — cached translation pages in DFTL over time (Financial1)")
 	// Bucket the series; min/max per bucket expose the dips that mark
 	// sequential phases (the paper's ovals).
 	n := len(r.TPNodes)
 	if n == 0 {
-		fmt.Println("(no samples)")
-		return nil
+		fmt.Fprintln(w, "(no samples)")
+		return
 	}
 	buckets := 20
 	if n < buckets {
 		buckets = n
 	}
-	fmt.Printf("%14s %8s %8s %8s\n", "page accesses", "min", "mean", "max")
+	fmt.Fprintf(w, "%14s %8s %8s %8s\n", "page accesses", "min", "mean", "max")
 	for b := 0; b < buckets; b++ {
 		lo, hi := b*n/buckets, (b+1)*n/buckets
 		min, max, sum := 1<<30, 0, 0
@@ -290,81 +340,91 @@ func runFig2(e sim.ExpConfig) error {
 			}
 			sum += v
 		}
-		fmt.Printf("%14d %8d %8.1f %8d\n", r.PageAccesses[lo], min, float64(sum)/float64(hi-lo), max)
+		fmt.Fprintf(w, "%14d %8d %8.1f %8d\n", r.PageAccesses[lo], min, float64(sum)/float64(hi-lo), max)
 	}
-	fmt.Println()
-	return nil
+	fmt.Fprintln(w)
 }
 
-func printAblation(cells []sim.AblationCell) {
-	fmt.Println("Figs. 7b/7c/8a/8b — benefits of each TPFTL technique (Financial1)")
-	fmt.Printf("%-8s %10s %10s %14s %8s\n", "variant", "Prd", "hit ratio", "resp time", "WA")
+func printAblation(w io.Writer, cells []sim.AblationCell) {
+	fmt.Fprintln(w, "Figs. 7b/7c/8a/8b — benefits of each TPFTL technique (Financial1)")
+	fmt.Fprintf(w, "%-8s %10s %10s %14s %8s\n", "variant", "Prd", "hit ratio", "resp time", "WA")
 	for _, c := range cells {
-		fmt.Printf("%-8s %9.1f%% %9.1f%% %14v %8.2f\n",
+		fmt.Fprintf(w, "%-8s %9.1f%% %9.1f%% %14v %8.2f\n",
 			c.Variant, c.Prd*100, c.Hr*100, c.Resp.Round(time.Microsecond), c.WA)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func printSweep(cells []sim.SweepCell) {
+func printSweep(w io.Writer, cells []sim.SweepCell) {
 	sim.SortSweep(cells)
-	fmt.Println("Figs. 8c/9 — impact of cache sizes on TPFTL")
-	fmt.Printf("%-12s %10s %10s %10s %14s %8s\n", "workload", "cache", "Prd", "hit ratio", "resp time", "WA")
+	fmt.Fprintln(w, "Figs. 8c/9 — impact of cache sizes on TPFTL")
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %14s %8s\n", "workload", "cache", "Prd", "hit ratio", "resp time", "WA")
 	for _, c := range cells {
-		fmt.Printf("%-12s %10s %9.1f%% %9.1f%% %14v %8.2f\n",
+		fmt.Fprintf(w, "%-12s %10s %9.1f%% %9.1f%% %14v %8.2f\n",
 			c.Workload, fracName(c.Fraction), c.Prd*100, c.Hr*100, c.Resp.Round(time.Microsecond), c.WA)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
-func runFig10(e sim.ExpConfig) error {
-	cells, err := e.RunSpaceUtilization()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Fig. 10 — improvement of cache space utilization over DFTL")
-	fmt.Printf("%-12s %10s %14s\n", "workload", "cache", "improvement")
+func printFig10(w io.Writer, cells []sim.UtilizationCell) {
+	fmt.Fprintln(w, "Fig. 10 — improvement of cache space utilization over DFTL")
+	fmt.Fprintf(w, "%-12s %10s %14s\n", "workload", "cache", "improvement")
 	for _, c := range cells {
-		fmt.Printf("%-12s %10s %13.1f%%\n", c.Workload, fracName(c.Fraction), c.Improvement*100)
+		fmt.Fprintf(w, "%-12s %10s %13.1f%%\n", c.Workload, fracName(c.Fraction), c.Improvement*100)
 	}
-	fmt.Println()
-	return nil
+	fmt.Fprintln(w)
 }
 
-func runModel(e sim.ExpConfig) error {
-	// Evaluate the §3.1 models on measured DFTL parameters (Financial1).
-	r, err := sim.Run(sim.Options{
-		Scheme:           sim.SchemeDFTL,
-		Profile:          workload.Financial1(),
-		Requests:         e.Requests,
-		Seed:             e.Seed,
-		ResetAfterWarmup: e.Warmup,
-		Precondition:     e.Precondition,
-	})
-	if err != nil {
-		return err
-	}
-	m := r.M
-	p := analytic.Params{
-		Hr: m.Hr(), Prd: m.Prd(), Hgcr: m.Hgcr(), Rw: m.Rw(),
-		Vd: m.Vd(), Vt: m.Vt(), Np: 64, Npa: float64(m.PageAccesses()),
-		Tfr: 25 * time.Microsecond, Tfw: 200 * time.Microsecond, Tfe: 1500 * time.Microsecond,
-	}
-	fmt.Println("Analytic models (Eqs. 1–13) on measured DFTL parameters, Financial1")
-	fmt.Printf("inputs: Hr=%.3f Prd=%.3f Hgcr=%.3f Rw=%.3f Vd=%.1f Vt=%.1f Npa=%d\n",
+func printModel(w io.Writer, r *sim.ModelResult) {
+	p := r.Params
+	fmt.Fprintf(w, "Analytic models (Eqs. 1–13) on measured DFTL parameters, %s\n", r.Workload)
+	fmt.Fprintf(w, "inputs: Hr=%.3f Prd=%.3f Hgcr=%.3f Rw=%.3f Vd=%.1f Vt=%.1f Npa=%d\n",
 		p.Hr, p.Prd, p.Hgcr, p.Rw, p.Vd, p.Vt, int64(p.Npa))
-	fmt.Printf("Eq. 1  Tat  (mean translation time)        %v\n", p.Tat().Round(time.Nanosecond))
-	fmt.Printf("Eq. 8  Ntw  model %.0f   measured %d\n", p.Ntw(), m.TransWritesAT)
-	fmt.Printf("Eq. 7  Ngcd model %.0f   measured %d\n", p.Ngcd(), m.GCDataCollections)
-	fmt.Printf("Eq. 2  Nmd  model %.0f   measured %d\n", p.Nmd(), m.GCDataMigrations)
-	fmt.Printf("Eq. 3  Ndt  model %.0f   measured GC misses %d (flash writes %d after batching)\n",
-		p.Ndt(), m.GCMapUpdates-m.GCMapHits, m.TransWritesGC)
-	fmt.Printf("Eq. 10 Tgcd (data GC per access)           %v\n", p.Tgcd().Round(time.Nanosecond))
-	fmt.Printf("Eq. 11 Tgct (translation GC per access)    %v\n", p.Tgct().Round(time.Nanosecond))
-	fmt.Printf("Eq. 13 WA   model %.2f  measured %.2f (model upper-bounds: it ignores batching)\n",
-		p.WA(), m.WriteAmplification())
-	fmt.Println()
-	return nil
+	fmt.Fprintf(w, "Eq. 1  Tat  (mean translation time)        %v\n", r.Tat.Round(time.Nanosecond))
+	fmt.Fprintf(w, "Eq. 8  Ntw  model %.0f   measured %d\n", r.Ntw, r.MeasuredNtw)
+	fmt.Fprintf(w, "Eq. 7  Ngcd model %.0f   measured %d\n", r.Ngcd, r.MeasuredNgcd)
+	fmt.Fprintf(w, "Eq. 2  Nmd  model %.0f   measured %d\n", r.Nmd, r.MeasuredNmd)
+	fmt.Fprintf(w, "Eq. 3  Ndt  model %.0f   measured GC misses %d (flash writes %d after batching)\n",
+		r.Ndt, r.GCMisses, r.TransWritesGC)
+	fmt.Fprintf(w, "Eq. 10 Tgcd (data GC per access)           %v\n", r.Tgcd.Round(time.Nanosecond))
+	fmt.Fprintf(w, "Eq. 11 Tgct (translation GC per access)    %v\n", r.Tgct.Round(time.Nanosecond))
+	fmt.Fprintf(w, "Eq. 13 WA   model %.3f  measured %.3f (model upper-bounds: it ignores batching)\n",
+		r.WA, r.MeasuredWA)
+	fmt.Fprintln(w)
+}
+
+func printExtensions(w io.Writer, r *sim.ExtResult) {
+	fmt.Fprintln(w, "Extension — mapping granularity (§2.1): 64 MiB Financial1, 20000 requests")
+	fmt.Fprintf(w, "%-8s %8s %16s\n", "mapping", "WA", "resp time")
+	for _, c := range r.Granularity {
+		fmt.Fprintf(w, "%-8s %8.3f %16v\n", c.Mapping, c.WA, c.Resp.Round(time.Microsecond))
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Extension — GC victim policy under TPFTL (§2.3), Financial1")
+	fmt.Fprintf(w, "%-14s %8s %8s %8s\n", "policy", "WA", "Vd", "erases")
+	for _, c := range r.GCPolicy {
+		fmt.Fprintf(w, "%-14s %8.3f %8.2f %8d\n", c.Policy, c.WA, c.Vd, c.Erases)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Extension — static wear levelling under TPFTL (§2.3), Financial1")
+	fmt.Fprintf(w, "%-10s %14s %10s %8s\n", "threshold", "erase spread", "WL moves", "WA")
+	for _, c := range r.WearLevel {
+		fmt.Fprintf(w, "%-10d %14d %10d %8.3f\n", c.Threshold, c.Spread, c.Moves, c.WA)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Extension — page-level hotness ordering in TPFTL (§4.2), Financial1")
+	fmt.Fprintf(w, "%-12s %10s %10s\n", "ordering", "hit ratio", "Prd")
+	for _, c := range r.Hotness {
+		fmt.Fprintf(w, "%-12s %9.2f%% %9.2f%%\n", c.Ordering, c.Hr*100, c.Prd*100)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Extension — CFLRU data buffer in front of TPFTL (§2.1), Financial1, 20000 requests")
+	fmt.Fprintf(w, "%-12s %14s\n", "buffer pages", "device writes")
+	for _, c := range r.DataBuffer {
+		fmt.Fprintf(w, "%-12d %14d\n", c.Pages, c.DevWrites)
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "Extension — mount-time recovery scan (§1): %d pages scanned\n\n", r.RecoveryScannedPages)
 }
 
 func fracName(f float64) string {
@@ -372,37 +432,4 @@ func fracName(f float64) string {
 		return "1"
 	}
 	return fmt.Sprintf("1/%d", int(1/f+0.5))
-}
-
-// collector accumulates experiment results for optional JSON output.
-type collector struct {
-	path string
-	data map[string]any
-}
-
-func newCollector(path string) *collector {
-	return &collector{path: path, data: map[string]any{}}
-}
-
-func (c *collector) add(name string, v any) {
-	if c.path == "" {
-		return
-	}
-	c.data[name] = v
-}
-
-func (c *collector) write() {
-	if c.path == "" || len(c.data) == 0 {
-		return
-	}
-	blob, err := json.MarshalIndent(c.data, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: encoding json:", err)
-		return
-	}
-	if err := os.WriteFile(c.path, blob, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments: writing json:", err)
-		return
-	}
-	fmt.Printf("wrote %s\n", c.path)
 }

@@ -58,7 +58,7 @@ func main() {
 		scale     = flag.Int64("scale", 0, "override the workload's address space in bytes")
 		cache     = flag.Int64("cache", 0, "mapping cache budget in bytes (0 = paper convention)")
 		fraction  = flag.Float64("fraction", 0, "cache budget as a fraction of the full mapping table (overrides -cache)")
-		warmup    = flag.Int("warmup", 0, "requests served before metrics reset (default requests/10)")
+		warmup    = flag.Int("warmup", 0, "requests served before metrics reset (default a tenth of the requests or of the trace)")
 		precond   = flag.Float64("precondition", 1.5, "preconditioning passes over the workload footprint")
 		traceFile = flag.String("trace", "", "replay a trace file instead of generating a workload")
 		format    = flag.String("format", "spc", "trace file format: spc, msr, native, binary (binary streams in bounded memory)")
@@ -170,10 +170,6 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 		return fmt.Errorf("unknown GC policy %q", gcPolicy)
 	}
 	opts.WearLevelThreshold = wearLevel
-	if warmup == 0 {
-		warmup = requests / 10
-	}
-	opts.ResetAfterWarmup = warmup
 
 	if variant != "" {
 		cfg := variantConfig(variant)
@@ -219,6 +215,9 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 	}
 	opts.Faults = plan
 
+	// The warm-up defaults to a tenth of the requests served, which for a
+	// trace is its own length, not -requests.
+	total := int64(requests)
 	if traceFile != "" {
 		if space == 0 {
 			return fmt.Errorf("-space is required with -trace (the paper sizes the SSD to the trace's address space)")
@@ -234,6 +233,7 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 			defer st.Close()
 			opts.TraceStream = st
 			opts.StreamBatch = batch
+			total = st.Records()
 		} else {
 			f, err := os.Open(traceFile)
 			if err != nil {
@@ -245,8 +245,16 @@ func run(scheme, wl string, requests int, seed, scale, cache int64, fraction flo
 				return err
 			}
 			opts.Trace = reqs
+			total = int64(len(reqs))
 		}
 	}
+	if warmup == 0 {
+		warmup = int(total / 10)
+	}
+	if int64(warmup) >= total {
+		return fmt.Errorf("a warm-up of %d requests leaves none of the %d to measure", warmup, total)
+	}
+	opts.ResetAfterWarmup = warmup
 
 	if metricsOut != "" {
 		f, err := os.Create(metricsOut)

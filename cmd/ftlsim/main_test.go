@@ -21,6 +21,47 @@ import (
 	"repro/internal/workload"
 )
 
+// buildFTLSim builds the command into a temporary directory.
+func buildFTLSim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "ftlsim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building ftlsim: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestTraceWarmupDefault replays a trace far shorter than a tenth of the
+// -requests default: the warm-up must default to a tenth of the trace
+// itself, and a warm-up that consumes the whole trace must fail.
+func TestTraceWarmupDefault(t *testing.T) {
+	bin := buildFTLSim(t)
+	reqs, err := workload.Generate(workload.Financial1().Scale(64<<20), 1000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := trace.WriteNative(&csv, reqs); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.csv")
+	if err := os.WriteFile(path, csv.Bytes(), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-trace", path, "-format", "native", "-space", "67108864"}
+	out, err := exec.Command(bin, args...).Output()
+	if err != nil {
+		t.Fatalf("ftlsim %s: %v", strings.Join(args, " "), err)
+	}
+	if !bytes.Contains(out, []byte("\nrequests          900 (")) {
+		t.Fatalf("ftlsim %s: want 900 measured requests after a 100-request warm-up, got\n%s", strings.Join(args, " "), out)
+	}
+	args = append(args, "-warmup", "1000")
+	if out, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
+		t.Fatalf("ftlsim %s: exit 0, want an error for a warm-up that consumes the trace\n%s", strings.Join(args, " "), out)
+	}
+}
+
 // TestObservabilityEndToEnd builds ftlsim and drives its observability flags
 // the way a user does, then checks every artifact with the validators the
 // in-process tests share. It pins what only the binary can show: that the
@@ -28,10 +69,7 @@ import (
 // scrape server answers while the run is in flight and lingers until POST
 // /quit, and that none of it changes a byte of the report on stdout.
 func TestObservabilityEndToEnd(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "ftlsim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("building ftlsim: %v\n%s", err, out)
-	}
+	bin := buildFTLSim(t)
 	// report runs ftlsim to completion and returns its stdout.
 	report := func(t *testing.T, args ...string) []byte {
 		t.Helper()

@@ -7,8 +7,8 @@
 // schemes' mapping caches (§5.1) — but any write that cannot continue the
 // physical block's program order forces a copy-merge of the whole block,
 // which is why the paper dismisses block-level FTLs for random writes. This
-// implementation exists to ground that comparison (see the
-// BenchmarkMappingGranularity harness) and to document the cache-size
+// implementation exists to ground that comparison (the mapping-granularity
+// experiment of `cmd/experiments -exp ext`) and to document the cache-size
 // convention.
 package blockftl
 

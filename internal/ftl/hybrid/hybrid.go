@@ -12,9 +12,9 @@
 //
 // Hybrid FTLs need far less RAM than page-level mapping but collapse under
 // random writes, where every few updates force a full merge — the paper's
-// §2.1 motivation for demand-based page-level FTLs. The
-// BenchmarkMappingGranularity harness quantifies this against blockftl and
-// the page-level schemes.
+// §2.1 motivation for demand-based page-level FTLs. The mapping-granularity
+// experiment of `cmd/experiments -exp ext` quantifies this against blockftl,
+// FAST and TPFTL.
 package hybrid
 
 import (

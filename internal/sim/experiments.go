@@ -8,7 +8,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/analytic"
+	"repro/internal/buffer"
 	"repro/internal/core"
+	"repro/internal/ftl"
+	"repro/internal/ftl/blockftl"
+	"repro/internal/ftl/fast"
+	"repro/internal/ftl/hybrid"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -71,35 +78,44 @@ func (e ExpConfig) profiles() []workload.Profile {
 
 // runAll executes independent runs on min(GOMAXPROCS, len(opts)) workers and
 // returns their results in opts order, or the error of the first run in that
-// order that failed — what a serial loop over opts would return. Workers take
-// runs in index order and stop taking new ones after a failure, so every run
-// before the first failing one has been started and is waited for.
+// order that failed — what a serial loop over opts would return.
 func runAll(opts []Options) ([]*Result, error) {
 	res := make([]*Result, len(opts))
-	errs := make([]error, len(opts))
+	if err := parallel(len(opts), func(i int) (err error) {
+		res[i], err = Run(opts[i])
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// parallel calls job(0), …, job(n−1) on min(GOMAXPROCS, n) workers and
+// returns the error of the lowest-numbered job that failed. Workers take jobs
+// in index order and stop taking new ones after a failure, so every job
+// before the first failing one has been started and is waited for.
+func parallel(n int, job func(i int) error) error {
+	errs := make([]error, n)
 	var next atomic.Int64
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(opts)); w > 0; w-- {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(opts) {
+				if i >= n {
 					return
 				}
-				if res[i], errs[i] = Run(opts[i]); errs[i] != nil {
+				if errs[i] = job(i); errs[i] != nil {
 					failed.Store(true)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if err := firstError(errs); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return firstError(errs)
 }
 
 // ComparisonCell is one (workload, scheme) measurement set, covering
@@ -248,7 +264,7 @@ func AblationVariants(cacheBytes int64) []core.Config {
 // Financial1.
 func (e ExpConfig) RunAblation() ([]AblationCell, error) {
 	e = e.Defaults()
-	p := workload.Financial1()
+	p := e.profiles()[0] // Financial1
 	opts := []Options{{
 		Scheme: SchemeDFTL, Profile: p, Requests: e.Requests,
 		Seed: e.Seed, ResetAfterWarmup: e.Warmup, Precondition: e.Precondition,
@@ -456,7 +472,7 @@ type SpatialResult struct {
 // RunSpatialLocality reproduces Fig. 2b.
 func (e ExpConfig) RunSpatialLocality() (*SpatialResult, error) {
 	e = e.Defaults()
-	p := workload.Financial1()
+	p := e.profiles()[0] // Financial1
 	r, err := Run(Options{
 		Scheme: SchemeDFTL, Profile: p,
 		Requests: e.Requests, Seed: e.Seed,
@@ -531,4 +547,297 @@ func SortSweep(cells []SweepCell) {
 		}
 		return cells[i].Fraction < cells[j].Fraction
 	})
+}
+
+// ModelResult is the §3.1 analytic model (Eqs. 1–13) evaluated on the
+// parameters a DFTL run on Financial1 measured, beside what the run counted.
+type ModelResult struct {
+	Workload string
+	Params   analytic.Params
+
+	Tat, Tgcd, Tgct time.Duration // Eqs. 1, 10, 11
+
+	// Each model count beside what the run measured.
+	Ntw          float64 // Eq. 8: translation writes on address translation
+	MeasuredNtw  int64
+	Ngcd         float64 // Eq. 7: data-block collections
+	MeasuredNgcd int64
+	Nmd          float64 // Eq. 2: data-page migrations
+	MeasuredNmd  int64
+	// Eq. 3 predicts a translation-page update per GC-time map miss; the
+	// simulator batches them, so it writes TransWritesGC pages for GCMisses.
+	Ndt                     float64
+	GCMisses, TransWritesGC int64
+	WA, MeasuredWA          float64 // Eq. 13
+}
+
+// RunModel evaluates the §3.1 models on measured DFTL parameters.
+func (e ExpConfig) RunModel() (*ModelResult, error) {
+	e = e.Defaults()
+	r, err := Run(Options{
+		Scheme: SchemeDFTL, Profile: e.profiles()[0], // Financial1
+		Requests: e.Requests, Seed: e.Seed,
+		ResetAfterWarmup: e.Warmup, Precondition: e.Precondition,
+	})
+	if err != nil {
+		return nil, err
+	}
+	m := r.M
+	p := analytic.Params{
+		Hr: m.Hr(), Prd: m.Prd(), Hgcr: m.Hgcr(), Rw: m.Rw(),
+		Vd: m.Vd(), Vt: m.Vt(), Np: 64, Npa: float64(m.PageAccesses()),
+		Tfr: 25 * time.Microsecond, Tfw: 200 * time.Microsecond, Tfe: 1500 * time.Microsecond,
+	}
+	return &ModelResult{
+		Workload: r.Workload, Params: p,
+		Tat: p.Tat(), Tgcd: p.Tgcd(), Tgct: p.Tgct(),
+		Ntw: p.Ntw(), MeasuredNtw: m.TransWritesAT,
+		Ngcd: p.Ngcd(), MeasuredNgcd: m.GCDataCollections,
+		Nmd: p.Nmd(), MeasuredNmd: m.GCDataMigrations,
+		Ndt: p.Ndt(), GCMisses: m.GCMapUpdates - m.GCMapHits, TransWritesGC: m.TransWritesGC,
+		WA: p.WA(), MeasuredWA: m.WriteAmplification(),
+	}, nil
+}
+
+// ExtResult holds the extension experiments beyond the paper's figures.
+// Except where a cell says otherwise, each runs on Financial1 at the
+// ExpConfig's scale.
+type ExtResult struct {
+	// Granularity is the §2.1 mapping-granularity taxonomy: block-level,
+	// hybrid (BAST, FAST) and page-level (TPFTL) mapping on one
+	// 20,000-request Financial1 stream over 64 MiB, seed 7.
+	Granularity []GranularityCell
+	// GCPolicy compares greedy and cost-benefit victim selection (§2.3).
+	GCPolicy []GCPolicyCell
+	// WearLevel trades erase spread for extra migrations (§2.3).
+	WearLevel []WearLevelCell
+	// Hotness compares the LRU approximation of page-level hotness with
+	// §4.2's exact average recency.
+	Hotness []HotnessCell
+	// DataBuffer is a CFLRU data buffer in front of TPFTL (§2.1's RAM
+	// split) on a 20,000-request stream, seed 7.
+	DataBuffer []DataBufferCell
+	// RecoveryScannedPages is the cost of the mount-time scan that rebuilds
+	// the whole mapping after a power failure (§1), on the greedy,
+	// unlevelled device.
+	RecoveryScannedPages int64
+}
+
+// GranularityCell is one mapping scheme's write amplification and mean
+// response time.
+type GranularityCell struct {
+	Mapping string
+	WA      float64
+	Resp    time.Duration
+}
+
+// GCPolicyCell is one victim-selection policy under TPFTL.
+type GCPolicyCell struct {
+	Policy string
+	WA     float64
+	Vd     float64
+	Erases int64
+}
+
+// WearLevelCell is one static wear-levelling threshold (0 is off) under
+// TPFTL: the spread between the most- and least-erased block, the
+// migrations levelling cost, and the write amplification.
+type WearLevelCell struct {
+	Threshold int
+	Spread    int
+	Moves     int64
+	WA        float64
+}
+
+// HotnessCell is TPFTL under one page-level hotness ordering.
+type HotnessCell struct {
+	Ordering string
+	Hr       float64
+	Prd      float64
+}
+
+// DataBufferCell is the device page writes left behind a data buffer of
+// Pages pages.
+type DataBufferCell struct {
+	Pages     int
+	DevWrites int64
+}
+
+// RunExtensions runs the extension experiments.
+func (e ExpConfig) RunExtensions() (*ExtResult, error) {
+	e = e.Defaults()
+	p := e.profiles()[0] // Financial1
+	const space = 64 << 20
+	small := workload.Financial1().Scale(space)
+	smallReqs, err := workload.Generate(small, 20_000, 7)
+	if err != nil {
+		return nil, err
+	}
+	bufReqs, err := workload.Generate(p, 20_000, 7)
+	if err != nil {
+		return nil, err
+	}
+	devCfg := ftl.Config{LogicalBytes: space, PageSize: 4096, OverProvision: 0.15}
+	policies := []ftl.GCPolicy{ftl.GCGreedy, ftl.GCCostBenefit}
+	thresholds := []int{0, 16, 64}
+	orderings := []core.Hotness{core.HotnessLRU, core.HotnessAvg}
+	bufPages := []int{1, 256, 1024}
+	res := &ExtResult{
+		Granularity: make([]GranularityCell, 4),
+		GCPolicy:    make([]GCPolicyCell, len(policies)),
+		WearLevel:   make([]WearLevelCell, len(thresholds)),
+		Hotness:     make([]HotnessCell, len(orderings)),
+		DataBuffer:  make([]DataBufferCell, len(bufPages)),
+	}
+
+	var jobs []func() error
+	standalone := func(i int, name string, open func() (standaloneDevice, error)) {
+		jobs = append(jobs, func() error {
+			d, err := open()
+			if err != nil {
+				return err
+			}
+			for j := range smallReqs {
+				if _, err := d.Serve(smallReqs[j]); err != nil {
+					return fmt.Errorf("%s: request %d: %w", name, j, err)
+				}
+			}
+			m := d.Metrics()
+			res.Granularity[i] = GranularityCell{name, m.WriteAmplification(), m.AvgResponse()}
+			return nil
+		})
+	}
+	standalone(0, "block", func() (standaloneDevice, error) { return blockftl.New(devCfg) })
+	standalone(1, "BAST", func() (standaloneDevice, error) { return hybrid.New(hybrid.Config{Device: devCfg}) })
+	standalone(2, "FAST", func() (standaloneDevice, error) { return fast.New(fast.Config{Device: devCfg}) })
+	jobs = append(jobs, func() error {
+		r, err := Run(Options{Scheme: SchemeTPFTL, Profile: small, Trace: smallReqs, Precondition: 1})
+		if err != nil {
+			return err
+		}
+		res.Granularity[3] = GranularityCell{"TPFTL", r.M.WriteAmplification(), r.M.AvgResponse()}
+		return nil
+	})
+
+	for i, pol := range policies {
+		jobs = append(jobs, func() error {
+			dev, err := e.agedRun(p, func(c *ftl.Config) { c.GCPolicy = pol })
+			if err != nil {
+				return err
+			}
+			m := dev.Metrics()
+			res.GCPolicy[i] = GCPolicyCell{pol.String(), m.WriteAmplification(), m.Vd(), m.FlashErases}
+			if pol == ftl.GCGreedy {
+				rs, err := dev.RecoverMapping()
+				if err != nil {
+					return err
+				}
+				res.RecoveryScannedPages = rs.ScannedPages
+			}
+			return nil
+		})
+	}
+	for i, th := range thresholds {
+		jobs = append(jobs, func() error {
+			dev, err := e.agedRun(p, func(c *ftl.Config) { c.WearLevelThreshold = th })
+			if err != nil {
+				return err
+			}
+			lo, hi := dev.EraseSpread()
+			m := dev.Metrics()
+			res.WearLevel[i] = WearLevelCell{th, hi - lo, m.WearLevelMoves, m.WriteAmplification()}
+			return nil
+		})
+	}
+	for i, h := range orderings {
+		jobs = append(jobs, func() error {
+			cfg := core.DefaultConfig(0)
+			cfg.Hotness = h
+			r, err := Run(Options{
+				Scheme: SchemeTPFTL, TPFTL: &cfg, Profile: p,
+				Requests: e.Requests, Seed: e.Seed,
+				ResetAfterWarmup: e.Warmup, Precondition: e.Precondition,
+			})
+			if err != nil {
+				return err
+			}
+			name := "LRU"
+			if h == core.HotnessAvg {
+				name = "AvgRecency"
+			}
+			res.Hotness[i] = HotnessCell{name, r.M.Hr(), r.M.Prd()}
+			return nil
+		})
+	}
+	for i, pages := range bufPages {
+		jobs = append(jobs, func() error {
+			dev, err := formatted(p, nil)
+			if err != nil {
+				return err
+			}
+			buf, err := buffer.New(dev, buffer.Config{Pages: pages})
+			if err != nil {
+				return err
+			}
+			if err := buf.Run(bufReqs); err != nil {
+				return err
+			}
+			if err := buf.Flush(bufReqs[len(bufReqs)-1].Arrival); err != nil {
+				return err
+			}
+			res.DataBuffer[i] = DataBufferCell{pages, dev.Metrics().PageWrites}
+			return nil
+		})
+	}
+
+	if err := parallel(len(jobs), func(i int) error { return jobs[i]() }); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// standaloneDevice is what the block-mapped devices of the granularity
+// experiment share.
+type standaloneDevice interface {
+	Serve(trace.Request) (time.Duration, error)
+	Metrics() ftl.Metrics
+}
+
+// formatted returns a formatted TPFTL device for p with the default
+// configuration, changed by mut if it is not nil.
+func formatted(p workload.Profile, mut func(*ftl.Config)) (*ftl.Device, error) {
+	cfg := ftl.DefaultConfig(p.AddressSpace)
+	if mut != nil {
+		mut(&cfg)
+	}
+	dev, err := ftl.NewDevice(cfg, core.New(core.DefaultConfig(cfg.CacheBytes)))
+	if err != nil {
+		return nil, err
+	}
+	return dev, dev.Format()
+}
+
+// agedRun serves e.Requests of p on a formatted TPFTL device (configured by
+// mut) whose footprint has been rewritten once in random order, and returns
+// the device with the metrics of the served requests only.
+func (e ExpConfig) agedRun(p workload.Profile, mut func(*ftl.Config)) (*ftl.Device, error) {
+	dev, err := formatted(p, mut)
+	if err != nil {
+		return nil, err
+	}
+	foot := p.FootprintBytes() / int64(dev.Config().PageSize)
+	if err := dev.PreconditionRange(int(foot), foot, e.Seed+1); err != nil {
+		return nil, err
+	}
+	dev.ResetMetrics()
+	reqs, err := workload.Generate(p, e.Requests, e.Seed)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range reqs {
+		if _, err := dev.Serve(r); err != nil {
+			return nil, err
+		}
+	}
+	return dev, nil
 }

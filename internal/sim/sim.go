@@ -1,6 +1,6 @@
 // Package sim builds simulated SSDs, drives them with workloads and
 // collects the measurements the TPFTL paper's evaluation reports. It is the
-// layer underneath cmd/experiments, the examples and the benchmark harness.
+// layer underneath cmd/experiments, cmd/ftlsim and the public tpftl package.
 package sim
 
 import (

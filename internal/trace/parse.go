@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -93,22 +94,23 @@ func opToken(o Op) string {
 	return "?"
 }
 
-// rebaseArrivals shifts arrival timestamps so the first request arrives at
-// time 0, preserving all inter-arrival gaps. Captured traces start at an
-// arbitrary wall-clock epoch; without rebasing, a replay would idle for the
-// whole epoch of simulated time before the first request. All parsers apply
-// it, so the behavior is uniform across formats.
-func rebaseArrivals(reqs []Request) {
-	if len(reqs) == 0 {
-		return
+// rebaser shifts arrival timestamps so the first request arrives at time 0,
+// preserving all inter-arrival gaps. Captured traces start at an arbitrary
+// wall-clock epoch; without rebasing, a replay would idle for the whole epoch
+// of simulated time before the first request. Every text parser rebases each
+// request before validating it, so an out-of-order line is rejected as a
+// negative arrival in every format.
+type rebaser struct {
+	base int64
+	set  bool
+}
+
+// rebase returns t relative to the first timestamp it was given.
+func (b *rebaser) rebase(t int64) int64 {
+	if !b.set {
+		b.base, b.set = t, true
 	}
-	base := reqs[0].Arrival
-	if base == 0 {
-		return
-	}
-	for i := range reqs {
-		reqs[i].Arrival -= base
-	}
+	return t - b.base
 }
 
 // skippableZeroLength reports whether a parsed line with size 0 should be
@@ -130,6 +132,7 @@ func skippableZeroLength(op Op, size int64) bool {
 // use this format.
 func ParseSPC(r io.Reader) ([]Request, error) {
 	var out []Request
+	var arrivals rebaser
 	sc := newLineScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -146,6 +149,9 @@ func ParseSPC(r io.Reader) ([]Request, error) {
 		if err != nil {
 			return nil, &ParseError{lineNo, "bad LBA: " + err.Error()}
 		}
+		if lba < 0 || lba > math.MaxInt64/spcSectorSize {
+			return nil, &ParseError{lineNo, fmt.Sprintf("LBA %d out of range", lba)}
+		}
 		size, err := strconv.ParseInt(strings.TrimSpace(f[2]), 10, 64)
 		if err != nil {
 			return nil, &ParseError{lineNo, "bad size: " + err.Error()}
@@ -158,11 +164,14 @@ func ParseSPC(r io.Reader) ([]Request, error) {
 		if err != nil {
 			return nil, &ParseError{lineNo, "bad timestamp: " + err.Error()}
 		}
+		if !(math.Abs(ts) < 9e9) { // 285 years; NaN fails too
+			return nil, &ParseError{lineNo, fmt.Sprintf("timestamp %v out of range", ts)}
+		}
 		if skippableZeroLength(op, size) {
 			continue // some traces contain zero-length markers
 		}
 		req := Request{
-			Arrival: int64(ts * 1e9),
+			Arrival: arrivals.rebase(int64(ts * 1e9)),
 			Offset:  lba * spcSectorSize,
 			Length:  size,
 			Op:      op,
@@ -178,7 +187,6 @@ func ParseSPC(r io.Reader) ([]Request, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: reading SPC trace: %w", err)
 	}
-	rebaseArrivals(out)
 	return out, nil
 }
 
@@ -195,8 +203,7 @@ const msrTicksPerSecond = 10_000_000
 // so the first request arrives at 0.
 func ParseMSR(r io.Reader) ([]Request, error) {
 	var out []Request
-	var baseTicks int64
-	haveBase := false
+	var ticks rebaser
 	sc := newLineScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -232,11 +239,8 @@ func ParseMSR(r io.Reader) ([]Request, error) {
 		// ticks (~1.3e17 for 2007-era captures), and converting an absolute
 		// tick count to nanoseconds overflows int64. Subtracting the first
 		// request's ticks before scaling keeps the arithmetic in range.
-		if !haveBase {
-			baseTicks, haveBase = ts, true
-		}
 		req := Request{
-			Arrival: (ts - baseTicks) * (1e9 / msrTicksPerSecond),
+			Arrival: ticks.rebase(ts) * (1e9 / msrTicksPerSecond),
 			Offset:  off,
 			Length:  size,
 			Op:      op,
@@ -252,7 +256,6 @@ func ParseMSR(r io.Reader) ([]Request, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: reading MSR trace: %w", err)
 	}
-	rebaseArrivals(out)
 	return out, nil
 }
 
@@ -262,6 +265,7 @@ func ParseMSR(r io.Reader) ([]Request, error) {
 // MSR parsers.
 func ParseNative(r io.Reader) ([]Request, error) {
 	var out []Request
+	var arrivals rebaser
 	sc := newLineScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -293,7 +297,7 @@ func ParseNative(r io.Reader) ([]Request, error) {
 		if skippableZeroLength(op, size) {
 			continue
 		}
-		req := Request{Arrival: arrival, Offset: off, Length: size, Op: op}
+		req := Request{Arrival: arrivals.rebase(arrival), Offset: off, Length: size, Op: op}
 		if err := req.Validate(); err != nil {
 			return nil, &ParseError{lineNo, err.Error()}
 		}
@@ -302,7 +306,6 @@ func ParseNative(r io.Reader) ([]Request, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("trace: reading native trace: %w", err)
 	}
-	rebaseArrivals(out)
 	return out, nil
 }
 

@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 )
 
 // Op is the kind of a block-level request. Beyond plain reads and writes,
@@ -67,7 +68,7 @@ func (r Request) IsWrite() bool { return r.Op.IsWrite() }
 
 // Validate reports whether the request is well formed. A flush carries no
 // payload: offset and length must both be zero. Every other op addresses a
-// non-empty byte range.
+// non-empty byte range whose End does not overflow.
 func (r Request) Validate() error {
 	switch {
 	case r.Arrival < 0:
@@ -86,6 +87,8 @@ func (r Request) Validate() error {
 		return fmt.Errorf("trace: negative offset %d", r.Offset)
 	case r.Length <= 0:
 		return fmt.Errorf("trace: non-positive length %d", r.Length)
+	case r.Offset > math.MaxInt64-r.Length:
+		return fmt.Errorf("trace: request at %d of %d bytes ends past the largest offset", r.Offset, r.Length)
 	}
 	return nil
 }

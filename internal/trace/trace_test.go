@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -18,6 +19,8 @@ func TestRequestValidate(t *testing.T) {
 		{"negative offset", Request{Offset: -1, Length: 512}, false},
 		{"zero length", Request{Offset: 0, Length: 0}, false},
 		{"negative arrival", Request{Arrival: -5, Offset: 0, Length: 1}, false},
+		{"ends at the largest offset", Request{Offset: math.MaxInt64 - 8192, Length: 8192, Op: OpWrite}, true},
+		{"end overflows", Request{Offset: math.MaxInt64 - 4095, Length: 8192, Op: OpWrite}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -131,6 +134,9 @@ func TestParseSPCErrors(t *testing.T) {
 		{"bad size", "0,1,xx,W,0.5\n"},
 		{"bad op", "0,1,8192,q,0.5\n"},
 		{"bad timestamp", "0,1,8192,W,zz\n"},
+		{"NaN timestamp", "0,1,8192,W,NaN\n"},
+		{"LBA offset overflows", "0,36028797018963968,8192,W,0.5\n"},
+		{"out of order", "0,1,8192,W,0.5\n0,1,8192,W,0.4\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,6 +180,7 @@ func TestParseMSRErrors(t *testing.T) {
 		{"bad type", "1,h,0,Zap,0,4096\n"},
 		{"bad offset", "1,h,0,Read,x,4096\n"},
 		{"bad size", "1,h,0,Read,0,x\n"},
+		{"out of order", "2,h,0,Read,0,4096\n1,h,0,Read,0,4096\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,6 +237,8 @@ func TestParseNativeErrors(t *testing.T) {
 		{"bad length", "1,0,x,r\n"},
 		{"bad op", "1,0,1,z\n"},
 		{"invalid request", "1,0,-5,r\n"},
+		{"end overflows", "10,9223372036854771712,8192,w\n"},
+		{"out of order", "10,0,4096,w\n5,0,4096,w\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -238,6 +247,38 @@ func TestParseNativeErrors(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseText feeds arbitrary text to the native, SPC and MSR parsers: none
+// may panic, and every request one returns must be valid, with its End past
+// its Offset unless it is a flush.
+func FuzzParseText(f *testing.F) {
+	for _, seed := range []string{
+		"# arrival_ns,offset,length,op\n0,0,4096,w\n100,8192,512,r\n200,0,4096,t\n300,0,0,f\n",
+		"0,20941264,8192,W,0.551706\n1,3208848,512,r,1.25\n0,0,0,f,1.5\n",
+		"128166372003061629,ts,0,Read,665600,8192,1331\n128166372016382155,ts,0,Write,1863680,4096,4768\n",
+		"10,9223372036854771712,8192,w\n",
+		"0,36028797018963968,8192,W,0.5\n",
+		"10,0,4096,w\n5,0,4096,w\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, format := range []Format{FormatNative, FormatSPC, FormatMSR} {
+			reqs, err := Parse(bytes.NewReader(data), format)
+			if err != nil {
+				continue
+			}
+			for i, r := range reqs {
+				if err := r.Validate(); err != nil {
+					t.Fatalf("format %d: request %d %+v: %v", format, i, r, err)
+				}
+				if r.Op != OpFlush && r.End() <= r.Offset {
+					t.Fatalf("format %d: request %d %+v: End %d not past Offset", format, i, r, r.End())
+				}
+			}
+		}
+	})
 }
 
 func TestFormatByName(t *testing.T) {

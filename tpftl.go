@@ -21,8 +21,8 @@
 //     calibrated to the paper's Table 4; ParseTrace replays real SPC/MSR
 //     trace files.
 //
-// See examples/ for runnable walkthroughs and cmd/experiments for the full
-// paper-evaluation harness.
+// The package's examples (example_test.go) are runnable walkthroughs;
+// cmd/experiments regenerates the paper's evaluation and the extensions.
 package tpftl
 
 import (
