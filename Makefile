@@ -44,7 +44,7 @@ lint: bin/ftlint
 	cd bench && $(GO) vet -vettool=$(abspath bin/ftlint) ./...
 
 # The ftlsan build runs the full invariant suite (chip bookkeeping, GTD and
-# truth/persist consistency, translator structure) after every host
+# live-mapping consistency, translator structure) after every host
 # operation. -short skips the paper-scale runs, whose 300k requests would
 # make the O(pages) per-op checks explode.
 sanitize:

@@ -206,7 +206,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// -memprofile must size a small heap correctly: read the way the verify
 	// notes say to (go tool pprof -sample_index=alloc_space), the two
-	// constructors have to account for the device's arrays — 8 bytes per
+	// constructors have to account for the device's arrays — 4 bytes per
 	// logical page, 9 per physical page, the chip's record per block. At the
 	// default 512 KiB sampling rate, or written without a collection first,
 	// the profile is off by whole arrays or empty.
@@ -239,7 +239,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 		fc := d.Chip().Config()
 		const blockRecord = 40 // flash's per-block state: sequence base, write pointer, valid and erase counts, worn flag
-		want := 8*d.Config().LogicalPages() + 9*fc.TotalPages() + blockRecord*int64(fc.NumBlocks)
+		want := 4*d.Config().LogicalPages() + 9*fc.TotalPages() + blockRecord*int64(fc.NumBlocks)
 		if diff := float64(got-want) / float64(want); diff < -0.05 || diff > 0.05 {
 			t.Fatalf("flash.New + ftl.NewDevice allocated %d B by the profile, the device's arrays are %d B (%+.1f %%)\n%s",
 				got, want, 100*diff, top)

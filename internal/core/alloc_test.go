@@ -125,7 +125,7 @@ func TestMissEvictRunAllocates0(t *testing.T) {
 // TestSlabRecycleStress churns the cache through eviction/reinstall cycles
 // far larger than the budget and audits after every round that (a) recycled
 // nodes are fully reset (CheckInvariants walks both slab free lists and the
-// live structure) and (b) the mapping still agrees with the on-flash truth,
+// live structure) and (b) the mapping still agrees with the chip,
 // so no stale dirty bit or offset survived a recycle.
 func TestSlabRecycleStress(t *testing.T) {
 	d, tr := newTPFTLDevice(t, DefaultConfig(0), 768)

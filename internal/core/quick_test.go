@@ -12,7 +12,7 @@ import (
 // TestQuickRandomConfigurations drives arbitrary TPFTL configurations
 // (technique subsets, budgets, hotness orderings) through short random
 // workloads, checking the structural invariants and the device's
-// truth/persist consistency after every run. Arguments are generated by
+// live/persist consistency after every run. Arguments are generated by
 // testing/quick.
 func TestQuickRandomConfigurations(t *testing.T) {
 	f := func(seed int64, toggles uint8, budgetRaw uint16, hotAvg bool) bool {

@@ -345,6 +345,16 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	return f.load(env, lpn, v, off)
 }
 
+// Lookup implements ftl.Translator.
+func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
+	if tp := f.tpAt(ftl.VTPNOf(lpn, f.ePerTP)); tp != nil {
+		if e := f.entryAt(tp, int32(ftl.OffOf(lpn, f.ePerTP))); e != nil {
+			return e.ppn, true
+		}
+	}
+	return flash.InvalidPPN, false
+}
+
 // load handles a cache miss: it decides the prefetch set, makes room, reads
 // the translation page once and installs the entries.
 func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, error) {
@@ -453,8 +463,12 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 		loaded++
 	}
 	if loaded > 0 {
-		if np, ok := env.(interface{ NotePrefetch(int) }); ok {
-			np.NotePrefetch(loaded)
+		// The device is the Env of every run, and asserting a concrete type
+		// is one compare. An assertion to an interface type goes through
+		// the runtime's per-site cache, which allocates whenever the runtime
+		// (at random, about one call in a thousand) rebuilds it.
+		if d, ok := env.(*ftl.Device); ok {
+			d.NotePrefetch(loaded)
 		}
 	}
 	ppn := vals[off]

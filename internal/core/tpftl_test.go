@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/ftl/dftl"
 	"repro/internal/trace"
@@ -564,17 +565,24 @@ func TestSnapshotAndDirtyCached(t *testing.T) {
 		t.Fatalf("DirtyCached len = %d", len(dc))
 	}
 	for lpn, ppn := range dc {
-		if d.Truth(lpn) != ppn {
-			t.Fatalf("dirty entry %d holds %d, truth %d", lpn, ppn, d.Truth(lpn))
+		if !holdsLPN(d.Chip(), ppn, lpn) {
+			t.Fatalf("dirty entry %d holds %d, not the valid page tagged with it", lpn, ppn)
 		}
 	}
+}
+
+// holdsLPN reports whether the chip says page p holds lpn's live data: a
+// valid data page tagged lpn, of which there is one per mapped LPN.
+func holdsLPN(chip *flash.Chip, p flash.PPN, lpn ftl.LPN) bool {
+	m := chip.MetaOf(p)
+	return chip.State(p) == flash.PageValid && m.Kind == flash.KindData && m.Tag == int64(lpn)
 }
 
 func TestUpdateWithoutTranslate(t *testing.T) {
 	// A bare Update (not preceded by Translate) must still install a dirty
 	// entry correctly.
 	d, tr := newTPFTLDevice(t, DefaultConfig(0), 1024)
-	if err := tr.Update(d, 7, d.Truth(7)); err != nil {
+	if err := tr.Update(d, 7, d.Persisted(7)); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 1 {

@@ -22,8 +22,8 @@ import (
 
 // PPN is a physical page number: block*PagesPerBlock + offset. It is 4 bytes
 // wide, the size the paper stores in a translation page (§1), so every
-// per-page table of the simulator (ground truth, persisted view, GTD, cache
-// entries) costs what the modelled device pays.
+// per-page table of the simulator (persisted view, GTD, cache entries) costs
+// what the modelled device pays.
 type PPN int32
 
 // InvalidPPN marks an unmapped logical page.
@@ -340,10 +340,12 @@ func (c *Chip) PageAt(blk BlockID, off int) PPN {
 	return PPN(int(blk)*int(c.perBlock.d) + off)
 }
 
-// State returns the state of page p.
+// State returns the state of page p. It inlines (the mask is spelled out
+// rather than called through cell.state to stay inside the budget): the
+// device checks the state of every page a translator returns.
 func (c *Chip) State(p PPN) PageState {
 	c.mustContain(p)
-	return c.cells[p].state()
+	return PageState(c.cells[p] & cellStateMask)
 }
 
 // MetaOf returns the out-of-band metadata of page p: what Program stored,
@@ -582,9 +584,18 @@ func (c *Chip) takeInjected(op string) error {
 }
 
 func (c *Chip) mustContain(p PPN) {
-	if p < 0 || int64(p) >= c.totalPages {
-		panic(fmt.Sprintf("flash: ppn %d out of range [0,%d)", p, c.totalPages))
+	if uint64(p) >= uint64(c.totalPages) {
+		pageOutOfRange(p, c.totalPages)
 	}
+}
+
+// pageOutOfRange is mustContain's panic, out of line so that the check
+// stays small enough to inline into State, TagOf and DieOf: the device's
+// per-page validity check of a translated page and GC's scan call them.
+//
+//go:noinline
+func pageOutOfRange(p PPN, n int64) {
+	panic(fmt.Sprintf("flash: ppn %d out of range [0,%d)", p, n))
 }
 
 func (c *Chip) mustContainBlock(blk BlockID) {

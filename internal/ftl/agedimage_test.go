@@ -17,7 +17,8 @@ import (
 //
 //   - every page's state and out-of-band metadata (kind, tag, sequence
 //     number), and every block's write pointer and erase count;
-//   - the ground-truth and persisted mapping of every LPN, and the GTD;
+//   - the live mapping of every LPN (its valid data page, read off the
+//     chip), the persisted mapping, and the GTD;
 //   - the block manager's free lists, frontiers, cursors, block kinds, victim
 //     heap array and last-invalidation ticks.
 //
@@ -83,8 +84,17 @@ func TestAgedImageGolden(t *testing.T) {
 				put(m.Seq)
 			}
 		}
+		live := make([]flash.PPN, cfg.LogicalPages())
+		for i := range live {
+			live[i] = flash.InvalidPPN
+		}
+		for p := flash.PPN(0); int64(p) < fc.TotalPages(); p++ {
+			if m := chip.MetaOf(p); chip.State(p) == flash.PageValid && m.Kind == flash.KindData {
+				live[m.Tag] = p
+			}
+		}
 		for lpn := ftl.LPN(0); int64(lpn) < cfg.LogicalPages(); lpn++ {
-			put(int64(d.Truth(lpn)))
+			put(int64(live[lpn]))
 			put(int64(d.Persisted(lpn)))
 		}
 		for v := ftl.VTPN(0); int(v) < d.NumTPs(); v++ {

@@ -31,7 +31,6 @@ type BlockMapped struct {
 	name  string
 	extra int             // page-mapped log blocks beyond the data blocks
 	free  []flash.BlockID // a stack: the lowest block is handed out first
-	truth []flash.PPN     // LPN → newest physical page, the ground truth
 	clock time.Duration
 
 	locate    func(lpn int64) (flash.PPN, bool)
@@ -77,15 +76,11 @@ func (b *BlockMapped) Init(name string, cfg Config, extra int, locate func(int64
 		name:      name,
 		extra:     extra,
 		free:      make([]flash.BlockID, phys),
-		truth:     make([]flash.PPN, logicalPages),
 		locate:    locate,
 		writePage: writePage,
 	}
 	for i := range b.BlockMap {
 		b.BlockMap[i] = -1
-	}
-	for i := range b.truth {
-		b.truth[i] = flash.InvalidPPN
 	}
 	for i := range b.free {
 		b.free[i] = flash.BlockID(phys - 1 - i)
@@ -146,14 +141,13 @@ func (b *BlockMapped) HomePage(lpn int64) (flash.PPN, bool) {
 	return flash.InvalidPPN, false
 }
 
-// program writes lpn's new version to p, which becomes its ground truth.
+// program writes lpn's new version to p.
 func (b *BlockMapped) program(lpn int64, p flash.PPN) (time.Duration, error) {
 	lat, err := b.Flash.Program(p, flash.Meta{Kind: flash.KindData, Tag: lpn})
 	if err != nil {
 		return 0, err
 	}
 	b.M.FlashPrograms++
-	b.truth[lpn] = p
 	return lat, nil
 }
 
@@ -240,10 +234,10 @@ func (b *BlockMapped) Merge(lb int) (time.Duration, error) {
 // accesses on the device's single clock, and returns its response time.
 func (b *BlockMapped) Serve(req trace.Request) (time.Duration, error) {
 	if err := req.Validate(); err != nil {
-		return 0, err
+		return 0, badRequest(err)
 	}
 	if req.End() > b.cfg.LogicalBytes {
-		return 0, fmt.Errorf("%s: request beyond capacity", b.name)
+		return 0, badRequest(fmt.Errorf("%s: request beyond capacity", b.name))
 	}
 	arrival := time.Duration(req.Arrival)
 	start := max(b.clock, arrival)
@@ -291,14 +285,16 @@ func (b *BlockMapped) Serve(req trace.Request) (time.Duration, error) {
 func (b *BlockMapped) readPage(lpn int64) (time.Duration, error) {
 	ppn, ok := b.locate(lpn)
 	if !ok {
-		if b.truth[lpn].Valid() {
-			return 0, fmt.Errorf("%s: lost mapping for lpn %d", b.name, lpn)
-		}
 		b.M.UnmappedReads++
 		return 0, nil
 	}
-	if ppn != b.truth[lpn] {
-		return 0, fmt.Errorf("%s: mistranslated lpn %d: %d vs truth %d", b.name, lpn, ppn, b.truth[lpn])
+	if st := b.Flash.State(ppn); st != flash.PageValid {
+		return 0, fmt.Errorf("%s: mistranslated lpn %d: ppn %d is %v", b.name, lpn, ppn, st)
+	}
+	if SanitizerEnabled {
+		if tag := b.Flash.MetaOf(ppn).Tag; tag != lpn {
+			return 0, fmt.Errorf("%s: mistranslated lpn %d: ppn %d holds lpn %d", b.name, lpn, ppn, tag)
+		}
 	}
 	lat, err := b.Flash.Read(ppn)
 	if err != nil {
@@ -308,26 +304,34 @@ func (b *BlockMapped) readPage(lpn int64) (time.Duration, error) {
 	return lat, nil
 }
 
-// CheckConsistency verifies the chip's bookkeeping and that every written
-// LPN's ground truth is a valid page tagged with that LPN and is the page
-// locate finds.
+// CheckConsistency verifies the chip's bookkeeping and the mapping: the
+// page locate finds for every LPN is a valid page tagged with that LPN, and
+// the chip holds exactly as many valid pages as locate finds, so no
+// superseded version is left valid and no written page is lost.
 func (b *BlockMapped) CheckConsistency() error {
 	if err := b.Flash.CheckInvariants(); err != nil {
 		return err
 	}
-	for lpn, ppn := range b.truth {
-		if !ppn.Valid() {
+	mapped := 0
+	for lpn := int64(0); lpn < b.cfg.LogicalPages(); lpn++ {
+		ppn, ok := b.locate(lpn)
+		if !ok {
 			continue
 		}
 		if st := b.Flash.State(ppn); st != flash.PageValid {
-			return fmt.Errorf("%s: truth[%d]=%d in state %v", b.name, lpn, ppn, st)
+			return fmt.Errorf("%s: locate(%d) = %d in state %v", b.name, lpn, ppn, st)
 		}
-		if m := b.Flash.MetaOf(ppn); m.Tag != int64(lpn) {
-			return fmt.Errorf("%s: truth[%d]=%d tagged %d", b.name, lpn, ppn, m.Tag)
+		if m := b.Flash.MetaOf(ppn); m.Tag != lpn {
+			return fmt.Errorf("%s: locate(%d) = %d tagged %d", b.name, lpn, ppn, m.Tag)
 		}
-		if got, ok := b.locate(int64(lpn)); !ok || got != ppn {
-			return fmt.Errorf("%s: locate(%d) = %d,%v, truth %d", b.name, lpn, got, ok, ppn)
-		}
+		mapped++
+	}
+	valid := 0
+	for blk := 0; blk < b.Flash.Config().NumBlocks; blk++ {
+		valid += b.Flash.ValidCount(flash.BlockID(blk))
+	}
+	if valid != mapped {
+		return fmt.Errorf("%s: %d valid pages for %d mapped LPNs", b.name, valid, mapped)
 	}
 	return nil
 }

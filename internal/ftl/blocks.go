@@ -293,29 +293,8 @@ func (bm *blockMgr) release(blk flash.BlockID) {
 // victim heap be ordered and indexed and hold exactly the full, non-frontier
 // blocks with invalid pages, each keyed by its invalid count.
 func (bm *blockMgr) check() error {
-	onFree := make([]bool, len(bm.kinds))
-	free := 0
-	for die := 0; die < bm.numDies; die++ {
-		for _, b := range bm.free[die][bm.frHead[die]:] {
-			switch {
-			case onFree[b]:
-				return errf("block %d is on a free list twice", b)
-			case bm.chip.DieOfBlock(b) != die:
-				return errf("block %d of die %d is on die %d's free list", b, bm.chip.DieOfBlock(b), die)
-			case bm.kinds[b] != blockFree:
-				return errf("block %d on die %d's free list has kind %d", b, die, bm.kinds[b])
-			}
-			onFree[b] = true
-			free++
-		}
-	}
-	if free != bm.nfree {
-		return errf("free counter %d, free lists hold %d blocks", bm.nfree, free)
-	}
-	for b, k := range bm.kinds {
-		if k == blockFree && !onFree[b] {
-			return errf("free block %d is on no free list", b)
-		}
+	if err := bm.checkFree(); err != nil {
+		return err
 	}
 	for die := 0; die < bm.numDies; die++ {
 		for _, fr := range [...]struct {
@@ -357,6 +336,44 @@ func (bm *blockMgr) check() error {
 				b, bm.kinds[b], bm.chip.WritePtr(blk), invalid)
 		case i >= 0 && h.items[i].invalid != invalid:
 			return errf("victim heap: block %d keyed %d with %d invalid pages", b, h.items[i].invalid, invalid)
+		}
+	}
+	return nil
+}
+
+// blockListed marks, in its kind byte, a block checkFree found on a free
+// list; checkFree clears every mark before it returns.
+const blockListed blockKind = 0x80
+
+// checkFree checks the free lists and the free counter without allocating:
+// it marks each listed block in its kind byte and clears the marks after.
+func (bm *blockMgr) checkFree() error {
+	defer func() {
+		for b := range bm.kinds {
+			bm.kinds[b] &^= blockListed
+		}
+	}()
+	free := 0
+	for die := 0; die < bm.numDies; die++ {
+		for _, b := range bm.free[die][bm.frHead[die]:] {
+			switch {
+			case bm.kinds[b] == blockListed:
+				return errf("block %d is on a free list twice", b)
+			case bm.chip.DieOfBlock(b) != die:
+				return errf("block %d of die %d is on die %d's free list", b, bm.chip.DieOfBlock(b), die)
+			case bm.kinds[b] != blockFree:
+				return errf("block %d on die %d's free list has kind %d", b, die, bm.kinds[b])
+			}
+			bm.kinds[b] |= blockListed
+			free++
+		}
+	}
+	if free != bm.nfree {
+		return errf("free counter %d, free lists hold %d blocks", bm.nfree, free)
+	}
+	for b, k := range bm.kinds {
+		if k == blockFree {
+			return errf("free block %d is on no free list", b)
 		}
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"math/rand"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -280,4 +282,41 @@ func TestBlockMgrsShareNoLinePair(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(keep) // a collected manager's slot could be handed out again
+}
+
+// TestCheckFreeLists doctors a fresh block manager's free lists and expects
+// check to name each fault — a block listed twice, a free block on no list —
+// and to leave every kind byte as it found it, marks cleared, whether it
+// fails or passes.
+func TestCheckFreeLists(t *testing.T) {
+	chip, err := flash.New(flash.DefaultConfig(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bm := newBlockMgr(chip)
+	if _, _, err := bm.alloc(blockData); err != nil {
+		t.Fatal(err)
+	}
+	kinds := append([]blockKind(nil), bm.kinds...)
+	list := bm.free[0][bm.frHead[0]:]
+	for _, c := range []struct {
+		name, want string
+		doctor     func()
+	}{
+		{"listed twice", "is on a free list twice", func() { list[1] = list[0] }},
+		{"on no list", "is on no free list", func() { bm.nfree--; bm.frHead[0]++ }},
+		{"untouched", "", func() {}},
+	} {
+		saved, head, nfree := append([]flash.BlockID(nil), list...), bm.frHead[0], bm.nfree
+		c.doctor()
+		err := bm.check()
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: check() = %v, want %q", c.name, err, c.want)
+		}
+		if !slices.Equal(bm.kinds, kinds) {
+			t.Fatalf("%s: check left kinds %v, want %v", c.name, bm.kinds, kinds)
+		}
+		copy(list, saved)
+		bm.frHead[0], bm.nfree = head, nfree
+	}
 }

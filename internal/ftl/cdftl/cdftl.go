@@ -138,6 +138,17 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	return ppn, nil
 }
 
+// Lookup implements ftl.Translator: the CMT entry, else the CTP page's slot.
+func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
+	if e, ok := f.cmt[lpn]; ok {
+		return e.ppn, true
+	}
+	if p, ok := f.ctp[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
+		return p.vals[ftl.OffOf(lpn, f.ePerTP)], true
+	}
+	return flash.InvalidPPN, false
+}
+
 // loadCTP reads translation page v into the second-level cache.
 func (f *FTL) loadCTP(env ftl.Env, v ftl.VTPN) (*ctpPage, error) {
 	for len(f.ctp) >= f.ctpCap {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/trace"
 )
@@ -189,7 +190,7 @@ func TestSnapshotAndDirty(t *testing.T) {
 		t.Fatalf("dirty = %d, want ≥5", s.DirtyEntries)
 	}
 	for lpn, ppn := range tr.DirtyCached() {
-		if d.Truth(lpn) != ppn {
+		if m := d.Chip().MetaOf(ppn); d.Chip().State(ppn) != flash.PageValid || m.Kind != flash.KindData || m.Tag != int64(lpn) {
 			t.Fatalf("dirty entry %d stale", lpn)
 		}
 	}

@@ -2,6 +2,7 @@ package ftl
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"time"
@@ -38,13 +39,20 @@ type Device struct {
 
 	gtd     []flash.PPN // VTPN → physical translation page
 	persist []flash.PPN // LPN → PPN as stored in flash translation pages; written only by setPersist
-	truth   []flash.PPN // LPN → PPN ground truth (updated at write time)
 	// unmapped[v] counts the slots of translation page v whose persisted
 	// entry is InvalidPPN, so foldTPPersist knows in O(1) whether the page
 	// has anything to fold.
 	unmapped []int32
 
 	tpBuf []flash.PPN // padded copy ReadTP returns for a partial last page; nil when every page is full
+
+	// While trimTP waits for its translation-page rewrite, the device holds
+	// the live mapping of the trimN LPNs from trimLo it is discarding:
+	// Discard has taken them from the translator. Mapped reads them here and
+	// collect moves them with their pages. trimN is 0 outside a trim.
+	trimLo   LPN
+	trimN    int
+	trimPPNs []flash.PPN
 
 	// collect's scratch (gc.go). gcHead/gcTail, indexed by VTPN, are valid
 	// while the page's gcTouched bit is set; gcTouched is zero between GCs.
@@ -140,8 +148,8 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		gcThreshold:  cfg.gcThreshold(),
 		gtd:          make([]flash.PPN, numTPs),
 		persist:      make([]flash.PPN, logicalPages),
-		truth:        make([]flash.PPN, logicalPages),
 		unmapped:     make([]int32, numTPs),
+		trimPPNs:     make([]flash.PPN, entriesPerTP),
 		gcMoves:      make([]gcMove, 0, cfg.PagesPerBlock),
 		gcHead:       make([]int32, numTPs),
 		gcTail:       make([]int32, numTPs),
@@ -158,9 +166,8 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 	for i := range d.gtd {
 		d.gtd[i] = flash.InvalidPPN
 	}
-	for i := range d.truth {
+	for i := range d.persist {
 		d.setPersist(int64(i), flash.InvalidPPN)
-		d.truth[i] = flash.InvalidPPN
 	}
 	return d, nil
 }
@@ -361,7 +368,6 @@ func (d *Device) Format() error {
 		if _, err := d.chipProgram(ppn, flash.Meta{Kind: flash.KindData, Tag: lpn, Seq: d.nextSeq()}); err != nil {
 			return err
 		}
-		d.truth[lpn] = ppn
 		d.setPersist(lpn, ppn)
 	}
 	for v := 0; v < d.numTPs; v++ {
@@ -385,10 +391,10 @@ func (d *Device) Formatted() bool { return d.formatted }
 // uniformly random logical pages through the normal allocation and GC paths,
 // so block occupancy reaches the organic fragmentation a long-running device
 // shows, instead of the all-valid state Format leaves behind. The mapping
-// cache is bypassed (truth and persist are updated directly, as the
-// preconditioning agent knows the mapping), so measurements start with a
-// cold cache; GC triggered during preconditioning still exercises the real
-// Translator paths. Call ResetMetrics afterwards.
+// cache is bypassed (persist is updated directly, as the preconditioning
+// agent knows the mapping), so measurements start with a cold cache; GC
+// triggered during preconditioning still exercises the real Translator
+// paths. Call ResetMetrics afterwards.
 func (d *Device) Precondition(writes int, seed int64) error {
 	return d.PreconditionRange(writes, d.logicalPages, seed)
 }
@@ -412,7 +418,7 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 		if err := d.maybeGC(); err != nil {
 			return err
 		}
-		old := d.truth[lpn]
+		old := d.Mapped(lpn)
 		ppn, _, err := d.bm.alloc(blockData)
 		if err != nil {
 			return err
@@ -425,7 +431,9 @@ func (d *Device) PreconditionRange(writes int, pages int64, seed int64) error {
 				return err
 			}
 		}
-		d.truth[lpn] = ppn
+		// A resident entry stays coherent: the optimal FTL holds every
+		// entry, and GC during preconditioning has refreshed some of them.
+		d.tr.RefreshGC(lpn, ppn)
 		d.setPersist(int64(lpn), ppn)
 	}
 	return nil
@@ -482,10 +490,10 @@ func (d *Device) Apply(req trace.Request) error {
 // the timing half inline it returns the completion time.
 func (d *Device) serve(req trace.Request, admit time.Duration) (complete time.Duration, err error) {
 	if err := req.Validate(); err != nil {
-		return 0, err
+		return 0, badRequest(err)
 	}
 	if req.End() > d.cfg.LogicalBytes {
-		return 0, errf("request [%d,%d) beyond capacity %d", req.Offset, req.End(), d.cfg.LogicalBytes)
+		return 0, badRequest(fmt.Errorf("request [%d,%d) beyond capacity %d", req.Offset, req.End(), d.cfg.LogicalBytes))
 	}
 	arrival := time.Duration(req.Arrival)
 	inline := d.log.c == nil
@@ -568,9 +576,9 @@ func (d *Device) serve(req trace.Request, admit time.Duration) (complete time.Du
 }
 
 // sanitize runs the per-operation invariant suite when the binary is built
-// with -tags ftlsan: full device consistency (chip bookkeeping, GTD,
-// truth/persist against the translator's dirty set) plus the translator's
-// own structural checks, when it exposes them.
+// with -tags ftlsan: full device consistency (chip bookkeeping, GTD, every
+// mapped page), the live mapping against the translator's dirty set, and
+// the translator's own structural checks, when it exposes them.
 func (d *Device) sanitize() error {
 	var dirty map[LPN]flash.PPN
 	if t, ok := d.tr.(interface{ DirtyCached() map[LPN]flash.PPN }); ok {
@@ -583,19 +591,28 @@ func (d *Device) sanitize() error {
 	return SanitizeCheck(d.tr.Name(), checks...)
 }
 
+// mistranslated reports a page the translator returned for lpn that is not
+// lpn's live data: not a valid page (every build checks the state byte,
+// which chip.Read loads anyway) or, under ftlsan, which also checks the
+// out-of-band tag, another LPN's.
+func (d *Device) mistranslated(op string, lpn LPN, ppn flash.PPN) error {
+	kind, tag := d.chip.TagOf(ppn)
+	return errf("%s mistranslated %s of lpn %d: ppn %d is %v, %v of lpn %d",
+		d.tr.Name(), op, lpn, ppn, d.chip.State(ppn), kind, tag)
+}
+
 func (d *Device) readPage(lpn LPN) error {
 	d.m.PageReads++
 	ppn, err := d.tr.Translate(d, lpn)
 	if err != nil {
 		return err
 	}
-	if ppn != d.truth[lpn] {
-		return errf("%s mistranslated read of lpn %d: got ppn %d, truth %d",
-			d.tr.Name(), lpn, ppn, d.truth[lpn])
-	}
 	if !ppn.Valid() {
 		d.m.UnmappedReads++
 		return nil
+	}
+	if d.chip.State(ppn) != flash.PageValid || SanitizerEnabled && !d.holds(ppn, lpn) {
+		return d.mistranslated("read", lpn, ppn)
 	}
 	lat, err := d.chipRead(ppn)
 	if err != nil {
@@ -612,16 +629,15 @@ func (d *Device) writePage(lpn LPN) error {
 	if err != nil {
 		return err
 	}
-	if old != d.truth[lpn] {
-		return errf("%s mistranslated write of lpn %d: got ppn %d, truth %d",
-			d.tr.Name(), lpn, old, d.truth[lpn])
+	if old.Valid() && (d.chip.State(old) != flash.PageValid || SanitizerEnabled && !d.holds(old, lpn)) {
+		return d.mistranslated("write", lpn, old)
 	}
 	if err := d.maybeGC(); err != nil {
 		return err
 	}
 	// GC may just have migrated this page; invalidate its current
 	// location, not the pre-GC one returned by the translator.
-	old = d.truth[lpn]
+	old = d.Mapped(lpn)
 	ppn, die, err := d.bm.alloc(blockData)
 	if err != nil {
 		return err
@@ -637,8 +653,11 @@ func (d *Device) writePage(lpn LPN) error {
 			return err
 		}
 	}
-	d.truth[lpn] = ppn
-	return d.tr.Update(d, lpn, ppn)
+	if err := d.tr.Update(d, lpn, ppn); err != nil {
+		d.settle(lpn, ppn)
+		return err
+	}
+	return nil
 }
 
 // trimRequest discards the logical pages wholly covered by a TRIM request.
@@ -672,21 +691,41 @@ func (d *Device) trimRequest(req trace.Request) error {
 // trimmed slots cleared (read-modify-write + program, all fault-retried),
 // and only once the program has succeeded invalidate the old translation
 // page, the trimmed data pages and the live mapping. A power cut anywhere
-// before that commit point aborts with no live state touched, so the device
-// never exposes a discard that would not survive the crash — the exact dual
-// of writePage, which updates truth only after its data program succeeded.
+// before that commit point aborts with the pages still mapped, so the
+// device never exposes a discard that would not survive the crash — the
+// exact dual of writePage, which maps a page only after its data program
+// succeeded.
 //
 // Trims deliberately bypass WriteTP: WriteTP applies content updates to the
 // persisted view before its program (safe for the valid mappings
 // translators write back, where a premature entry only goes stale), but a
 // premature Invalid would claim a discard is durable when the cut may have
 // prevented exactly that.
-func (d *Device) trimTP(v VTPN, lo, hi LPN) error {
-	// Drop cached entries first: RAM-only state, lost in a crash anyway,
-	// and a dirty entry for a trimmed page must never be written back.
+func (d *Device) trimTP(v VTPN, lo, hi LPN) (err error) {
+	// Capture the live mapping, then drop the cached entries: RAM-only
+	// state, lost in a crash anyway, and a dirty entry for a trimmed page
+	// must never be written back. Until the commit the device holds the
+	// captured pages itself (trimPPNs).
+	n := int(hi-lo) + 1
+	for i := range n {
+		d.trimPPNs[i] = d.Mapped(lo + LPN(i))
+	}
+	d.trimLo, d.trimN = lo, n
 	for lpn := lo; lpn <= hi; lpn++ {
 		d.tr.Discard(lpn)
 	}
+	committed := false
+	defer func() {
+		d.trimN = 0
+		if err != nil && !committed {
+			// No durable discard, so no discard: the pages stay mapped.
+			for i, p := range d.trimPPNs[:n] {
+				if p.Valid() {
+					d.settle(lo+LPN(i), p)
+				}
+			}
+		}
+	}()
 	if err := d.maybeGC(); err != nil {
 		return err
 	}
@@ -712,6 +751,7 @@ func (d *Device) trimTP(v VTPN, lo, hi LPN) error {
 	d.m.FlashPrograms++
 	d.m.TransWritesAT++
 	// Commit point: the cleared translation page is on flash.
+	committed = true
 	if old.Valid() {
 		if err := d.bm.invalidate(old); err != nil {
 			return err
@@ -719,13 +759,15 @@ func (d *Device) trimTP(v VTPN, lo, hi LPN) error {
 	}
 	d.gtd[v] = ppn
 	d.foldTPPersist(v)
-	for lpn := lo; lpn <= hi; lpn++ {
+	for i, p := range d.trimPPNs[:n] {
+		lpn := lo + LPN(i)
 		d.setPersist(int64(lpn), flash.InvalidPPN)
-		if t := d.truth[lpn]; t.Valid() {
-			if err := d.bm.invalidate(t); err != nil {
+		// GC may have refreshed a discarded slot of a cached page since.
+		d.tr.Discard(lpn)
+		if p.Valid() {
+			if err := d.bm.invalidate(p); err != nil {
 				return err
 			}
-			d.truth[lpn] = flash.InvalidPPN
 			d.m.TrimmedPages++
 		}
 	}
@@ -767,9 +809,9 @@ func (d *Device) setPersist(lpn int64, ppn flash.PPN) {
 	d.persist[lpn] = ppn
 }
 
-// foldTPPersist folds ground truth into the persisted view of translation
-// page v: every slot whose persisted entry is unmapped while the live
-// mapping is valid takes the live value. Called whenever a new physical
+// foldTPPersist folds the live mapping into the persisted view of
+// translation page v: every slot whose persisted entry is unmapped while the
+// live mapping is valid takes the live value. Called whenever a new physical
 // copy of v is programmed (WriteTP, trim rewrite, GC migration) — the
 // rewrite opportunistically persists mappings whose writeback was still
 // pending. This keeps recovery's trim rule sound: after any translation
@@ -780,8 +822,8 @@ func (d *Device) setPersist(lpn int64, ppn flash.PPN) {
 // Only a page with a persisted-unmapped slot can have anything to fold, and
 // unmapped[v] says so without touching the page: after Format that is no
 // page at all until the host trims, so the common call costs one load. A
-// page with holes pays the walk over its entriesPerTP slots of persist and
-// truth on every program for as long as it keeps a hole.
+// page with holes pays the walk over its entriesPerTP slots, and a lookup of
+// the live mapping per hole, on every program for as long as it keeps one.
 func (d *Device) foldTPPersist(v VTPN) {
 	if d.unmapped[v] == 0 {
 		return
@@ -789,9 +831,50 @@ func (d *Device) foldTPPersist(v VTPN) {
 	lo := int64(v) * int64(d.entriesPerTP)
 	hi := min64(lo+int64(d.entriesPerTP), d.logicalPages)
 	for lpn := lo; lpn < hi; lpn++ {
-		if d.persist[lpn] == flash.InvalidPPN && d.truth[lpn].Valid() {
-			d.setPersist(lpn, d.truth[lpn])
+		if d.persist[lpn] != flash.InvalidPPN {
+			continue
 		}
+		if live := d.Mapped(LPN(lpn)); live.Valid() {
+			d.setPersist(lpn, live)
+		}
+	}
+}
+
+// Mapped returns lpn's live mapping: the page trimTP holds while it
+// discards lpn, else the translator's resident entry, else the persisted
+// translation page. InvalidPPN means unmapped.
+func (d *Device) Mapped(lpn LPN) flash.PPN {
+	if i := uint64(lpn - d.trimLo); i < uint64(d.trimN) {
+		return d.trimPPNs[i]
+	}
+	if ppn, ok := d.tr.Lookup(lpn); ok {
+		return ppn
+	}
+	return d.persist[lpn]
+}
+
+// holds reports whether page p is lpn's live data: a valid data page tagged
+// lpn. Only one page can be at a time.
+func (d *Device) holds(p flash.PPN, lpn LPN) bool {
+	if d.chip.State(p) != flash.PageValid {
+		return false
+	}
+	kind, tag := d.chip.TagOf(p)
+	return kind == flash.KindData && tag == int64(lpn)
+}
+
+// settle puts ppn, where the chip holds lpn's data, back into the live
+// mapping after an operation cut short by an error (a power cut, say) left
+// the mapping pointing elsewhere: into the translator's resident entry if it
+// has one, else into the persisted view, as foldTPPersist does for a
+// pending writeback. So the live mapping stays what a recovery scan of the
+// out-of-band tags rebuilds.
+func (d *Device) settle(lpn LPN, ppn flash.PPN) {
+	if cur := d.Mapped(lpn); cur.Valid() && d.holds(cur, lpn) {
+		return
+	}
+	if !d.tr.RefreshGC(lpn, ppn) {
+		d.setPersist(int64(lpn), ppn)
 	}
 }
 
@@ -1093,9 +1176,6 @@ func (d *Device) nextSeq() int64 {
 
 // --- Verification helpers (tests) ----------------------------------------
 
-// Truth returns the ground-truth PPN for lpn.
-func (d *Device) Truth(lpn LPN) flash.PPN { return d.truth[lpn] }
-
 // Persisted returns the PPN recorded in flash translation pages for lpn.
 func (d *Device) Persisted(lpn LPN) flash.PPN { return d.persist[lpn] }
 
@@ -1120,11 +1200,17 @@ func (d *Device) EraseSpread() (min, max int) {
 }
 
 // CheckConsistency validates the device-wide invariants: chip bookkeeping,
-// GTD pointing at valid translation pages, unmapped[v] recounted from the
-// persisted view, and — given the set of dirty-cached LPNs from the
-// translator — the truth/persist relationship: truth differs from persist
-// exactly for LPNs with a dirty cached entry. The last two are also what
-// catches a translator that wrote through the view ReadTP handed it.
+// the block manager's, the GTD pointing at valid translation pages,
+// unmapped[v] recounted from the persisted view, and the live mapping
+// (Mapped): every mapped LPN's page is a valid data page tagged with that
+// LPN, and there are exactly as many valid data pages as mapped LPNs, so no
+// superseded version is left valid. With nil it allocates nothing, so a run
+// can afford it after its replay.
+//
+// Given the translator's dirty cached entries, it also checks that the live
+// mapping differs from the persisted view exactly where a dirty entry holds
+// it. That and the recount are what catch a translator that wrote through
+// the view ReadTP handed it.
 func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 	if err := d.chip.CheckInvariants(); err != nil {
 		return err
@@ -1139,8 +1225,8 @@ func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 		if st := d.chip.State(ppn); st != flash.PageValid {
 			return errf("gtd[%d] = %d in state %v", v, ppn, st)
 		}
-		if m := d.chip.MetaOf(ppn); m.Kind != flash.KindTranslation || m.Tag != int64(v) {
-			return errf("gtd[%d] = %d has meta %+v", v, ppn, m)
+		if kind, tag := d.chip.TagOf(ppn); kind != flash.KindTranslation || tag != int64(v) {
+			return errf("gtd[%d] = %d holds %v tagged %d", v, ppn, kind, tag)
 		}
 	}
 	for v := range d.unmapped {
@@ -1156,13 +1242,42 @@ func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 			return errf("unmapped[%d] = %d, translation page has %d persisted-unmapped slots", v, d.unmapped[v], n)
 		}
 	}
-	// Every dirty entry must hold the truth. The set is small (a cache's
-	// worth against a device's worth of pages), so it is walked itself rather
-	// than probed once per logical page; the lowest offending LPN is the one
-	// reported, whatever order the map yields.
+	if dirtyCached == nil {
+		return d.checkLive()
+	}
+	return d.checkLiveDirty(dirtyCached)
+}
+
+// checkLive checks every LPN's live mapping against the chip.
+func (d *Device) checkLive() error {
+	mapped := 0
+	for lpn := LPN(0); int64(lpn) < d.logicalPages; lpn++ {
+		p := d.Mapped(lpn)
+		if !p.Valid() {
+			continue
+		}
+		if err := d.checkHolds(p, lpn); err != nil {
+			return err
+		}
+		mapped++
+	}
+	return d.checkMappedCount(mapped)
+}
+
+// checkLiveDirty is checkLive given the dirty set, in which the live
+// mapping is the persisted one wherever no dirty entry says otherwise. The
+// walk reads persist and asks the translator only where the persisted page
+// is not the LPN's, so it costs what a walk over two arrays does: the
+// sanitizer runs it after every operation.
+func (d *Device) checkLiveDirty(dirty map[LPN]flash.PPN) error {
+	// Every dirty entry must hold the live mapping. The set is small (a
+	// cache's worth against a device's worth of pages), so it is walked
+	// itself; the lowest offending LPN is the one reported, whatever order
+	// the map yields.
 	bad := LPN(d.logicalPages)
-	for lpn, ppn := range dirtyCached {
-		if lpn < 0 || int64(lpn) >= d.logicalPages || ppn == d.truth[lpn] {
+	//ftl:orderinsensitive read-only lookups; the lowest offending LPN is the one kept
+	for lpn, ppn := range dirty {
+		if lpn < 0 || int64(lpn) >= d.logicalPages || ppn == d.Mapped(lpn) {
 			continue
 		}
 		if lpn < bad {
@@ -1170,24 +1285,69 @@ func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
 		}
 	}
 	if int64(bad) < d.logicalPages {
-		return errf("dirty cache entry for lpn %d holds %d, truth %d", bad, dirtyCached[bad], d.truth[bad])
+		return errf("dirty cache entry for lpn %d holds %d, live mapping %d", bad, dirty[bad], d.Mapped(bad))
 	}
-	for lpn := int64(0); lpn < d.logicalPages; lpn++ {
-		t, p := d.truth[lpn], d.persist[lpn]
-		if t.Valid() {
-			if st := d.chip.State(t); st != flash.PageValid {
-				return errf("truth[%d] = %d in state %v", lpn, t, st)
-			}
-			if m := d.chip.MetaOf(t); m.Kind != flash.KindData || m.Tag != lpn {
-				return errf("truth[%d] = %d has meta %+v", lpn, t, m)
-			}
-		}
-		if t == p || dirtyCached == nil {
+	mapped := 0
+	for lpn := LPN(0); int64(lpn) < d.logicalPages; lpn++ {
+		p := d.persist[lpn]
+		if !p.Valid() {
 			continue
 		}
-		if _, dirty := dirtyCached[LPN(lpn)]; !dirty {
-			return errf("lpn %d: truth %d != persist %d with no dirty cache entry", lpn, t, p)
+		if d.holds(p, lpn) {
+			mapped++
+			continue
 		}
+		// A persisted page that is not the LPN's must be superseded by a
+		// dirty entry; the dirty entries are counted below.
+		if live := d.Mapped(lpn); live == p {
+			return d.checkHolds(p, lpn)
+		} else if _, ok := dirty[lpn]; !ok {
+			return errf("lpn %d: live mapping %d != persist %d with no dirty cache entry", lpn, live, p)
+		}
+	}
+	//ftl:orderinsensitive read-only chip checks; the count is a sum and the lowest offending LPN is the one kept
+	for lpn, e := range dirty {
+		if lpn < 0 || int64(lpn) >= d.logicalPages || e == d.persist[lpn] {
+			continue
+		}
+		if p := d.persist[lpn]; p.Valid() && d.holds(p, lpn) {
+			mapped--
+		}
+		if !e.Valid() {
+			continue
+		}
+		if d.holds(e, lpn) {
+			mapped++
+		} else if lpn < bad {
+			bad = lpn
+		}
+	}
+	if int64(bad) < d.logicalPages {
+		return d.checkHolds(dirty[bad], bad)
+	}
+	return d.checkMappedCount(mapped)
+}
+
+// checkHolds fails unless page p is lpn's live data.
+func (d *Device) checkHolds(p flash.PPN, lpn LPN) error {
+	if d.holds(p, lpn) {
+		return nil
+	}
+	kind, tag := d.chip.TagOf(p)
+	return errf("lpn %d maps to ppn %d: %v, %v of lpn %d", lpn, p, d.chip.State(p), kind, tag)
+}
+
+// checkMappedCount fails unless the chip holds exactly mapped valid data
+// pages: one per mapped LPN, no superseded version left valid.
+func (d *Device) checkMappedCount(mapped int) error {
+	valid := 0
+	for b, k := range d.bm.kinds {
+		if k == blockData {
+			valid += d.chip.ValidCount(flash.BlockID(b))
+		}
+	}
+	if valid != mapped {
+		return errf("%d valid data pages for %d mapped LPNs", valid, mapped)
 	}
 	return nil
 }

@@ -110,13 +110,16 @@ func TestFormatLaysOutDevice(t *testing.T) {
 	if !d.Formatted() {
 		t.Fatal("not formatted")
 	}
-	// Every logical page must be mapped and persisted identically.
+	// Every logical page must be persisted as the valid data page tagged
+	// with it.
+	chip := d.Chip()
 	for lpn := ftl.LPN(0); lpn < ftl.LPN(d.Config().LogicalPages()); lpn++ {
-		if !d.Truth(lpn).Valid() {
+		p := d.Persisted(lpn)
+		if !p.Valid() {
 			t.Fatalf("lpn %d unmapped after format", lpn)
 		}
-		if d.Truth(lpn) != d.Persisted(lpn) {
-			t.Fatalf("lpn %d: truth %d != persist %d", lpn, d.Truth(lpn), d.Persisted(lpn))
+		if m := chip.MetaOf(p); chip.State(p) != flash.PageValid || m.Kind != flash.KindData || m.Tag != int64(lpn) {
+			t.Fatalf("lpn %d persisted as ppn %d: %v, %+v", lpn, p, chip.State(p), m)
 		}
 	}
 	// Every translation page must exist.
@@ -267,7 +270,8 @@ func TestDFTLDirtyEvictionWritesBack(t *testing.T) {
 	if m.TransWritesAT == 0 {
 		t.Fatal("no translation page writes during AT phase")
 	}
-	// Persisted state must now agree with truth for written-back entries.
+	// Persisted state must now agree with the live mapping for written-back
+	// entries.
 	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +295,7 @@ func TestDFTLReadAfterWriteThroughEviction(t *testing.T) {
 	}
 	arrival += int64(time.Millisecond)
 	if _, err := d.Serve(rd(arrival, 5)); err != nil {
-		t.Fatal(err) // Serve verifies translation against truth internally
+		t.Fatal(err) // Serve checks the translated page is valid internally
 	}
 	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
 		t.Fatal(err)
@@ -383,8 +387,9 @@ func TestOptimalVsDFTLAgreeOnReads(t *testing.T) {
 			t.Fatalf("dftl: %v", err)
 		}
 	}
-	// Both devices internally verify translations against their ground
-	// truth; surviving 5000 mixed ops on both means the schemes agree.
+	// Both devices check every translated page is valid and end with their
+	// consistency check; surviving 5000 mixed ops on both means the schemes
+	// agree.
 	mo, md := dOpt.Metrics(), dDftl.Metrics()
 	if mo.PageWrites != md.PageWrites || mo.PageReads != md.PageReads {
 		t.Fatalf("page access counts diverge: %+v vs %+v", mo, md)
@@ -485,7 +490,7 @@ func TestMetricsDerived(t *testing.T) {
 }
 
 // TestRandomOpsConsistency is the core property test: after every batch of
-// random operations against a DFTL device, the truth/persist/dirty-cache
+// random operations against a DFTL device, the live/persist/dirty-cache
 // invariant and all chip invariants must hold.
 func TestRandomOpsConsistency(t *testing.T) {
 	for _, seed := range []int64{5, 6, 7} {

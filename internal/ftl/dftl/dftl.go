@@ -108,6 +108,14 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	return ppn, nil
 }
 
+// Lookup implements ftl.Translator.
+func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
+	if e, ok := f.entries[lpn]; ok {
+		return e.ppn, true
+	}
+	return flash.InvalidPPN, false
+}
+
 // Update implements ftl.Translator.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	if e, ok := f.entries[lpn]; ok {

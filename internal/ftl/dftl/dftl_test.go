@@ -132,7 +132,7 @@ func TestGCBatchUpdateSharesTranslationPage(t *testing.T) {
 
 func TestStandaloneUpdateInsertsDirty(t *testing.T) {
 	d, tr := newDevice(t, 8*8)
-	if err := tr.Update(d, 42, d.Truth(42)); err != nil {
+	if err := tr.Update(d, 42, d.Persisted(42)); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 1 {

@@ -172,7 +172,7 @@ func TestUpdatePropagatesWriteTPError(t *testing.T) {
 // clear-dirty-before-WriteTP (TPFTL §4.4 batch update) safe: Device.WriteTP
 // applies the entry updates to the persisted view before any flash
 // operation can fail, so a writeback that surfaces an exhausted-retry fault
-// loses no mapping information and the truth/persist cross-check still
+// loses no mapping information and the live/persist cross-check still
 // holds.
 func TestWriteTPFailureKeepsDeviceConsistent(t *testing.T) {
 	cfg := testConfig()

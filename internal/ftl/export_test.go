@@ -59,3 +59,6 @@ func (d *Device) CollectOne() (bool, error) {
 	defer func() { d.inGC, d.ph = false, phaseAT }()
 	return true, d.collect(victim)
 }
+
+// GCDue reports whether the next page write's maybeGC collects.
+func (d *Device) GCDue() bool { return d.bm.freeCount() <= d.gcThreshold }

@@ -10,12 +10,18 @@
 // accounting the TPFTL paper's evaluation reports.
 //
 // A scheme — DFTL, S-FTL, CDFTL, TPFTL, the optimal FTL — supplies only its
-// mapping-cache policy by implementing Translator. The device verifies every
-// translated read against a ground-truth table, so a policy bug surfaces as
-// a hard error rather than silently skewed statistics.
+// mapping-cache policy by implementing Translator. The device keeps no second
+// mapping table: its live mapping is the translator's resident entries over
+// the flash translation pages (Device.Mapped). In every build a translated
+// page that is not a valid page on the chip is a hard error, and the
+// post-run check holds Mapped to the chip's out-of-band tags. A translation
+// onto a valid page of another LPN passes both; it is caught per operation
+// only under -tags ftlsan, and in tests by the reference model
+// (internal/sim TestReferenceModel).
 package ftl
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -75,6 +81,12 @@ type Translator interface {
 	// page.
 	Translate(env Env, lpn LPN) (flash.PPN, error)
 
+	// Lookup returns lpn's resident entry, if the cache holds one, without
+	// counting an access, touching flash or reordering anything. The device
+	// reads its live mapping through it (Device.Mapped): a resident entry,
+	// else the persisted translation page.
+	Lookup(lpn LPN) (flash.PPN, bool)
+
 	// Update records a new mapping lpn→ppn after a data-page write. The
 	// resulting cache entry is dirty until written back. The device calls
 	// Update immediately after Translate of the same lpn, so
@@ -92,13 +104,16 @@ type Translator interface {
 	// migrated. A cached entry is updated in RAM and marked dirty, with no
 	// flash operation or cache reordering, and true returned (a GC hit).
 	// On false (a GC miss) the device writes the update itself, batched
-	// per translation page.
+	// per translation page. The device offers preconditioning's rewrites
+	// the same way, and the pages an operation cut short had already moved
+	// (Device.settle), updating the persisted view itself on false.
 	RefreshGC(lpn LPN, ppn flash.PPN) (cached bool)
 
 	// Discard drops any cached entry for lpn without writing it back: the
 	// host has trimmed the page, so a dirty entry's pending mapping must
 	// never reach flash. Pure RAM bookkeeping — no Env, no flash cost. The
-	// device invalidates truth/persist and the flash pages itself.
+	// device rewrites the translation page and invalidates the flash pages
+	// itself.
 	Discard(lpn LPN)
 
 	// FlushDirty writes every dirty cached entry back to its translation
@@ -197,6 +212,14 @@ func OffOf(lpn LPN, entriesPerTP int) int { return int(lpn % LPN(entriesPerTP)) 
 
 // LPNAt returns the LPN of slot off in translation page v.
 func LPNAt(v VTPN, off, entriesPerTP int) LPN { return LPN(v)*LPN(entriesPerTP) + LPN(off) }
+
+// ErrBadRequest is wrapped by every error a device returns for a request the
+// host should not have sent — malformed (trace.Request.Validate) or beyond
+// the device's capacity — before it changes anything.
+var ErrBadRequest = errors.New("ftl: bad request")
+
+// badRequest wraps why a request was refused in ErrBadRequest.
+func badRequest(err error) error { return fmt.Errorf("%w: %w", ErrBadRequest, err) }
 
 // Error strings share this prefix for easy attribution in mixed logs.
 func errf(format string, args ...any) error {

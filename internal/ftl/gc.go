@@ -103,14 +103,23 @@ func (d *Device) maybeWearLevel() error {
 // affected mappings (updateGCMaps for data pages, the GTD for translation
 // pages), erase it and return it to the free list. The data moves are
 // gathered in d.gcMoves, reused by every collection: collect never re-enters
-// (maybeGC is a no-op under inGC).
-func (d *Device) collect(blk flash.BlockID) error {
+// (maybeGC is a no-op under inGC). A collection cut short by an error
+// settles the moves it made, so the live mapping follows every page the
+// chip now holds elsewhere.
+func (d *Device) collect(blk flash.BlockID) (err error) {
 	kind := d.bm.kinds[blk]
 	ppb := d.cfg.PagesPerBlock
 	validCount := d.chip.ValidCount(blk)
 	die := d.chip.DieOfBlock(blk)
 
 	moves := d.gcMoves[:0]
+	defer func() {
+		if err != nil {
+			for _, mv := range moves {
+				d.settle(mv.lpn, mv.ppn)
+			}
+		}
+	}()
 	for off := 0; off < ppb; off++ {
 		ppn := d.chip.PageAt(blk, off)
 		if d.chip.State(ppn) != flash.PageValid {
@@ -122,14 +131,18 @@ func (d *Device) collect(blk flash.BlockID) error {
 		switch meta.Kind {
 		case flash.KindData:
 			lpn := LPN(meta.Tag)
-			if d.truth[lpn] != ppn {
-				return errf("GC: stale meta: lpn %d maps to %d, victim page %d", lpn, d.truth[lpn], ppn)
+			if SanitizerEnabled {
+				if live := d.Mapped(lpn); live != ppn {
+					return errf("GC: stale meta: lpn %d maps to %d, victim page %d", lpn, live, ppn)
+				}
 			}
 			newPPN, err := d.migratePage(ppn, meta, die)
 			if err != nil {
 				return err
 			}
-			d.truth[lpn] = newPPN
+			if i := uint64(lpn - d.trimLo); i < uint64(d.trimN) {
+				d.trimPPNs[i] = newPPN
+			}
 			d.m.GCDataMigrations++
 			moves = append(moves, gcMove{lpn: lpn, ppn: newPPN})
 		case flash.KindTranslation:

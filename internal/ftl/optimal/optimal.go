@@ -36,6 +36,15 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	return f.table[lpn], nil
 }
 
+// Lookup implements ftl.Translator. An unmapped slot is left to the
+// device's persisted view, which agrees once the table is warm (a trim
+// clears both): before Warm, the slots GC has refreshed are the only ones
+// the table knows.
+func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
+	ppn := f.table[lpn]
+	return ppn, ppn.Valid()
+}
+
 // Update implements ftl.Translator.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	f.table[lpn] = ppn

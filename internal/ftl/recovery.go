@@ -6,8 +6,8 @@ import (
 
 // RecoveredState is the mapping rebuilt by a crash-recovery scan.
 type RecoveredState struct {
-	// Truth is the reconstructed LPN→PPN mapping.
-	Truth []flash.PPN
+	// Mapping is the reconstructed LPN→PPN mapping.
+	Mapping []flash.PPN
 	// GTD is the reconstructed VTPN→physical translation page directory.
 	GTD []flash.PPN
 	// ScannedPages counts the physical pages examined (the recovery cost
@@ -32,14 +32,14 @@ type RecoveredState struct {
 // must agree exactly, proving the OOB metadata alone always suffices.
 func (d *Device) RecoverMapping() (*RecoveredState, error) {
 	rs := &RecoveredState{
-		Truth: make([]flash.PPN, d.logicalPages),
-		GTD:   make([]flash.PPN, d.numTPs),
+		Mapping: make([]flash.PPN, d.logicalPages),
+		GTD:     make([]flash.PPN, d.numTPs),
 	}
-	truthSeq := make([]int64, d.logicalPages)
+	dataSeq := make([]int64, d.logicalPages)
 	gtdSeq := make([]int64, d.numTPs)
-	for i := range rs.Truth {
-		rs.Truth[i] = flash.InvalidPPN
-		truthSeq[i] = -1
+	for i := range rs.Mapping {
+		rs.Mapping[i] = flash.InvalidPPN
+		dataSeq[i] = -1
 	}
 	for i := range rs.GTD {
 		rs.GTD[i] = flash.InvalidPPN
@@ -64,9 +64,9 @@ func (d *Device) RecoverMapping() (*RecoveredState, error) {
 				if lpn < 0 || lpn >= d.logicalPages {
 					return nil, errf("recovery: data page %d tagged with lpn %d out of range", ppn, lpn)
 				}
-				if m.Seq > truthSeq[lpn] {
-					truthSeq[lpn] = m.Seq
-					rs.Truth[lpn] = ppn
+				if m.Seq > dataSeq[lpn] {
+					dataSeq[lpn] = m.Seq
+					rs.Mapping[lpn] = ppn
 				}
 			case flash.KindTranslation:
 				v := m.Tag
@@ -96,28 +96,28 @@ func (d *Device) RecoverMapping() (*RecoveredState, error) {
 	// "newer TP + unmapped slot" can never misfire on a mapping whose
 	// writeback was merely pending.
 	for lpn := int64(0); lpn < d.logicalPages; lpn++ {
-		if rs.Truth[lpn] == flash.InvalidPPN {
+		if rs.Mapping[lpn] == flash.InvalidPPN {
 			continue
 		}
 		v := int64(VTPNOf(LPN(lpn), d.entriesPerTP))
-		if gtdSeq[v] > truthSeq[lpn] && d.persist[lpn] == flash.InvalidPPN {
-			rs.Truth[lpn] = flash.InvalidPPN
+		if gtdSeq[v] > dataSeq[lpn] && d.persist[lpn] == flash.InvalidPPN {
+			rs.Mapping[lpn] = flash.InvalidPPN
 		}
 	}
 	return rs, nil
 }
 
 // VerifyRecoverable runs a recovery scan and checks it reproduces the
-// device's live mapping exactly; any divergence means the on-flash metadata
-// would not survive a power failure.
+// device's live mapping (Mapped) exactly; any divergence means the on-flash
+// metadata would not survive a power failure.
 func (d *Device) VerifyRecoverable() error {
 	rs, err := d.RecoverMapping()
 	if err != nil {
 		return err
 	}
 	for lpn := int64(0); lpn < d.logicalPages; lpn++ {
-		if rs.Truth[lpn] != d.truth[lpn] {
-			return errf("recovery: lpn %d rebuilt as %d, live %d", lpn, rs.Truth[lpn], d.truth[lpn])
+		if live := d.Mapped(LPN(lpn)); rs.Mapping[lpn] != live {
+			return errf("recovery: lpn %d rebuilt as %d, live %d", lpn, rs.Mapping[lpn], live)
 		}
 	}
 	for v := 0; v < d.numTPs; v++ {

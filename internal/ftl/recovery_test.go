@@ -86,7 +86,7 @@ func TestRecoveryDetectsDivergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutating the recovered copy must not affect the device.
-	rs.Truth[0] = 999999
+	rs.Mapping[0] = 999999
 	if err := d.VerifyRecoverable(); err != nil {
 		t.Fatal("recovered state aliased device state")
 	}

@@ -6,9 +6,11 @@ import "sync/atomic"
 
 // SanitizerEnabled reports whether this binary was built with -tags ftlsan.
 // When true, every Device host operation is followed by the full invariant
-// suite (chip bookkeeping, GTD/truth/persist consistency, and the
-// translator's own structural checks), so a corruption is caught at the
-// operation that introduced it rather than at the next test assertion.
+// suite (chip bookkeeping, GTD and live-mapping consistency against the
+// chip and the persisted view, and the translator's own structural checks),
+// and every translated page and GC victim page has its out-of-band tag
+// checked, so a corruption is caught at the operation that introduced it
+// rather than at the next test assertion.
 const SanitizerEnabled = true
 
 var sanitizerChecks atomic.Int64

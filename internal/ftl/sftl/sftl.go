@@ -149,6 +149,21 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	return p.vals[off], nil
 }
 
+// Lookup implements ftl.Translator: the cached page's slot, else the dirty
+// buffer's entry.
+func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
+	v := ftl.VTPNOf(lpn, f.ePerTP)
+	off := int32(ftl.OffOf(lpn, f.ePerTP))
+	if p := f.byVTPN[v]; p != nil {
+		return p.vals[off], true
+	}
+	ppn, ok := f.buffer[v][off]
+	if !ok {
+		ppn = flash.InvalidPPN
+	}
+	return ppn, ok
+}
+
 // loadPage reads translation page v into the cache, evicting as needed.
 // Unlike entry-granularity schemes, the page is installed in the cache
 // BEFORE any eviction runs: once resident, GC triggered by eviction

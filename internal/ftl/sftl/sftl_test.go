@@ -269,7 +269,7 @@ func TestSnapshot(t *testing.T) {
 		t.Fatalf("DirtyCached = %d", len(dc))
 	}
 	for lpn, ppn := range dc {
-		if d.Truth(lpn) != ppn {
+		if m := d.Chip().MetaOf(ppn); d.Chip().State(ppn) != flash.PageValid || m.Kind != flash.KindData || m.Tag != int64(lpn) {
 			t.Fatalf("dirty entry %d stale", lpn)
 		}
 	}

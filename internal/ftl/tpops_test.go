@@ -189,11 +189,95 @@ func TestCheckConsistencyRecountsUnmapped(t *testing.T) {
 	}
 }
 
+// TestTrimFollowsPagesItsGCMoves makes the collection a trim runs before its
+// translation-page rewrite migrate the very pages it discards: the device
+// holds their mapping between Discard and the commit, so it must follow
+// them to their new pages and invalidate those, leaving no valid copy.
+// Formatting lays LPN i at block i/16; overwriting LPNs 0–11 leaves block 0
+// the best victim, and rounds of one overwrite per later block run the
+// device down to its GC threshold without making any of those a better one.
+// The trim then discards LPNs 12–15, block 0's valid pages. The cache holds
+// every entry, so no writeback makes a translation block the victim.
+func TestTrimFollowsPagesItsGCMoves(t *testing.T) {
+	const ppb, kept = 16, 4
+	cfg := tpopsConfig(64 * ppb)
+	cfg.CacheBytes = 1 << 20
+	for _, mk := range sixTranslators(cfg) {
+		tr := mk()
+		d := newTPOpsDevice(t, cfg, tr, true)
+		write := func(lpn int64) {
+			t.Helper()
+			if _, err := d.Serve(trace.Request{Op: trace.OpWrite, Offset: lpn * tpopsPageSize, Length: tpopsPageSize}); err != nil {
+				t.Fatalf("%s: write %d: %v", tr.Name(), lpn, err)
+			}
+		}
+		for lpn := int64(0); lpn < ppb-kept; lpn++ {
+			write(lpn)
+		}
+		for lpn := int64(ppb); !d.GCDue(); lpn += ppb {
+			if lpn >= cfg.LogicalPages() {
+				lpn = lpn%ppb + 1
+				if lpn == ppb-kept {
+					t.Fatalf("%s: no GC threshold before block 0 stops being the best victim", tr.Name())
+				}
+				continue
+			}
+			write(lpn)
+		}
+		before := d.Metrics()
+		trim := trace.Request{Op: trace.OpTrim, Offset: (ppb - kept) * tpopsPageSize, Length: kept * tpopsPageSize}
+		if _, err := d.Serve(trim); err != nil {
+			t.Fatalf("%s: trim: %v", tr.Name(), err)
+		}
+		m := d.Metrics()
+		if m.GCDataCollections == before.GCDataCollections || m.TrimmedPages-before.TrimmedPages != kept {
+			t.Fatalf("%s: the trim ran %d collections and trimmed %d pages", tr.Name(),
+				m.GCDataCollections-before.GCDataCollections, m.TrimmedPages-before.TrimmedPages)
+		}
+		chip := d.Chip()
+		for p := flash.PPN(0); int64(p) < chip.Config().TotalPages(); p++ {
+			if mt := chip.MetaOf(p); chip.State(p) == flash.PageValid && mt.Kind == flash.KindData && mt.Tag >= ppb-kept && mt.Tag < ppb {
+				t.Fatalf("%s: trimmed lpn %d still has valid page %d", tr.Name(), mt.Tag, p)
+			}
+		}
+		if err := d.CheckConsistency(nil); err != nil {
+			t.Fatalf("%s: %v", tr.Name(), err)
+		}
+		if err := d.VerifyRecoverable(); err != nil {
+			t.Fatalf("%s: %v", tr.Name(), err)
+		}
+	}
+}
+
+// TestCheckConsistencyAllocatesNothing pins what lets a run check its device
+// after the replay at no cost to its memory peak: without a dirty set,
+// CheckConsistency allocates nothing, on an aged device with trimmed pages.
+func TestCheckConsistencyAllocatesNothing(t *testing.T) {
+	if !allocGuardsEnabled {
+		t.Skip("allocation guards disabled under -race / -tags ftlsan")
+	}
+	cfg := tpopsConfig(4 * 128)
+	d := newTPOpsDevice(t, cfg, core.New(core.DefaultConfig(cfg.CacheBytes)), true)
+	rng := rand.New(rand.NewSource(3))
+	for op := 0; op < 2000; op++ {
+		if _, err := d.Serve(randomHostOp(rng, cfg.LogicalPages(), int64(op)*1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := d.Metrics(); m.GCDataCollections == 0 || m.TrimmedPages == 0 {
+		t.Fatalf("%d collections, %d trimmed pages: the device is not aged", m.GCDataCollections, m.TrimmedPages)
+	}
+	var err error
+	if n := testing.AllocsPerRun(3, func() { err = d.CheckConsistency(nil) }); n != 0 || err != nil {
+		t.Fatalf("CheckConsistency(nil): %v allocations, error %v", n, err)
+	}
+}
+
 // TestCheckConsistencyDirtySetErrors doctors the dirty set a real device's
 // translator reports and expects each of the two dirty-set checks to fire: an
-// entry that disagrees with the truth (the lowest such LPN is the one named,
-// whatever order the map yields), and a page whose truth left its persisted
-// mapping behind with no dirty entry to account for it.
+// entry that disagrees with the live mapping (the lowest such LPN is the one
+// named, whatever order the map yields), and a page whose live mapping left
+// its persisted mapping behind with no dirty entry to account for it.
 func TestCheckConsistencyDirtySetErrors(t *testing.T) {
 	cfg := tpopsConfig(4 * 128)
 	tr := dftl.New(dftl.Config{CacheBytes: cfg.CacheBytes})
@@ -217,14 +301,14 @@ func TestCheckConsistencyDirtySetErrors(t *testing.T) {
 	wrong[300]++
 	wrong[140]++
 	err := d.CheckConsistency(wrong)
-	if want := fmt.Sprintf("dirty cache entry for lpn 140 holds %d, truth %d", wrong[140], dirty[140]); err == nil || !strings.Contains(err.Error(), want) {
-		t.Errorf("two dirty entries off the truth: got %v, want %q", err, want)
+	if want := fmt.Sprintf("dirty cache entry for lpn 140 holds %d, live mapping %d", wrong[140], dirty[140]); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("two dirty entries off the live mapping: got %v, want %q", err, want)
 	}
 
 	missing := maps.Clone(dirty)
 	delete(missing, 17)
 	err = d.CheckConsistency(missing)
-	if want := fmt.Sprintf("lpn 17: truth %d != persist %d with no dirty cache entry", dirty[17], d.Persisted(17)); err == nil || !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("lpn 17: live mapping %d != persist %d with no dirty cache entry", dirty[17], d.Persisted(17)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("dirty entry withheld: got %v, want %q", err, want)
 	}
 }
@@ -248,7 +332,7 @@ func (s *scribbler) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 // TestWriteThroughReadTPViewIsCaught pins what makes the zero-copy ReadTP
 // safe to hand out: the slice is device state, and a translator that writes
 // through it is caught by CheckConsistency (per operation under ftlsan) —
-// a wrong mapping by the truth/persist check, an unmapping by the recount.
+// a wrong mapping by the live/persist check, an unmapping by the recount.
 func TestWriteThroughReadTPViewIsCaught(t *testing.T) {
 	for _, scribble := range []flash.PPN{7, flash.InvalidPPN} {
 		cfg := tpopsConfig(4 * 128)
@@ -354,8 +438,8 @@ func TestSteadyStateCollectionAllocates0(t *testing.T) {
 }
 
 // TestPerPageSizesPinned keeps the per-page layout from growing back
-// unnoticed: a PPN is the paper's 4 bytes (truth, persist, the GTD and the
-// ReadTP view are arrays of them) and an entry of collect's move scratch is
+// unnoticed: a PPN is the paper's 4 bytes (persist, the GTD and the ReadTP
+// view are arrays of them) and an entry of collect's move scratch is
 // 16 bytes, four to a cache line. Two records of other packages are pinned
 // where they live: flash.TestOOBRecordIs8Bytes and
 // core.TestEntryNodeFitsCacheLine.
@@ -370,13 +454,14 @@ func TestPerPageSizesPinned(t *testing.T) {
 
 // TestBytesPerPage holds everything a 1 GiB default device allocates at
 // construction to the per-page layout, so that a widened field fails a test
-// and not a benchmark: 8 bytes per logical page (ground truth and persisted
-// view, a PPN each), 9 per physical page (the chip's state/kind byte and
-// 8-byte out-of-band record), and per block what the chip's block record and
-// the block manager's tables and free lists take — 90 bytes today, allocator
-// rounding and the Device record included, 96 allowed. That allowance is a
-// tenth of a byte per logical page above what is used; one more byte in any
-// per-page array is ten times that.
+// and not a benchmark: 4 bytes per logical page (the persisted view, a PPN;
+// the device keeps no second mapping table), 9 per physical page (the chip's
+// state/kind byte and 8-byte out-of-band record), and per block what the
+// chip's block record and the block manager's tables and free lists take —
+// 91 bytes today, allocator rounding, the Device record and its one
+// translation page of trim scratch included, 96 allowed. That allowance is
+// a tenth of a byte per logical page above what is used; one more byte in
+// any per-page array is ten times that.
 func TestBytesPerPage(t *testing.T) {
 	if !allocGuardsEnabled {
 		t.Skip("allocation guards disabled under -race / -tags ftlsan")
@@ -393,10 +478,10 @@ func TestBytesPerPage(t *testing.T) {
 	fc := d.Chip().Config()
 	logical, physical, blocks := d.Config().LogicalPages(), fc.TotalPages(), int64(fc.NumBlocks)
 	got := int64(after.TotalAlloc - before.TotalAlloc)
-	limit := 8*logical + 9*physical + 96*blocks
+	limit := 4*logical + 9*physical + 96*blocks
 	t.Logf("%d bytes for %d logical + %d physical pages in %d blocks: %.2f B per logical page (limit %.2f; per-page arrays alone %.2f)",
 		got, logical, physical, blocks, float64(got)/float64(logical), float64(limit)/float64(logical),
-		float64(8*logical+9*physical)/float64(logical))
+		float64(4*logical+9*physical)/float64(logical))
 	if got > limit {
 		t.Fatalf("NewDevice allocated %d bytes, %.2f per logical page; the layout allows %d (%.2f)",
 			got, float64(got)/float64(logical), limit, float64(limit)/float64(logical))

@@ -126,6 +126,18 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	return p.vals[off], nil
 }
 
+// Lookup implements ftl.Translator: the tier-1 entry, else the tier-2
+// page's slot.
+func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
+	if ppn, ok := f.tier1[lpn]; ok {
+		return ppn, true
+	}
+	if p, ok := f.tier2[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
+		return p.vals[ftl.OffOf(lpn, f.ePerTP)], true
+	}
+	return flash.InvalidPPN, false
+}
+
 // switchZone flushes the old zone's dirty state and activates the new zone.
 // The caches are dropped BEFORE the flash writes: a GC triggered by a flush
 // must see an empty cache (and update persisted state directly), not park

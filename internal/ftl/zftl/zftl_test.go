@@ -115,7 +115,7 @@ func TestTier1BatchEviction(t *testing.T) {
 	// by updating pages of a zone while tier 2 holds other pages... easier:
 	// Update directly (standalone).
 	for i := int64(0); i < 6; i++ {
-		if err := tr.Update(d, ftl.LPN(i), d.Truth(ftl.LPN(i))); err != nil {
+		if err := tr.Update(d, ftl.LPN(i), d.Persisted(ftl.LPN(i))); err != nil {
 			t.Fatal(err)
 		}
 	}

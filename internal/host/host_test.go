@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"repro/internal/core"
@@ -366,6 +367,19 @@ func goroutineID() string {
 	return string(bytes.Fields(buf)[1])
 }
 
+// goroutinesDownTo returns the goroutine count once it is down to want, or
+// what it still is after a second. A goroutine the replay has joined may
+// still be on its way out when the replay returns — on a loaded machine, or
+// under the race detector, long enough to be counted — but none may outlive
+// it by a second.
+func goroutinesDownTo(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
 // TestOneShardServesOnCaller pins the shape of the one-shard request path:
 // ReplayStream pulls on the calling goroutine (no router, no lanes) through
 // one Batch-sized pull buffer that a warm-up and the measured phase share,
@@ -380,6 +394,7 @@ func TestOneShardServesOnCaller(t *testing.T) {
 	base := ftl.DefaultConfig(space)
 	reqs := mixedTrace(5, 2000, space, int64(base.PageSize), 0)
 	caller := goroutineID()
+	start := runtime.NumGoroutine()
 
 	for _, procs := range []int{1, 2} {
 		func() {
@@ -405,8 +420,8 @@ func TestOneShardServesOnCaller(t *testing.T) {
 				}
 				runtime.ReadMemStats(&ms1)
 				big = bigObjects(&ms1) - bigObjects(&ms0)
-				if n := runtime.NumGoroutine(); n != before {
-					t.Errorf("GOMAXPROCS=%d: %d goroutines after ReplayStream returned, %d before", procs, n, before)
+				if n := goroutinesDownTo(before); n != before {
+					t.Errorf("GOMAXPROCS=%d: %d goroutines a second after ReplayStream returned, %d before", procs, n, before)
 				}
 				logBytes = append(logBytes, h.Device(0).LogBytes())
 			}
@@ -440,7 +455,7 @@ func TestOneShardServesOnCaller(t *testing.T) {
 		}()
 	}
 
-	before := runtime.NumGoroutine()
+	before := goroutinesDownTo(start)
 	h2 := newTestHost(t, base, 2, Options{QueueDepth: 4})
 	p2 := &probeIter{it: trace.NewSliceIterator(reqs)}
 	if _, err := h2.ReplayStream(p2, ReplayOptions{Batch: batch}); err != nil {

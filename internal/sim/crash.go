@@ -227,7 +227,7 @@ func (o CrashOptions) runOneCut(space int64, reqs []trace.Request, cut int64) (*
 		case trace.OpWrite, trace.OpWriteFUA:
 			first, last := reqs[i].Pages(pageSize)
 			for lpn := first; lpn <= last; lpn++ {
-				ppn := dev.Truth(ftl.LPN(lpn))
+				ppn := dev.Mapped(ftl.LPN(lpn))
 				acked[ftl.LPN(lpn)] = dev.Chip().MetaOf(ppn).Seq
 				delete(trimmed, ftl.LPN(lpn))
 			}
@@ -264,10 +264,11 @@ func (o CrashOptions) runOneCut(space int64, reqs []trace.Request, cut int64) (*
 	res.ScannedPages = rs.ScannedPages
 
 	// (a) Exact match against the live state at the cut instant: the
-	// device applies truth/GTD updates only after the corresponding chip
-	// op succeeded, so whatever it exposes must be reconstructible.
+	// device changes its mapping and GTD only after the corresponding chip
+	// op succeeded, and settles what an op cut short already moved, so
+	// whatever it exposes must be reconstructible.
 	for lpn := int64(0); lpn < dev.NumLPNs(); lpn++ {
-		if got, live := rs.Truth[lpn], dev.Truth(ftl.LPN(lpn)); got != live {
+		if got, live := rs.Mapping[lpn], dev.Mapped(ftl.LPN(lpn)); got != live {
 			return nil, fmt.Errorf("recovered lpn %d as ppn %d, live state says %d", lpn, got, live)
 		}
 	}
@@ -282,7 +283,7 @@ func (o CrashOptions) runOneCut(space int64, reqs []trace.Request, cut int64) (*
 	// legitimately have moved it to a newer physical page).
 	//ftl:orderinsensitive read-only durability check; any violated LPN is a valid witness
 	for lpn, seq := range acked {
-		ppn := rs.Truth[lpn]
+		ppn := rs.Mapping[lpn]
 		if ppn == flash.InvalidPPN {
 			return nil, fmt.Errorf("acknowledged write to lpn %d lost in recovery", lpn)
 		}
@@ -300,8 +301,8 @@ func (o CrashOptions) runOneCut(space int64, reqs []trace.Request, cut int64) (*
 	// was not rewritten) must stay unmapped after recovery — the on-flash
 	// state must never resurrect the pre-trim data.
 	for lpn := range trimmed {
-		if rs.Truth[lpn] != flash.InvalidPPN {
-			return nil, fmt.Errorf("trimmed lpn %d resurrected as ppn %d after recovery", lpn, rs.Truth[lpn])
+		if rs.Mapping[lpn] != flash.InvalidPPN {
+			return nil, fmt.Errorf("trimmed lpn %d resurrected as ppn %d after recovery", lpn, rs.Mapping[lpn])
 		}
 	}
 	res.TrimmedPages = len(trimmed)

@@ -20,16 +20,16 @@ func crashOptions(s Scheme) CrashOptions {
 	}
 }
 
-// TestCrashRecoveryProperty is the tentpole property: across three schemes
-// and 200+ random power-cut points, the mapping rebuilt from OOB metadata
-// alone must equal the live state at the cut and preserve every
-// acknowledged write. RunCrash fails loudly on any divergence.
+// TestCrashRecoveryProperty is the tentpole property: across all six
+// demand-based schemes and 400+ random power-cut points, the mapping rebuilt
+// from OOB metadata alone must equal the live state at the cut and preserve
+// every acknowledged write. RunCrash fails loudly on any divergence.
 func TestCrashRecoveryProperty(t *testing.T) {
 	cuts := 70
 	if testing.Short() {
 		cuts = 5
 	}
-	for _, s := range []Scheme{SchemeTPFTL, SchemeDFTL, SchemeSFTL} {
+	for _, s := range []Scheme{SchemeTPFTL, SchemeDFTL, SchemeSFTL, SchemeCDFTL, SchemeZFTL, SchemeOptimal} {
 		s := s
 		t.Run(string(s), func(t *testing.T) {
 			t.Parallel()
@@ -166,8 +166,8 @@ func FuzzCrashRecovery(f *testing.F) {
 
 // TestCrashRecoveryTrimFlush replays the host-interface profiles —
 // fstrim-heavy (discards interleaved with I/O) and database-fsync (flush
-// barriers plus FUA writes) — through the crash harness on the three main
-// schemes. Beyond the baseline (a)/(b) contracts, every cut point now also
+// barriers plus FUA writes) — through the crash harness on all six
+// demand-based schemes. Beyond the baseline (a)/(b) contracts, every cut point now also
 // verifies (c) no trimmed page resurrects and (d) every acknowledged flush
 // left the mapping cache clean; the assertions below make sure those checks
 // actually fired (non-vacuous trim and flush coverage).
@@ -176,7 +176,7 @@ func TestCrashRecoveryTrimFlush(t *testing.T) {
 	if testing.Short() {
 		cuts = 4
 	}
-	for _, s := range []Scheme{SchemeTPFTL, SchemeDFTL, SchemeSFTL} {
+	for _, s := range []Scheme{SchemeTPFTL, SchemeDFTL, SchemeSFTL, SchemeCDFTL, SchemeZFTL, SchemeOptimal} {
 		for _, p := range []workload.Profile{workload.FstrimHeavy(), workload.DatabaseFsync()} {
 			s, p := s, p
 			t.Run(string(s)+"/"+p.Name, func(t *testing.T) {

