@@ -50,12 +50,17 @@ lint: bin/ftlint
 sanitize:
 	$(GO) test -tags ftlsan -short ./...
 
-# Short fuzz pass over the crash-recovery property (seed corpus always runs
-# under plain `go test`; this explores beyond it). Built with -tags ftlsan so
-# every fuzz-discovered sequence also runs under the per-op invariant checks.
+# Short fuzz passes over the crash-recovery property and the two oracles (the
+# seed corpora always run under plain `go test`; this explores beyond them):
+# the reference model, which catches a mistranslated entry that lands on
+# another page's valid data, and arbitrary host requests, each served or
+# refused with ftl.ErrBadRequest. Built with -tags ftlsan so every
+# fuzz-discovered sequence also runs under the per-op invariant checks.
 fuzz:
 	$(GO) test -tags ftlsan ./internal/sim -run '^$$' -fuzz FuzzCrashRecovery -fuzztime 30s
 	$(GO) test -tags ftlsan ./internal/sim -run '^$$' -fuzz FuzzCrashTrimFlush -fuzztime 30s
+	$(GO) test -tags ftlsan ./internal/sim -run '^$$' -fuzz FuzzReferenceModel -fuzztime 30s
+	$(GO) test -tags ftlsan ./internal/ftl -run '^$$' -fuzz FuzzDeviceRequests -fuzztime 30s
 
 # bench-ci is a short-budget run of the referee benchmark itself (bench/,
 # BENCHMARK.json — the instrument PRs are judged by): run.sh builds bench/ from

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -250,20 +251,49 @@ func TestEntrySlotsBoundedByLogicalPages(t *testing.T) {
 	}
 }
 
-// TestEntryNodeFitsCacheLine pins the entry node's size next to the
-// allocation guards: with a 4-byte PPN a node is one 64-byte line, so a walk
-// over a TP node's entries touches one line per entry.
-func TestEntryNodeFitsCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(entryNode{}); got > 64 {
-		t.Fatalf("entryNode is %d bytes, want at most 64", got)
+// TestEntryNodeIsHalfACacheLineWithNoPointers pins the entry node's layout
+// next to the allocation guards. A node is at most 32 bytes, two to a 64-byte
+// line. No field of it may hold a pointer, at any depth: one would make the
+// garbage collector scan the whole slab again and put a write barrier on
+// every link store.
+func TestEntryNodeIsHalfACacheLineWithNoPointers(t *testing.T) {
+	if got := unsafe.Sizeof(entryNode{}); got > 32 {
+		t.Fatalf("entryNode is %d bytes, want at most 32", got)
 	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+			reflect.Interface, reflect.String, reflect.Chan, reflect.Func:
+			t.Errorf("entryNode%s is a %s, which holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		}
+	}
+	walk("", reflect.TypeFor[entryNode]())
+}
+
+// entriesOf returns tp's entries, MRU to LRU, walked by slab position.
+func entriesOf(f *FTL, tp *tpNode) []*entryNode {
+	var out []*entryNode
+	for i := tp.head; i >= 0; i = f.eslab.nodes[i].next {
+		out = append(out, &f.eslab.nodes[i])
+	}
+	return out
 }
 
 // TestCheckInvariantsAuditsIndexAndSlab breaks the positional index one way
 // at a time — an offset slot that names no node, the wrong node or a node
 // that is gone, a position free twice, free and linked, free but never handed
-// out, or neither free nor linked — and expects CheckInvariants to refuse
-// each and to accept the cache again once the damage is undone.
+// out, or neither free nor linked — and then the entry lists' links — a prev
+// that does not point back, a head with a prev, a tail with a next or that is
+// not the last node, a count the list does not hold, a free node still
+// linked — and expects CheckInvariants to refuse each and to accept the cache
+// again once the damage is undone.
 func TestCheckInvariantsAuditsIndexAndSlab(t *testing.T) {
 	d, tr := newTPFTLDevice(t, DefaultConfig(0), 512)
 	rng := rand.New(rand.NewSource(3))
@@ -285,11 +315,24 @@ func TestCheckInvariantsAuditsIndexAndSlab(t *testing.T) {
 		t.Fatalf("set-up left %d free positions", len(tr.eslab.free))
 	}
 	tp := tr.pages.Front().Value
-	e := tp.entries.Front().Value
-	other := tp.entries.Back().Value
+	e := &tr.eslab.nodes[tp.head]
+	other := &tr.eslab.nodes[tp.tail]
 	if e == other {
-		other = tr.pages.Back().Value.entries.Front().Value
+		other = &tr.eslab.nodes[tr.pages.Back().Value.head]
 	}
+	// A TP node with at least three entries, for the broken links.
+	var lt *tpNode
+	for n := tr.pages.Front(); n != nil && lt == nil; n = n.Next() {
+		if n.Value.count >= 3 {
+			lt = n.Value
+		}
+	}
+	if lt == nil {
+		t.Fatal("set-up left no tp node with three entries")
+	}
+	head, tail := &tr.eslab.nodes[lt.head], &tr.eslab.nodes[lt.tail]
+	second := &tr.eslab.nodes[head.next]
+	freed := &tr.eslab.nodes[tr.eslab.free[0]]
 	staleOff := int32(0)
 	for tp.byOff[staleOff] != 0 {
 		staleOff++
@@ -315,6 +358,20 @@ func TestCheckInvariantsAuditsIndexAndSlab(t *testing.T) {
 			func() { tr.eslab.free = append(free[:len(free):len(free)], int32(len(tr.eslab.nodes))) }, func() { tr.eslab.free = free }},
 		{"position neither free nor linked",
 			func() { tr.eslab.free = free[:len(free)-1] }, func() { tr.eslab.free = free }},
+		{"next node whose prev does not point back",
+			func() { second.prev = tail.idx }, func() { second.prev = head.idx }},
+		{"head with a prev",
+			func() { head.prev = tail.idx }, func() { head.prev = -1 }},
+		{"tail with a next",
+			func() { tail.next = freed.idx }, func() { tail.next = -1 }},
+		{"tail that is not the last node",
+			func() { lt.tail = second.idx }, func() { lt.tail = tail.idx }},
+		{"count above the linked entries",
+			func() { lt.count++ }, func() { lt.count-- }},
+		{"free node still linked forward",
+			func() { freed.next = head.idx }, func() { freed.next = -1 }},
+		{"free node still linked back",
+			func() { freed.prev = head.idx }, func() { freed.prev = -1 }},
 	} {
 		c.corrupt()
 		if err := tr.CheckInvariants(); err == nil {

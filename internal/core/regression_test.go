@@ -155,8 +155,8 @@ func checkCache(t *testing.T, f *FTL, env *stubEnv, want map[ftl.VTPN][]int32, r
 	t.Helper()
 	got := map[ftl.VTPN][]int32{}
 	for n := f.pages.Front(); n != nil; n = n.Next() {
-		for en := n.Value.entries.Front(); en != nil; en = en.Next() {
-			got[n.Value.vtpn] = append(got[n.Value.vtpn], en.Value.off)
+		for _, e := range entriesOf(f, n.Value) {
+			got[n.Value.vtpn] = append(got[n.Value.vtpn], e.off)
 		}
 	}
 	if !maps.EqualFunc(got, want, slices.Equal) {

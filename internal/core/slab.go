@@ -21,11 +21,14 @@ import (
 
 // entrySlab holds every entry node of the cache in one array, allocated once
 // at the most entries the cache can ever hold and never reallocated. Nodes
-// therefore never move: the lru links between them stay pointers, and a TP
-// node's offset table stores a node's position (4 bytes) where it stored its
-// address (8). Positions are handed out in order, so the array's memory is
-// first touched as the cache first fills — a budget far larger than the
-// working set costs address space, not resident pages.
+// therefore never move, and everything that names one names it by its
+// position (4 bytes) rather than its address (8): a TP node's offset table,
+// its list's head and tail, and each node's links to its neighbours. With no
+// pointer in it, the array is memory the garbage collector never scans, and
+// relinking a node stores integers, with no write barrier. Positions are
+// handed out in order, so the array's memory is first touched as the cache
+// first fills — a budget far larger than the working set costs address space,
+// not resident pages.
 type entrySlab struct {
 	nodes []entryNode // len: positions handed out so far; cap: the most there can be
 	free  []int32     // released positions, reused LIFO before a new one is handed out; same cap
@@ -44,8 +47,7 @@ func (s *entrySlab) get() *entryNode {
 	i := len(s.nodes)
 	s.nodes = s.nodes[:i+1]
 	e := &s.nodes[i]
-	e.node.Value = e // set once; the node identity never changes
-	e.idx = int32(i)
+	e.idx = int32(i) // set once; the node's position never changes
 	resetEntry(e)
 	return e
 }
@@ -57,13 +59,70 @@ func (s *entrySlab) put(e *entryNode) {
 	s.free = append(s.free, e.idx)
 }
 
-// resetEntry restores the sentinel state a free entry node must carry.
+// resetEntry restores the sentinel state a free entry node must carry: no
+// links, and off -1, which marks it as in no list.
 func resetEntry(e *entryNode) {
-	e.owner = nil
+	e.prev, e.next = -1, -1
 	e.off = -1
 	e.ppn = flash.InvalidPPN
 	e.dirty = false
 	e.stamp = 0
+}
+
+// The entry-level lists: one per TP node, MRU (head) to LRU (tail), linked
+// through the slab positions of its nodes, -1 for none.
+
+// pushFront links e, which is in no list, at the MRU end of tp's entries.
+func (s *entrySlab) pushFront(tp *tpNode, e *entryNode) {
+	e.prev, e.next = -1, tp.head
+	if tp.head >= 0 {
+		s.nodes[tp.head].prev = e.idx
+	} else {
+		tp.tail = e.idx
+	}
+	tp.head = e.idx
+	tp.count++
+}
+
+// unlink removes e from tp's entries.
+func (s *entrySlab) unlink(tp *tpNode, e *entryNode) {
+	if e.prev >= 0 {
+		s.nodes[e.prev].next = e.next
+	} else {
+		tp.head = e.next
+	}
+	if e.next >= 0 {
+		s.nodes[e.next].prev = e.prev
+	} else {
+		tp.tail = e.prev
+	}
+	e.prev, e.next = -1, -1
+	tp.count--
+}
+
+// moveToFront makes e, one of tp's entries, the MRU one. An e that is not
+// the head has a prev, and the list another node to be its next.
+func (s *entrySlab) moveToFront(tp *tpNode, e *entryNode) {
+	if tp.head == e.idx {
+		return
+	}
+	s.nodes[e.prev].next = e.next
+	if e.next >= 0 {
+		s.nodes[e.next].prev = e.prev
+	} else {
+		tp.tail = e.prev
+	}
+	s.nodes[tp.head].prev = e.idx
+	e.prev, e.next = -1, tp.head
+	tp.head = e.idx
+}
+
+// prevClean returns the position of the first clean entry from position i
+// toward the MRU end, i included, or -1.
+func (s *entrySlab) prevClean(i int32) int32 {
+	for ; i >= 0 && s.nodes[i].dirty; i = s.nodes[i].prev {
+	}
+	return i
 }
 
 // check audits the slab: every position handed out is exactly one of free
@@ -84,18 +143,18 @@ func (s *entrySlab) check(live int) error {
 	}
 	for i := range s.nodes {
 		e := &s.nodes[i]
-		if e.node.Value != e || int(e.idx) != i {
+		if int(e.idx) != i {
 			return fmt.Errorf("tpftl: entry node at slab position %d lost its identity (idx %d)", i, e.idx)
 		}
 		switch {
 		case !onFree[i]:
-			if !e.node.InList() {
+			if e.off < 0 {
 				return fmt.Errorf("tpftl: slab position %d is neither free nor linked", i)
 			}
-		case e.node.InList():
-			return fmt.Errorf("tpftl: free entry node still linked in a list")
-		case e.owner != nil || e.off != -1 || e.ppn != flash.InvalidPPN || e.dirty || e.stamp != 0:
-			return fmt.Errorf("tpftl: free entry node not reset (owner=%v off=%d dirty=%v stamp=%d)", e.owner != nil, e.off, e.dirty, e.stamp)
+		case e.prev != -1 || e.next != -1:
+			return fmt.Errorf("tpftl: free entry node at slab position %d still has links (prev %d, next %d)", i, e.prev, e.next)
+		case e.off != -1 || e.ppn != flash.InvalidPPN || e.dirty || e.stamp != 0:
+			return fmt.Errorf("tpftl: free entry node not reset (off=%d dirty=%v stamp=%d)", e.off, e.dirty, e.stamp)
 		}
 	}
 	if linked := len(s.nodes) - len(s.free); linked != live {
@@ -170,6 +229,7 @@ func (s *tpSlab) put(tp *tpNode) {
 // and dirtyBits are kept: they are already zero (see tpSlab doc).
 func resetTPNode(tp *tpNode) {
 	tp.vtpn = -1
+	tp.head, tp.tail = -1, -1
 	tp.dirty = 0
 	tp.stampSum = 0
 }
@@ -189,8 +249,8 @@ func (s *tpSlab) check() error {
 		if tp.node.InList() {
 			return fmt.Errorf("tpftl: free tp node still linked in a list")
 		}
-		if tp.entries.Len() != 0 {
-			return fmt.Errorf("tpftl: free tp node still holds %d entries", tp.entries.Len())
+		if tp.count != 0 || tp.head != -1 || tp.tail != -1 {
+			return fmt.Errorf("tpftl: free tp node still holds %d entries (head %d, tail %d)", tp.count, tp.head, tp.tail)
 		}
 		if tp.vtpn != -1 || tp.dirty != 0 || tp.stampSum != 0 {
 			return fmt.Errorf("tpftl: free tp node not reset (vtpn=%d dirty=%d stampSum=%d)", tp.vtpn, tp.dirty, tp.stampSum)

@@ -128,16 +128,17 @@ func (c Config) VariantName() string {
 
 // entryNode is one cached mapping entry (§4.1's entry node). Nodes live in
 // the entry slab (entrySlab) and are recycled through a free list on
-// eviction; outside a list they carry the reset sentinel state (owner nil,
-// off -1, ppn invalid) so stale bits cannot leak into a reuse.
+// eviction; outside a list they carry the reset sentinel state (no links,
+// off -1, ppn invalid) so stale bits cannot leak into a reuse. The node holds
+// no pointer: its links are slab positions, so it is 32 bytes, two to a
+// cache line, in memory the garbage collector does not scan.
 type entryNode struct {
-	node  lru.Node[*entryNode] // links within its TP node's entry-level list
-	owner *tpNode
-	off   int32 // offset within the translation page (the compressed LPN)
-	ppn   flash.PPN
-	idx   int32 // the node's position in the slab; set once
-	dirty bool
-	stamp uint64 // last-access timestamp (HotnessAvg ordering)
+	prev, next int32 // slab positions of the neighbours in its TP node's entry list, -1 for none
+	off        int32 // offset within the translation page (the compressed LPN); -1 when free
+	ppn        flash.PPN
+	idx        int32 // the node's position in the slab; set once
+	dirty      bool
+	stamp      uint64 // last-access timestamp (HotnessAvg ordering)
 }
 
 // tpNode clusters the cached entries of one translation page (§4.1). Like
@@ -150,13 +151,14 @@ type entryNode struct {
 // the offset, not the LPN — applied to the cache's own index). dirtyBits lets
 // the batch writebacks find the dirty entries in O(ePerTP/64 + dirty).
 type tpNode struct {
-	node      lru.Node[*tpNode] // links within the page-level list
-	vtpn      ftl.VTPN
-	entries   lru.List[*entryNode] // entry-level LRU, MRU..LRU
-	byOff     []int32              // dense offset→slab position+1 table, kept (all zero) across recycles
-	dirtyBits []uint64             // offset bitmap of the dirty entries, kept (all zero) across recycles
-	dirty     int                  // dirty entry count: the bitmap's population
-	stampSum  uint64               // Σ entry stamps; avg = stampSum/len (HotnessAvg)
+	node       lru.Node[*tpNode] // links within the page-level list
+	vtpn       ftl.VTPN
+	head, tail int32    // slab positions of the entry list's MRU and LRU ends, -1 when empty
+	count      int32    // entries in the list
+	byOff      []int32  // dense offset→slab position+1 table, kept (all zero) across recycles
+	dirtyBits  []uint64 // offset bitmap of the dirty entries, kept (all zero) across recycles
+	dirty      int      // dirty entry count: the bitmap's population
+	stampSum   uint64   // Σ entry stamps; avg = stampSum/count (HotnessAvg)
 }
 
 // markDirty makes e, an entry of tp, dirty.
@@ -196,10 +198,10 @@ func (f *FTL) appendDirty(tp *tpNode, keep *entryNode, ups []ftl.EntryUpdate) ([
 }
 
 func (tp *tpNode) avgStamp() float64 {
-	if tp.entries.Len() == 0 {
+	if tp.count == 0 {
 		return 0
 	}
-	return float64(tp.stampSum) / float64(tp.entries.Len())
+	return float64(tp.stampSum) / float64(tp.count)
 }
 
 // FTL is the TPFTL translator. Create with New.
@@ -407,7 +409,7 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 			if coldest := f.pages.Back(); coldest != nil {
 				tpc := coldest.Value
 				cold = tpc.vtpn
-				freeable = int64(tpc.entries.Len())*f.entryBytes + f.nodeBytes
+				freeable = int64(tpc.count)*f.entryBytes + f.nodeBytes
 			}
 			if victimNode >= 0 && cold != victimNode {
 				extras = extras[:0]
@@ -532,7 +534,7 @@ func (f *FTL) prefetchSet(tp *tpNode, lpn ftl.LPN, off, pageEnd int32) []int32 {
 
 // touch records an access to e and restores the page-level ordering.
 func (f *FTL) touch(tp *tpNode, e *entryNode) {
-	tp.entries.MoveToFront(&e.node)
+	f.eslab.moveToFront(tp, e)
 	f.stamp++
 	tp.stampSum += f.stamp - e.stamp
 	e.stamp = f.stamp
@@ -652,9 +654,9 @@ func (f *FTL) stepCounter(delta int) {
 // mantissa).
 func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryNode {
 	e := f.eslab.get()
-	e.owner, e.off, e.ppn = tp, off, ppn
+	e.off, e.ppn = off, ppn
 	tp.byOff[off] = e.idx + 1
-	tp.entries.PushFront(&e.node)
+	f.eslab.pushFront(tp, e)
 	if dirty {
 		tp.markDirty(e)
 	}
@@ -666,18 +668,17 @@ func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryN
 	return e
 }
 
-// removeEntry unlinks e and recycles it; the TP node is dropped when it
-// empties.
-func (f *FTL) removeEntry(e *entryNode) {
-	tp := e.owner
-	tp.entries.Remove(&e.node)
+// removeEntry unlinks e from tp, its TP node, and recycles it; tp is dropped
+// when it empties.
+func (f *FTL) removeEntry(tp *tpNode, e *entryNode) {
+	f.eslab.unlink(tp, e)
 	tp.byOff[e.off] = 0
 	tp.stampSum -= e.stamp
 	tp.markClean(e)
 	f.eslab.put(e)
 	f.entries--
 	f.used -= f.entryBytes
-	if tp.entries.Len() == 0 {
+	if tp.count == 0 {
 		f.dropTPNode(tp)
 		return
 	}
@@ -720,28 +721,28 @@ func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 	}
 
 	var victim *entryNode
-	for n := tp.entries.Back(); ; {
+	for i := tp.tail; ; {
 		if f.cfg.CleanFirst {
 			// LRU clean entry of the coldest TP node; LRU dirty as
-			// fallback. Every entry behind n is dirty.
-			if n = prevClean(n); n == nil {
-				n = tp.entries.Back()
+			// fallback. Every entry behind i is dirty.
+			if i = f.eslab.prevClean(i); i < 0 {
+				i = tp.tail
 			}
 		}
-		victim = n.Value
+		victim = &f.eslab.nodes[i]
 		env.NoteReplacement(victim.dirty)
 		if victim.dirty {
 			break
 		}
-		next := n.Prev() // read before removeEntry unlinks n
-		f.removeEntry(victim)
+		next := victim.prev // read before removeEntry unlinks the victim
+		f.removeEntry(tp, victim)
 		if f.used <= floor || f.pages.Back() != &tp.node {
 			return true, nil
 		}
 		if f.cfg.CleanFirst {
-			n = next
+			i = next
 		} else {
-			n = tp.entries.Back()
+			i = tp.tail
 		}
 	}
 
@@ -760,23 +761,12 @@ func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 	// Unlink the victim and clear dirty state BEFORE the flash write: the
 	// write can trigger GC, and GC may re-dirty surviving entries with
 	// fresher values that must not be clobbered afterwards.
-	f.removeEntry(victim)
+	f.removeEntry(tp, victim)
 	env.NoteBatchWriteback(cleaned)
 	if err := env.WriteTP(v, updates, false); err != nil {
 		return false, err
 	}
 	return true, nil
-}
-
-// prevClean returns the first clean entry from n toward the MRU end, n
-// included, or nil.
-func prevClean(n *lru.Node[*entryNode]) *lru.Node[*entryNode] {
-	for ; n != nil; n = n.Prev() {
-		if !n.Value.dirty {
-			return n
-		}
-	}
-	return nil
 }
 
 // Update implements ftl.Translator.
@@ -837,7 +827,7 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 	}
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 	if e := f.entryAt(tp, off); e != nil {
-		f.removeEntry(e)
+		f.removeEntry(tp, e)
 	}
 }
 
@@ -912,16 +902,21 @@ func (f *FTL) Snapshot() ftl.CacheSnapshot {
 }
 
 // DirtyCached returns the LPN→PPN map of dirty cached entries for
-// Device.CheckConsistency.
+// Device.CheckConsistency. It reads the dirty bitmaps, not the entry lists:
+// the ftlsan build calls it before CheckInvariants, which must be the one to
+// report a broken link or a bit with no entry, not loop or fail on it.
 func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
 	out := make(map[ftl.LPN]flash.PPN)
 	for v, tp := range f.byVTPN {
 		if tp == nil {
 			continue
 		}
-		for n := tp.entries.Front(); n != nil; n = n.Next() {
-			if e := n.Value; e.dirty {
-				out[ftl.LPNAt(ftl.VTPN(v), int(e.off), f.ePerTP)] = e.ppn
+		for w, word := range tp.dirtyBits {
+			for ; word != 0; word &= word - 1 {
+				off := w<<6 + bits.TrailingZeros64(word)
+				if e := f.entryAt(tp, int32(off)); e != nil {
+					out[ftl.LPNAt(ftl.VTPN(v), off, f.ePerTP)] = e.ppn
+				}
 			}
 		}
 	}
@@ -943,20 +938,30 @@ func (f *FTL) CheckInvariants() error {
 		if f.tpAt(tp.vtpn) != tp {
 			return fmt.Errorf("tpftl: tp node %d not in index", tp.vtpn)
 		}
-		if tp.entries.Len() == 0 {
+		if tp.count == 0 {
 			return fmt.Errorf("tpftl: empty tp node %d still linked", tp.vtpn)
 		}
-		dirty := 0
+		// The entry list, walked by position: each node's prev names the
+		// node before it (-1 for the head), the walk ends at the tail, and
+		// it meets exactly count nodes.
+		dirty, walked := 0, int32(0)
 		var sum uint64
-		for en := tp.entries.Front(); en != nil; en = en.Next() {
-			e := en.Value
-			if e.owner != tp {
-				return fmt.Errorf("tpftl: entry %d/%d has wrong owner", tp.vtpn, e.off)
+		prev := int32(-1)
+		for i := tp.head; i >= 0; prev, i = i, f.eslab.nodes[i].next {
+			if int(i) >= len(f.eslab.nodes) {
+				return fmt.Errorf("tpftl: tp %d entry list links to slab position %d, only %d handed out", tp.vtpn, i, len(f.eslab.nodes))
 			}
-			if int(e.idx) >= len(f.eslab.nodes) || &f.eslab.nodes[e.idx] != e {
+			if walked++; walked > tp.count {
+				return fmt.Errorf("tpftl: tp %d entry list runs past its count %d", tp.vtpn, tp.count)
+			}
+			e := &f.eslab.nodes[i]
+			if e.prev != prev {
+				return fmt.Errorf("tpftl: tp %d entry list: position %d follows %d but links back to %d", tp.vtpn, i, prev, e.prev)
+			}
+			if e.idx != i {
 				return fmt.Errorf("tpftl: entry %d/%d is not the node at its slab position %d", tp.vtpn, e.off, e.idx)
 			}
-			if int(e.off) >= len(tp.byOff) || tp.byOff[e.off] != e.idx+1 {
+			if e.off < 0 || int(e.off) >= len(tp.byOff) || tp.byOff[e.off] != e.idx+1 {
 				return fmt.Errorf("tpftl: entry %d/%d not in offset index", tp.vtpn, e.off)
 			}
 			if bit := tp.dirtyBits[e.off>>6]>>(e.off&63)&1 != 0; bit != e.dirty {
@@ -967,6 +972,12 @@ func (f *FTL) CheckInvariants() error {
 			}
 			sum += e.stamp
 			entries++
+		}
+		if prev != tp.tail {
+			return fmt.Errorf("tpftl: tp %d entry list ends at position %d, tail is %d", tp.vtpn, prev, tp.tail)
+		}
+		if walked != tp.count {
+			return fmt.Errorf("tpftl: tp %d entry list holds %d entries, count %d", tp.vtpn, walked, tp.count)
 		}
 		if dirty != tp.dirty {
 			return fmt.Errorf("tpftl: tp %d dirty count %d, counted %d", tp.vtpn, tp.dirty, dirty)
@@ -989,10 +1000,10 @@ func (f *FTL) CheckInvariants() error {
 				live++
 			}
 		}
-		if live != tp.entries.Len() {
-			return fmt.Errorf("tpftl: tp %d offset table has %d live slots, list %d (stale slot after recycle?)", tp.vtpn, live, tp.entries.Len())
+		if live != int(tp.count) {
+			return fmt.Errorf("tpftl: tp %d offset table has %d live slots, list %d (stale slot after recycle?)", tp.vtpn, live, tp.count)
 		}
-		used += int64(tp.entries.Len())*f.entryBytes + f.nodeBytes
+		used += int64(tp.count)*f.entryBytes + f.nodeBytes
 	}
 	if entries != f.entries {
 		return fmt.Errorf("tpftl: entry count %d, counted %d", f.entries, entries)

@@ -53,9 +53,9 @@ func dirtyTailCache(t *testing.T, cfg Config) (*FTL, *recordingEnv) {
 	tp := f.byVTPN[0]
 	var offs []int32
 	var dirty []bool
-	for n := tp.entries.Front(); n != nil; n = n.Next() {
-		offs = append(offs, n.Value.off)
-		dirty = append(dirty, n.Value.dirty)
+	for _, e := range entriesOf(f, tp) {
+		offs = append(offs, e.off)
+		dirty = append(dirty, e.dirty)
 	}
 	if !slices.Equal(offs, []int32{9, 8, 7, 3, 2, 1}) ||
 		!slices.Equal(dirty, []bool{false, false, false, true, true, true}) || tp.dirty != 3 {
@@ -98,8 +98,8 @@ func TestEvictOneBatchWalkReachesDirtyTail(t *testing.T) {
 	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(byOffset(env.batches[0]), wantDirty) {
 		t.Fatalf("WriteTP batches %v on pages %v, want one batch of %v on page 0", env.batches, env.vtpns, wantDirty)
 	}
-	if tp := f.byVTPN[0]; tp.entries.Len() != 5 || tp.byOff[1] != 0 {
-		t.Fatalf("victim off 1 still cached (%d entries)", tp.entries.Len())
+	if tp := f.byVTPN[0]; tp.count != 5 || tp.byOff[1] != 0 {
+		t.Fatalf("victim off 1 still cached (%d entries)", tp.count)
 	}
 	checkClean(t, f)
 }

@@ -442,7 +442,7 @@ func TestSteadyStateCollectionAllocates0(t *testing.T) {
 // view are arrays of them) and an entry of collect's move scratch is
 // 16 bytes, four to a cache line. Two records of other packages are pinned
 // where they live: flash.TestOOBRecordIs8Bytes and
-// core.TestEntryNodeFitsCacheLine.
+// core.TestEntryNodeIsHalfACacheLineWithNoPointers.
 func TestPerPageSizesPinned(t *testing.T) {
 	if got := unsafe.Sizeof(flash.PPN(0)); got != 4 {
 		t.Errorf("flash.PPN is %d bytes, want 4", got)
