@@ -89,7 +89,7 @@ bench-test:
 # Host-interface smoke: run the trim-heavy and fsync-heavy profiles end to
 # end (generated workload → buffer → device → metrics), then verify the
 # discard and flush crash contracts at random power-cut points. Catches a
-# translator whose Discard/FlushDirty path regressed without waiting for
+# translator whose Discard or flush path regressed without waiting for
 # the full test suite.
 bin/ftlsim: FORCE
 	$(GO) build -o bin/ftlsim ./cmd/ftlsim

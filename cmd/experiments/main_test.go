@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,8 +47,8 @@ func TestExperimentsGolden(t *testing.T) {
 	}
 }
 
-// checkShapes asserts the cache sweep's and Fig. 10's shapes on the JSON the
-// golden run wrote:
+// checkShapes asserts the cache sweep's, the ablation's and Fig. 10's shapes
+// on the JSON the golden run wrote:
 //   - TPFTL's hit ratio never falls as the cache grows, on each workload
 //     (Fig. 9a);
 //   - Prd is 0 with the whole table cached, and no higher there than at
@@ -55,7 +56,13 @@ func TestExperimentsGolden(t *testing.T) {
 //     Financial2 reads 6.2 % at 1/128 and 6.7 % at 1/64, so only the two
 //     ends are compared;
 //   - every Fig. 10 improvement of TPFTL over DFTL lies in [0, 0.33]: the
-//     6-byte entry caches at most a third more than the 8-byte one.
+//     6-byte entry caches at most a third more than the 8-byte one;
+//   - the §5.2(5) ablation (Figs. 7b/7c/8a): batch update (b) more than
+//     halves the bare variant's (–) Prd, and clean-first (c) moves it less
+//     than b does; request-level prefetching (r) raises the hit ratio above
+//     –'s; – hits at least as often as DFTL; rsbc has the lowest response
+//     time of the TPFTL variants. rsbc's Prd is not compared with bc's: at
+//     this scale it is above bc's by 0.001, too close to pin.
 func checkShapes(t *testing.T, blob []byte) {
 	t.Helper()
 	var doc struct {
@@ -69,6 +76,11 @@ func checkShapes(t *testing.T, blob []byte) {
 			Fraction    float64
 			Improvement float64
 		} `json:"fig10"`
+		Ablation []struct {
+			Variant string
+			Prd, Hr float64
+			Resp    int64
+		} `json:"ablation"`
 	}
 	if err := json.Unmarshal(blob, &doc); err != nil {
 		t.Fatal(err)
@@ -105,6 +117,38 @@ func checkShapes(t *testing.T, blob []byte) {
 		if c.Improvement < 0 || c.Improvement > 0.33 {
 			t.Errorf("%s at %v: Fig. 10 improvement %.4f outside [0, 0.33]", c.Workload, c.Fraction, c.Improvement)
 		}
+	}
+
+	cell := map[string]int{}
+	for i, c := range doc.Ablation {
+		cell[c.Variant] = i
+	}
+	for _, v := range []string{"DFTL", "–", "b", "c", "rsbc"} {
+		if _, ok := cell[v]; !ok {
+			t.Fatalf("golden JSON has no ablation cell %q", v)
+		}
+	}
+	abl := doc.Ablation
+	bare, dftl := abl[cell["–"]], abl[cell["DFTL"]]
+	for _, c := range abl {
+		if c.Variant == "DFTL" {
+			continue
+		}
+		if strings.Contains(c.Variant, "b") && c.Prd >= bare.Prd/2 {
+			t.Errorf("ablation %s: Prd %.4f, want below half of –'s %.4f", c.Variant, c.Prd, bare.Prd)
+		}
+		if strings.Contains(c.Variant, "r") && c.Hr <= bare.Hr {
+			t.Errorf("ablation %s: hit ratio %.4f, want above –'s %.4f", c.Variant, c.Hr, bare.Hr)
+		}
+		if c.Variant != "rsbc" && c.Resp <= abl[cell["rsbc"]].Resp {
+			t.Errorf("ablation %s: response time %d, want above rsbc's %d", c.Variant, c.Resp, abl[cell["rsbc"]].Resp)
+		}
+	}
+	if dc, db := math.Abs(abl[cell["c"]].Prd-bare.Prd), math.Abs(abl[cell["b"]].Prd-bare.Prd); dc >= db {
+		t.Errorf("ablation: c moves Prd by %.4f, b by %.4f; want c's move the smaller", dc, db)
+	}
+	if bare.Hr < dftl.Hr {
+		t.Errorf("ablation: –'s hit ratio %.4f below DFTL's %.4f", bare.Hr, dftl.Hr)
 	}
 }
 

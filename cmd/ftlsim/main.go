@@ -398,7 +398,7 @@ func printResult(r *tpftl.Result) {
 			fmt.Printf("trim requests             %8d (%d pages discarded)\n", m.TrimRequests, m.TrimmedPages)
 		}
 		if m.FlushRequests > 0 {
-			fmt.Printf("flush barriers            %8d (%d dirty-entry writebacks)\n", m.FlushRequests, m.FlushStalls)
+			fmt.Printf("flush barriers            %8d (%d wrote translation pages)\n", m.FlushRequests, m.FlushStalls)
 		}
 		if m.FUAWrites > 0 {
 			fmt.Printf("FUA writes                %8d\n", m.FUAWrites)

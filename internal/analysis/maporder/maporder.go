@@ -49,8 +49,8 @@
 //     (ftl.VTPNOf, fmt.Errorf, ...) — their results stay tainted;
 //   - returning an error: the call that produced it was already judged.
 //
-// Anything else needs either a real fix — iterate ftl.SortedVTPNs(m) or
-// sort the collected keys — or the explicit annotation
+// Anything else needs either a real fix — collect the keys or the updates
+// and sort them (slices.Sort, ftl.SortUpdates) — or the explicit annotation
 //
 //	//ftl:orderinsensitive <why the loop commutes>
 //
@@ -447,8 +447,8 @@ func (c *checker) commutativeOp(tok token.Token, target ast.Expr) bool {
 
 // isAppendCollect recognizes `outer = append(outer, ...)` where a sort call
 // on outer follows the loop in the same block: the collect-then-sort idiom
-// this repository uses to fix exactly this bug class (ftl.SortedVTPNs,
-// S-FTL's sorted flush).
+// this repository uses to fix exactly this bug class (collected keys through
+// slices.Sort, a page's updates through ftl.SortUpdates).
 func (c *checker) isAppendCollect(s *ast.AssignStmt, l *ast.Ident, i int) bool {
 	if i >= len(s.Rhs) {
 		return false
@@ -519,7 +519,7 @@ func (c *checker) monotoneExtremum(s *ast.AssignStmt, l *ast.Ident, i int) bool 
 }
 
 // isSortCall matches sort.*/slices.* calls and Sort*-named helpers
-// (ftl.SortUpdates, SortedVTPNs).
+// (ftl.SortUpdates).
 func (c *checker) isSortCall(call *ast.CallExpr) bool {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -534,7 +534,7 @@ func (c *checker) isSortCall(call *ast.CallExpr) bool {
 		if fun.Sel.Name == "Sorted" {
 			return true
 		}
-	case *ast.IndexExpr: // generic instantiation: SortedVTPNs[V](m)
+	case *ast.IndexExpr: // generic instantiation: SortKeys[V](m)
 		return c.isSortCall(&ast.CallExpr{Fun: fun.X, Args: call.Args})
 	}
 	return false
@@ -605,7 +605,7 @@ func (c *checker) declaredInLoop(obj types.Object) bool {
 
 func (c *checker) report(pos token.Pos, format string, args ...any) {
 	prefix := "range over map " + exprString(c.loop.X) + ": loop body "
-	suffix := "; iterate sorted keys (ftl.SortedVTPNs, collect-then-sort) or annotate " + Directive + " <reason>"
+	suffix := "; collect then sort (slices.Sort, ftl.SortUpdates) or annotate " + Directive + " <reason>"
 	c.pass.Reportf(pos, prefix+format+suffix, args...)
 }
 

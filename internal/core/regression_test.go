@@ -62,6 +62,7 @@ func TestStandaloneUpdateChargesNodeOnce(t *testing.T) {
 	// TP node plus five entries exactly.
 	f := New(Config{CacheBytes: 48, CompressEntries: false})
 	env := &stubEnv{ePerTP: 16, lpns: 64}
+	f.SetGeometry(env.ePerTP)
 
 	for lpn := ftl.LPN(0); lpn < 5; lpn++ {
 		if err := f.Update(env, lpn, flash.PPN(100+lpn)); err != nil {
@@ -105,6 +106,7 @@ func TestRule2RecomputedPerEviction(t *testing.T) {
 		TPNodeBytes:     32,
 	})
 	env := &stubEnv{ePerTP: 8, lpns: 64}
+	f.SetGeometry(env.ePerTP)
 
 	f.BeginRequest(1, 2, false)
 	if _, err := f.Translate(env, 1); err != nil { // loads offs 1,2 of A
@@ -183,6 +185,7 @@ func checkCache(t *testing.T, f *FTL, env *stubEnv, want map[ftl.VTPN][]int32, r
 func TestEvictionRunEndsWhenItsNodeEmpties(t *testing.T) {
 	f := New(Config{CacheBytes: 56, RequestPrefetch: true, CompressEntries: false})
 	env := &stubEnv{ePerTP: 8, lpns: 64}
+	f.SetGeometry(env.ePerTP)
 	request(t, f, env, 8, 9)   // node 1: 8, then 9 behind it
 	request(t, f, env, 16, 18) // node 2: 16, 18, 17
 	checkCache(t, f, env, map[ftl.VTPN][]int32{1: {0, 1}, 2: {0, 2, 1}}, 0, 0)
@@ -205,6 +208,7 @@ func TestEvictionRunInDemandedNode(t *testing.T) {
 	// stays cached, so the run evicts offsets 0, 1, 2 and stops at the floor.
 	f := New(Config{CacheBytes: 56, RequestPrefetch: true, CompressEntries: false})
 	env := &stubEnv{ePerTP: 8, lpns: 64}
+	f.SetGeometry(env.ePerTP)
 	for lpn := ftl.LPN(0); lpn < 4; lpn++ {
 		request(t, f, env, lpn, lpn)
 	}
@@ -220,6 +224,7 @@ func TestEvictionRunInDemandedNode(t *testing.T) {
 	// prefetch goes.
 	f = New(Config{CacheBytes: 48, RequestPrefetch: true, CompressEntries: false})
 	env = &stubEnv{ePerTP: 8, lpns: 64}
+	f.SetGeometry(env.ePerTP)
 	for _, lpn := range []ftl.LPN{0, 1, 8, 9} {
 		request(t, f, env, lpn, lpn)
 	}
@@ -249,6 +254,7 @@ func TestEvictionRunSkipsDirtyEntries(t *testing.T) {
 	} {
 		f := New(Config{CacheBytes: 56, RequestPrefetch: true, CleanFirst: true, BatchUpdate: c.batch, CompressEntries: false})
 		env := &recordingEnv{stubEnv: stubEnv{ePerTP: 8, lpns: 64}}
+		f.SetGeometry(env.ePerTP)
 		if err := f.Update(env, 3, 103); err != nil {
 			t.Fatal(err)
 		}
@@ -286,6 +292,7 @@ func TestEvictionRunLosesColdestNode(t *testing.T) {
 	for _, last := range []ftl.LPN{16, 18} {
 		f := New(Config{CacheBytes: 80, RequestPrefetch: true, CompressEntries: false, TPNodeBytes: 24, Hotness: HotnessAvg})
 		env := &stubEnv{ePerTP: 8, lpns: 64}
+		f.SetGeometry(env.ePerTP)
 		for _, lpn := range []ftl.LPN{0, 1, 8, 2} {
 			request(t, f, env, lpn, lpn)
 		}

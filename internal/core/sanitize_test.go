@@ -53,6 +53,7 @@ func TestSanitizerDetectsAccountingCorruption(t *testing.T) {
 func TestSanitizerCatchesTPNodeReleasedWithLiveSlot(t *testing.T) {
 	f := New(Config{CacheBytes: 1 << 10, CompressEntries: true})
 	env := &stubEnv{ePerTP: 16, lpns: 64}
+	f.SetGeometry(env.ePerTP)
 	for _, lpn := range []ftl.LPN{1, 17} {
 		if _, err := f.Translate(env, lpn); err != nil {
 			t.Fatal(err)

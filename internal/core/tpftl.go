@@ -227,12 +227,11 @@ type FTL struct {
 
 	// Reusable scratch buffers for the hot paths that previously allocated
 	// per call. prefetchBuf backs prefetchSet's result; evictScratch backs
-	// evictRun's writeback batch and flushScratch FlushDirty's. Each batch
-	// stays live across its WriteTP, which can trigger GC, whose map updates
-	// build their batches in the device's own scratch.
+	// evictRun's writeback batch, which stays live across its WriteTP, which
+	// can trigger GC, whose map updates build their batches in the device's
+	// own scratch.
 	prefetchBuf  []int32
 	evictScratch []ftl.EntryUpdate
-	flushScratch []ftl.EntryUpdate
 
 	used    int64 // bytes charged against cfg.CacheBytes
 	entries int
@@ -294,15 +293,9 @@ func New(cfg Config) *FTL {
 }
 
 // SetGeometry implements ftl.GeometryAware: the device announces its real
-// entries-per-translation-page count at construction, so offset/VTPN
-// arithmetic (DirtyCached, Snapshot) is correct even before the first
-// Translate syncs from the Env — previously a non-4KB PageSize left the
-// hardcoded 4 KB default in place until then.
-func (f *FTL) SetGeometry(entriesPerTP int) {
-	if entriesPerTP > 0 {
-		f.ePerTP = entriesPerTP
-	}
-}
+// entries-per-translation-page count at construction, the one source of the
+// offset/VTPN arithmetic.
+func (f *FTL) SetGeometry(entriesPerTP int) { f.ePerTP = entriesPerTP }
 
 // EntriesPerTP returns the translation-page geometry the cache is using.
 func (f *FTL) EntriesPerTP() int { return f.ePerTP }
@@ -332,7 +325,6 @@ func (f *FTL) BeginRequest(first, last ftl.LPN, write bool) {
 
 // Translate implements ftl.Translator.
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
-	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 
@@ -771,7 +763,6 @@ func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 
 // Update implements ftl.Translator.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
-	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 	if tp := f.tpAt(v); tp != nil {
@@ -831,27 +822,26 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 	}
 }
 
-// FlushDirty implements ftl.Translator: a host flush barrier writes every
-// dirty entry back, one batched translation-page update per dirty TP node,
-// in ascending VTPN order (the dense directory is index-ordered already).
-// Entries are marked clean as they are captured, BEFORE the flash write: a
-// GC triggered mid-flush refreshes cached entries in place and must leave
-// them dirty again.
-func (f *FTL) FlushDirty(env ftl.Env) error {
-	f.ePerTP = env.EntriesPerTP()
-	for v := 0; v < len(f.byVTPN); v++ {
-		tp := f.byVTPN[v]
-		if tp == nil || tp.dirty == 0 {
-			continue
-		}
-		ups, cleaned := f.appendDirty(tp, nil, f.flushScratch[:0])
-		f.flushScratch = ups
-		env.NoteBatchWriteback(cleaned - 1)
-		if err := env.WriteTP(ftl.VTPN(v), ups, false); err != nil {
-			return err
+// DirtyPages implements ftl.Translator: TPFTL holds no page whole, so every
+// TP node with a dirty entry is a read-modify-write.
+func (f *FTL) DirtyPages(set []uint64, whole bool) {
+	if whole {
+		return
+	}
+	for n := f.pages.Front(); n != nil; n = n.Next() {
+		if tp := n.Value; tp.dirty > 0 {
+			set[tp.vtpn>>6] |= 1 << (tp.vtpn & 63)
 		}
 	}
-	return nil
+}
+
+// TakeDirty implements ftl.Translator: the TP node's dirty entries, in
+// ascending offset order, stay cached clean.
+func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	if tp := f.tpAt(v); tp != nil && tp.dirty > 0 {
+		ups, _ = f.appendDirty(tp, nil, ups)
+	}
+	return ups
 }
 
 // RefreshGC implements ftl.Translator: a cached entry takes the migrated
@@ -874,15 +864,11 @@ func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
 // flash update GC makes to translation page v also writes back every cached
 // dirty entry of v, which stays cached clean. Without it, ups is returned
 // as is.
-func (f *FTL) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) ([]ftl.EntryUpdate, int) {
+func (f *FTL) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
 	if !f.cfg.BatchUpdate {
-		return ups, 0
+		return ups
 	}
-	tp := f.tpAt(v)
-	if tp == nil || tp.dirty == 0 {
-		return ups, 0
-	}
-	return f.appendDirty(tp, nil, ups)
+	return f.TakeDirty(v, ups)
 }
 
 // Snapshot implements ftl.Inspector.

@@ -1,7 +1,7 @@
 package core
 
 // The three batch walks over a TP node's dirty entries (evictRun,
-// AppendDirty, FlushDirty) go over the node's dirty bitmap, not its entry
+// AppendDirty, TakeDirty) go over the node's dirty bitmap, not its entry
 // list. These tests put the dirty entries at the LRU tail with clean ones in
 // front — the order in which a list walk that stops one entry early, or keys
 // on the first clean entry, loses a writeback — and check that every dirty
@@ -39,6 +39,7 @@ func dirtyTailCache(t *testing.T, cfg Config) (*FTL, *recordingEnv) {
 	cfg.CacheBytes = 1 << 10 // roomy: nothing evicts during set-up
 	f := New(cfg)
 	env := &recordingEnv{stubEnv: stubEnv{ePerTP: 16, lpns: 64}}
+	f.SetGeometry(env.ePerTP)
 	for lpn := ftl.LPN(1); lpn <= 3; lpn++ {
 		if err := f.Update(env, lpn, flash.PPN(100+lpn)); err != nil {
 			t.Fatal(err)
@@ -108,21 +109,26 @@ func TestAppendDirtyBatchWalkReachesDirtyTail(t *testing.T) {
 	// A GC miss on page 0 (lpn 5 is not cached) forces a flash update of
 	// the page; batch update appends every cached dirty entry of it.
 	f, _ := dirtyTailCache(t, DefaultConfig(0))
-	ups, cleaned := f.AppendDirty(0, []ftl.EntryUpdate{{Off: 5, PPN: 205}})
+	ups := f.AppendDirty(0, []ftl.EntryUpdate{{Off: 5, PPN: 205}})
 	want := append(slices.Clone(wantDirty), ftl.EntryUpdate{Off: 5, PPN: 205})
-	if !slices.Equal(byOffset(ups), want) || cleaned != len(wantDirty) {
-		t.Fatalf("AppendDirty = %v cleaning %d, want %v cleaning %d", ups, cleaned, want, len(wantDirty))
+	if !slices.Equal(byOffset(ups), want) {
+		t.Fatalf("AppendDirty = %v, want %v", ups, want)
 	}
 	checkClean(t, f)
 }
 
-func TestFlushDirtyWalkReachesDirtyTail(t *testing.T) {
-	f, env := dirtyTailCache(t, DefaultConfig(0))
-	if err := f.FlushDirty(env); err != nil {
-		t.Fatal(err)
+func TestTakeDirtyWalkReachesDirtyTail(t *testing.T) {
+	// A host flush asks which pages are dirty (page 0 only: node 1 is
+	// clean, and TPFTL holds no page whole), then takes page 0's entries.
+	f, _ := dirtyTailCache(t, DefaultConfig(0))
+	whole, part := []uint64{0}, []uint64{0}
+	f.DirtyPages(whole, true)
+	f.DirtyPages(part, false)
+	if whole[0] != 0 || part[0] != 1 {
+		t.Fatalf("DirtyPages marked whole %b, partial %b; want none and page 0", whole[0], part[0])
 	}
-	if len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(byOffset(env.batches[0]), wantDirty) {
-		t.Fatalf("WriteTP batches %v on pages %v, want one batch of %v on page 0", env.batches, env.vtpns, wantDirty)
+	if ups := f.TakeDirty(0, nil); !slices.Equal(byOffset(ups), wantDirty) {
+		t.Fatalf("TakeDirty(0) = %v, want %v", ups, wantDirty)
 	}
 	checkClean(t, f)
 }

@@ -14,8 +14,6 @@
 package cdftl
 
 import (
-	"sort"
-
 	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
@@ -60,11 +58,12 @@ type FTL struct {
 	ctp    map[ftl.VTPN]*ctpPage
 	ctpLRU lru.List[*ctpPage]
 
-	ePerTP int
+	ePerTP int // entries per translation page, from SetGeometry
 }
 
 var _ ftl.Translator = (*FTL)(nil)
 var _ ftl.Inspector = (*FTL)(nil)
+var _ ftl.GeometryAware = (*FTL)(nil)
 
 // New returns a CDFTL instance.
 func New(cfg Config) *FTL {
@@ -89,6 +88,9 @@ func New(cfg Config) *FTL {
 	})
 }
 
+// SetGeometry implements ftl.GeometryAware.
+func (f *FTL) SetGeometry(entriesPerTP int) { f.ePerTP = entriesPerTP }
+
 // Name implements ftl.Translator.
 func (f *FTL) Name() string { return "CDFTL" }
 
@@ -103,7 +105,6 @@ func (f *FTL) CTPLen() int { return len(f.ctp) }
 
 // Translate implements ftl.Translator.
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
-	f.ePerTP = env.EntriesPerTP()
 	if e, ok := f.cmt[lpn]; ok {
 		env.NoteLookup(true)
 		f.cmtLRU.MoveToFront(&e.node)
@@ -191,18 +192,21 @@ func (f *FTL) evictCTP(env ftl.Env) error {
 	if len(p.dirty) == 0 {
 		return nil
 	}
-	numLPNs := env.NumLPNs()
-	base := int64(p.vtpn) * int64(f.ePerTP)
-	updates := make([]ftl.EntryUpdate, 0, len(p.dirty))
-	for off := range p.dirty {
-		if base+int64(off) >= numLPNs {
-			continue
-		}
-		updates = append(updates, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-	}
-	ftl.SortUpdates(updates)
+	updates := f.takeCTP(p, nil)
 	env.NoteBatchWriteback(len(updates) - 1)
 	return env.WriteTP(p.vtpn, updates, true)
+}
+
+// takeCTP appends the dirty slots of CTP page p to ups in offset order and
+// marks them clean.
+func (f *FTL) takeCTP(p *ctpPage, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	n := len(ups)
+	for off := range p.dirty {
+		ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
+	}
+	clear(p.dirty)
+	ftl.SortUpdates(ups[n:])
+	return ups
 }
 
 // reserveCMT evicts first-level entries until one slot is free.
@@ -266,7 +270,6 @@ func (f *FTL) evictCMT(env ftl.Env) error {
 
 // Update implements ftl.Translator.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
-	f.ePerTP = env.EntriesPerTP()
 	if e, ok := f.cmt[lpn]; ok {
 		e.ppn = ppn
 		e.dirty = true
@@ -297,64 +300,53 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 	}
 }
 
-// FlushDirty implements ftl.Translator: a host flush barrier forces every
-// dirty entry in both levels to flash. Dirty CMT entries whose page is in
-// the CTP fold into it first (the normal kick-out path, minus the flash
-// cost); each dirty CTP page then writes back whole, and remaining cold
-// dirty CMT entries group into one read-modify-write per translation page.
-// Pages flush in ascending VTPN order for determinism.
-func (f *FTL) FlushDirty(env ftl.Env) error {
-	f.ePerTP = env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
+// DirtyPages implements ftl.Translator. The whole pages are the CTP pages
+// with a dirty slot or a dirty CMT entry: at a flush a CMT entry folds into
+// its cached page (the normal kick-out path, minus the flash cost), which
+// then writes back whole. The rest are the pages of the cold dirty CMT
+// entries, one read-modify-write each.
+func (f *FTL) DirtyPages(set []uint64, whole bool) {
+	if whole {
+		for v, p := range f.ctp {
+			if len(p.dirty) > 0 {
+				set[v>>6] |= 1 << (v & 63)
+			}
+		}
+	}
 	for lpn, e := range f.cmt {
 		if !e.dirty {
 			continue
 		}
 		v := ftl.VTPNOf(lpn, f.ePerTP)
-		off := int32(ftl.OffOf(lpn, f.ePerTP))
-		if p, ok := f.ctp[v]; ok {
-			p.vals[off] = e.ppn
-			p.dirty[off] = struct{}{}
-		} else {
-			pending[v] = append(pending[v], ftl.EntryUpdate{Off: int(off), PPN: e.ppn})
+		if _, cached := f.ctp[v]; cached == whole {
+			set[v>>6] |= 1 << (v & 63)
+		}
+	}
+}
+
+// TakeDirty implements ftl.Translator: page v's dirty CMT entries, folded
+// into its CTP page when that is cached and then taken with the page's
+// other dirty slots.
+func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	p, cached := f.ctp[v]
+	first := ftl.LPNAt(v, 0, f.ePerTP)
+	for off := 0; off < f.ePerTP; off++ {
+		e, ok := f.cmt[first+ftl.LPN(off)]
+		if !ok || !e.dirty {
+			continue
 		}
 		e.dirty = false
-	}
-	dirtyPages := make([]*ctpPage, 0, len(f.ctp))
-	for _, p := range f.ctp {
-		if len(p.dirty) > 0 {
-			dirtyPages = append(dirtyPages, p)
+		if cached {
+			p.vals[off] = e.ppn
+			p.dirty[int32(off)] = struct{}{}
+		} else {
+			ups = append(ups, ftl.EntryUpdate{Off: off, PPN: e.ppn})
 		}
 	}
-	sort.Slice(dirtyPages, func(i, j int) bool { return dirtyPages[i].vtpn < dirtyPages[j].vtpn })
-	numLPNs := env.NumLPNs()
-	for _, p := range dirtyPages {
-		// Capture and clear the marks BEFORE the write: a GC triggered by
-		// it refreshes this cached page in place and must leave its marks
-		// dirty again, not have them wiped afterwards.
-		base := int64(p.vtpn) * int64(f.ePerTP)
-		updates := make([]ftl.EntryUpdate, 0, len(p.dirty))
-		for off := range p.dirty {
-			if base+int64(off) >= numLPNs {
-				continue
-			}
-			updates = append(updates, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-		}
-		ftl.SortUpdates(updates)
-		p.dirty = make(map[int32]struct{})
-		env.NoteBatchWriteback(len(updates) - 1)
-		if err := env.WriteTP(p.vtpn, updates, true); err != nil {
-			return err
-		}
+	if cached {
+		ups = f.takeCTP(p, ups)
 	}
-	for _, v := range ftl.SortedVTPNs(pending) {
-		ups := pending[v]
-		ftl.SortUpdates(ups)
-		if err := env.WriteTP(v, ups, false); err != nil {
-			return err
-		}
-	}
-	return nil
+	return ups
 }
 
 // RefreshGC implements ftl.Translator: the entry is refreshed in whichever

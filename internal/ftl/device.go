@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -61,6 +62,11 @@ type Device struct {
 	gcTail    []int32
 	gcTouched []uint64
 	gcUps     []EntryUpdate
+
+	// flushMapping's scratch: the dirty pages held whole, the rest, and the
+	// batch being written.
+	flushWhole, flushPart []uint64
+	flushUps              []EntryUpdate
 
 	// log is the operation log that feeds the timing half (tl, below); pipe
 	// is non-nil once the timing half has run on a goroutine of its own.
@@ -155,6 +161,8 @@ func NewDevice(cfg Config, tr Translator) (*Device, error) {
 		gcTail:       make([]int32, numTPs),
 		gcTouched:    make([]uint64, (numTPs+63)/64),
 		gcUps:        make([]EntryUpdate, 0, cfg.PagesPerBlock),
+		flushWhole:   make([]uint64, (numTPs+63)/64),
+		flushPart:    make([]uint64, (numTPs+63)/64),
 	}
 	d.tl = newTimeline(cfg, d)
 	if logicalPages%int64(entriesPerTP) != 0 {
@@ -779,16 +787,42 @@ func (d *Device) trimTP(v VTPN, lo, hi LPN) (err error) {
 // RAM once the flush is acknowledged. (Data pages are always durable at
 // acknowledgement in this device; recovery rebuilds their mapping from OOB
 // metadata even without the writeback, but the flush bounds the recovery
-// scan's exposure and is the contract sim.RunCrash verifies.) A flush that
-// found nothing dirty is free; one that had to touch flash counts as a
-// stall.
+// scan's exposure and is the contract sim.RunCrash verifies.) The set of
+// dirty pages is fixed when the flush starts; the pages the cache holds
+// whole go first, then the rest, each in ascending VTPN order, and a page's
+// entries are taken right before its own WriteTP (DESIGN §11). A flush that
+// wrote a translation page counts as a stall.
 func (d *Device) flushMapping() error {
 	base := d.m.FlashPrograms
-	if err := d.tr.FlushDirty(d); err != nil {
-		return err
+	d.tr.DirtyPages(d.flushWhole, true)
+	d.tr.DirtyPages(d.flushPart, false)
+	err := d.writeDirty(d.flushWhole, true)
+	if err == nil {
+		err = d.writeDirty(d.flushPart, false)
 	}
-	if d.m.FlashPrograms > base {
+	clear(d.flushWhole) // the bitmaps are all zero between flushes
+	clear(d.flushPart)
+	if err == nil && d.m.FlashPrograms > base {
 		d.m.FlushStalls++
+	}
+	return err
+}
+
+// writeDirty writes back every page marked in set that still has dirty
+// entries, one translation-page update and one batch writeback each.
+func (d *Device) writeDirty(set []uint64, whole bool) error {
+	for w, word := range set {
+		for ; word != 0; word &= word - 1 {
+			v := VTPN(w<<6 + bits.TrailingZeros64(word))
+			d.flushUps = d.tr.TakeDirty(v, d.flushUps[:0])
+			if len(d.flushUps) == 0 {
+				continue
+			}
+			d.NoteBatchWriteback(len(d.flushUps) - 1)
+			if err := d.WriteTP(v, d.flushUps, whole); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -51,11 +51,12 @@ type FTL struct {
 	slab    entrySlab
 	evictUp [1]ftl.EntryUpdate
 
-	ePerTP int // learned from the Env; snapshot grouping granularity
+	ePerTP int // entries per translation page, from SetGeometry
 }
 
 var _ ftl.Translator = (*FTL)(nil)
 var _ ftl.Inspector = (*FTL)(nil)
+var _ ftl.GeometryAware = (*FTL)(nil)
 
 // New returns a DFTL instance with the given cache budget.
 func New(cfg Config) *FTL {
@@ -71,6 +72,9 @@ func New(cfg Config) *FTL {
 	})
 }
 
+// SetGeometry implements ftl.GeometryAware.
+func (f *FTL) SetGeometry(entriesPerTP int) { f.ePerTP = entriesPerTP }
+
 // Name implements ftl.Translator.
 func (f *FTL) Name() string { return "DFTL" }
 
@@ -85,7 +89,6 @@ func (f *FTL) BeginRequest(first, last ftl.LPN, write bool) {}
 
 // Translate implements ftl.Translator.
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
-	f.ePerTP = env.EntriesPerTP()
 	if e, ok := f.entries[lpn]; ok {
 		env.NoteLookup(true)
 		f.touch(e)
@@ -99,11 +102,11 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	if err := f.reserve(env, 1); err != nil {
 		return flash.InvalidPPN, err
 	}
-	vals, err := env.ReadTP(ftl.VTPNOf(lpn, env.EntriesPerTP()))
+	vals, err := env.ReadTP(ftl.VTPNOf(lpn, f.ePerTP))
 	if err != nil {
 		return flash.InvalidPPN, err
 	}
-	ppn := vals[ftl.OffOf(lpn, env.EntriesPerTP())]
+	ppn := vals[ftl.OffOf(lpn, f.ePerTP)]
 	f.add(lpn, ppn, false)
 	return ppn, nil
 }
@@ -196,8 +199,8 @@ func (f *FTL) evictOne(env ftl.Env) error {
 	lpn, ppn, dirty := e.lpn, e.ppn, e.dirty
 	f.slab.put(e)
 	if dirty {
-		v := ftl.VTPNOf(lpn, env.EntriesPerTP())
-		f.evictUp[0] = ftl.EntryUpdate{Off: ftl.OffOf(lpn, env.EntriesPerTP()), PPN: ppn}
+		v := ftl.VTPNOf(lpn, f.ePerTP)
+		f.evictUp[0] = ftl.EntryUpdate{Off: ftl.OffOf(lpn, f.ePerTP), PPN: ppn}
 		if err := env.WriteTP(v, f.evictUp[:], false); err != nil {
 			return err
 		}
@@ -241,32 +244,31 @@ func (f *FTL) CheckInvariants() error {
 	return f.slab.check()
 }
 
-// FlushDirty implements ftl.Translator: a host flush barrier forces every
-// dirty cached entry to its translation page. Entries sharing a translation
-// page are written back in one batched read-modify-write, and pages are
-// visited in ascending VTPN order so the writeback sequence is deterministic.
-func (f *FTL) FlushDirty(env ftl.Env) error {
-	e := env.EntriesPerTP()
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
-	// Entries are marked clean as they are captured, NOT after the writes:
-	// a GC triggered mid-flush refreshes cached entries (hit path) and must
-	// leave them dirty again, or the refreshed mappings would be lost.
-	for lpn, ent := range f.entries {
-		if !ent.dirty {
-			continue
-		}
-		v := ftl.VTPNOf(lpn, e)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: ftl.OffOf(lpn, e), PPN: ent.ppn})
-		ent.dirty = false
+// DirtyPages implements ftl.Translator: DFTL holds no page whole, so every
+// page with a dirty entry is a read-modify-write.
+func (f *FTL) DirtyPages(set []uint64, whole bool) {
+	if whole {
+		return
 	}
-	for _, v := range ftl.SortedVTPNs(pending) {
-		ups := pending[v]
-		ftl.SortUpdates(ups)
-		if err := env.WriteTP(v, ups, false); err != nil {
-			return err
+	for lpn, e := range f.entries {
+		if e.dirty {
+			v := ftl.VTPNOf(lpn, f.ePerTP)
+			set[v>>6] |= 1 << (v & 63)
 		}
 	}
-	return nil
+}
+
+// TakeDirty implements ftl.Translator: it walks page v's offsets, so the
+// entries come out in offset order.
+func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	first := ftl.LPNAt(v, 0, f.ePerTP)
+	for off := 0; off < f.ePerTP; off++ {
+		if e, ok := f.entries[first+ftl.LPN(off)]; ok && e.dirty {
+			ups = append(ups, ftl.EntryUpdate{Off: off, PPN: e.ppn})
+			e.dirty = false
+		}
+	}
+	return ups
 }
 
 // RefreshGC implements ftl.Translator: a cached entry takes the migrated

@@ -101,6 +101,7 @@ func TestTranslatePropagatesReadTPError(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.make()
 			env := newFaultyEnv()
+			tr.(ftl.GeometryAware).SetGeometry(env.ePerTP)
 			env.readErr = errInjected
 			if _, err := tr.Translate(env, 5); !errors.Is(err, errInjected) {
 				t.Fatalf("Translate returned %v, want the injected ReadTP error", err)
@@ -127,6 +128,7 @@ func TestUpdatePropagatesWriteTPError(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tr := tc.make()
 			env := newFaultyEnv()
+			tr.(ftl.GeometryAware).SetGeometry(env.ePerTP)
 
 			// Fill the tiny cache with dirty entries across many
 			// translation pages, then arm the write fault: within a

@@ -55,22 +55,12 @@ func SortUpdates(ups []EntryUpdate) {
 	sort.Slice(ups, func(i, j int) bool { return ups[i].Off < ups[j].Off })
 }
 
-// SortedVTPNs returns the map's keys in ascending order, so multi-page
-// flush writebacks visit translation pages deterministically.
-func SortedVTPNs[V any](m map[VTPN]V) []VTPN {
-	keys := make([]VTPN, 0, len(m))
-	for v := range m {
-		keys = append(keys, v)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // Translator is the mapping-cache policy of one FTL scheme. Implementations
 // perform flash operations only through the Env they are handed, which
 // charges latencies to the in-flight request and attributes them to the
-// paper's counters. The device owns garbage collection's map updates; see
-// RefreshGC, DirtyAppender and GCBatchEnder.
+// paper's counters. The device owns garbage collection's map updates (see
+// RefreshGC, DirtyAppender and GCBatchEnder) and writes every host flush
+// (see DirtyPages and TakeDirty).
 type Translator interface {
 	// Name returns the scheme name used in reports ("DFTL", "TPFTL", ...).
 	Name() string
@@ -116,11 +106,20 @@ type Translator interface {
 	// itself.
 	Discard(lpn LPN)
 
-	// FlushDirty writes every dirty cached entry back to its translation
-	// page (batched per page, deterministic page order) and marks the
-	// cache clean. A host flush bounds dirty-entry loss to zero: after
-	// FlushDirty returns, no acknowledged mapping lives only in RAM.
-	FlushDirty(env Env) error
+	// DirtyPages sets bit v of set (bit v&63 of word v>>6) for every
+	// translation page v that has a dirty cached entry. With whole, it marks
+	// the pages the scheme writes back entire, without a prior read (S-FTL's
+	// cached pages, CDFTL's CTP pages); without it, every other such page.
+	// RAM only: the device's flush (Device.flushMapping) asks for both sets
+	// before it writes anything.
+	DirtyPages(set []uint64, whole bool)
+
+	// TakeDirty appends translation page v's dirty cached entries to ups,
+	// at distinct offsets, marks them clean and returns the extended slice.
+	// RAM only: the device writes them. Entries turn clean as they are
+	// taken, before the write, so a GC the write triggers refreshes them in
+	// place and leaves them dirty again.
+	TakeDirty(v VTPN, ups []EntryUpdate) []EntryUpdate
 }
 
 // CacheSnapshot describes the mapping-cache contents at one instant; the
@@ -158,9 +157,10 @@ type Warmer interface {
 // DirtyAppender is implemented by schemes whose GC-time translation-page
 // write also carries the page's cached dirty entries (TPFTL's §4.4 batch
 // update). Before writing page v's misses ups, the device calls AppendDirty,
-// which appends v's dirty entries, marks them clean and counts them.
+// which appends what TakeDirty would (or nothing, where the scheme's batch
+// update is off).
 type DirtyAppender interface {
-	AppendDirty(v VTPN, ups []EntryUpdate) ([]EntryUpdate, int)
+	AppendDirty(v VTPN, ups []EntryUpdate) []EntryUpdate
 }
 
 // GCBatchEnder is implemented by schemes that act after a collection's last

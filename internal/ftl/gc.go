@@ -255,9 +255,9 @@ func (d *Device) updateGCMaps(moves []gcMove) error {
 				ups = append(ups, EntryUpdate{Off: int(moves[i].lpn - first), PPN: moves[i].ppn})
 			}
 			if app != nil {
-				var cleaned int
-				ups, cleaned = app.AppendDirty(v, ups)
-				d.NoteBatchWriteback(cleaned)
+				n := len(ups)
+				ups = app.AppendDirty(v, ups)
+				d.NoteBatchWriteback(len(ups) - n)
 			}
 			d.gcUps = ups
 			if err := d.WriteTP(v, ups, false); err != nil {

@@ -28,13 +28,12 @@ type batchHook struct {
 	onBatch func(ups []ftl.EntryUpdate)
 }
 
-func (h *batchHook) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) ([]ftl.EntryUpdate, int) {
-	cleaned := 0
+func (h *batchHook) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
 	if a, ok := h.Translator.(ftl.DirtyAppender); ok {
-		ups, cleaned = a.AppendDirty(v, ups)
+		ups = a.AppendDirty(v, ups)
 	}
 	h.onBatch(ups)
-	return ups, cleaned
+	return ups
 }
 
 func (h *batchHook) EndGCBatch(env ftl.Env) error {

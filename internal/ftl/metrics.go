@@ -23,7 +23,7 @@ type Metrics struct {
 	TrimRequests  int64 // TRIM/discard requests served
 	TrimmedPages  int64 // live logical pages invalidated by TRIM (GC credit)
 	FlushRequests int64 // host flush barriers served
-	FlushStalls   int64 // flushes that had to write ≥1 translation page back
+	FlushStalls   int64 // flushes that wrote at least one translation page
 	FUAWrites     int64 // forced-unit-access write requests served
 
 	// Address-translation phase.

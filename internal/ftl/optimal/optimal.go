@@ -60,9 +60,13 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 	f.table[lpn] = flash.InvalidPPN
 }
 
-// FlushDirty implements ftl.Translator: the optimal FTL's accounting incurs
-// no translation-page operations, so a host flush barrier is free.
-func (f *FTL) FlushDirty(env ftl.Env) error { return nil }
+// DirtyPages implements ftl.Translator: the optimal FTL's accounting incurs
+// no translation-page operations, so no page is ever dirty and a host flush
+// barrier is free.
+func (f *FTL) DirtyPages(set []uint64, whole bool) {}
+
+// TakeDirty implements ftl.Translator: there is nothing to take.
+func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate { return ups }
 
 // RefreshGC implements ftl.Translator: all entries are resident, so every
 // update is a GC hit with zero flash cost.

@@ -19,8 +19,6 @@
 package sftl
 
 import (
-	"sort"
-
 	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
@@ -70,11 +68,12 @@ type FTL struct {
 	buffer   map[ftl.VTPN]map[int32]flash.PPN
 	buffered int
 
-	ePerTP int
+	ePerTP int // entries per translation page, from SetGeometry
 }
 
 var _ ftl.Translator = (*FTL)(nil)
 var _ ftl.Inspector = (*FTL)(nil)
+var _ ftl.GeometryAware = (*FTL)(nil)
 
 // New returns an S-FTL instance.
 func New(cfg Config) *FTL {
@@ -108,6 +107,9 @@ func New(cfg Config) *FTL {
 	})
 }
 
+// SetGeometry implements ftl.GeometryAware.
+func (f *FTL) SetGeometry(entriesPerTP int) { f.ePerTP = entriesPerTP }
+
 // Name implements ftl.Translator.
 func (f *FTL) Name() string { return "S-FTL" }
 
@@ -125,7 +127,6 @@ func (f *FTL) UsedBytes() int64 { return f.used }
 
 // Translate implements ftl.Translator.
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
-	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 	if p := f.byVTPN[v]; p != nil {
@@ -230,26 +231,39 @@ func (f *FTL) evictLRU(env ftl.Env) error {
 		return f.bufferEntries(env, p)
 	}
 	env.NoteReplacement(true)
-	return f.writeBackFullPage(env, p)
-}
-
-// writeBackFullPage writes the entire cached page: no prior read is needed
-// (S-FTL's full-page writeback, Tfw only). Updates are emitted in ascending
-// offset order: p.dirty is a map, and letting its iteration order leak into
-// the update list made otherwise identical runs diverge.
-func (f *FTL) writeBackFullPage(env ftl.Env, p *cachedPage) error {
-	updates := make([]ftl.EntryUpdate, 0, len(p.dirty))
-	numLPNs := env.NumLPNs()
-	base := int64(p.vtpn) * int64(f.ePerTP)
-	for off := range p.dirty {
-		if base+int64(off) >= numLPNs {
-			continue
-		}
-		updates = append(updates, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-	}
-	sort.Slice(updates, func(i, j int) bool { return updates[i].Off < updates[j].Off })
+	// S-FTL's full-page writeback: the entire page is cached, so no prior
+	// read is needed (Tfw only).
+	updates := takePage(p, nil)
 	env.NoteBatchWriteback(len(updates) - 1)
 	return env.WriteTP(p.vtpn, updates, true)
+}
+
+// takePage appends the dirty slots of cached page p to ups and marks them
+// clean. Updates are emitted in ascending offset order: p.dirty is a map,
+// and letting its iteration order leak into the update list made otherwise
+// identical runs diverge.
+func takePage(p *cachedPage, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	n := len(ups)
+	for off := range p.dirty {
+		ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
+	}
+	clear(p.dirty)
+	ftl.SortUpdates(ups[n:])
+	return ups
+}
+
+// takeBuffered appends translation page v's dirty-buffer entries to ups, in
+// ascending offset order, and drops them from the buffer.
+func (f *FTL) takeBuffered(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	ents := f.buffer[v]
+	n := len(ups)
+	for off, ppn := range ents {
+		ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: ppn})
+	}
+	ftl.SortUpdates(ups[n:])
+	f.buffered -= len(ents)
+	delete(f.buffer, v)
+	return ups
 }
 
 // bufferEntries parks p's dirty entries in the dirty buffer, flushing the
@@ -276,9 +290,8 @@ func (f *FTL) bufferEntries(env ftl.Env, p *cachedPage) error {
 
 // flushLargestGroup writes back the translation page with the most buffered
 // entries in one batched read-modify-write. Size ties break toward the
-// smallest vtpn and updates flush in ascending offset order: both choices
-// were previously left to map iteration order, which made the flush — and
-// through it physical page allocation — differ between identical runs.
+// smallest vtpn: left to map iteration order, the choice made the flush —
+// and through it physical page allocation — differ between identical runs.
 func (f *FTL) flushLargestGroup(env ftl.Env) error {
 	bestV := ftl.VTPN(-1)
 	best := -1
@@ -292,21 +305,13 @@ func (f *FTL) flushLargestGroup(env ftl.Env) error {
 	if best < 0 {
 		return nil
 	}
-	ents := f.buffer[bestV]
-	updates := make([]ftl.EntryUpdate, 0, len(ents))
-	for off, ppn := range ents {
-		updates = append(updates, ftl.EntryUpdate{Off: int(off), PPN: ppn})
-	}
-	sort.Slice(updates, func(i, j int) bool { return updates[i].Off < updates[j].Off })
-	f.buffered -= len(ents)
-	delete(f.buffer, bestV)
+	updates := f.takeBuffered(bestV, nil)
 	env.NoteBatchWriteback(len(updates) - 1)
 	return env.WriteTP(bestV, updates, false)
 }
 
 // Update implements ftl.Translator.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
-	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 	p := f.byVTPN[v]
@@ -369,53 +374,31 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 	}
 }
 
-// FlushDirty implements ftl.Translator: a host flush barrier writes back
-// every dirty cached page (full-page write, no prior read) and every dirty
-// buffer group, in ascending VTPN order for determinism.
-func (f *FTL) FlushDirty(env ftl.Env) error {
-	f.ePerTP = env.EntriesPerTP()
-	dirtyPages := make([]*cachedPage, 0, f.pages.Len())
-	for n := f.pages.Front(); n != nil; n = n.Next() {
-		if p := n.Value; len(p.dirty) > 0 {
-			dirtyPages = append(dirtyPages, p)
-		}
-	}
-	sort.Slice(dirtyPages, func(i, j int) bool { return dirtyPages[i].vtpn < dirtyPages[j].vtpn })
-	numLPNs := env.NumLPNs()
-	for _, p := range dirtyPages {
-		// Capture the updates and clear the dirty marks BEFORE the write: a
-		// GC triggered by it refreshes this cached page in place and must
-		// leave its marks dirty again, not have them wiped afterwards.
-		base := int64(p.vtpn) * int64(f.ePerTP)
-		updates := make([]ftl.EntryUpdate, 0, len(p.dirty))
-		for off := range p.dirty {
-			if base+int64(off) >= numLPNs {
-				continue
+// DirtyPages implements ftl.Translator: the whole pages are the cached pages
+// with a dirty slot (full-page write, no prior read), the rest the dirty
+// buffer's pages.
+func (f *FTL) DirtyPages(set []uint64, whole bool) {
+	if whole {
+		for n := f.pages.Front(); n != nil; n = n.Next() {
+			if p := n.Value; len(p.dirty) > 0 {
+				set[p.vtpn>>6] |= 1 << (p.vtpn & 63)
 			}
-			updates = append(updates, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
 		}
-		ftl.SortUpdates(updates)
-		p.dirty = make(map[int32]struct{})
-		env.NoteBatchWriteback(len(updates) - 1)
-		if err := env.WriteTP(p.vtpn, updates, true); err != nil {
-			return err
-		}
+		return
 	}
-	for _, v := range ftl.SortedVTPNs(f.buffer) {
-		ents := f.buffer[v]
-		updates := make([]ftl.EntryUpdate, 0, len(ents))
-		for off, ppn := range ents {
-			updates = append(updates, ftl.EntryUpdate{Off: int(off), PPN: ppn})
-		}
-		ftl.SortUpdates(updates)
-		f.buffered -= len(ents)
-		delete(f.buffer, v)
-		env.NoteBatchWriteback(len(updates) - 1)
-		if err := env.WriteTP(v, updates, false); err != nil {
-			return err
-		}
+	for v := range f.buffer {
+		set[v>>6] |= 1 << (v & 63)
 	}
-	return nil
+}
+
+// TakeDirty implements ftl.Translator: the cached page's dirty slots, else
+// the page's dirty-buffer entries (the two are disjoint: loading a page
+// merges its buffered entries).
+func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	if p := f.byVTPN[v]; p != nil {
+		return takePage(p, ups)
+	}
+	return f.takeBuffered(v, ups)
 }
 
 // RefreshGC implements ftl.Translator: the entry is refreshed in its cached

@@ -14,6 +14,8 @@
 package zftl
 
 import (
+	"slices"
+
 	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
@@ -48,10 +50,11 @@ type FTL struct {
 	tier1 map[ftl.LPN]flash.PPN
 
 	switches int64
-	ePerTP   int
+	ePerTP   int // entries per translation page, from SetGeometry
 }
 
 var _ ftl.Translator = (*FTL)(nil)
+var _ ftl.GeometryAware = (*FTL)(nil)
 
 // New returns a ZFTL instance.
 func New(cfg Config) *FTL {
@@ -78,6 +81,9 @@ func New(cfg Config) *FTL {
 	})
 }
 
+// SetGeometry implements ftl.GeometryAware.
+func (f *FTL) SetGeometry(entriesPerTP int) { f.ePerTP = entriesPerTP }
+
 // Name implements ftl.Translator.
 func (f *FTL) Name() string { return "ZFTL" }
 
@@ -94,7 +100,6 @@ func (f *FTL) zoneOf(v ftl.VTPN) int { return int(v) / f.cfg.ZoneTPs }
 
 // Translate implements ftl.Translator.
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
-	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 
@@ -139,36 +144,34 @@ func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
 }
 
 // switchZone flushes the old zone's dirty state and activates the new zone.
-// The caches are dropped BEFORE the flash writes: a GC triggered by a flush
-// must see an empty cache (and update persisted state directly), not park
-// fresh values in structures about to be discarded.
+// Only pages with a dirty entry are written: a clean tier-2 page is dropped
+// as it is. The caches are dropped BEFORE the flash writes: a GC triggered
+// by a flush must see an empty cache (and update persisted state directly),
+// not park fresh values in structures about to be discarded.
 func (f *FTL) switchZone(env ftl.Env, zone int) error {
-	pending := map[ftl.VTPN][]ftl.EntryUpdate{}
-	for lpn, ppn := range f.tier1 {
-		v := ftl.VTPNOf(lpn, f.ePerTP)
-		pending[v] = append(pending[v], ftl.EntryUpdate{Off: ftl.OffOf(lpn, f.ePerTP), PPN: ppn})
+	var pages []ftl.VTPN
+	for lpn := range f.tier1 {
+		pages = append(pages, ftl.VTPNOf(lpn, f.ePerTP))
 	}
 	for v, p := range f.tier2 {
-		// Collect per page and sort by offset so the tier-2 portion of a
-		// page's updates does not carry map iteration order. Tier-1
-		// entries stay ahead of tier-2 ones: on an offset collision the
-		// cached page is the fresher copy and must apply last.
-		ups := make([]ftl.EntryUpdate, 0, len(p.dirty))
-		for off := range p.dirty {
-			ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
+		if len(p.dirty) > 0 {
+			pages = append(pages, v)
 		}
-		ftl.SortUpdates(ups)
-		pending[v] = append(pending[v], ups...)
+	}
+	slices.Sort(pages)
+	pages = slices.Compact(pages)
+	batches := make([][]ftl.EntryUpdate, len(pages))
+	for i, v := range pages {
+		batches[i] = f.TakeDirty(v, nil)
 	}
 	f.tier1 = make(map[ftl.LPN]flash.PPN)
 	f.tier2 = make(map[ftl.VTPN]*tier2Page)
 	f.order = f.order[:0]
 	f.zone = zone
 	f.switches++
-	for _, v := range ftl.SortedVTPNs(pending) {
-		ups := pending[v]
-		env.NoteBatchWriteback(len(ups) - 1)
-		if err := env.WriteTP(v, ups, false); err != nil {
+	for i, v := range pages {
+		env.NoteBatchWriteback(len(batches[i]) - 1)
+		if err := env.WriteTP(v, batches[i], false); err != nil {
 			return err
 		}
 	}
@@ -186,15 +189,11 @@ func (f *FTL) loadTier2(env ftl.Env, v ftl.VTPN) (*tier2Page, error) {
 			continue
 		}
 		env.NoteReplacement(len(p.dirty) > 0)
+		ups := f.TakeDirty(victim, nil)
 		// Unlink before the writeback so a GC triggered by the flush
 		// updates persisted state directly instead of this dropped page.
 		delete(f.tier2, victim)
-		if len(p.dirty) > 0 {
-			ups := make([]ftl.EntryUpdate, 0, len(p.dirty))
-			for off := range p.dirty {
-				ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-			}
-			ftl.SortUpdates(ups)
+		if len(ups) > 0 {
 			env.NoteBatchWriteback(len(ups) - 1)
 			if err := env.WriteTP(victim, ups, true); err != nil {
 				return nil, err
@@ -229,7 +228,6 @@ func (f *FTL) loadTier2(env ftl.Env, v ftl.VTPN) (*tier2Page, error) {
 // Update implements ftl.Translator: new mappings land in the page if cached
 // or the tier-1 dirty area, which evicts in batches when full.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
-	f.ePerTP = env.EntriesPerTP()
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 	if p, ok := f.tier2[v]; ok {
@@ -247,10 +245,9 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 // evictTier1Batch flushes the translation page with the most tier-1 entries
 // (ZFTL's batch eviction).
 func (f *FTL) evictTier1Batch(env ftl.Env) error {
-	groups := map[ftl.VTPN][]ftl.LPN{}
+	counts := map[ftl.VTPN]int{}
 	for lpn := range f.tier1 {
-		v := ftl.VTPNOf(lpn, f.ePerTP)
-		groups[v] = append(groups[v], lpn)
+		counts[ftl.VTPNOf(lpn, f.ePerTP)]++
 	}
 	var bestV ftl.VTPN
 	best := -1
@@ -258,21 +255,18 @@ func (f *FTL) evictTier1Batch(env ftl.Env) error {
 	// order, which page evicts on a tie would differ between identical
 	// runs.
 	//ftl:orderinsensitive argmax with deterministic tie-break toward the smallest vtpn
-	for v, lpns := range groups {
-		if len(lpns) > best || (len(lpns) == best && v < bestV) {
-			best, bestV = len(lpns), v
+	for v, n := range counts {
+		if n > best || (n == best && v < bestV) {
+			best, bestV = n, v
 		}
 	}
 	if best < 0 {
 		return nil
 	}
-	ups := make([]ftl.EntryUpdate, 0, best)
-	for _, lpn := range groups[bestV] {
-		ups = append(ups, ftl.EntryUpdate{Off: ftl.OffOf(lpn, f.ePerTP), PPN: f.tier1[lpn]})
-		delete(f.tier1, lpn)
+	ups := f.TakeDirty(bestV, make([]ftl.EntryUpdate, 0, best))
+	for range ups {
 		env.NoteReplacement(true)
 	}
-	ftl.SortUpdates(ups)
 	env.NoteBatchWriteback(len(ups) - 1)
 	return env.WriteTP(bestV, ups, false)
 }
@@ -291,48 +285,44 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 	}
 }
 
-// FlushDirty implements ftl.Translator: a host flush barrier writes every
-// dirty entry of both tiers back, batched per translation page in ascending
-// VTPN order, without dropping the caches (unlike a zone switch). Each
-// page's updates are captured immediately before its own WriteTP (which
-// applies them before any GC it triggers), so a GC run mid-flush always
-// sees — and can refresh — the entries still awaiting their turn.
-func (f *FTL) FlushDirty(env ftl.Env) error {
-	f.ePerTP = env.EntriesPerTP()
-	dirtyVTPNs := map[ftl.VTPN]struct{}{}
+// DirtyPages implements ftl.Translator: a flush writes every ZFTL page by
+// read-modify-write, a cached tier-2 page too, so no page is whole.
+func (f *FTL) DirtyPages(set []uint64, whole bool) {
+	if whole {
+		return
+	}
 	for lpn := range f.tier1 {
-		dirtyVTPNs[ftl.VTPNOf(lpn, f.ePerTP)] = struct{}{}
+		v := ftl.VTPNOf(lpn, f.ePerTP)
+		set[v>>6] |= 1 << (v & 63)
 	}
 	for v, p := range f.tier2 {
 		if len(p.dirty) > 0 {
-			dirtyVTPNs[v] = struct{}{}
+			set[v>>6] |= 1 << (v & 63)
 		}
 	}
-	for _, v := range ftl.SortedVTPNs(dirtyVTPNs) {
-		var ups []ftl.EntryUpdate
-		base := ftl.LPNAt(v, 0, f.ePerTP)
-		for off := 0; off < f.ePerTP; off++ {
-			if ppn, ok := f.tier1[base+ftl.LPN(off)]; ok {
-				ups = append(ups, ftl.EntryUpdate{Off: off, PPN: ppn})
-				delete(f.tier1, base+ftl.LPN(off))
+}
+
+// TakeDirty implements ftl.Translator: the dirty slots of page v's tier-2
+// copy, else its tier-1 entries, in ascending offset order. The two are
+// disjoint: loading a page into tier 2 folds in its tier-1 entries, and an
+// update of a cached page lands in the page.
+func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
+	n := len(ups)
+	if p, ok := f.tier2[v]; ok {
+		for off := range p.dirty {
+			ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
+		}
+		clear(p.dirty)
+	} else {
+		for lpn, ppn := range f.tier1 {
+			if ftl.VTPNOf(lpn, f.ePerTP) == v {
+				ups = append(ups, ftl.EntryUpdate{Off: ftl.OffOf(lpn, f.ePerTP), PPN: ppn})
+				delete(f.tier1, lpn)
 			}
-		}
-		if p, ok := f.tier2[v]; ok {
-			for off := range p.dirty {
-				ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-			}
-			p.dirty = make(map[int32]struct{})
-		}
-		if len(ups) == 0 {
-			continue
-		}
-		ftl.SortUpdates(ups)
-		env.NoteBatchWriteback(len(ups) - 1)
-		if err := env.WriteTP(v, ups, false); err != nil {
-			return err
 		}
 	}
-	return nil
+	ftl.SortUpdates(ups[n:])
+	return ups
 }
 
 // RefreshGC implements ftl.Translator: the entry is refreshed in its cached

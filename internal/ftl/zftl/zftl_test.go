@@ -99,6 +99,31 @@ func TestZoneSwitchFlushesDirty(t *testing.T) {
 	}
 }
 
+func TestZoneSwitchSkipsCleanPages(t *testing.T) {
+	// Tier 2 holds both translation pages of a zone.
+	d, tr := newDevice(t, 16<<10)
+	if _, err := d.Serve(wr(0, 5)); err != nil { // TP 0: dirty
+		t.Fatal(err)
+	}
+	if _, err := d.Serve(rd(1e6, 1500)); err != nil { // TP 1: cached clean
+		t.Fatal(err)
+	}
+	before := d.Metrics()
+	if _, err := d.Serve(rd(2e6, 3000)); err != nil { // switch to zone 1
+		t.Fatal(err)
+	}
+	m := d.Metrics()
+	if tr.ZoneSwitches() != 2 || m.GCDataCollections+m.GCTransCollections != 0 {
+		t.Fatalf("%d switches, %d collections: want 2 and none", tr.ZoneSwitches(), m.GCDataCollections+m.GCTransCollections)
+	}
+	if got := m.TransWritesAT - before.TransWritesAT; got != 1 {
+		t.Fatalf("zone switch wrote %d translation pages, want 1: the clean page is dropped, not rewritten", got)
+	}
+	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTier1BatchEviction(t *testing.T) {
 	tr := New(Config{CacheBytes: 8 << 10, ZoneTPs: 2, Tier1Entries: 4})
 	d, err := ftl.NewDevice(ftl.Config{

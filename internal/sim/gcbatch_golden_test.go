@@ -24,8 +24,8 @@ import (
 //     those updates write fill translation blocks, which are collected too.
 //     It runs on 1 channel × 1 die at queue depth 1 and on 4 × 2 at 8.
 //   - fsync: 4 000 requests of the database-fsync profile, whose flush
-//     barrier every eighth request drives each scheme's FlushDirty between
-//     collections.
+//     barrier every eighth request drives the device's flush writeback of
+//     each scheme's dirty pages between collections.
 //
 // Regenerate the pins only for an intended behaviour change, and say so in
 // the commit.
@@ -55,9 +55,9 @@ func TestGCBatchGolden(t *testing.T) {
 		"fin1/4x2qd8/ZFTL":     {0xdecbde7b1246bd53, 0x622cfeb58affee72},
 		"fin1/4x2qd8/Optimal":  {0x8607367e115e2a1b, 0x8f6e038f31254559},
 		"fsync/1x1qd1/TPFTL":   {0xd3f0c588274e3c2c, 0xccec2e7748e5bb85},
-		"fsync/1x1qd1/DFTL":    {0x7d844221cd5f8936, 0xbcd0b56bc9715d1},
+		"fsync/1x1qd1/DFTL":    {0x83988f1c6f71c7ed, 0xbcd0b56bc9715d1},
 		"fsync/1x1qd1/S-FTL":   {0x32151fd5e7f38b33, 0x466b03a003df4722},
-		"fsync/1x1qd1/CDFTL":   {0xdd7b0296f9153dd3, 0x5c5c747d6f7badc5},
+		"fsync/1x1qd1/CDFTL":   {0xcf444534f18f1f75, 0x5c5c747d6f7badc5},
 		"fsync/1x1qd1/ZFTL":    {0x1fd930fd853ab63a, 0x89a90babb7869c02},
 		"fsync/1x1qd1/Optimal": {0x822577c7a225027f, 0xf9a54710321f66f7},
 	}

@@ -112,11 +112,11 @@ func (s *readSpy) CheckInvariants() error {
 	return nil
 }
 
-func (s *readSpy) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) ([]ftl.EntryUpdate, int) {
+func (s *readSpy) AppendDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
 	if a, ok := s.Translator.(ftl.DirtyAppender); ok {
 		return a.AppendDirty(v, ups)
 	}
-	return ups, 0
+	return ups
 }
 
 func (s *readSpy) EndGCBatch(env ftl.Env) error {
