@@ -27,10 +27,13 @@ race:
 
 # ftlint is the repo's own static-analysis suite (cmd/ftlint): two analyzers,
 # for the bug classes no test fails on — non-exhaustive switches over the
-# request-op enum and order-sensitive map iteration. ftlint is a vet tool and
-# nothing else: `go vet -vettool` drives it once per build unit, so _test.go
-# files are covered. Any finding fails the target; the one way to tolerate one
-# is a reviewed `//lint:ignore <analyzer> <reason>` at the site.
+# request-op enum, and a range over a map in the non-test files of the
+# simulation packages (flash, ftl/..., core, lru, buffer, ssd, host), whose
+# random order once leaked into flash state. ftlint is a vet tool and nothing
+# else: `go vet -vettool` drives it once per build unit, so _test.go files are
+# covered. Any finding fails the target; the one way to tolerate an opswitch
+# finding is a reviewed `//lint:ignore opswitch <reason>` at the site, and the
+# map-range ban has no waiver.
 bin/ftlint: FORCE
 	$(GO) build -o bin/ftlint ./cmd/ftlint
 
@@ -53,13 +56,15 @@ sanitize:
 # Short fuzz passes over the crash-recovery property and the two oracles (the
 # seed corpora always run under plain `go test`; this explores beyond them):
 # the reference model, which catches a mistranslated entry that lands on
-# another page's valid data, and arbitrary host requests, each served or
-# refused with ftl.ErrBadRequest. Built with -tags ftlsan so every
+# another page's valid data, arbitrary host requests, each served or refused
+# with ftl.ErrBadRequest, and fuzzed trace text replayed through a device at
+# one shard and at two. Built with -tags ftlsan so every
 # fuzz-discovered sequence also runs under the per-op invariant checks.
 fuzz:
 	$(GO) test -tags ftlsan ./internal/sim -run '^$$' -fuzz FuzzCrashRecovery -fuzztime 30s
 	$(GO) test -tags ftlsan ./internal/sim -run '^$$' -fuzz FuzzCrashTrimFlush -fuzztime 30s
 	$(GO) test -tags ftlsan ./internal/sim -run '^$$' -fuzz FuzzReferenceModel -fuzztime 30s
+	$(GO) test -tags ftlsan ./internal/sim -run '^$$' -fuzz FuzzTraceReplay -fuzztime 30s
 	$(GO) test -tags ftlsan ./internal/ftl -run '^$$' -fuzz FuzzDeviceRequests -fuzztime 30s
 
 # bench-ci is a short-budget run of the referee benchmark itself (bench/,

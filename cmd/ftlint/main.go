@@ -1,8 +1,8 @@
 // Command ftlint is this repository's static-analysis suite: two
 // repo-specific analyzers for the bug classes no test fails on when they
-// come back (non-exhaustive switches over the request-op enum, and
-// order-sensitive map iteration). The authoritative analyzer list lives in
-// internal/analysis/registry; this command only drives it.
+// come back (non-exhaustive switches over the request-op enum, and a range
+// over a map on the simulation path). The authoritative analyzer list lives
+// in internal/analysis/registry; this command only drives it.
 //
 // ftlint is a vet tool and nothing else:
 //
@@ -12,7 +12,7 @@
 // covered), findings print to stderr as file:line:col lines, and any finding
 // fails the run. There are no flags and no baseline: the one way to tolerate
 // a finding is a reviewed `//lint:ignore <analyzer> <reason>` at the site
-// (internal/analysis/suppress.go).
+// (internal/analysis/suppress.go), and the map-range ban admits none.
 package main
 
 import (

@@ -9,9 +9,10 @@ import (
 )
 
 // TestVetToolEndToEnd builds ftlint and drives it the one way it is meant to
-// be driven — `go vet -vettool` — over a throw-away stdlib-only module. It
-// pins the whole chain `make lint` relies on: the -flags/-V=full handshake,
-// per-unit analysis including _test.go files, //lint:ignore suppression, the
+// be driven — `go vet -vettool` — over a throw-away stdlib-only module laid
+// out like this one. It pins the whole chain `make lint` relies on: the
+// -flags/-V=full handshake, per-unit analysis including _test.go files,
+// //lint:ignore suppression, the map-range ban that no directive mutes, the
 // file:line diagnostics and the failing exit status.
 func TestVetToolEndToEnd(t *testing.T) {
 	tool := filepath.Join(t.TempDir(), "ftlint")
@@ -29,29 +30,52 @@ func TestVetToolEndToEnd(t *testing.T) {
 
 	mod := t.TempDir()
 	for name, src := range map[string]string{
-		"go.mod": "module lintprobe\n\ngo 1.22\n",
-		"probe.go": `package lintprobe
+		"go.mod": "module repro\n\ngo 1.22\n",
+		"internal/trace/trace.go": `package trace
 
-func Loud(m map[int]int, emit func(int)) {
+type Op uint8
+
+const (
+	OpRead Op = iota
+	OpWrite
+)
+`,
+		"internal/ftl/probe.go": `package ftl
+
+import "repro/internal/trace"
+
+func Loud(op trace.Op, m map[int]int, emit func(int)) {
+	switch op {
+	case trace.OpRead:
+	}
 	for k := range m {
 		emit(k)
 	}
 }
 
-func Quiet(m map[int]int, emit func(int)) {
+//lint:file-ignore maporder probe: the ban has no waiver
+
+func Quiet(op trace.Op, m map[int]int, emit func(int)) {
+	//lint:ignore opswitch probe: a reviewed, reason-carrying suppression
+	switch op {
+	case trace.OpRead:
+	}
 	for k := range m {
-		//lint:ignore maporder probe: a reviewed, reason-carrying suppression
 		emit(k)
 	}
 }
 `,
-		"probe_test.go": `package lintprobe
+		"internal/ftl/probe_test.go": `package ftl
 
-//lint:ignore maporder
+//lint:ignore opswitch
 var _ = Loud
 `,
 	} {
-		if err := os.WriteFile(filepath.Join(mod, name), []byte(src), 0o666); err != nil {
+		path := filepath.Join(mod, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o666); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +89,10 @@ var _ = Loud
 		t.Fatalf("go vet -vettool over a module with findings: err = %v, want a non-zero exit\n%s", err, report)
 	}
 	for _, want := range []string{
-		"probe.go:5:3: range over map m: loop body passes an iteration-derived value to emit",
+		"probe.go:6:2: switch on trace.Op is not exhaustive: missing OpWrite",
+		"(opswitch)",
+		"probe.go:9:2: range over map m",
+		"probe.go:21:2: range over map m",
 		"(maporder)",
 		"probe_test.go:3:1: malformed suppression directive",
 		"(lintdirective)",
@@ -74,7 +101,7 @@ var _ = Loud
 			t.Errorf("vet output lacks %q:\n%s", want, report)
 		}
 	}
-	if strings.Contains(report, "probe.go:12") {
-		t.Errorf("the //lint:ignore'd call was reported:\n%s", report)
+	if strings.Contains(report, "probe.go:18") {
+		t.Errorf("the //lint:ignore'd switch was reported:\n%s", report)
 	}
 }

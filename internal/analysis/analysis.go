@@ -9,7 +9,7 @@
 // An Analyzer receives one type-checked package per Pass and reports
 // Diagnostics through Pass.Report. Analyzers must be stateless across
 // passes; per-run configuration lives in exported package variables of the
-// analyzer's package (see e.g. maporder.PureCalls).
+// analyzer's package (see e.g. maporder.Policed).
 package analysis
 
 import (
@@ -29,6 +29,9 @@ type Analyzer struct {
 	// Run executes the check on one package. The returned value is unused
 	// by the drivers (kept for parity with x/tools signatures).
 	Run func(*Pass) (any, error)
+	// NoIgnore makes the analyzer's findings immune to //lint:ignore and
+	// //lint:file-ignore: a ban with no waiver.
+	NoIgnore bool
 }
 
 // Pass is the unit of work handed to an Analyzer: one type-checked package.
@@ -88,10 +91,10 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 			Pkg:       pkg,
 			TypesInfo: info,
 		}
-		name := a.Name
+		name, noIgnore := a.Name, a.NoIgnore
 		pass.Report = func(d Diagnostic) {
 			pos := fset.Position(d.Pos)
-			if sup.suppressed(name, pos) {
+			if !noIgnore && sup.suppressed(name, pos) {
 				return
 			}
 			out = append(out, Finding{
@@ -105,37 +108,6 @@ func RunAnalyzers(fset *token.FileSet, files []*ast.File, pkg *types.Package, in
 		}
 	}
 	return out, nil
-}
-
-// DirectiveAt looks for a `//<directive> <reason>` comment anchored to the
-// source line of pos: trailing on the same line, or a comment on the line
-// immediately above. It returns the reason text and whether the directive
-// was found at all — analyzers that require a justification treat a found
-// directive with an empty reason as its own finding, as maporder does for
-// //ftl:orderinsensitive.
-func (p *Pass) DirectiveAt(pos token.Pos, directive string) (reason string, found bool) {
-	target := p.Fset.Position(pos)
-	for _, f := range p.Files {
-		if p.Fset.Position(f.Pos()).Filename != target.Filename {
-			continue
-		}
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				line := p.Fset.Position(c.Pos()).Line
-				if line != target.Line && line != target.Line-1 {
-					continue
-				}
-				text := strings.TrimSpace(c.Text)
-				if text == directive {
-					return "", true
-				}
-				if strings.HasPrefix(text, directive+" ") {
-					return strings.TrimSpace(text[len(directive)+1:]), true
-				}
-			}
-		}
-	}
-	return "", false
 }
 
 // NewInfo returns a types.Info with every map the analyzers consult

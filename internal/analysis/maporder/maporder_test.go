@@ -19,22 +19,23 @@ func analyzer(t *testing.T) *analysis.Analyzer {
 	return a
 }
 
-// TestMapOrder covers the rule matrix: commutative and sorted shapes stay
-// silent, order-sensitive escapes are flagged, annotation and suppression
-// directives mute with a reason.
+// TestMapOrder covers the rule: every map range in a policed package's
+// non-test files is a finding, //lint:ignore does not mute it, and test
+// files and packages off the simulation path are not checked.
 func TestMapOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzer(t), "a")
+	for _, pkg := range []string{"repro/internal/ftl/a", "repro/internal/sim", "repro/internal/flashy"} {
+		analysistest.Run(t, "testdata", analyzer(t), pkg)
+	}
 }
 
-// TestTPFTLHistoricalBug reconstructs the OnGCDataMoves map-order bug the
-// repository shipped and fixed: the buggy shape must be flagged and the
-// fixed SortedVTPNs shape must stay silent.
+// TestTPFTLHistoricalBug reconstructs TPFTL's map-ordered GC flush: the
+// buggy shape is flagged and the ascending-vtpn walk is not.
 func TestTPFTLHistoricalBug(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzer(t), "tpftl")
+	analysistest.Run(t, "testdata", analyzer(t), "repro/internal/core")
 }
 
-// TestSFTLHistoricalBug reconstructs the S-FTL flush-order bug: the
-// page-order loop is flagged, the sorted per-page update collection is not.
+// TestSFTLHistoricalBug reconstructs S-FTL's map-ordered argmax: the buggy
+// shape is flagged and the walk of a per-vtpn store is not.
 func TestSFTLHistoricalBug(t *testing.T) {
-	analysistest.Run(t, "testdata", analyzer(t), "sftl")
+	analysistest.Run(t, "testdata", analyzer(t), "repro/internal/ftl/sftl")
 }

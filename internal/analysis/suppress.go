@@ -14,9 +14,8 @@
 // anything and is itself reported as a finding under the pseudo-analyzer
 // "lintdirective", so a bare mute can never land silently.
 //
-// These are the blunt instrument. maporder's semantic annotation
-// (//ftl:orderinsensitive) is preferred where it applies: it states a
-// property, not just "be quiet".
+// An analyzer with NoIgnore set (maporder, a ban with no waiver) is not
+// muted by either form.
 package analysis
 
 import (

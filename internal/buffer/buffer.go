@@ -94,8 +94,8 @@ func (b *Buffered) Len() int { return len(b.pages) }
 // DirtyLen returns the number of dirty buffered pages.
 func (b *Buffered) DirtyLen() int {
 	n := 0
-	for _, p := range b.pages {
-		if p.dirty {
+	for e := b.list.Front(); e != nil; e = e.Next() {
+		if e.Value.dirty {
 			n++
 		}
 	}

@@ -887,12 +887,12 @@ func (f *FTL) Snapshot() ftl.CacheSnapshot {
 	return s
 }
 
-// DirtyCached returns the LPN→PPN map of dirty cached entries for
+// DirtyCached returns the dirty cached entries in ascending LPN order for
 // Device.CheckConsistency. It reads the dirty bitmaps, not the entry lists:
 // the ftlsan build calls it before CheckInvariants, which must be the one to
 // report a broken link or a bit with no entry, not loop or fail on it.
-func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
-	out := make(map[ftl.LPN]flash.PPN)
+func (f *FTL) DirtyCached() []ftl.DirtyEntry {
+	out := []ftl.DirtyEntry{}
 	for v, tp := range f.byVTPN {
 		if tp == nil {
 			continue
@@ -901,7 +901,7 @@ func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
 			for ; word != 0; word &= word - 1 {
 				off := w<<6 + bits.TrailingZeros64(word)
 				if e := f.entryAt(tp, int32(off)); e != nil {
-					out[ftl.LPNAt(ftl.VTPN(v), off, f.ePerTP)] = e.ppn
+					out = append(out, ftl.DirtyEntry{LPN: ftl.LPNAt(ftl.VTPN(v), off, f.ePerTP), PPN: e.ppn})
 				}
 			}
 		}

@@ -564,9 +564,9 @@ func TestSnapshotAndDirtyCached(t *testing.T) {
 	if len(dc) != 5 {
 		t.Fatalf("DirtyCached len = %d", len(dc))
 	}
-	for lpn, ppn := range dc {
-		if !holdsLPN(d.Chip(), ppn, lpn) {
-			t.Fatalf("dirty entry %d holds %d, not the valid page tagged with it", lpn, ppn)
+	for _, e := range dc {
+		if !holdsLPN(d.Chip(), e.PPN, e.LPN) {
+			t.Fatalf("dirty entry %d holds %d, not the valid page tagged with it", e.LPN, e.PPN)
 		}
 	}
 }

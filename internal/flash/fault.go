@@ -87,6 +87,10 @@ func (s FaultStats) Injected() int64 {
 	return s.InjectedReads + s.InjectedPrograms + s.InjectedErases
 }
 
+// faultOps are the operation kinds a plan can fail, in the order a plan is
+// rendered.
+var faultOps = []string{"read", "program", "erase"}
+
 // faultState is the armed, mutable form of a plan inside a Chip.
 type faultState struct {
 	plan     FaultPlan
@@ -109,9 +113,9 @@ func newFaultState(p FaultPlan) *faultState {
 		attempts: make(map[string]int64, 3),
 		failAt:   make(map[string]map[int64]bool, len(p.FailAt)),
 	}
-	for op, idxs := range p.FailAt {
-		set := make(map[int64]bool, len(idxs))
-		for _, i := range idxs {
+	for _, op := range faultOps {
+		set := make(map[int64]bool, len(p.FailAt[op]))
+		for _, i := range p.FailAt[op] {
 			set[i] = true
 		}
 		fs.failAt[op] = set
@@ -301,7 +305,7 @@ func (p *FaultPlan) String() string {
 	if p.EraseProb > 0 {
 		parts = append(parts, fmt.Sprintf("erase=%g", p.EraseProb))
 	}
-	for _, op := range []string{"read", "program", "erase"} {
+	for _, op := range faultOps {
 		if idxs := p.FailAt[op]; len(idxs) > 0 {
 			strs := make([]string, len(idxs))
 			for i, n := range idxs {

@@ -44,7 +44,7 @@ type ctpPage struct {
 	node  lru.Node[*ctpPage]
 	vtpn  ftl.VTPN
 	vals  []flash.PPN
-	dirty map[int32]struct{}
+	dirty ftl.Bitset
 }
 
 // FTL is the CDFTL translator. Create with New.
@@ -169,7 +169,7 @@ func (f *FTL) loadCTP(env ftl.Env, v ftl.VTPN) (*ctpPage, error) {
 	p := &ctpPage{
 		vtpn:  v,
 		vals:  make([]flash.PPN, len(vals)),
-		dirty: make(map[int32]struct{}),
+		dirty: ftl.NewBitset(len(vals)),
 	}
 	copy(p.vals, vals)
 	p.node.Value = p
@@ -188,25 +188,13 @@ func (f *FTL) evictCTP(env ftl.Env) error {
 	p := n.Value
 	f.ctpLRU.Remove(n)
 	delete(f.ctp, p.vtpn)
-	env.NoteReplacement(len(p.dirty) > 0)
-	if len(p.dirty) == 0 {
+	updates := p.dirty.Take(p.vals, nil)
+	env.NoteReplacement(len(updates) > 0)
+	if len(updates) == 0 {
 		return nil
 	}
-	updates := f.takeCTP(p, nil)
 	env.NoteBatchWriteback(len(updates) - 1)
 	return env.WriteTP(p.vtpn, updates, true)
-}
-
-// takeCTP appends the dirty slots of CTP page p to ups in offset order and
-// marks them clean.
-func (f *FTL) takeCTP(p *ctpPage, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
-	n := len(ups)
-	for off := range p.dirty {
-		ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-	}
-	clear(p.dirty)
-	ftl.SortUpdates(ups[n:])
-	return ups
 }
 
 // reserveCMT evicts first-level entries until one slot is free.
@@ -257,14 +245,14 @@ func (f *FTL) evictCMT(env ftl.Env) error {
 		return nil
 	}
 	v := ftl.VTPNOf(victim.lpn, f.ePerTP)
-	off := int32(ftl.OffOf(victim.lpn, f.ePerTP))
+	off := ftl.OffOf(victim.lpn, f.ePerTP)
 	if p, ok := f.ctp[v]; ok && !forced {
 		// Fold into the cached page: deferred, no flash operation.
 		p.vals[off] = victim.ppn
-		p.dirty[off] = struct{}{}
+		p.dirty.Add(off)
 		return nil
 	}
-	up := []ftl.EntryUpdate{{Off: int(off), PPN: victim.ppn}}
+	up := []ftl.EntryUpdate{{Off: off, PPN: victim.ppn}}
 	return env.WriteTP(v, up, false)
 }
 
@@ -292,11 +280,10 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 		f.cmtLRU.Remove(&e.node)
 		delete(f.cmt, lpn)
 	}
-	v := ftl.VTPNOf(lpn, f.ePerTP)
-	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	if p, ok := f.ctp[v]; ok {
+	if p, ok := f.ctp[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
+		off := ftl.OffOf(lpn, f.ePerTP)
 		p.vals[off] = flash.InvalidPPN
-		delete(p.dirty, off)
+		p.dirty.Remove(off)
 	}
 }
 
@@ -307,17 +294,18 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 // entries, one read-modify-write each.
 func (f *FTL) DirtyPages(set []uint64, whole bool) {
 	if whole {
-		for v, p := range f.ctp {
-			if len(p.dirty) > 0 {
-				set[v>>6] |= 1 << (v & 63)
+		for n := f.ctpLRU.Front(); n != nil; n = n.Next() {
+			if p := n.Value; p.dirty.Len() > 0 {
+				set[p.vtpn>>6] |= 1 << (p.vtpn & 63)
 			}
 		}
 	}
-	for lpn, e := range f.cmt {
+	for n := f.cmtLRU.Front(); n != nil; n = n.Next() {
+		e := n.Value
 		if !e.dirty {
 			continue
 		}
-		v := ftl.VTPNOf(lpn, f.ePerTP)
+		v := ftl.VTPNOf(e.lpn, f.ePerTP)
 		if _, cached := f.ctp[v]; cached == whole {
 			set[v>>6] |= 1 << (v & 63)
 		}
@@ -338,13 +326,13 @@ func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
 		e.dirty = false
 		if cached {
 			p.vals[off] = e.ppn
-			p.dirty[int32(off)] = struct{}{}
+			p.dirty.Add(off)
 		} else {
 			ups = append(ups, ftl.EntryUpdate{Off: off, PPN: e.ppn})
 		}
 	}
 	if cached {
-		ups = f.takeCTP(p, ups)
+		ups = p.dirty.Take(p.vals, ups)
 	}
 	return ups
 }
@@ -358,9 +346,9 @@ func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
 		return true
 	}
 	if p, ok := f.ctp[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
-		off := int32(ftl.OffOf(lpn, f.ePerTP))
+		off := ftl.OffOf(lpn, f.ePerTP)
 		p.vals[off] = ppn
-		p.dirty[off] = struct{}{}
+		p.dirty.Add(off)
 		return true
 	}
 	return false
@@ -369,40 +357,45 @@ func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
 // Snapshot implements ftl.Inspector.
 func (f *FTL) Snapshot() ftl.CacheSnapshot {
 	s := ftl.CacheSnapshot{DirtyPerPage: map[ftl.VTPN]int{}}
-	for lpn, e := range f.cmt {
+	for n := f.cmtLRU.Front(); n != nil; n = n.Next() {
+		d := 0
+		if n.Value.dirty {
+			d = 1
+		}
 		s.Entries++
-		v := ftl.VTPNOf(lpn, f.ePerTP)
-		if _, ok := s.DirtyPerPage[v]; !ok {
-			s.DirtyPerPage[v] = 0
-		}
-		if e.dirty {
-			s.DirtyEntries++
-			s.DirtyPerPage[v]++
-		}
+		s.DirtyEntries += d
+		s.DirtyPerPage[ftl.VTPNOf(n.Value.lpn, f.ePerTP)] += d
 	}
-	for v, p := range f.ctp {
+	for n := f.ctpLRU.Front(); n != nil; n = n.Next() {
+		p := n.Value
 		s.Entries += len(p.vals)
-		s.DirtyEntries += len(p.dirty)
-		s.DirtyPerPage[v] += len(p.dirty)
+		s.DirtyEntries += p.dirty.Len()
+		s.DirtyPerPage[p.vtpn] += p.dirty.Len()
 	}
 	s.TPNodes = len(s.DirtyPerPage)
 	s.UsedBytes = int64(len(f.cmt))*ftl.EntryBytesRAM + int64(len(f.ctp))*ctpPageBytes
 	return s
 }
 
-// DirtyCached returns dirty entries for Device.CheckConsistency. When an LPN
-// is dirty in both levels, the CMT value is the authoritative (newest) one.
-func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
-	out := make(map[ftl.LPN]flash.PPN)
-	for v, p := range f.ctp {
-		for off := range p.dirty {
-			out[ftl.LPNAt(v, int(off), f.ePerTP)] = p.vals[off]
+// DirtyCached returns the dirty entries in ascending LPN order for
+// Device.CheckConsistency. When an LPN is dirty in both levels, the CMT
+// value is the authoritative (newest) one.
+func (f *FTL) DirtyCached() []ftl.DirtyEntry {
+	out := []ftl.DirtyEntry{}
+	for n := f.ctpLRU.Front(); n != nil; n = n.Next() {
+		p := n.Value
+		for off := p.dirty.Next(0); off >= 0; off = p.dirty.Next(off + 1) {
+			lpn := ftl.LPNAt(p.vtpn, off, f.ePerTP)
+			if e, ok := f.cmt[lpn]; !ok || !e.dirty {
+				out = append(out, ftl.DirtyEntry{LPN: lpn, PPN: p.vals[off]})
+			}
 		}
 	}
-	for lpn, e := range f.cmt {
-		if e.dirty {
-			out[lpn] = e.ppn
+	for n := f.cmtLRU.Front(); n != nil; n = n.Next() {
+		if e := n.Value; e.dirty {
+			out = append(out, ftl.DirtyEntry{LPN: e.lpn, PPN: e.ppn})
 		}
 	}
+	ftl.SortDirty(out)
 	return out
 }

@@ -189,9 +189,9 @@ func TestSnapshotAndDirty(t *testing.T) {
 	if s.DirtyEntries < 5 {
 		t.Fatalf("dirty = %d, want ≥5", s.DirtyEntries)
 	}
-	for lpn, ppn := range tr.DirtyCached() {
-		if m := d.Chip().MetaOf(ppn); d.Chip().State(ppn) != flash.PageValid || m.Kind != flash.KindData || m.Tag != int64(lpn) {
-			t.Fatalf("dirty entry %d stale", lpn)
+	for _, e := range tr.DirtyCached() {
+		if m := d.Chip().MetaOf(e.PPN); d.Chip().State(e.PPN) != flash.PageValid || m.Kind != flash.KindData || m.Tag != int64(e.LPN) {
+			t.Fatalf("dirty entry %d stale", e.LPN)
 		}
 	}
 }

@@ -588,8 +588,8 @@ func (d *Device) serve(req trace.Request, admit time.Duration) (complete time.Du
 // mapped page), the live mapping against the translator's dirty set, and
 // the translator's own structural checks, when it exposes them.
 func (d *Device) sanitize() error {
-	var dirty map[LPN]flash.PPN
-	if t, ok := d.tr.(interface{ DirtyCached() map[LPN]flash.PPN }); ok {
+	var dirty []DirtyEntry
+	if t, ok := d.tr.(DirtyLister); ok {
 		dirty = t.DirtyCached()
 	}
 	checks := []func() error{func() error { return d.CheckConsistency(dirty) }}
@@ -1241,11 +1241,11 @@ func (d *Device) EraseSpread() (min, max int) {
 // superseded version is left valid. With nil it allocates nothing, so a run
 // can afford it after its replay.
 //
-// Given the translator's dirty cached entries, it also checks that the live
-// mapping differs from the persisted view exactly where a dirty entry holds
-// it. That and the recount are what catch a translator that wrote through
-// the view ReadTP handed it.
-func (d *Device) CheckConsistency(dirtyCached map[LPN]flash.PPN) error {
+// Given the translator's dirty cached entries (DirtyLister; non-nil, even
+// when empty), it also checks that the live mapping differs from the
+// persisted view exactly where a dirty entry holds it. That and the recount
+// are what catch a translator that wrote through the view ReadTP handed it.
+func (d *Device) CheckConsistency(dirtyCached []DirtyEntry) error {
 	if err := d.chip.CheckInvariants(); err != nil {
 		return err
 	}
@@ -1301,27 +1301,39 @@ func (d *Device) checkLive() error {
 // checkLiveDirty is checkLive given the dirty set, in which the live
 // mapping is the persisted one wherever no dirty entry says otherwise. The
 // walk reads persist and asks the translator only where the persisted page
-// is not the LPN's, so it costs what a walk over two arrays does: the
-// sanitizer runs it after every operation.
-func (d *Device) checkLiveDirty(dirty map[LPN]flash.PPN) error {
-	// Every dirty entry must hold the live mapping. The set is small (a
-	// cache's worth against a device's worth of pages), so it is walked
-	// itself; the lowest offending LPN is the one reported, whatever order
-	// the map yields.
-	bad := LPN(d.logicalPages)
-	//ftl:orderinsensitive read-only lookups; the lowest offending LPN is the one kept
-	for lpn, ppn := range dirty {
-		if lpn < 0 || int64(lpn) >= d.logicalPages || ppn == d.Mapped(lpn) {
+// is not the LPN's, merging the set in as it goes, so it costs what a walk
+// over two arrays does: the sanitizer runs it after every operation. The set
+// must be in strictly ascending LPN order; the first offending entry is
+// then the lowest offending LPN.
+func (d *Device) checkLiveDirty(dirty []DirtyEntry) error {
+	// Every dirty entry must hold the live mapping, and where that is not
+	// the persisted page it stands in for it in the count of mapped pages.
+	mapped := 0
+	for j, e := range dirty {
+		if j > 0 && e.LPN <= dirty[j-1].LPN {
+			return errf("dirty set out of order: lpn %d after lpn %d", e.LPN, dirty[j-1].LPN)
+		}
+		if e.LPN < 0 || int64(e.LPN) >= d.logicalPages {
 			continue
 		}
-		if lpn < bad {
-			bad = lpn
+		if live := d.Mapped(e.LPN); e.PPN != live {
+			return errf("dirty cache entry for lpn %d holds %d, live mapping %d", e.LPN, e.PPN, live)
+		}
+		p := d.persist[e.LPN]
+		if e.PPN == p {
+			continue
+		}
+		if p.Valid() && d.holds(p, e.LPN) {
+			mapped--
+		}
+		if e.PPN.Valid() {
+			if err := d.checkHolds(e.PPN, e.LPN); err != nil {
+				return err
+			}
+			mapped++
 		}
 	}
-	if int64(bad) < d.logicalPages {
-		return errf("dirty cache entry for lpn %d holds %d, live mapping %d", bad, dirty[bad], d.Mapped(bad))
-	}
-	mapped := 0
+	i := 0
 	for lpn := LPN(0); int64(lpn) < d.logicalPages; lpn++ {
 		p := d.persist[lpn]
 		if !p.Valid() {
@@ -1332,32 +1344,15 @@ func (d *Device) checkLiveDirty(dirty map[LPN]flash.PPN) error {
 			continue
 		}
 		// A persisted page that is not the LPN's must be superseded by a
-		// dirty entry; the dirty entries are counted below.
+		// dirty entry, counted above.
+		for i < len(dirty) && dirty[i].LPN < lpn {
+			i++
+		}
 		if live := d.Mapped(lpn); live == p {
 			return d.checkHolds(p, lpn)
-		} else if _, ok := dirty[lpn]; !ok {
+		} else if i == len(dirty) || dirty[i].LPN != lpn {
 			return errf("lpn %d: live mapping %d != persist %d with no dirty cache entry", lpn, live, p)
 		}
-	}
-	//ftl:orderinsensitive read-only chip checks; the count is a sum and the lowest offending LPN is the one kept
-	for lpn, e := range dirty {
-		if lpn < 0 || int64(lpn) >= d.logicalPages || e == d.persist[lpn] {
-			continue
-		}
-		if p := d.persist[lpn]; p.Valid() && d.holds(p, lpn) {
-			mapped--
-		}
-		if !e.Valid() {
-			continue
-		}
-		if d.holds(e, lpn) {
-			mapped++
-		} else if lpn < bad {
-			bad = lpn
-		}
-	}
-	if int64(bad) < d.logicalPages {
-		return d.checkHolds(dirty[bad], bad)
 	}
 	return d.checkMappedCount(mapped)
 }

@@ -232,16 +232,29 @@ func (f *FTL) CheckInvariants() error {
 	if f.prob.Len()+f.prot.Len() != len(f.entries) {
 		return fmt.Errorf("dftl: %d listed entries for %d mapped", f.prob.Len()+f.prot.Len(), len(f.entries))
 	}
-	//ftl:orderinsensitive read-only invariant check; any violating entry is a valid witness
-	for lpn, e := range f.entries {
-		if e.lpn != lpn {
-			return fmt.Errorf("dftl: entry keyed %d carries lpn %d", lpn, e.lpn)
+	// As many listed entries as mapped ones, each mapped under its own lpn:
+	// the map and the two segments hold the same entries.
+	var err error
+	f.each(func(e *entry) {
+		if err == nil && f.entries[e.lpn] != e {
+			err = fmt.Errorf("dftl: listed entry %d is not the one mapped", e.lpn)
 		}
-		if !e.node.InList() {
-			return fmt.Errorf("dftl: mapped entry %d not on any LRU segment", lpn)
-		}
+	})
+	if err != nil {
+		return err
 	}
 	return f.slab.check()
+}
+
+// each calls fn for every cached entry, protected segment first, each
+// segment from MRU to LRU.
+func (f *FTL) each(fn func(*entry)) {
+	for n := f.prot.Front(); n != nil; n = n.Next() {
+		fn(n.Value)
+	}
+	for n := f.prob.Front(); n != nil; n = n.Next() {
+		fn(n.Value)
+	}
 }
 
 // DirtyPages implements ftl.Translator: DFTL holds no page whole, so every
@@ -250,12 +263,12 @@ func (f *FTL) DirtyPages(set []uint64, whole bool) {
 	if whole {
 		return
 	}
-	for lpn, e := range f.entries {
+	f.each(func(e *entry) {
 		if e.dirty {
-			v := ftl.VTPNOf(lpn, f.ePerTP)
+			v := ftl.VTPNOf(e.lpn, f.ePerTP)
 			set[v>>6] |= 1 << (v & 63)
 		}
-	}
+	})
 }
 
 // TakeDirty implements ftl.Translator: it walks page v's offsets, so the
@@ -286,30 +299,29 @@ func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
 // Snapshot implements ftl.Inspector.
 func (f *FTL) Snapshot() ftl.CacheSnapshot {
 	s := ftl.CacheSnapshot{DirtyPerPage: map[ftl.VTPN]int{}}
-	for lpn, e := range f.entries {
-		s.Entries++
-		v := ftl.VTPNOf(lpn, f.ePerTP)
-		if _, ok := s.DirtyPerPage[v]; !ok {
-			s.DirtyPerPage[v] = 0
-		}
+	f.each(func(e *entry) {
+		d := 0
 		if e.dirty {
-			s.DirtyEntries++
-			s.DirtyPerPage[v]++
+			d = 1
 		}
-	}
+		s.Entries++
+		s.DirtyEntries += d
+		s.DirtyPerPage[ftl.VTPNOf(e.lpn, f.ePerTP)] += d
+	})
 	s.TPNodes = len(s.DirtyPerPage)
 	s.UsedBytes = int64(len(f.entries)) * ftl.EntryBytesRAM
 	return s
 }
 
-// DirtyCached returns the LPN→PPN map of dirty cached entries; consistency
-// tests feed it to Device.CheckConsistency.
-func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
-	out := make(map[ftl.LPN]flash.PPN)
-	for lpn, e := range f.entries {
+// DirtyCached returns the dirty cached entries in ascending LPN order;
+// consistency tests feed it to Device.CheckConsistency.
+func (f *FTL) DirtyCached() []ftl.DirtyEntry {
+	out := []ftl.DirtyEntry{}
+	f.each(func(e *entry) {
 		if e.dirty {
-			out[lpn] = e.ppn
+			out = append(out, ftl.DirtyEntry{LPN: e.lpn, PPN: e.ppn})
 		}
-	}
+	})
+	ftl.SortDirty(out)
 	return out
 }

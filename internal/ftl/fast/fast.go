@@ -15,7 +15,7 @@ package fast
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/flash"
@@ -39,8 +39,9 @@ type logLoc struct {
 // logBlock is one shared, fully-associative log block.
 type logBlock struct {
 	blk  flash.BlockID
-	next int // append pointer
-	live int // pages in this block still referenced by logMap
+	next int     // append pointer
+	live int     // pages in this block still referenced by logMap
+	lpns []int64 // the logical page appended at each offset
 }
 
 // Device is a standalone FAST-mapped SSD simulator: the shared block-mapped
@@ -110,6 +111,7 @@ func (d *Device) writePage(lpn int64) (time.Duration, error) {
 		d.logOf(prev.blk).live--
 	}
 	d.logMap[lpn] = logLoc{blk: lg.blk, off: lg.next}
+	lg.lpns = append(lg.lpns, lpn)
 	lg.next++
 	lg.live++
 	return acc + lat, nil
@@ -136,20 +138,17 @@ func (d *Device) logOf(blk flash.BlockID) *logBlock {
 func (d *Device) mergeOldestLog() (time.Duration, error) {
 	victim := d.logs[0]
 	var acc time.Duration
-	// Collect the logical blocks whose newest version lives in the victim.
-	lbs := map[int]bool{}
-	for lpn, loc := range d.logMap {
-		if loc.blk == victim.blk {
-			lbs[int(lpn/int64(d.PPB))] = true
+	// Collect the logical blocks whose newest version lives in the victim,
+	// and merge them in ascending order: each merge allocates pages and
+	// issues flash ops, so the order fixes the schedule.
+	var order []int
+	for _, lpn := range victim.lpns {
+		if loc, ok := d.logMap[lpn]; ok && loc.blk == victim.blk {
+			order = append(order, int(lpn/int64(d.PPB)))
 		}
 	}
-	// Merge in ascending logical-block order: each merge allocates pages
-	// and issues flash ops, so map order here would permute the schedule.
-	order := make([]int, 0, len(lbs))
-	for lb := range lbs {
-		order = append(order, lb)
-	}
-	sort.Ints(order)
+	slices.Sort(order)
+	order = slices.Compact(order)
 	for _, lb := range order {
 		lat, err := d.Merge(lb)
 		acc += lat

@@ -21,9 +21,11 @@
 package ftl
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/flash"
 )
@@ -49,10 +51,83 @@ type EntryUpdate struct {
 	PPN flash.PPN
 }
 
-// SortUpdates orders updates by ascending slot offset, giving batched
-// writebacks a deterministic entry order regardless of map iteration.
-func SortUpdates(ups []EntryUpdate) {
-	sort.Slice(ups, func(i, j int) bool { return ups[i].Off < ups[j].Off })
+// DirtyEntry is a dirty cached mapping: the cache maps LPN to PPN ahead of
+// the translation page on flash.
+type DirtyEntry struct {
+	LPN LPN
+	PPN flash.PPN
+}
+
+// DirtyLister is implemented by schemes that can list their dirty cached
+// entries, for Device.CheckConsistency: in strictly ascending LPN order,
+// which the check's merge walk relies on, and as a non-nil slice, since nil
+// tells the check that no set was given.
+type DirtyLister interface {
+	DirtyCached() []DirtyEntry
+}
+
+// SortDirty puts a dirty set in ascending LPN order. Entry-level caches
+// keep their entries in LRU order, so they sort what they list.
+func SortDirty(es []DirtyEntry) {
+	slices.SortFunc(es, func(a, b DirtyEntry) int { return cmp.Compare(a.LPN, b.LPN) })
+}
+
+// Bitset is a set of small non-negative integers, one bit each: the entry
+// offsets of one translation page, or translation pages. It is walked in
+// ascending order, the order a translation-page update carries its entries
+// in and a flush writes its pages in.
+type Bitset []uint64
+
+// NewBitset returns an empty set for members below n.
+func NewBitset(n int) Bitset { return make(Bitset, (n+63)/64) }
+
+// Add puts i in the set.
+func (s Bitset) Add(i int) { s[i>>6] |= 1 << (i & 63) }
+
+// Remove takes i out of the set.
+func (s Bitset) Remove(i int) { s[i>>6] &^= 1 << (i & 63) }
+
+// Len returns the number of members.
+func (s Bitset) Len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// Next returns the smallest member not below from, or -1:
+//
+//	for i := s.Next(0); i >= 0; i = s.Next(i + 1)
+//
+// walks the set in ascending order.
+func (s Bitset) Next(from int) int {
+	w := from >> 6
+	if w >= len(s) {
+		return -1
+	}
+	word := s[w] &^ (1<<(from&63) - 1)
+	for word == 0 {
+		if w++; w == len(s) {
+			return -1
+		}
+		word = s[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
+}
+
+// Take appends an update carrying vals[off] for every offset off of the
+// set, in ascending order, to ups, empties the set and returns the extended
+// slice.
+func (s Bitset) Take(vals []flash.PPN, ups []EntryUpdate) []EntryUpdate {
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			off := w<<6 + bits.TrailingZeros64(word)
+			ups = append(ups, EntryUpdate{Off: off, PPN: vals[off]})
+		}
+		s[w] = 0
+	}
+	return ups
 }
 
 // Translator is the mapping-cache policy of one FTL scheme. Implementations

@@ -174,8 +174,8 @@ func (d *Device) isSwitchable(lg *logBlock) bool {
 	if len(lg.latest) != d.PPB {
 		return false
 	}
-	for off, lo := range lg.latest {
-		if off != lo {
+	for off := 0; off < d.PPB; off++ {
+		if lo, ok := lg.latest[off]; !ok || lo != off {
 			return false
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/ftl/dftl"
 	"repro/internal/trace"
@@ -57,7 +56,7 @@ func FuzzDeviceRequests(f *testing.F) {
 					t.Fatalf("%s: request %d %+v: %v", tr.Name(), i, r, err)
 				}
 			}
-			dirty := tr.(interface{ DirtyCached() map[ftl.LPN]flash.PPN }).DirtyCached()
+			dirty := tr.(ftl.DirtyLister).DirtyCached()
 			if err := d.CheckConsistency(dirty); err != nil {
 				t.Fatalf("%s: %v", tr.Name(), err)
 			}

@@ -19,6 +19,9 @@
 package sftl
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/cacheline"
 	"repro/internal/flash"
 	"repro/internal/ftl"
@@ -48,7 +51,7 @@ type cachedPage struct {
 	node  lru.Node[*cachedPage]
 	vtpn  ftl.VTPN
 	vals  []flash.PPN
-	dirty map[int32]struct{} // offsets modified since load
+	dirty ftl.Bitset // offsets modified since load
 	runs  int
 	cost  int64
 }
@@ -60,15 +63,21 @@ type FTL struct {
 	bufBudget  int64 // budget for the dirty buffer
 
 	pages  lru.List[*cachedPage] // MRU..LRU
-	byVTPN map[ftl.VTPN]*cachedPage
+	byVTPN []slot                // indexed by VTPN, grown as pages load
 	used   int64
 
-	// Dirty buffer: entries evicted from sparse dirty pages, pending
-	// writeback, grouped per translation page for batched flushes.
-	buffer   map[ftl.VTPN]map[int32]flash.PPN
-	buffered int
+	buffered int // entries in the dirty buffer, over every slot
 
 	ePerTP int // entries per translation page, from SetGeometry
+}
+
+// slot is S-FTL's state for one translation page: the cached page, or
+// else the dirty-buffer entries parked for it. Dirty-buffer entries are
+// evicted from sparse dirty pages, pending writeback, and kept in ascending
+// offset order so a page's batch is flushed as it stands.
+type slot struct {
+	page *cachedPage
+	buf  []ftl.EntryUpdate
 }
 
 var _ ftl.Translator = (*FTL)(nil)
@@ -101,8 +110,6 @@ func New(cfg Config) *FTL {
 		cfg:        cfg,
 		pageBudget: pageBudget,
 		bufBudget:  buf,
-		byVTPN:     make(map[ftl.VTPN]*cachedPage),
-		buffer:     make(map[ftl.VTPN]map[int32]flash.PPN),
 		ePerTP:     ftl.DefaultEntriesPerTP,
 	})
 }
@@ -125,21 +132,36 @@ func (f *FTL) BufferedEntries() int { return f.buffered }
 // UsedBytes returns the charged page-cache usage.
 func (f *FTL) UsedBytes() int64 { return f.used }
 
+// slotOf returns translation page v's slot, or nil if v has never been
+// loaded (so nothing is cached or buffered for it).
+func (f *FTL) slotOf(v ftl.VTPN) *slot {
+	if int(v) < len(f.byVTPN) {
+		return &f.byVTPN[v]
+	}
+	return nil
+}
+
+// findOff returns the position of offset off in the ascending buf and
+// whether it is there.
+func findOff(buf []ftl.EntryUpdate, off int) (int, bool) {
+	return slices.BinarySearchFunc(buf, off, func(u ftl.EntryUpdate, off int) int { return cmp.Compare(u.Off, off) })
+}
+
 // Translate implements ftl.Translator.
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	v := ftl.VTPNOf(lpn, f.ePerTP)
-	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	if p := f.byVTPN[v]; p != nil {
-		env.NoteLookup(true)
-		f.pages.MoveToFront(&p.node)
-		return p.vals[off], nil
-	}
-	// The dirty buffer holds the freshest value for entries flushed out of
-	// sparse pages; hitting it avoids the flash read.
-	if ents := f.buffer[v]; ents != nil {
-		if ppn, ok := ents[off]; ok {
+	off := ftl.OffOf(lpn, f.ePerTP)
+	if s := f.slotOf(v); s != nil {
+		if p := s.page; p != nil {
 			env.NoteLookup(true)
-			return ppn, nil
+			f.pages.MoveToFront(&p.node)
+			return p.vals[off], nil
+		}
+		// The dirty buffer holds the freshest value for entries flushed
+		// out of sparse pages; hitting it avoids the flash read.
+		if i, ok := findOff(s.buf, off); ok {
+			env.NoteLookup(true)
+			return s.buf[i].PPN, nil
 		}
 	}
 	env.NoteLookup(false)
@@ -153,16 +175,18 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 // Lookup implements ftl.Translator: the cached page's slot, else the dirty
 // buffer's entry.
 func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
-	v := ftl.VTPNOf(lpn, f.ePerTP)
-	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	if p := f.byVTPN[v]; p != nil {
+	s := f.slotOf(ftl.VTPNOf(lpn, f.ePerTP))
+	if s == nil {
+		return flash.InvalidPPN, false
+	}
+	off := ftl.OffOf(lpn, f.ePerTP)
+	if p := s.page; p != nil {
 		return p.vals[off], true
 	}
-	ppn, ok := f.buffer[v][off]
-	if !ok {
-		ppn = flash.InvalidPPN
+	if i, ok := findOff(s.buf, off); ok {
+		return s.buf[i].PPN, true
 	}
-	return ppn, ok
+	return flash.InvalidPPN, false
 }
 
 // loadPage reads translation page v into the cache, evicting as needed.
@@ -184,23 +208,25 @@ func (f *FTL) loadPage(env ftl.Env, v ftl.VTPN) (*cachedPage, error) {
 	p := &cachedPage{
 		vtpn:  v,
 		vals:  make([]flash.PPN, len(vals)),
-		dirty: make(map[int32]struct{}),
+		dirty: ftl.NewBitset(len(vals)),
 	}
 	copy(p.vals, vals)
 	p.node.Value = p
+	if int(v) >= len(f.byVTPN) {
+		f.byVTPN = append(f.byVTPN, make([]slot, int(v)+1-len(f.byVTPN))...)
+	}
 	// Merge pending dirty-buffer entries for this page so the cached copy
 	// is authoritative and the buffer stays disjoint from cached pages.
-	if ents := f.buffer[v]; ents != nil {
-		for off, ppn := range ents {
-			p.vals[off] = ppn
-			p.dirty[off] = struct{}{}
-		}
-		f.buffered -= len(ents)
-		delete(f.buffer, v)
+	s := &f.byVTPN[v]
+	for _, u := range s.buf {
+		p.vals[u.Off] = u.PPN
+		p.dirty.Add(u.Off)
 	}
+	f.buffered -= len(s.buf)
+	s.buf = s.buf[:0]
 	p.runs = countRuns(p.vals)
 	p.cost = f.costOf(p.runs)
-	f.byVTPN[v] = p
+	s.page = p
 	f.pages.PushFront(&p.node)
 	f.used += p.cost
 	// The exact compressed size is only known now; evict if over budget.
@@ -215,9 +241,10 @@ func (f *FTL) evictLRU(env ftl.Env) error {
 	}
 	p := n.Value
 	f.pages.Remove(n)
-	delete(f.byVTPN, p.vtpn)
+	f.byVTPN[p.vtpn].page = nil
 	f.used -= p.cost
-	if len(p.dirty) == 0 {
+	dirty := p.dirty.Len()
+	if dirty == 0 {
 		env.NoteReplacement(false)
 		return nil
 	}
@@ -226,59 +253,43 @@ func (f *FTL) evictLRU(env ftl.Env) error {
 	// (they stay cached in the buffer), which is how S-FTL keeps its
 	// dirty-replacement probability below DFTL's on random workloads
 	// (paper §5.2(1)).
-	if len(p.dirty) < f.cfg.SparseThreshold {
+	if dirty < f.cfg.SparseThreshold {
 		env.NoteReplacement(false)
 		return f.bufferEntries(env, p)
 	}
 	env.NoteReplacement(true)
 	// S-FTL's full-page writeback: the entire page is cached, so no prior
 	// read is needed (Tfw only).
-	updates := takePage(p, nil)
+	updates := p.dirty.Take(p.vals, nil)
 	env.NoteBatchWriteback(len(updates) - 1)
 	return env.WriteTP(p.vtpn, updates, true)
-}
-
-// takePage appends the dirty slots of cached page p to ups and marks them
-// clean. Updates are emitted in ascending offset order: p.dirty is a map,
-// and letting its iteration order leak into the update list made otherwise
-// identical runs diverge.
-func takePage(p *cachedPage, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
-	n := len(ups)
-	for off := range p.dirty {
-		ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-	}
-	clear(p.dirty)
-	ftl.SortUpdates(ups[n:])
-	return ups
 }
 
 // takeBuffered appends translation page v's dirty-buffer entries to ups, in
 // ascending offset order, and drops them from the buffer.
 func (f *FTL) takeBuffered(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
-	ents := f.buffer[v]
-	n := len(ups)
-	for off, ppn := range ents {
-		ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: ppn})
+	s := f.slotOf(v)
+	if s == nil {
+		return ups
 	}
-	ftl.SortUpdates(ups[n:])
-	f.buffered -= len(ents)
-	delete(f.buffer, v)
+	ups = append(ups, s.buf...)
+	f.buffered -= len(s.buf)
+	s.buf = s.buf[:0]
 	return ups
 }
 
 // bufferEntries parks p's dirty entries in the dirty buffer, flushing the
 // buffer if it overflows.
 func (f *FTL) bufferEntries(env ftl.Env, p *cachedPage) error {
-	ents := f.buffer[p.vtpn]
-	if ents == nil {
-		ents = make(map[int32]flash.PPN)
-		f.buffer[p.vtpn] = ents
-	}
-	for off := range p.dirty {
-		if _, ok := ents[off]; !ok {
-			f.buffered++
+	s := &f.byVTPN[p.vtpn]
+	for off := p.dirty.Next(0); off >= 0; off = p.dirty.Next(off + 1) {
+		i, ok := findOff(s.buf, off)
+		if ok {
+			s.buf[i].PPN = p.vals[off]
+			continue
 		}
-		ents[off] = p.vals[off]
+		s.buf = slices.Insert(s.buf, i, ftl.EntryUpdate{Off: off, PPN: p.vals[off]})
+		f.buffered++
 	}
 	for int64(f.buffered)*int64(ftl.EntryBytesRAM) > f.bufBudget {
 		if err := f.flushLargestGroup(env); err != nil {
@@ -289,20 +300,17 @@ func (f *FTL) bufferEntries(env ftl.Env, p *cachedPage) error {
 }
 
 // flushLargestGroup writes back the translation page with the most buffered
-// entries in one batched read-modify-write. Size ties break toward the
-// smallest vtpn: left to map iteration order, the choice made the flush —
-// and through it physical page allocation — differ between identical runs.
+// entries in one batched read-modify-write. The walk is in ascending vtpn
+// order, so size ties break toward the smallest vtpn.
 func (f *FTL) flushLargestGroup(env ftl.Env) error {
 	bestV := ftl.VTPN(-1)
-	best := -1
-	//ftl:orderinsensitive argmax with deterministic tie-break toward the smallest vtpn
-	for v, ents := range f.buffer {
-		if len(ents) > best || (len(ents) == best && v < bestV) {
-			best = len(ents)
-			bestV = v
+	best := 0
+	for v, s := range f.byVTPN {
+		if len(s.buf) > best {
+			best, bestV = len(s.buf), ftl.VTPN(v)
 		}
 	}
-	if best < 0 {
+	if best == 0 {
 		return nil
 	}
 	updates := f.takeBuffered(bestV, nil)
@@ -313,8 +321,11 @@ func (f *FTL) flushLargestGroup(env ftl.Env) error {
 // Update implements ftl.Translator.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 	v := ftl.VTPNOf(lpn, f.ePerTP)
-	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	p := f.byVTPN[v]
+	off := ftl.OffOf(lpn, f.ePerTP)
+	var p *cachedPage
+	if s := f.slotOf(v); s != nil {
+		p = s.page
+	}
 	if p == nil {
 		// The write path populates the page via Translate first; a
 		// standalone Update loads it.
@@ -330,15 +341,15 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 }
 
 // setEntry updates one slot and incrementally maintains the run count.
-func (f *FTL) setEntry(p *cachedPage, off int32, ppn flash.PPN) {
+func (f *FTL) setEntry(p *cachedPage, off int, ppn flash.PPN) {
 	old := p.vals[off]
 	if old == ppn {
-		p.dirty[off] = struct{}{}
+		p.dirty.Add(off)
 		return
 	}
 	p.runs += runDelta(p.vals, off, ppn)
 	p.vals[off] = ppn
-	p.dirty[off] = struct{}{}
+	p.dirty.Add(off)
 	f.used -= p.cost
 	p.cost = f.costOf(p.runs)
 	f.used += p.cost
@@ -350,9 +361,12 @@ func (f *FTL) setEntry(p *cachedPage, off int32, ppn flash.PPN) {
 // so nothing here may later write the dead mapping (or an Invalid entry)
 // back to flash. Any pending dirty-buffer copy is dropped the same way.
 func (f *FTL) Discard(lpn ftl.LPN) {
-	v := ftl.VTPNOf(lpn, f.ePerTP)
-	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	if p := f.byVTPN[v]; p != nil {
+	s := f.slotOf(ftl.VTPNOf(lpn, f.ePerTP))
+	if s == nil {
+		return
+	}
+	off := ftl.OffOf(lpn, f.ePerTP)
+	if p := s.page; p != nil {
 		old := p.vals[off]
 		if old != flash.InvalidPPN {
 			p.runs += runDelta(p.vals, off, flash.InvalidPPN)
@@ -361,16 +375,11 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 			p.cost = f.costOf(p.runs)
 			f.used += p.cost
 		}
-		delete(p.dirty, off)
+		p.dirty.Remove(off)
 	}
-	if ents := f.buffer[v]; ents != nil {
-		if _, ok := ents[off]; ok {
-			delete(ents, off)
-			f.buffered--
-			if len(ents) == 0 {
-				delete(f.buffer, v)
-			}
-		}
+	if i, ok := findOff(s.buf, off); ok {
+		s.buf = slices.Delete(s.buf, i, i+1)
+		f.buffered--
 	}
 }
 
@@ -380,14 +389,16 @@ func (f *FTL) Discard(lpn ftl.LPN) {
 func (f *FTL) DirtyPages(set []uint64, whole bool) {
 	if whole {
 		for n := f.pages.Front(); n != nil; n = n.Next() {
-			if p := n.Value; len(p.dirty) > 0 {
+			if p := n.Value; p.dirty.Len() > 0 {
 				set[p.vtpn>>6] |= 1 << (p.vtpn & 63)
 			}
 		}
 		return
 	}
-	for v := range f.buffer {
-		set[v>>6] |= 1 << (v & 63)
+	for v, s := range f.byVTPN {
+		if len(s.buf) > 0 {
+			set[v>>6] |= 1 << (v & 63)
+		}
 	}
 }
 
@@ -395,8 +406,8 @@ func (f *FTL) DirtyPages(set []uint64, whole bool) {
 // the page's dirty-buffer entries (the two are disjoint: loading a page
 // merges its buffered entries).
 func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
-	if p := f.byVTPN[v]; p != nil {
-		return takePage(p, ups)
+	if s := f.slotOf(v); s != nil && s.page != nil {
+		return s.page.dirty.Take(s.page.vals, ups)
 	}
 	return f.takeBuffered(v, ups)
 }
@@ -404,17 +415,18 @@ func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
 // RefreshGC implements ftl.Translator: the entry is refreshed in its cached
 // page, else in the dirty buffer.
 func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
-	v := ftl.VTPNOf(lpn, f.ePerTP)
-	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	if p := f.byVTPN[v]; p != nil {
+	s := f.slotOf(ftl.VTPNOf(lpn, f.ePerTP))
+	if s == nil {
+		return false
+	}
+	off := ftl.OffOf(lpn, f.ePerTP)
+	if p := s.page; p != nil {
 		f.setEntry(p, off, ppn)
 		return true
 	}
-	if ents := f.buffer[v]; ents != nil {
-		if _, ok := ents[off]; ok {
-			ents[off] = ppn
-			return true
-		}
+	if i, ok := findOff(s.buf, off); ok {
+		s.buf[i].PPN = ppn
+		return true
 	}
 	return false
 }
@@ -461,7 +473,7 @@ func consec(a, b flash.PPN) bool {
 }
 
 // runDelta returns the change in run count when vals[off] becomes ppn.
-func runDelta(vals []flash.PPN, off int32, ppn flash.PPN) int {
+func runDelta(vals []flash.PPN, off int, ppn flash.PPN) int {
 	joins := func(x flash.PPN) int {
 		j := 0
 		if off > 0 && consec(vals[off-1], x) {
@@ -486,29 +498,31 @@ func (f *FTL) Snapshot() ftl.CacheSnapshot {
 	for n := f.pages.Front(); n != nil; n = n.Next() {
 		p := n.Value
 		s.Entries += len(p.vals)
-		s.DirtyEntries += len(p.dirty)
-		s.DirtyPerPage[p.vtpn] = len(p.dirty)
+		s.DirtyEntries += p.dirty.Len()
+		s.DirtyPerPage[p.vtpn] = p.dirty.Len()
 	}
-	for v, ents := range f.buffer {
-		s.Entries += len(ents)
-		s.DirtyEntries += len(ents)
-		s.DirtyPerPage[v] += len(ents)
+	for v, sl := range f.byVTPN {
+		if len(sl.buf) > 0 {
+			s.Entries += len(sl.buf)
+			s.DirtyEntries += len(sl.buf)
+			s.DirtyPerPage[ftl.VTPN(v)] += len(sl.buf)
+		}
 	}
 	return s
 }
 
-// DirtyCached returns the LPN→PPN map of dirty cached entries (cached-page
-// modifications plus the dirty buffer) for Device.CheckConsistency.
-func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
-	out := make(map[ftl.LPN]flash.PPN)
-	for v, p := range f.byVTPN {
-		for off := range p.dirty {
-			out[ftl.LPNAt(v, int(off), f.ePerTP)] = p.vals[off]
+// DirtyCached returns the dirty cached entries (cached-page modifications
+// plus the dirty buffer) in ascending LPN order for Device.CheckConsistency.
+func (f *FTL) DirtyCached() []ftl.DirtyEntry {
+	out := []ftl.DirtyEntry{}
+	for v, s := range f.byVTPN {
+		if p := s.page; p != nil {
+			for off := p.dirty.Next(0); off >= 0; off = p.dirty.Next(off + 1) {
+				out = append(out, ftl.DirtyEntry{LPN: ftl.LPNAt(ftl.VTPN(v), off, f.ePerTP), PPN: p.vals[off]})
+			}
 		}
-	}
-	for v, ents := range f.buffer {
-		for off, ppn := range ents {
-			out[ftl.LPNAt(v, int(off), f.ePerTP)] = ppn
+		for _, u := range s.buf {
+			out = append(out, ftl.DirtyEntry{LPN: ftl.LPNAt(ftl.VTPN(v), u.Off, f.ePerTP), PPN: u.PPN})
 		}
 	}
 	return out

@@ -78,7 +78,7 @@ func TestRunDeltaMatchesRecount(t *testing.T) {
 	}
 	runs := countRuns(vals)
 	for step := 0; step < 2000; step++ {
-		off := int32(rng.Intn(len(vals)))
+		off := rng.Intn(len(vals))
 		var ppn flash.PPN
 		if rng.Intn(4) == 0 {
 			ppn = vals[off] // no-op update
@@ -268,9 +268,9 @@ func TestSnapshot(t *testing.T) {
 	if len(dc) != 3 {
 		t.Fatalf("DirtyCached = %d", len(dc))
 	}
-	for lpn, ppn := range dc {
-		if m := d.Chip().MetaOf(ppn); d.Chip().State(ppn) != flash.PageValid || m.Kind != flash.KindData || m.Tag != int64(lpn) {
-			t.Fatalf("dirty entry %d stale", lpn)
+	for _, e := range dc {
+		if m := d.Chip().MetaOf(e.PPN); d.Chip().State(e.PPN) != flash.PageValid || m.Kind != flash.KindData || m.Tag != int64(e.LPN) {
+			t.Fatalf("dirty entry %d stale", e.LPN)
 		}
 	}
 }

@@ -6,9 +6,9 @@ package ftl_test
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -148,8 +148,8 @@ func TestCountedFoldMatchesFullScan(t *testing.T) {
 						}
 					}
 				}
-				var dirty map[ftl.LPN]flash.PPN
-				if dc, ok := trDev.(interface{ DirtyCached() map[ftl.LPN]flash.PPN }); ok {
+				var dirty []ftl.DirtyEntry
+				if dc, ok := trDev.(ftl.DirtyLister); ok {
 					dirty = dc.DirtyCached()
 				}
 				if err := dev.CheckConsistency(dirty); err != nil {
@@ -274,10 +274,11 @@ func TestCheckConsistencyAllocatesNothing(t *testing.T) {
 }
 
 // TestCheckConsistencyDirtySetErrors doctors the dirty set a real device's
-// translator reports and expects each of the two dirty-set checks to fire: an
+// translator reports and expects each of the dirty-set checks to fire: an
 // entry that disagrees with the live mapping (the lowest such LPN is the one
-// named, whatever order the map yields), and a page whose live mapping left
-// its persisted mapping behind with no dirty entry to account for it.
+// named), a page whose live mapping left its persisted mapping behind with
+// no dirty entry to account for it, and a set out of ascending LPN order,
+// which the merge walk cannot read.
 func TestCheckConsistencyDirtySetErrors(t *testing.T) {
 	cfg := tpopsConfig(4 * 128)
 	tr := dftl.New(dftl.Config{CacheBytes: cfg.CacheBytes})
@@ -291,25 +292,39 @@ func TestCheckConsistencyDirtySetErrors(t *testing.T) {
 	if err := d.CheckConsistency(dirty); err != nil {
 		t.Fatalf("undoctored: %v", err)
 	}
+	at := map[ftl.LPN]int{}
+	for i, e := range dirty {
+		at[e.LPN] = i
+	}
 	for _, lpn := range []ftl.LPN{17, 140, 300} {
-		if _, ok := dirty[lpn]; !ok {
+		if _, ok := at[lpn]; !ok {
 			t.Fatalf("lpn %d is not dirty in the cache; the doctoring below needs it", lpn)
 		}
 	}
 
-	wrong := maps.Clone(dirty)
-	wrong[300]++
-	wrong[140]++
+	wrong := slices.Clone(dirty)
+	wrong[at[300]].PPN++
+	wrong[at[140]].PPN++
 	err := d.CheckConsistency(wrong)
-	if want := fmt.Sprintf("dirty cache entry for lpn 140 holds %d, live mapping %d", wrong[140], dirty[140]); err == nil || !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("dirty cache entry for lpn 140 holds %d, live mapping %d", wrong[at[140]].PPN, dirty[at[140]].PPN); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("two dirty entries off the live mapping: got %v, want %q", err, want)
 	}
 
-	missing := maps.Clone(dirty)
-	delete(missing, 17)
+	missing := slices.Delete(slices.Clone(dirty), at[17], at[17]+1)
 	err = d.CheckConsistency(missing)
-	if want := fmt.Sprintf("lpn 17: live mapping %d != persist %d with no dirty cache entry", dirty[17], d.Persisted(17)); err == nil || !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("lpn 17: live mapping %d != persist %d with no dirty cache entry", dirty[at[17]].PPN, d.Persisted(17)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Errorf("dirty entry withheld: got %v, want %q", err, want)
+	}
+
+	swapped := slices.Clone(dirty)
+	swapped[at[17]], swapped[at[140]] = swapped[at[140]], swapped[at[17]]
+	err = d.CheckConsistency(swapped)
+	if want := "dirty set out of order"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("dirty set out of order: got %v, want %q", err, want)
+	}
+	repeated := append(slices.Clone(dirty[:at[140]+1]), dirty[at[140]:]...)
+	if err := d.CheckConsistency(repeated); err == nil || !strings.Contains(err.Error(), "dirty set out of order") {
+		t.Errorf("dirty entry listed twice: got %v, want an out-of-order error", err)
 	}
 }
 
@@ -343,7 +358,7 @@ func TestWriteThroughReadTPViewIsCaught(t *testing.T) {
 		}
 		_, err := d.Serve(trace.Request{Op: trace.OpRead, Offset: 200 * tpopsPageSize, Length: tpopsPageSize})
 		if err == nil {
-			err = d.CheckConsistency(map[ftl.LPN]flash.PPN{})
+			err = d.CheckConsistency([]ftl.DirtyEntry{})
 		}
 		if err == nil {
 			t.Fatalf("scribbling %d over a ReadTP view went unnoticed", scribble)

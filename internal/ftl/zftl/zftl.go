@@ -14,6 +14,7 @@
 package zftl
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/cacheline"
@@ -36,7 +37,7 @@ type Config struct {
 // tier2Page is a cached translation page of the active zone.
 type tier2Page struct {
 	vals  []flash.PPN
-	dirty map[int32]struct{}
+	dirty ftl.Bitset
 }
 
 // FTL is the ZFTL translator. Create with New.
@@ -44,10 +45,10 @@ type FTL struct {
 	cfg      Config
 	tier2Cap int
 
-	zone  int // active zone, -1 initially
-	tier2 map[ftl.VTPN]*tier2Page
-	order []ftl.VTPN // FIFO of loaded pages for tier-2 eviction
-	tier1 map[ftl.LPN]flash.PPN
+	zone  int              // active zone, -1 initially
+	tier2 []*tier2Page     // the active zone's cached pages, by VTPN within the zone
+	order []ftl.VTPN       // FIFO of loaded pages for tier-2 eviction
+	tier1 []ftl.DirtyEntry // the dirty-entry area, in ascending LPN order
 
 	switches int64
 	ePerTP   int // entries per translation page, from SetGeometry
@@ -75,8 +76,7 @@ func New(cfg Config) *FTL {
 		cfg:      cfg,
 		tier2Cap: tier2Cap,
 		zone:     -1,
-		tier2:    make(map[ftl.VTPN]*tier2Page),
-		tier1:    make(map[ftl.LPN]flash.PPN),
+		tier2:    make([]*tier2Page, cfg.ZoneTPs),
 		ePerTP:   ftl.DefaultEntriesPerTP,
 	})
 }
@@ -98,15 +98,38 @@ func (f *FTL) ActiveZone() int { return f.zone }
 
 func (f *FTL) zoneOf(v ftl.VTPN) int { return int(v) / f.cfg.ZoneTPs }
 
+// page returns v's tier-2 page, nil unless it is cached.
+func (f *FTL) page(v ftl.VTPN) *tier2Page {
+	if f.zoneOf(v) != f.zone {
+		return nil
+	}
+	return f.tier2[int(v)-f.zone*f.cfg.ZoneTPs]
+}
+
+// find returns lpn's position in tier 1, which is kept in ascending LPN
+// order, and whether it is there.
+func (f *FTL) find(lpn ftl.LPN) (int, bool) {
+	return slices.BinarySearchFunc(f.tier1, lpn, byLPN)
+}
+
+func byLPN(e ftl.DirtyEntry, lpn ftl.LPN) int { return cmp.Compare(e.LPN, lpn) }
+
+// run returns the bounds of page v's entries in tier 1.
+func (f *FTL) run(v ftl.VTPN) (lo, hi int) {
+	lo, _ = f.find(ftl.LPNAt(v, 0, f.ePerTP))
+	hi, _ = f.find(ftl.LPNAt(v+1, 0, f.ePerTP))
+	return lo, hi
+}
+
 // Translate implements ftl.Translator.
 func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 	v := ftl.VTPNOf(lpn, f.ePerTP)
 	off := int32(ftl.OffOf(lpn, f.ePerTP))
 
 	// Tier 1 holds the freshest values regardless of zone.
-	if ppn, ok := f.tier1[lpn]; ok {
+	if i, ok := f.find(lpn); ok {
 		env.NoteLookup(true)
-		return ppn, nil
+		return f.tier1[i].PPN, nil
 	}
 	if f.zoneOf(v) != f.zone {
 		env.NoteLookup(false)
@@ -119,7 +142,7 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 		}
 		return p.vals[off], nil
 	}
-	if p, ok := f.tier2[v]; ok {
+	if p := f.page(v); p != nil {
 		env.NoteLookup(true)
 		return p.vals[off], nil
 	}
@@ -134,10 +157,10 @@ func (f *FTL) Translate(env ftl.Env, lpn ftl.LPN) (flash.PPN, error) {
 // Lookup implements ftl.Translator: the tier-1 entry, else the tier-2
 // page's slot.
 func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
-	if ppn, ok := f.tier1[lpn]; ok {
-		return ppn, true
+	if i, ok := f.find(lpn); ok {
+		return f.tier1[i].PPN, true
 	}
-	if p, ok := f.tier2[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
+	if p := f.page(ftl.VTPNOf(lpn, f.ePerTP)); p != nil {
 		return p.vals[ftl.OffOf(lpn, f.ePerTP)], true
 	}
 	return flash.InvalidPPN, false
@@ -149,23 +172,16 @@ func (f *FTL) Lookup(lpn ftl.LPN) (flash.PPN, bool) {
 // by a flush must see an empty cache (and update persisted state directly),
 // not park fresh values in structures about to be discarded.
 func (f *FTL) switchZone(env ftl.Env, zone int) error {
+	set := ftl.NewBitset(env.NumTPs())
+	f.DirtyPages(set, false)
 	var pages []ftl.VTPN
-	for lpn := range f.tier1 {
-		pages = append(pages, ftl.VTPNOf(lpn, f.ePerTP))
+	var batches [][]ftl.EntryUpdate
+	for v := set.Next(0); v >= 0; v = set.Next(v + 1) {
+		pages = append(pages, ftl.VTPN(v))
+		batches = append(batches, f.TakeDirty(ftl.VTPN(v), nil))
 	}
-	for v, p := range f.tier2 {
-		if len(p.dirty) > 0 {
-			pages = append(pages, v)
-		}
-	}
-	slices.Sort(pages)
-	pages = slices.Compact(pages)
-	batches := make([][]ftl.EntryUpdate, len(pages))
-	for i, v := range pages {
-		batches[i] = f.TakeDirty(v, nil)
-	}
-	f.tier1 = make(map[ftl.LPN]flash.PPN)
-	f.tier2 = make(map[ftl.VTPN]*tier2Page)
+	f.tier1 = f.tier1[:0]
+	clear(f.tier2)
 	f.order = f.order[:0]
 	f.zone = zone
 	f.switches++
@@ -181,18 +197,14 @@ func (f *FTL) switchZone(env ftl.Env, zone int) error {
 // loadTier2 reads translation page v (must be in the active zone) into the
 // second tier, evicting FIFO.
 func (f *FTL) loadTier2(env ftl.Env, v ftl.VTPN) (*tier2Page, error) {
-	for len(f.tier2) >= f.tier2Cap {
+	for len(f.order) >= f.tier2Cap {
 		victim := f.order[0]
 		f.order = f.order[1:]
-		p := f.tier2[victim]
-		if p == nil {
-			continue
-		}
-		env.NoteReplacement(len(p.dirty) > 0)
 		ups := f.TakeDirty(victim, nil)
+		env.NoteReplacement(len(ups) > 0)
 		// Unlink before the writeback so a GC triggered by the flush
 		// updates persisted state directly instead of this dropped page.
-		delete(f.tier2, victim)
+		f.tier2[int(victim)-f.zone*f.cfg.ZoneTPs] = nil
 		if len(ups) > 0 {
 			env.NoteBatchWriteback(len(ups) - 1)
 			if err := env.WriteTP(victim, ups, true); err != nil {
@@ -209,18 +221,17 @@ func (f *FTL) loadTier2(env ftl.Env, v ftl.VTPN) (*tier2Page, error) {
 	if pf, ok := env.(interface{ NotePrefetch(int) }); ok {
 		pf.NotePrefetch(len(vals) - 1)
 	}
-	p := &tier2Page{vals: make([]flash.PPN, len(vals)), dirty: make(map[int32]struct{})}
+	p := &tier2Page{vals: make([]flash.PPN, len(vals)), dirty: ftl.NewBitset(len(vals))}
 	copy(p.vals, vals)
 	// Fold in any tier-1 entries for this page (they are newer).
-	base := ftl.LPNAt(v, 0, f.ePerTP)
-	for off := 0; off < f.ePerTP; off++ {
-		if ppn, ok := f.tier1[base+ftl.LPN(off)]; ok {
-			p.vals[off] = ppn
-			p.dirty[int32(off)] = struct{}{}
-			delete(f.tier1, base+ftl.LPN(off))
-		}
+	lo, hi := f.run(v)
+	for _, e := range f.tier1[lo:hi] {
+		off := ftl.OffOf(e.LPN, f.ePerTP)
+		p.vals[off] = e.PPN
+		p.dirty.Add(off)
 	}
-	f.tier2[v] = p
+	f.tier1 = slices.Delete(f.tier1, lo, hi)
+	f.tier2[int(v)-f.zone*f.cfg.ZoneTPs] = p
 	f.order = append(f.order, v)
 	return p, nil
 }
@@ -228,14 +239,17 @@ func (f *FTL) loadTier2(env ftl.Env, v ftl.VTPN) (*tier2Page, error) {
 // Update implements ftl.Translator: new mappings land in the page if cached
 // or the tier-1 dirty area, which evicts in batches when full.
 func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
-	v := ftl.VTPNOf(lpn, f.ePerTP)
-	off := int32(ftl.OffOf(lpn, f.ePerTP))
-	if p, ok := f.tier2[v]; ok {
+	if p := f.page(ftl.VTPNOf(lpn, f.ePerTP)); p != nil {
+		off := ftl.OffOf(lpn, f.ePerTP)
 		p.vals[off] = ppn
-		p.dirty[off] = struct{}{}
+		p.dirty.Add(off)
 		return nil
 	}
-	f.tier1[lpn] = ppn
+	if i, ok := f.find(lpn); ok {
+		f.tier1[i].PPN = ppn
+	} else {
+		f.tier1 = slices.Insert(f.tier1, i, ftl.DirtyEntry{LPN: lpn, PPN: ppn})
+	}
 	if len(f.tier1) > f.cfg.Tier1Entries {
 		return f.evictTier1Batch(env)
 	}
@@ -243,24 +257,20 @@ func (f *FTL) Update(env ftl.Env, lpn ftl.LPN, ppn flash.PPN) error {
 }
 
 // evictTier1Batch flushes the translation page with the most tier-1 entries
-// (ZFTL's batch eviction).
+// (ZFTL's batch eviction). Tier 1 is walked page by page in ascending vtpn
+// order, so size ties break toward the smallest vtpn.
 func (f *FTL) evictTier1Batch(env ftl.Env) error {
-	counts := map[ftl.VTPN]int{}
-	for lpn := range f.tier1 {
-		counts[ftl.VTPNOf(lpn, f.ePerTP)]++
-	}
 	var bestV ftl.VTPN
-	best := -1
-	// Size ties break toward the smallest vtpn: left to map iteration
-	// order, which page evicts on a tie would differ between identical
-	// runs.
-	//ftl:orderinsensitive argmax with deterministic tie-break toward the smallest vtpn
-	for v, n := range counts {
-		if n > best || (n == best && v < bestV) {
-			best, bestV = n, v
+	best := 0
+	for lo := 0; lo < len(f.tier1); {
+		v := ftl.VTPNOf(f.tier1[lo].LPN, f.ePerTP)
+		_, hi := f.run(v)
+		if hi-lo > best {
+			best, bestV = hi-lo, v
 		}
+		lo = hi
 	}
-	if best < 0 {
+	if best == 0 {
 		return nil
 	}
 	ups := f.TakeDirty(bestV, make([]ftl.EntryUpdate, 0, best))
@@ -276,12 +286,13 @@ func (f *FTL) evictTier1Batch(env ftl.Env) error {
 // later flush writes the dead mapping back; the device rewrites the
 // translation page itself as part of the discard.
 func (f *FTL) Discard(lpn ftl.LPN) {
-	delete(f.tier1, lpn)
-	v := ftl.VTPNOf(lpn, f.ePerTP)
-	if p, ok := f.tier2[v]; ok {
-		off := int32(ftl.OffOf(lpn, f.ePerTP))
+	if i, ok := f.find(lpn); ok {
+		f.tier1 = slices.Delete(f.tier1, i, i+1)
+	}
+	if p := f.page(ftl.VTPNOf(lpn, f.ePerTP)); p != nil {
+		off := ftl.OffOf(lpn, f.ePerTP)
 		p.vals[off] = flash.InvalidPPN
-		delete(p.dirty, off)
+		p.dirty.Remove(off)
 	}
 }
 
@@ -291,12 +302,13 @@ func (f *FTL) DirtyPages(set []uint64, whole bool) {
 	if whole {
 		return
 	}
-	for lpn := range f.tier1 {
-		v := ftl.VTPNOf(lpn, f.ePerTP)
+	for _, e := range f.tier1 {
+		v := ftl.VTPNOf(e.LPN, f.ePerTP)
 		set[v>>6] |= 1 << (v & 63)
 	}
-	for v, p := range f.tier2 {
-		if len(p.dirty) > 0 {
+	for i, p := range f.tier2 {
+		if p != nil && p.dirty.Len() > 0 {
+			v := f.zone*f.cfg.ZoneTPs + i
 			set[v>>6] |= 1 << (v & 63)
 		}
 	}
@@ -307,50 +319,49 @@ func (f *FTL) DirtyPages(set []uint64, whole bool) {
 // disjoint: loading a page into tier 2 folds in its tier-1 entries, and an
 // update of a cached page lands in the page.
 func (f *FTL) TakeDirty(v ftl.VTPN, ups []ftl.EntryUpdate) []ftl.EntryUpdate {
-	n := len(ups)
-	if p, ok := f.tier2[v]; ok {
-		for off := range p.dirty {
-			ups = append(ups, ftl.EntryUpdate{Off: int(off), PPN: p.vals[off]})
-		}
-		clear(p.dirty)
-	} else {
-		for lpn, ppn := range f.tier1 {
-			if ftl.VTPNOf(lpn, f.ePerTP) == v {
-				ups = append(ups, ftl.EntryUpdate{Off: ftl.OffOf(lpn, f.ePerTP), PPN: ppn})
-				delete(f.tier1, lpn)
-			}
-		}
+	if p := f.page(v); p != nil {
+		return p.dirty.Take(p.vals, ups)
 	}
-	ftl.SortUpdates(ups[n:])
+	lo, hi := f.run(v)
+	for _, e := range f.tier1[lo:hi] {
+		ups = append(ups, ftl.EntryUpdate{Off: ftl.OffOf(e.LPN, f.ePerTP), PPN: e.PPN})
+	}
+	f.tier1 = slices.Delete(f.tier1, lo, hi)
 	return ups
 }
 
 // RefreshGC implements ftl.Translator: the entry is refreshed in its cached
 // tier-2 page, else in the tier-1 dirty area.
 func (f *FTL) RefreshGC(lpn ftl.LPN, ppn flash.PPN) bool {
-	if p, ok := f.tier2[ftl.VTPNOf(lpn, f.ePerTP)]; ok {
-		off := int32(ftl.OffOf(lpn, f.ePerTP))
+	if p := f.page(ftl.VTPNOf(lpn, f.ePerTP)); p != nil {
+		off := ftl.OffOf(lpn, f.ePerTP)
 		p.vals[off] = ppn
-		p.dirty[off] = struct{}{}
+		p.dirty.Add(off)
 		return true
 	}
-	if _, ok := f.tier1[lpn]; ok {
-		f.tier1[lpn] = ppn
+	if i, ok := f.find(lpn); ok {
+		f.tier1[i].PPN = ppn
 		return true
 	}
 	return false
 }
 
-// DirtyCached returns dirty entries for Device.CheckConsistency.
-func (f *FTL) DirtyCached() map[ftl.LPN]flash.PPN {
-	out := make(map[ftl.LPN]flash.PPN)
-	for lpn, ppn := range f.tier1 {
-		out[lpn] = ppn
-	}
-	for v, p := range f.tier2 {
-		for off := range p.dirty {
-			out[ftl.LPNAt(v, int(off), f.ePerTP)] = p.vals[off]
+// DirtyCached returns the dirty entries in ascending LPN order for
+// Device.CheckConsistency: tier 1 merged with the tier-2 pages' dirty
+// slots, which never share a page.
+func (f *FTL) DirtyCached() []ftl.DirtyEntry {
+	out := []ftl.DirtyEntry{}
+	rest := f.tier1
+	for i, p := range f.tier2 {
+		if p == nil {
+			continue
+		}
+		first := ftl.LPNAt(ftl.VTPN(f.zone*f.cfg.ZoneTPs+i), 0, f.ePerTP)
+		n, _ := slices.BinarySearchFunc(rest, first, byLPN)
+		out, rest = append(out, rest[:n]...), rest[n:]
+		for off := p.dirty.Next(0); off >= 0; off = p.dirty.Next(off + 1) {
+			out = append(out, ftl.DirtyEntry{LPN: first + ftl.LPN(off), PPN: p.vals[off]})
 		}
 	}
-	return out
+	return append(out, rest...)
 }

@@ -2,6 +2,7 @@ package zftl
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,5 +180,32 @@ func TestRandomOpsConsistency(t *testing.T) {
 func TestName(t *testing.T) {
 	if New(Config{}).Name() != "ZFTL" {
 		t.Fatal("name")
+	}
+}
+
+// TestDirtyCachedMergesTiers: tier-1 entries below and above a cached
+// tier-2 page list around the page's dirty slots, in one ascending run.
+// Through the device an update lands in the page Translate just loaded, so
+// only standalone updates (and a page outside the active zone) put both
+// tiers on the list at once.
+func TestDirtyCachedMergesTiers(t *testing.T) {
+	d, tr := newDevice(t, 8<<10)
+	if _, err := d.Serve(rd(0, 3000)); err != nil { // zone 1, tier 2 holds TP 2
+		t.Fatal(err)
+	}
+	for _, lpn := range []ftl.LPN{3500, 100, 3000} { // TP 3 and TP 0 go to tier 1
+		if err := tr.Update(d, lpn, d.Persisted(lpn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []ftl.LPN
+	for _, e := range tr.DirtyCached() {
+		got = append(got, e.LPN)
+	}
+	if want := []ftl.LPN{100, 3000, 3500}; !slices.Equal(got, want) {
+		t.Fatalf("DirtyCached lists lpns %v, want %v", got, want)
+	}
+	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -281,7 +281,6 @@ func (o CrashOptions) runOneCut(space int64, reqs []trace.Request, cut int64) (*
 	// (b) Acknowledged durability: every write completed before the cut
 	// must come back with its tag and an equal-or-fresher sequence (GC may
 	// legitimately have moved it to a newer physical page).
-	//ftl:orderinsensitive read-only durability check; any violated LPN is a valid witness
 	for lpn, seq := range acked {
 		ppn := rs.Mapping[lpn]
 		if ppn == flash.InvalidPPN {

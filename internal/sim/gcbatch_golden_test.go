@@ -5,7 +5,6 @@ import (
 	"hash/fnv"
 	"testing"
 
-	"repro/internal/flash"
 	"repro/internal/ftl"
 	"repro/internal/workload"
 )
@@ -87,7 +86,7 @@ func TestGCBatchGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			admitAll(t, d, tc.queueDepth, reqs)
-			if dc, ok := tr.(interface{ DirtyCached() map[ftl.LPN]flash.PPN }); ok {
+			if dc, ok := tr.(ftl.DirtyLister); ok {
 				if err := d.CheckConsistency(dc.DirtyCached()); err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}

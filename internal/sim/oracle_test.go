@@ -98,8 +98,8 @@ func (s *readSpy) Warm(persisted func(ftl.LPN) flash.PPN) {
 	}
 }
 
-func (s *readSpy) DirtyCached() map[ftl.LPN]flash.PPN {
-	if t, ok := s.Translator.(interface{ DirtyCached() map[ftl.LPN]flash.PPN }); ok {
+func (s *readSpy) DirtyCached() []ftl.DirtyEntry {
+	if t, ok := s.Translator.(ftl.DirtyLister); ok {
 		return t.DirtyCached()
 	}
 	return nil

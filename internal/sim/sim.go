@@ -316,7 +316,7 @@ func Run(o Options) (*Result, error) {
 	n := max(o.Shards, 1)
 	if n > 1 {
 		// Samples, exports and fault plans attach to one device; spreading
-		// them over several is ROADMAP items 1(b) and 2.
+		// them over several is ROADMAP item 2.
 		switch {
 		case o.SampleEvery > 0:
 			return nil, fmt.Errorf("sim: cache sampling is per-device; not supported with Shards")
@@ -539,11 +539,8 @@ func firstError(errs []error) error {
 
 // dirtySetOf extracts the dirty cached entries from any scheme that exposes
 // them, nil for schemes that do not.
-func dirtySetOf(tr ftl.Translator) map[ftl.LPN]flash.PPN {
-	type dirtier interface {
-		DirtyCached() map[ftl.LPN]flash.PPN
-	}
-	if d, ok := tr.(dirtier); ok {
+func dirtySetOf(tr ftl.Translator) []ftl.DirtyEntry {
+	if d, ok := tr.(ftl.DirtyLister); ok {
 		return d.DirtyCached()
 	}
 	return nil

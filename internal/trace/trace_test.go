@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -253,15 +255,18 @@ func TestParseNativeErrors(t *testing.T) {
 // may panic, and every request one returns must be valid, with its End past
 // its Offset unless it is a flush.
 func FuzzParseText(f *testing.F) {
-	for _, seed := range []string{
-		"# arrival_ns,offset,length,op\n0,0,4096,w\n100,8192,512,r\n200,0,4096,t\n300,0,0,f\n",
-		"0,20941264,8192,W,0.551706\n1,3208848,512,r,1.25\n0,0,0,f,1.5\n",
-		"128166372003061629,ts,0,Read,665600,8192,1331\n128166372016382155,ts,0,Write,1863680,4096,4768\n",
-		"10,9223372036854771712,8192,w\n",
-		"0,36028797018963968,8192,W,0.5\n",
-		"10,0,4096,w\n5,0,4096,w\n",
-	} {
-		f.Add([]byte(seed))
+	// One seed per file of testdata/seeds, in name order; internal/sim's
+	// FuzzTraceReplay replays the same files through a device.
+	seeds, err := filepath.Glob(filepath.Join("testdata", "seeds", "*"))
+	if err != nil || len(seeds) == 0 {
+		f.Fatalf("no seeds in testdata/seeds: %v", err)
+	}
+	for _, p := range seeds {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, format := range []Format{FormatNative, FormatSPC, FormatMSR} {

@@ -499,18 +499,18 @@ func Generate(p Profile, n int, seed int64) ([]trace.Request, error) {
 type zipf struct {
 	rng   *rand.Rand
 	n     int64
-	theta float64
 	alpha float64
 	zetan float64
 	eta   float64
 	zeta2 float64
+	rank1 float64 // 1 + 0.5^theta: draws of u·zetan below it are rank 0 or 1
 }
 
 func newZipf(rng *rand.Rand, theta float64, n int64) *zipf {
 	if n < 1 {
 		n = 1
 	}
-	z := &zipf{rng: rng, n: n, theta: theta}
+	z := &zipf{rng: rng, n: n, rank1: 1.0 + math.Pow(0.5, theta)}
 	z.zeta2 = zetaStatic(2, theta)
 	z.zetan = zetaApprox(n, theta)
 	z.alpha = 1.0 / (1.0 - theta)
@@ -545,7 +545,7 @@ func (z *zipf) next() int64 {
 	if uz < 1.0 {
 		return 0
 	}
-	if uz < 1.0+math.Pow(0.5, z.theta) {
+	if uz < z.rank1 {
 		return 1
 	}
 	r := int64(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
