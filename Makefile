@@ -16,14 +16,15 @@ vet:
 
 # The second line re-runs the tests of what happens concurrently around and
 # inside a run — per-shard set-up and teardown, the figure sweeps, the lane
-# workers, the live plane, a device's timing half on its own goroutine — at
+# workers and the router buffers they hand back, the live plane, a device's
+# timing half on its own goroutine — at
 # three GOMAXPROCS values, so the goroutines are scheduled both on fewer and
 # on more Ps than the runner has cores (the host pipelines the timing half
 # only from two Ps per shard up).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/host \
-		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream'
+		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream|TestSourceErrorMidStream|TestRouterReuseAcrossShapes|TestOneShardServesOnCaller'
 
 # ftlint is the repo's own static-analysis suite (cmd/ftlint): two analyzers,
 # for the bug classes no test fails on — non-exhaustive switches over the

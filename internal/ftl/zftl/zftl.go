@@ -11,6 +11,14 @@
 // "Zone switches are cumbersome and incur significant overhead" — falls out
 // directly: workloads hopping between zones pay repeated flush/reload
 // cycles.
+//
+// Through ftl.Device the first tier stays empty. The device translates a page
+// before it updates it, and Translate loads the page into tier 2 (switching
+// zone first if it must), so the Update that follows lands in the cached page.
+// Only a standalone Update of an uncached page reaches tier 1, so the
+// evaluated ZFTL has no tier-1 batching (TestTier1EmptyThroughTheDevice).
+// Routing a device write's update to tier 1 would change ZFTL's flash
+// operations, and with them its pinned results.
 package zftl
 
 import (

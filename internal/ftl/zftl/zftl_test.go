@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ftl"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func newDevice(t *testing.T, cacheBytes int64) (*ftl.Device, *FTL) {
@@ -150,6 +151,43 @@ func TestTier1BatchEviction(t *testing.T) {
 	}
 	if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTier1EmptyThroughTheDevice pins what the package comment says of tier
+// 1: a device write translates its page before it updates it, and Translate
+// loads the page into tier 2 (switching zone first if it must), so the
+// Update lands in the cached page and tier 1 never holds an entry. A
+// write-heavy Financial1 stream, with zone switches and tier-2 evictions
+// throughout, leaves tier 1 empty after every request.
+func TestTier1EmptyThroughTheDevice(t *testing.T) {
+	// One translation page a zone, so the stream's footprint spans zones.
+	tr := New(Config{CacheBytes: 8 << 10, ZoneTPs: 1})
+	d, err := ftl.NewDevice(ftl.Config{
+		LogicalBytes: 16 << 20, PageSize: 4096, PagesPerBlock: 32,
+		OverProvision: 0.15, CacheBytes: 8 << 10,
+	}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Format(); err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := workload.Generate(workload.Financial1().Scale(16<<20), 6000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reqs {
+		if _, err := d.Serve(r); err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if len(tr.tier1) != 0 {
+			t.Fatalf("request %d (%v) left %d entries in tier 1", i, r.Op, len(tr.tier1))
+		}
+	}
+	if m := d.Metrics(); m.PageWrites == 0 || m.TransWritesAT == 0 || tr.ZoneSwitches() < 100 {
+		t.Fatalf("%d page writes, %d translation writes, %d zone switches: the stream no longer exercises ZFTL's write paths",
+			m.PageWrites, m.TransWritesAT, tr.ZoneSwitches())
 	}
 }
 

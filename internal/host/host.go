@@ -42,6 +42,9 @@ type Host struct {
 	lay    Layout
 	opt    Options
 	shards []*shard
+	// rt is route's buffers and channels (nil until the first sharded
+	// replay).
+	rt *router
 }
 
 // shard is one slice of the LPN space: a private device plus the admission
@@ -231,9 +234,11 @@ type ReplayOptions struct {
 	// A one-shard host has no lanes and ignores it.
 	Clients int
 	// Batch is the number of requests pulled from the source per call and
-	// handed to a shard per submission (default DefaultBatch). Purely a
-	// wall-clock and memory knob: the per-shard service order — and so every
-	// simulated metric — is independent of it.
+	// handed to a shard per submission (default DefaultBatch). A host of two
+	// or more shards keeps one pull buffer and two Batch-sized buffers per
+	// client lane from one replay to the next of the same Batch and Clients
+	// (router). Purely a wall-clock and memory knob: the per-shard service
+	// order — and so every simulated metric — is independent of it.
 	Batch int
 }
 
@@ -350,12 +355,66 @@ func (s *shard) drain(it trace.Iterator, batch int) (int64, error) {
 }
 
 // replayLane is one client's channel pair: full batches flow shard-ward on
-// data, served batches return on free for refilling. Two buffers circulate
-// per lane, so a replay's resident request memory is O(batch × clients) —
-// independent of trace length.
+// data, served batches return on free for refilling, and a nil batch on data
+// ends the shard's run. Two buffers circulate per lane.
 type replayLane struct {
 	data chan []trace.Request
 	free chan []trace.Request
+}
+
+// router is what route circulates between the calling goroutine and the shard
+// workers: the pull buffer, and per shard one replayLane per client with its
+// two fragment buffers. The host builds it on the first sharded replay and
+// hands the same one to every later replay of the same Batch and Clients, so a
+// warm-up and the measured phase share it. Between replays every buffer sits
+// in its lane's free channel and every data channel is empty.
+//
+// Every buffer holds Batch requests, so a host's resident request memory is
+// (1 + 2 × Clients) × Batch requests, whatever the trace's length. Lane
+// buffers of ⌈Batch/Shards⌉ fragments, one pull's expected share, were
+// measured slower (DESIGN, "Request path").
+type router struct {
+	batch, clients int // the shape it was built for
+	pull           []trace.Request
+	lanes          [][]replayLane
+	cur            [][]trace.Request // the buffer each shard is filling
+	turn           []int             // the lane each shard's buffer goes to
+	frags          []Fragment
+	wg             sync.WaitGroup
+}
+
+// router returns the host's router for a replay of this shape, building it
+// when there is none yet or the last one had another.
+func (h *Host) router(batch, clients int) *router {
+	if rt := h.rt; rt != nil && rt.batch == batch && rt.clients == clients {
+		return rt
+	}
+	n := len(h.shards)
+	rt := &router{
+		batch:   batch,
+		clients: clients,
+		pull:    make([]trace.Request, batch),
+		lanes:   make([][]replayLane, n),
+		cur:     make([][]trace.Request, n),
+		turn:    make([]int, n),
+	}
+	for s := range rt.lanes {
+		ls := make([]replayLane, clientsOfShard(clients, n, s))
+		for i := range ls {
+			// One buffer filling at the router, one in flight or being
+			// served. The worker returns every buffer, so free (cap 2) can
+			// never block it.
+			ls[i] = replayLane{
+				data: make(chan []trace.Request, 1),
+				free: make(chan []trace.Request, 2),
+			}
+			ls[i].free <- make([]trace.Request, 0, batch)
+			ls[i].free <- make([]trace.Request, 0, batch)
+		}
+		rt.lanes[s] = ls
+	}
+	h.rt = rt
+	return rt
 }
 
 // route serves a source across two or more shards concurrently: the router
@@ -366,64 +425,40 @@ type replayLane struct {
 // per-shard service order equals the partition order no matter how many
 // clients feed it, what the batch size is, or how the Go scheduler
 // interleaves the goroutines. It returns the requests and fragments routed.
+// Every buffer is back in its lane's pool when it returns, also after a
+// source, layout or device error.
 func (h *Host) route(it trace.Iterator, batch, clients int) (requests, fragments int64, routeErr error) {
-	if clients < h.lay.Shards {
-		clients = h.lay.Shards
-	}
-	var wg sync.WaitGroup
-	lanes := make([][]replayLane, h.lay.Shards)
+	rt := h.router(batch, max(clients, len(h.shards)))
 	for s, sh := range h.shards {
-		k := clientsOfShard(clients, h.lay.Shards, s)
-		ls := make([]replayLane, k)
-		for i := range ls {
-			// Two buffers circulate per lane: one filling at the router, one
-			// in flight or being served. The worker returns every buffer, so
-			// free (cap 2) can never block it.
-			ls[i] = replayLane{
-				data: make(chan []trace.Request, 1),
-				free: make(chan []trace.Request, 2),
-			}
-			ls[i].free <- make([]trace.Request, 0, batch)
-			ls[i].free <- make([]trace.Request, 0, batch)
-		}
-		lanes[s] = ls
-		wg.Add(1)
+		rt.wg.Add(1)
 		go func(sh *shard, ls []replayLane) {
-			defer wg.Done()
-			open := len(ls)
-			for turn := 0; open > 0; turn = (turn + 1) % len(ls) {
-				if ls[turn].data == nil {
-					continue
-				}
-				b, ok := <-ls[turn].data
-				if !ok {
-					ls[turn].data = nil
-					open--
-					continue
+			defer rt.wg.Done()
+			for turn := 0; ; turn = (turn + 1) % len(ls) {
+				b := <-ls[turn].data
+				if b == nil {
+					return
 				}
 				// After a failure serveBatch drops the batch; keep draining
 				// so the router never blocks on a dead shard.
 				sh.serveBatch(b)
 				ls[turn].free <- b[:0]
 			}
-		}(sh, ls)
+		}(sh, rt.lanes[s])
 	}
 
 	// The router: fill per-shard batch buffers in request order, rotating to
 	// the next lane whenever one fills. The buffer a shard is filling always
 	// comes from the pool of the lane it will be sent to.
-	cur := make([][]trace.Request, h.lay.Shards)
-	turn := make([]int, h.lay.Shards)
+	lanes, cur, turn, pull, frags := rt.lanes, rt.cur, rt.turn, rt.pull, rt.frags
 	for s := range cur {
-		cur[s] = (<-lanes[s][0].free)[:0]
+		turn[s] = 0
+		cur[s] = <-lanes[s][0].free
 	}
-	reqBuf := make([]trace.Request, batch)
-	var frags []Fragment
 router:
 	for {
-		n, err := it.Next(reqBuf)
+		n, err := it.Next(pull)
 		for i := 0; i < n; i++ {
-			frags, routeErr = h.lay.Fragments(reqBuf[i], frags[:0])
+			frags, routeErr = h.lay.Fragments(pull[i], frags[:0])
 			if routeErr != nil {
 				routeErr = fmt.Errorf("host: request %d: %w", requests, routeErr)
 				break router
@@ -436,7 +471,7 @@ router:
 				if len(cur[s]) == batch {
 					lanes[s][turn[s]].data <- cur[s]
 					turn[s] = (turn[s] + 1) % len(lanes[s])
-					cur[s] = (<-lanes[s][turn[s]].free)[:0]
+					cur[s] = <-lanes[s][turn[s]].free
 				}
 			}
 		}
@@ -447,15 +482,25 @@ router:
 			break
 		}
 	}
-	for s := range h.shards {
+	// A shard's last, partial batch is served unless the run failed; an
+	// unsent buffer goes back to its lane's pool. Then the nil that ends a
+	// shard's run goes to the lane its worker reads next — after every
+	// shard's last batch, since it waits for the worker to take that batch
+	// and no other shard's batch may wait behind it.
+	for s, lane := range lanes {
 		if routeErr == nil && len(cur[s]) > 0 {
-			lanes[s][turn[s]].data <- cur[s]
+			lane[turn[s]].data <- cur[s]
+			turn[s] = (turn[s] + 1) % len(lane)
+		} else {
+			lane[turn[s]].free <- cur[s][:0]
 		}
-		for i := range lanes[s] {
-			close(lanes[s][i].data)
-		}
+		cur[s] = nil
 	}
-	wg.Wait()
+	for s, lane := range lanes {
+		lane[turn[s]].data <- nil
+	}
+	rt.frags = frags
+	rt.wg.Wait()
 	return requests, fragments, routeErr
 }
 

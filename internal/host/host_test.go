@@ -387,7 +387,8 @@ func goroutinesDownTo(want int) int {
 // runs. With a spare core the device's timing half runs beside it on exactly
 // one more goroutine, joined before ReplayStream returns and fed by one set
 // of log chunks that both replays reuse. What the host allocates per replay
-// does not grow with the trace. Two shards, by contrast, start workers.
+// does not grow with the trace. Two shards, by contrast, start workers, and
+// the measured replay reuses the warm-up's pull and lane buffers.
 func TestOneShardServesOnCaller(t *testing.T) {
 	const space = 16 << 20
 	const batch = 96
@@ -465,6 +466,43 @@ func TestOneShardServesOnCaller(t *testing.T) {
 		t.Errorf("two shards: %d goroutines while serving, want a worker per shard over %d", p2.hi, before)
 	}
 
+	// The two-shard twin of the buffer reuse above: the warm-up builds the
+	// router's pull buffer and lane buffers, the measured replay serves
+	// through the same ones — inline, and at GOMAXPROCS 4 with both timing
+	// halves pipelined. A Batch of 512 puts the pull buffer and each lane
+	// buffer (16 KiB) where bigObjects sees them.
+	const bigBatch = 512
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			h := newTestHost(t, base, 2, Options{QueueDepth: 4})
+			p := &probeIter{it: trace.NewSliceIterator(reqs)}
+			o := ReplayOptions{Clients: 4, Batch: bigBatch}
+			if err := h.Warm(trace.Limit(p, 500), o); err != nil {
+				t.Fatal(err)
+			}
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			if _, err := h.ReplayStream(p, o); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms1)
+			if big := bigObjects(&ms1) - bigObjects(&ms0); big != 0 {
+				t.Errorf("two shards, GOMAXPROCS=%d: the measured replay allocated %d objects of 8 KiB or more", procs, big)
+			}
+			if len(p.bufs) != 1 {
+				t.Errorf("two shards, GOMAXPROCS=%d: pulled into %d distinct buffers over two replays, want 1", procs, len(p.bufs))
+			}
+			for s, lane := range h.rt.lanes {
+				for i, l := range lane {
+					if len(l.free) != 2 || len(l.data) != 0 {
+						t.Errorf("two shards, GOMAXPROCS=%d: shard %d lane %d holds %d free and %d queued buffers, want 2 and 0", procs, s, i, len(l.free), len(l.data))
+					}
+				}
+			}
+		}()
+	}
+
 	if !allocGuardsEnabled {
 		return
 	}
@@ -483,10 +521,103 @@ func TestOneShardServesOnCaller(t *testing.T) {
 	one, two := allocs(h), allocs(h2)
 	t.Logf("host allocations per empty ReplayStream: %v at one shard, %v at two", one, two)
 	// The source and the outcome with its two slices; the pull buffer is
-	// the host's. Lanes alone would be two channels and two buffers per
-	// client.
+	// the host's. At two shards the router's buffers and channels are the
+	// host's too, which leaves two allocations per shard to start its worker.
 	if one > 4 {
 		t.Errorf("one-shard ReplayStream allocates %v times, want the source and the outcome only", one)
+	}
+	if two > 4+2*2 {
+		t.Errorf("two-shard ReplayStream allocates %v times, want the source, the outcome and the two workers' starts only", two)
+	}
+}
+
+// TestRouterReuseAcrossShapes replays the same traces back to back on two
+// hosts, one keeping Batch and Clients fixed and one changing them between
+// replays, at two and at four shards. Every outcome matches: a router reused
+// at one shape, or rebuilt for another, never serves a stale fragment.
+func TestRouterReuseAcrossShapes(t *testing.T) {
+	const space = 32 << 20
+	base := ftl.DefaultConfig(space)
+	shapes := []ReplayOptions{{Batch: 64, Clients: 2}, {Batch: 17, Clients: 5}, {Batch: 1, Clients: 9}, {Batch: 4096, Clients: 9}, {Batch: 4096, Clients: 9}}
+	for _, shards := range []int{2, 4} {
+		fixed := newTestHost(t, base, shards, Options{QueueDepth: 8})
+		changing := newTestHost(t, base, shards, Options{QueueDepth: 8})
+		for i, o := range shapes {
+			reqs := mixedTrace(int64(20+i), 1500, space, int64(base.PageSize), 0)
+			want, err := fixed.Replay(reqs, ReplayOptions{Batch: 64, Clients: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := changing.Replay(reqs, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d shards, replay %d (Batch %d, Clients %d): outcome diverges from the fixed-shape host's", shards, i, o.Batch, o.Clients)
+			}
+		}
+	}
+}
+
+// failAfter is a request source that fails after serving a number of
+// batches.
+type failAfter struct {
+	it      trace.Iterator
+	batches int
+	err     error
+}
+
+func (f *failAfter) Next(batch []trace.Request) (int, error) {
+	if f.batches == 0 {
+		return 0, f.err
+	}
+	f.batches--
+	return f.it.Next(batch)
+}
+
+// TestSourceErrorMidStream: a source that fails after two batches aborts the
+// replay with an error that wraps the source's, no outcome, and no goroutine
+// left behind. Every buffer is back on the host: the next replay allocates no
+// object of 8 KiB or more and serves exactly the fragments it routes.
+func TestSourceErrorMidStream(t *testing.T) {
+	const space = 16 << 20
+	const batch = 512 // pull and lane buffers where bigObjects sees them
+	base := ftl.DefaultConfig(space)
+	reqs := mixedTrace(7, 6000, space, int64(base.PageSize), 0)
+	errSource := errors.New("source failed")
+	o := ReplayOptions{Batch: batch}
+	for _, shards := range []int{1, 2} {
+		h := newTestHost(t, base, shards, Options{QueueDepth: 4})
+		// Counted before any replay: one that has returned may still have a
+		// goroutine on its way out.
+		before := runtime.NumGoroutine()
+		if _, err := h.Replay(reqs[:batch], o); err != nil {
+			t.Fatal(err)
+		}
+		out, err := h.ReplayStream(&failAfter{it: trace.NewSliceIterator(reqs), batches: 2, err: errSource}, o)
+		if !errors.Is(err, errSource) || out != nil {
+			t.Fatalf("%d shards: outcome %v, error %v; want none beside the source's error", shards, out, err)
+		}
+		if n := goroutinesDownTo(before); n > before {
+			t.Errorf("%d shards: %d goroutines a second after the failed replay, %d before", shards, n, before)
+		}
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		out, err = h.Replay(reqs[batch:], o)
+		runtime.ReadMemStats(&ms1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if big := bigObjects(&ms1) - bigObjects(&ms0); big != 0 {
+			t.Errorf("%d shards: the replay after the failure allocated %d objects of 8 KiB or more", shards, big)
+		}
+		var served int64
+		for _, sr := range out.Shards {
+			served += sr.Admitted
+		}
+		if served != out.Fragments {
+			t.Errorf("%d shards: the replay after the failure served %d fragments, routed %d", shards, served, out.Fragments)
+		}
 	}
 }
 

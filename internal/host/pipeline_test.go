@@ -124,7 +124,10 @@ func TestPipelinedRequestSpansChunks(t *testing.T) {
 	}
 }
 
-// bigObjects counts the heap objects of 8 KiB or more allocated so far.
+// bigObjects counts the heap objects of 8 KiB or more allocated so far, up to
+// 18 KiB: MemStats.BySize ends at the 18 KiB size class, so a larger object —
+// an Outcome's per-shard results, 53 KiB a shard, among them — is not
+// counted. A guard that uses it sizes what it watches into that range.
 func bigObjects(ms *runtime.MemStats) uint64 {
 	var n uint64
 	for _, c := range ms.BySize {

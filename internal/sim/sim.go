@@ -69,7 +69,9 @@ type Options struct {
 	// StreamBatch is the number of requests pulled from the source — any
 	// source: TraceStream, Trace or the generated workload — per batch, and
 	// the size of the batches handed to shards (default DefaultStreamBatch,
-	// 4096, whatever Shards is). A wall-clock/memory knob only: simulated
+	// 4096, whatever Shards is). The host allocates its batch buffers once
+	// per run: the warm-up and the measured phase share them
+	// (host.ReplayOptions.Batch). A wall-clock/memory knob only: simulated
 	// results are independent of it.
 	StreamBatch int
 
