@@ -26,26 +26,18 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/host \
 		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream|TestSourceErrorMidStream|TestRouterReuseAcrossShapes|TestOneShardServesOnCaller'
 
-# ftlint is the repo's own static-analysis suite (cmd/ftlint): two analyzers,
-# for the bug classes no test fails on — non-exhaustive switches over the
-# request-op enum, and a range over a map in the non-test files of the
-# simulation packages (flash, ftl/..., core, lru, buffer, ssd, host), whose
-# random order once leaked into flash state. ftlint is a vet tool and nothing
-# else: `go vet -vettool` drives it once per build unit, so _test.go files are
-# covered. Any finding fails the target; the one way to tolerate an opswitch
-# finding is a reviewed `//lint:ignore opswitch <reason>` at the site, and the
-# map-range ban has no waiver.
-bin/ftlint: FORCE
-	$(GO) build -o bin/ftlint ./cmd/ftlint
+# The repo's two static rules, for the bug classes no test fails on: every
+# switch over trace.Op covers every op or has a default, and no non-test file
+# of the simulation packages (flash, ftl/..., core, lru, buffer, ssd, host)
+# ranges over a map, whose random order once leaked into flash state. They
+# are internal/lint's TestTree, which type-checks every package of the root
+# and the bench/ module, _test.go files included, and which `go test ./...`
+# runs too (-count=1: the test cache sees a file added to a checked package,
+# not a new package elsewhere). Neither rule has a waiver.
+lint:
+	$(GO) test -count=1 ./internal/lint
 
 FORCE:
-
-# bench/ is a module of its own (the referee benchmark, see bench/README.md),
-# so ./... does not descend into it; the second vet covers it with the same
-# analyzers.
-lint: bin/ftlint
-	$(GO) vet -vettool=$(abspath bin/ftlint) ./...
-	cd bench && $(GO) vet -vettool=$(abspath bin/ftlint) ./...
 
 # The ftlsan build runs the full invariant suite (chip bookkeeping, GTD and
 # live-mapping consistency, translator structure) after every host

@@ -408,8 +408,7 @@ func TestOneShardServesOnCaller(t *testing.T) {
 			var logBytes []int64
 			var big uint64 // objects of 8 KiB or more the measured replay allocates
 			for i, it := range []trace.Iterator{trace.Limit(p, 500), p} {
-				var ms0, ms1 runtime.MemStats
-				runtime.ReadMemStats(&ms0)
+				big0 := bigObjects()
 				var err error
 				if i == 0 {
 					err = h.Warm(it, ReplayOptions{Clients: 4, Batch: batch})
@@ -419,8 +418,7 @@ func TestOneShardServesOnCaller(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				runtime.ReadMemStats(&ms1)
-				big = bigObjects(&ms1) - bigObjects(&ms0)
+				big = bigObjects() - big0
 				if n := goroutinesDownTo(before); n != before {
 					t.Errorf("GOMAXPROCS=%d: %d goroutines a second after ReplayStream returned, %d before", procs, n, before)
 				}
@@ -449,7 +447,7 @@ func TestOneShardServesOnCaller(t *testing.T) {
 				t.Errorf("inline replays hold %v B of log chunks, want none", logBytes)
 			case procs >= 2 && (logBytes[0] == 0 || logBytes[0] > 64<<10 || logBytes[1] != logBytes[0]):
 				t.Errorf("the pipelined replays hold %v B of log chunks, want one set of at most 64 KiB", logBytes)
-			case big != 0:
+			case big > outcomeObjects:
 				// The measured replay's chunks are the warm-up's.
 				t.Errorf("GOMAXPROCS=%d: the measured replay allocated %d objects of 8 KiB or more", procs, big)
 			}
@@ -469,26 +467,24 @@ func TestOneShardServesOnCaller(t *testing.T) {
 	// The two-shard twin of the buffer reuse above: the warm-up builds the
 	// router's pull buffer and lane buffers, the measured replay serves
 	// through the same ones — inline, and at GOMAXPROCS 4 with both timing
-	// halves pipelined. A Batch of 512 puts the pull buffer and each lane
-	// buffer (16 KiB) where bigObjects sees them.
-	const bigBatch = 512
-	for _, procs := range []int{1, 4} {
+	// halves pipelined — at a Batch of 512 and at sim.Run's default of 4096,
+	// whose pull buffer is 128 KiB.
+	for _, c := range []struct{ procs, batch int }{{1, 512}, {4, 512}, {4, 4096}} {
+		procs := c.procs
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			h := newTestHost(t, base, 2, Options{QueueDepth: 4})
 			p := &probeIter{it: trace.NewSliceIterator(reqs)}
-			o := ReplayOptions{Clients: 4, Batch: bigBatch}
+			o := ReplayOptions{Clients: 4, Batch: c.batch}
 			if err := h.Warm(trace.Limit(p, 500), o); err != nil {
 				t.Fatal(err)
 			}
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
+			big0 := bigObjects()
 			if _, err := h.ReplayStream(p, o); err != nil {
 				t.Fatal(err)
 			}
-			runtime.ReadMemStats(&ms1)
-			if big := bigObjects(&ms1) - bigObjects(&ms0); big != 0 {
-				t.Errorf("two shards, GOMAXPROCS=%d: the measured replay allocated %d objects of 8 KiB or more", procs, big)
+			if big := bigObjects() - big0; big > outcomeObjects {
+				t.Errorf("two shards, GOMAXPROCS=%d, Batch %d: the measured replay allocated %d objects of 8 KiB or more", procs, c.batch, big)
 			}
 			if len(p.bufs) != 1 {
 				t.Errorf("two shards, GOMAXPROCS=%d: pulled into %d distinct buffers over two replays, want 1", procs, len(p.bufs))
@@ -581,7 +577,7 @@ func (f *failAfter) Next(batch []trace.Request) (int, error) {
 // object of 8 KiB or more and serves exactly the fragments it routes.
 func TestSourceErrorMidStream(t *testing.T) {
 	const space = 16 << 20
-	const batch = 512 // pull and lane buffers where bigObjects sees them
+	const batch = 512 // pull and lane buffers of 16 KiB
 	base := ftl.DefaultConfig(space)
 	reqs := mixedTrace(7, 6000, space, int64(base.PageSize), 0)
 	errSource := errors.New("source failed")
@@ -601,14 +597,13 @@ func TestSourceErrorMidStream(t *testing.T) {
 		if n := goroutinesDownTo(before); n > before {
 			t.Errorf("%d shards: %d goroutines a second after the failed replay, %d before", shards, n, before)
 		}
-		var ms0, ms1 runtime.MemStats
-		runtime.ReadMemStats(&ms0)
+		big0 := bigObjects()
 		out, err = h.Replay(reqs[batch:], o)
-		runtime.ReadMemStats(&ms1)
+		big := bigObjects() - big0
 		if err != nil {
 			t.Fatal(err)
 		}
-		if big := bigObjects(&ms1) - bigObjects(&ms0); big != 0 {
+		if big > outcomeObjects {
 			t.Errorf("%d shards: the replay after the failure allocated %d objects of 8 KiB or more", shards, big)
 		}
 		var served int64

@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -115,6 +118,48 @@ func TestStreamedReplayMatchesEager(t *testing.T) {
 				t.Errorf("per-shard results diverge:\n got  %+v\n want %+v", streamed.Shards, eager.Shards)
 			}
 		})
+	}
+}
+
+// TestCorruptBinaryTraceThroughRun: a binary trace whose second batch holds
+// a record with a nonzero reserved byte aborts sim.Run, at one shard and at
+// two, with no Result, an error naming the record, and no goroutine left.
+func TestCorruptBinaryTraceThroughRun(t *testing.T) {
+	o := streamTestOptions(SchemeTPFTL)
+	o.ResetAfterWarmup = 0 // batches of DefaultStreamBatch from the first record
+	reqs, err := workload.Generate(o.Profile, o.Requests, o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bad = DefaultStreamBatch + 100 // in the second batch
+	path := writeBinaryTrace(t, reqs)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[trace.BinaryHeaderSize+bad*trace.BinaryRecordSize+25] = 1
+	if err := os.WriteFile(path, raw, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		before := runtime.NumGoroutine()
+		s, err := trace.OpenBinary(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.TraceStream, o.Shards = s, shards
+		res, err := Run(o)
+		s.Close()
+		if want := fmt.Sprintf("record %d: nonzero reserved record byte", bad); res != nil || err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%d shards: Result %v, error %v; want no Result and an error naming %q", shards, res != nil, err, want)
+		}
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > before {
+			t.Errorf("%d shards: %d goroutines a second after Run returned, %d before", shards, n, before)
+		}
 	}
 }
 
