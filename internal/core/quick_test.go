@@ -11,9 +11,9 @@ import (
 
 // TestQuickRandomConfigurations drives arbitrary TPFTL configurations
 // (technique subsets, budgets, hotness orderings) through short random
-// workloads, checking the structural invariants and the device's
-// live/persist consistency after every run. Arguments are generated by
-// testing/quick.
+// workloads, checking the structural invariants after every request and the
+// device's live/persist consistency after every run. Arguments are generated
+// by testing/quick.
 func TestQuickRandomConfigurations(t *testing.T) {
 	f := func(seed int64, toggles uint8, budgetRaw uint16, hotAvg bool) bool {
 		cfg := Config{
@@ -60,10 +60,10 @@ func TestQuickRandomConfigurations(t *testing.T) {
 				t.Logf("cfg %q: %v", cfg.VariantName(), err)
 				return false
 			}
-		}
-		if err := tr.CheckInvariants(); err != nil {
-			t.Logf("cfg %q: %v", cfg.VariantName(), err)
-			return false
+			if err := tr.CheckInvariants(); err != nil {
+				t.Logf("cfg %q: after request %d: %v", cfg.VariantName(), i, err)
+				return false
+			}
 		}
 		if err := d.CheckConsistency(tr.DirtyCached()); err != nil {
 			t.Logf("cfg %q: %v", cfg.VariantName(), err)

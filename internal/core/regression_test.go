@@ -332,3 +332,48 @@ func TestGeometryThreadedAtConstruction(t *testing.T) {
 		t.Fatalf("device with 2 KB pages: cache thinks %d entries/TP, want %d", got, want)
 	}
 }
+
+// TestEvictionRunSplicesAroundDirtyEntry: a clean-first run whose clean
+// victims lie on both sides of a dirty entry takes them out of the entry list
+// as two segments. Node 0 holds, MRU to LRU, offset 0 clean, 1 clean, 2
+// dirty, 3 clean, 4 clean (48 B); node 1 offset 0 (16 B); the budget is 64.
+//   - The miss on lpn 16 with one prefetched entry needs 24 B, three victims:
+//     4 and 3, the segment at the tail, then 1, past the dirty 2. The run
+//     ends at the floor, and 0 and 2 stay linked to each other.
+//   - With three prefetched entries it needs 40 B: the same three, then 0,
+//     which closes the second segment at the head, and then the dirty 2, now
+//     the node's only entry, written back. Its removal drops the node.
+func TestEvictionRunSplicesAroundDirtyEntry(t *testing.T) {
+	for _, c := range []struct {
+		last      ftl.LPN
+		want      map[ftl.VTPN][]int32
+		writeback []ftl.EntryUpdate
+	}{
+		{17, map[ftl.VTPN][]int32{0: {0, 2}, 1: {0}, 2: {0, 1}}, nil},
+		{19, map[ftl.VTPN][]int32{1: {0}, 2: {0, 3, 2, 1}}, []ftl.EntryUpdate{{Off: 2, PPN: 102}}},
+	} {
+		f := New(Config{CacheBytes: 64, RequestPrefetch: true, CleanFirst: true, CompressEntries: false})
+		env := &recordingEnv{stubEnv: stubEnv{ePerTP: 8, lpns: 64}}
+		f.SetGeometry(env.ePerTP)
+		request(t, f, env, 4, 4)
+		request(t, f, env, 3, 3)
+		if err := f.Update(env, 2, 102); err != nil {
+			t.Fatal(err)
+		}
+		request(t, f, env, 1, 1)
+		request(t, f, env, 0, 0)
+		request(t, f, env, 8, 8)
+		checkCache(t, f, &env.stubEnv, map[ftl.VTPN][]int32{0: {0, 1, 2, 3, 4}, 1: {0}}, 0, 0)
+
+		request(t, f, env, 16, c.last)
+		victims, dirty := 3, 0
+		if c.writeback != nil {
+			victims, dirty = 5, 1
+		}
+		checkCache(t, f, &env.stubEnv, c.want, victims, dirty)
+		if c.writeback == nil && len(env.batches) != 0 ||
+			c.writeback != nil && (len(env.batches) != 1 || env.vtpns[0] != 0 || !slices.Equal(env.batches[0], c.writeback)) {
+			t.Errorf("last %d: writebacks %v on pages %v, want %v on page 0", c.last, env.batches, env.vtpns, c.writeback)
+		}
+	}
+}

@@ -86,18 +86,26 @@ func (s *entrySlab) pushFront(tp *tpNode, e *entryNode) {
 
 // unlink removes e from tp's entries.
 func (s *entrySlab) unlink(tp *tpNode, e *entryNode) {
-	if e.prev >= 0 {
-		s.nodes[e.prev].next = e.next
-	} else {
-		tp.head = e.next
-	}
-	if e.next >= 0 {
-		s.nodes[e.next].prev = e.prev
-	} else {
-		tp.tail = e.prev
-	}
+	s.splice(tp, e.prev, e.next)
 	e.prev, e.next = -1, -1
 	tp.count--
+}
+
+// splice links front and back, the entries of tp on either side of a segment
+// taken out of its list (-1 where the segment reached the MRU or the LRU end),
+// to each other. The segment's own links and tp's count are left to the
+// caller.
+func (s *entrySlab) splice(tp *tpNode, front, back int32) {
+	if front >= 0 {
+		s.nodes[front].next = back
+	} else {
+		tp.head = back
+	}
+	if back >= 0 {
+		s.nodes[back].prev = front
+	} else {
+		tp.tail = front
+	}
 }
 
 // moveToFront makes e, one of tp's entries, the MRU one. An e that is not

@@ -440,37 +440,27 @@ func (f *FTL) load(env ftl.Env, lpn ftl.LPN, v ftl.VTPN, off int32) (flash.PPN, 
 		return flash.InvalidPPN, err
 	}
 
-	// The eviction pass may have removed lpn's TP node (or created the
-	// conditions for it); re-resolve and install.
+	// The eviction pass may have removed lpn's TP node; re-resolve it.
+	// Nothing installs while a load makes room (eviction, and the GC a
+	// writeback can trigger, only remove or refresh entries), so neither
+	// the prefetched offsets nor the demanded one are cached now.
 	tp = f.tpAt(v)
 	if tp == nil {
 		tp = f.newTPNode(v)
 	}
 	// Install prefetched entries first, the demanded entry last, so the
 	// demanded one ends up MRU; its touch repositions tp for the whole run.
-	loaded := 0
-	for _, xo := range extras {
-		if tp.byOff[xo] != 0 {
-			continue // installed by a nested path meanwhile
-		}
-		f.addEntry(tp, xo, vals[xo], false)
-		loaded++
-	}
-	if loaded > 0 {
+	if len(extras) > 0 {
+		f.addRun(tp, extras, vals)
 		// The device is the Env of every run, and asserting a concrete type
 		// is one compare. An assertion to an interface type goes through
 		// the runtime's per-site cache, which allocates whenever the runtime
 		// (at random, about one call in a thousand) rebuilds it.
 		if d, ok := env.(*ftl.Device); ok {
-			d.NotePrefetch(loaded)
+			d.NotePrefetch(len(extras))
 		}
 	}
 	ppn := vals[off]
-	if e := f.entryAt(tp, off); e != nil {
-		// Extremely defensive: demanded entry appeared during eviction.
-		f.touch(tp, e)
-		return e.ppn, nil
-	}
 	e := f.addEntry(tp, off, ppn, false)
 	f.touch(tp, e)
 	return ppn, nil
@@ -660,6 +650,37 @@ func (f *FTL) addEntry(tp *tpNode, off int32, ppn flash.PPN, dirty bool) *entryN
 	return e
 }
 
+// addRun installs a clean entry for each of offs, with its PPN from vals, at
+// the MRU end of tp: the same stamps, order and slab positions as addEntry
+// one offset at a time, the last of offs at the head, but linked as one chain
+// and counted once.
+func (f *FTL) addRun(tp *tpNode, offs []int32, vals []flash.PPN) {
+	s, byOff := &f.eslab, tp.byOff
+	next, stamp := tp.head, f.stamp
+	var sum uint64
+	for _, off := range offs {
+		e := s.get()
+		e.off, e.ppn = off, vals[off]
+		byOff[off] = e.idx + 1
+		stamp++
+		e.stamp = stamp
+		sum += stamp
+		e.next = next
+		if next >= 0 {
+			s.nodes[next].prev = e.idx
+		} else {
+			tp.tail = e.idx
+		}
+		next = e.idx
+	}
+	tp.head = next
+	tp.count += int32(len(offs))
+	tp.stampSum += sum
+	f.stamp = stamp
+	f.entries += len(offs)
+	f.used += int64(len(offs)) * f.entryBytes
+}
+
 // removeEntry unlinks e from tp, its TP node, and recycles it; tp is dropped
 // when it empties.
 func (f *FTL) removeEntry(tp *tpNode, e *entryNode) {
@@ -693,8 +714,14 @@ func (f *FTL) removeEntry(tp *tpNode, e *entryNode) {
 // clean or joins the node without a writeback or an install), without it the
 // LRU entry. The run ends where the choice would leave the node or need a
 // writeback: a dirty victim, which is written back last, the node dropped
-// once it empties, or, under HotnessAvg, the node no longer coldest after a
-// removal repositioned it.
+// once it empties, or, under HotnessAvg, the node no longer coldest once its
+// average passes its predecessor's.
+//
+// The clean victims leave as a run: each is cleared from the offset table and
+// the stamp sum and released to the slab as it is met, the entry list is
+// relinked once per segment of adjacent victims (clean-first splits the run
+// at the dirty entries it steps over), and the counters, the node drop and
+// the HotnessAvg reposition are settled once, when the run ends.
 func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 	coldN := f.pages.Back()
 	if coldN == nil {
@@ -712,35 +739,87 @@ func (f *FTL) evictRun(env ftl.Env, floor int64) (bool, error) {
 		}
 	}
 
-	var victim *entryNode
+	// Under HotnessAvg the node stays the coldest while its average is not
+	// above its predecessor's: removing an entry can only move the node
+	// toward the front, and the predecessor's average does not change
+	// during the run. Without a predecessor the node stays the coldest.
+	avgBound := false
+	var prevAvg float64
+	if f.cfg.Hotness == HotnessAvg {
+		if p := tp.node.Prev(); p != nil {
+			avgBound, prevAvg = true, p.Value.avgStamp()
+		}
+	}
+
+	s, byOff := &f.eslab, tp.byOff
+	used, sum := f.used, tp.stampSum
+	var gone int32                      // clean victims released so far
+	open := false                       // victims since the last splice
+	front, back := int32(-1), int32(-1) // the open segment's neighbours toward the MRU and the LRU end
+	var victim *entryNode               // the dirty victim that ends the run, if one does
 	for i := tp.tail; ; {
 		if f.cfg.CleanFirst {
 			// LRU clean entry of the coldest TP node; LRU dirty as
-			// fallback. Every entry behind i is dirty.
-			if i = f.eslab.prevClean(i); i < 0 {
-				i = tp.tail
+			// fallback. Every entry behind i is dirty. Stepping over one
+			// closes the open segment.
+			if j := s.prevClean(i); j != i || j < 0 {
+				if open {
+					s.splice(tp, front, back)
+					open = false
+				}
+				if i = j; i < 0 {
+					i = tp.tail
+				}
 			}
 		}
-		victim = &f.eslab.nodes[i]
-		env.NoteReplacement(victim.dirty)
-		if victim.dirty {
+		e := &s.nodes[i]
+		if e.dirty {
+			victim = e
 			break
 		}
-		next := victim.prev // read before removeEntry unlinks the victim
-		f.removeEntry(tp, victim)
-		if f.used <= floor || f.pages.Back() != &tp.node {
-			return true, nil
+		if !open {
+			open, back = true, e.next
 		}
-		if f.cfg.CleanFirst {
-			i = next
-		} else {
-			i = tp.tail
+		front = e.prev
+		byOff[e.off] = 0
+		sum -= e.stamp
+		s.put(e)
+		gone++
+		used -= f.entryBytes
+		if gone == tp.count || used <= floor ||
+			avgBound && float64(sum)/float64(tp.count-gone) > prevAvg {
+			break
 		}
+		i = front
+	}
+	if open {
+		s.splice(tp, front, back)
+	}
+	for range gone {
+		env.NoteReplacement(false)
+	}
+	tp.count -= gone
+	tp.stampSum = sum
+	f.entries -= int(gone)
+	f.used = used
+	if tp.count == 0 {
+		f.dropTPNode(tp)
+		return true, nil
+	}
+	if victim == nil {
+		// Removing entries changes the node's average hotness; restore the
+		// ordering without treating the removal as an access (under LRU
+		// ordering an eviction must not promote the node).
+		if f.cfg.Hotness == HotnessAvg {
+			f.reposition(tp)
+		}
+		return true, nil
 	}
 
 	// Dirty victim: compose the writeback. With batch update every dirty
 	// entry of the TP node joins the same translation-page update and
 	// stays cached clean (§4.4); without it only the victim is written.
+	env.NoteReplacement(true)
 	v := tp.vtpn
 	updates := f.evictScratch[:0]
 	cleaned := 0

@@ -348,7 +348,7 @@ func (s *shard) drain(it trace.Iterator, batch int) (int64, error) {
 			break
 		}
 		if err != nil {
-			return requests, fmt.Errorf("host: reading trace after request %d: %w", requests, err)
+			return requests, fmt.Errorf("host: reading trace: %w", err)
 		}
 	}
 	return requests, nil
@@ -477,7 +477,7 @@ router:
 		}
 		if err != nil {
 			if err != io.EOF {
-				routeErr = fmt.Errorf("host: reading trace after request %d: %w", requests, err)
+				routeErr = fmt.Errorf("host: reading trace: %w", err)
 			}
 			break
 		}

@@ -52,12 +52,39 @@ type listed struct {
 // compiler's export data and fails on any finding of either rule.
 func TestTree(t *testing.T) {
 	for _, dir := range []string{"../..", "../../bench"} {
+		found, checked := lintTree(t, dir)
+		for _, f := range found {
+			t.Error(f)
+		}
+		t.Logf("%s: %d package variants checked", dir, checked)
+		if checked == 0 {
+			t.Errorf("go list in %s named no package to check", dir)
+		}
+	}
+}
+
+// buildTags are the builds a tree is listed under: the default one, and the
+// sanitizer's, whose files (internal/ftl's sanitize_on.go, internal/core's
+// slab_ftlsan.go) the default build leaves out.
+var buildTags = []string{"", "ftlsan"}
+
+// lintTree lists the module in dir under each of buildTags, type-checks every
+// package variant of each listing and returns the findings, each once, and
+// how many variants it checked.
+func lintTree(t *testing.T, dir string) (found []string, checked int) {
+	t.Helper()
+	seen := make(map[string]bool)
+	for _, tags := range buildTags {
+		args := []string{"list", "-C", dir, "-deps", "-test", "-export", "-json"}
+		if tags != "" {
+			args = append(args, "-tags", tags)
+		}
 		var stderr bytes.Buffer
-		cmd := exec.Command("go", "list", "-C", dir, "-deps", "-test", "-export", "-json", "./...")
+		cmd := exec.Command("go", append(args, "./...")...)
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
+			t.Fatalf("go list -tags %q in %s: %v\n%s", tags, dir, err, stderr.Bytes())
 		}
 		var pkgs []*listed
 		byID := make(map[string]*listed)
@@ -69,7 +96,6 @@ func TestTree(t *testing.T) {
 			pkgs = append(pkgs, p)
 			byID[p.ImportPath] = p
 		}
-		checked := 0
 		for _, p := range pkgs {
 			path := pathOf(p.ImportPath)
 			// A package's test variant holds its non-test files too; a
@@ -98,20 +124,20 @@ func TestTree(t *testing.T) {
 				}
 				files = append(files, f)
 			}
-			_, found, err := check(fset, path, files, imp)
+			_, vfound, err := check(fset, path, files, imp)
 			if err != nil {
 				t.Fatalf("%s: %v", p.ImportPath, err)
 			}
-			for _, f := range found {
-				t.Error(f)
+			for _, f := range vfound {
+				if !seen[f] {
+					seen[f] = true
+					found = append(found, f)
+				}
 			}
 			checked++
 		}
-		t.Logf("%s: %d package variants checked", dir, checked)
-		if checked == 0 {
-			t.Errorf("go list in %s named no package to check", dir)
-		}
 	}
+	return found, checked
 }
 
 // pathOf strips a package variant's ID down to its import path.

@@ -5,6 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -154,4 +156,49 @@ func kinds(op trace.Op, n int) {
 }
 `
 	expect(t, "repro/internal/sim", "x_test.go", src, "x_test.go:13:2: switch on trace.Op is not exhaustive: missing OpRead, OpWriteFUA, OpTrim, OpFlush")
+}
+
+// TestMapOrderInSanitizerBuild: a file built only with -tags ftlsan is
+// outside the default build, so a tree listed only that way never parses it.
+// lintTree lists the tree under the sanitizer's tag as well: a map range in
+// such a file of a policed package is reported, once, and its default-build
+// twin is not.
+func TestMapOrderInSanitizerBuild(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod": "module repro\n\ngo 1.22\n",
+		"internal/core/core.go": `package core
+
+var live = map[int]int{1: 1}
+`,
+		"internal/core/audit_ftlsan.go": `//go:build ftlsan
+
+package core
+
+func audit() (n int) {
+	for _, v := range live {
+		n += v
+	}
+	return n
+}
+`,
+		"internal/core/audit_noftlsan.go": `//go:build !ftlsan
+
+package core
+
+func audit() int { return live[1] }
+`,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	found, _ := lintTree(t, dir)
+	if len(found) != 1 || !strings.Contains(found[0], "audit_ftlsan.go:6:2: range over map live") {
+		t.Fatalf("findings %q, want the one map range in audit_ftlsan.go", found)
+	}
 }

@@ -123,10 +123,12 @@ func TestStreamedReplayMatchesEager(t *testing.T) {
 
 // TestCorruptBinaryTraceThroughRun: a binary trace whose second batch holds
 // a record with a nonzero reserved byte aborts sim.Run, at one shard and at
-// two, with no Result, an error naming the record, and no goroutine left.
+// two, with or without a warm-up before it, with no Result, an error naming
+// the record, and no goroutine left. The record's index in the trace is the
+// one position the error gives: a count of requests served would restart
+// with the measured phase.
 func TestCorruptBinaryTraceThroughRun(t *testing.T) {
 	o := streamTestOptions(SchemeTPFTL)
-	o.ResetAfterWarmup = 0 // batches of DefaultStreamBatch from the first record
 	reqs, err := workload.Generate(o.Profile, o.Requests, o.Seed)
 	if err != nil {
 		t.Fatal(err)
@@ -141,24 +143,27 @@ func TestCorruptBinaryTraceThroughRun(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o666); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2} {
-		before := runtime.NumGoroutine()
-		s, err := trace.OpenBinary(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o.TraceStream, o.Shards = s, shards
-		res, err := Run(o)
-		s.Close()
-		if want := fmt.Sprintf("record %d: nonzero reserved record byte", bad); res != nil || err == nil || !strings.Contains(err.Error(), want) {
-			t.Fatalf("%d shards: Result %v, error %v; want no Result and an error naming %q", shards, res != nil, err, want)
-		}
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
-			time.Sleep(time.Millisecond)
-		}
-		if n > before {
-			t.Errorf("%d shards: %d goroutines a second after Run returned, %d before", shards, n, before)
+	want := fmt.Sprintf("host: reading trace: trace: record %d: nonzero reserved record byte", bad)
+	for _, warm := range []int{0, 600} {
+		for _, shards := range []int{1, 2} {
+			before := runtime.NumGoroutine()
+			s, err := trace.OpenBinary(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.TraceStream, o.Shards, o.ResetAfterWarmup = s, shards, warm
+			res, err := Run(o)
+			s.Close()
+			if res != nil || err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("warm-up %d, %d shards: Result %v, error %v; want no Result and an error with %q", warm, shards, res != nil, err, want)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > before {
+				t.Errorf("warm-up %d, %d shards: %d goroutines a second after Run returned, %d before", warm, shards, n, before)
+			}
 		}
 	}
 }
