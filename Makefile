@@ -24,7 +24,7 @@ vet:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/host \
-		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream|TestSourceErrorMidStream|TestRouterReuseAcrossShapes|TestOneShardServesOnCaller'
+		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream|TestSourceErrorMidStream|TestRouterReuseAcrossShapes|TestRouteChunkEdges|TestOneShardServesOnCaller'
 
 # The repo's two static rules, for the bug classes no test fails on: every
 # switch over trace.Op covers every op or has a default, and no non-test file

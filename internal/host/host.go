@@ -233,12 +233,14 @@ type ReplayOptions struct {
 	// round-robin over shards (minimum one per shard, which is the default).
 	// A one-shard host has no lanes and ignores it.
 	Clients int
-	// Batch is the number of requests pulled from the source per call and
-	// handed to a shard per submission (default DefaultBatch). A host of two
-	// or more shards keeps one pull buffer and two Batch-sized buffers per
-	// client lane from one replay to the next of the same Batch and Clients
-	// (router). Purely a wall-clock and memory knob: the per-shard service
-	// order — and so every simulated metric — is independent of it.
+	// Batch is the number of requests pulled from the source per call
+	// (default DefaultBatch). A one-shard host serves each pull as it is; a
+	// host of two or more shards hands each shard its fragments in chunks of
+	// ⌈Batch/laneChunks⌉, laneChunks of them circulating per client lane, and
+	// keeps the pull buffer and the chunks from one replay to the next of
+	// the same Batch and Clients (router). Purely a wall-clock and memory
+	// knob: the per-shard service order — and so every simulated metric — is
+	// independent of it.
 	Batch int
 }
 
@@ -354,9 +356,15 @@ func (s *shard) drain(it trace.Iterator, batch int) (int64, error) {
 	return requests, nil
 }
 
-// replayLane is one client's channel pair: full batches flow shard-ward on
-// data, served batches return on free for refilling, and a nil batch on data
-// ends the shard's run. Two buffers circulate per lane.
+// laneChunks is the number of chunks circulating per client lane, each of
+// ⌈Batch/laneChunks⌉ fragments, so a lane holds one Batch of fragments. Small
+// chunks leave a light shard's fragments waiting at the router for less time
+// while the router itself waits on the busy shard (DESIGN, "Request path").
+const laneChunks = 16
+
+// replayLane is one client's channel pair: full chunks flow shard-ward on
+// data, served chunks return on free for refilling, and a nil chunk on data
+// ends the shard's run. laneChunks chunks circulate per lane.
 type replayLane struct {
 	data chan []trace.Request
 	free chan []trace.Request
@@ -364,21 +372,21 @@ type replayLane struct {
 
 // router is what route circulates between the calling goroutine and the shard
 // workers: the pull buffer, and per shard one replayLane per client with its
-// two fragment buffers. The host builds it on the first sharded replay and
+// ring of fragment chunks. The host builds it on the first sharded replay and
 // hands the same one to every later replay of the same Batch and Clients, so a
-// warm-up and the measured phase share it. Between replays every buffer sits
+// warm-up and the measured phase share it. Between replays every chunk sits
 // in its lane's free channel and every data channel is empty.
 //
-// Every buffer holds Batch requests, so a host's resident request memory is
-// (1 + 2 × Clients) × Batch requests, whatever the trace's length. Lane
-// buffers of ⌈Batch/Shards⌉ fragments, one pull's expected share, were
-// measured slower (DESIGN, "Request path").
+// The pull buffer holds Batch requests and each lane about as many, so a
+// host's resident request memory is about (1 + Clients) × Batch requests,
+// whatever the trace's length.
 type router struct {
 	batch, clients int // the shape it was built for
+	chunk          int // fragments per lane chunk, ⌈batch/laneChunks⌉
 	pull           []trace.Request
 	lanes          [][]replayLane
-	cur            [][]trace.Request // the buffer each shard is filling
-	turn           []int             // the lane each shard's buffer goes to
+	cur            [][]trace.Request // the chunk each shard is filling
+	turn           []int             // the lane each shard's chunk goes to
 	frags          []Fragment
 	wg             sync.WaitGroup
 }
@@ -393,6 +401,7 @@ func (h *Host) router(batch, clients int) *router {
 	rt := &router{
 		batch:   batch,
 		clients: clients,
+		chunk:   (batch + laneChunks - 1) / laneChunks,
 		pull:    make([]trace.Request, batch),
 		lanes:   make([][]replayLane, n),
 		cur:     make([][]trace.Request, n),
@@ -401,15 +410,16 @@ func (h *Host) router(batch, clients int) *router {
 	for s := range rt.lanes {
 		ls := make([]replayLane, clientsOfShard(clients, n, s))
 		for i := range ls {
-			// One buffer filling at the router, one in flight or being
-			// served. The worker returns every buffer, so free (cap 2) can
-			// never block it.
+			// One chunk filling at the router, the rest queued, in flight or
+			// being served. The worker returns every chunk, so free (cap
+			// laneChunks) can never block it.
 			ls[i] = replayLane{
-				data: make(chan []trace.Request, 1),
-				free: make(chan []trace.Request, 2),
+				data: make(chan []trace.Request, laneChunks-1),
+				free: make(chan []trace.Request, laneChunks),
 			}
-			ls[i].free <- make([]trace.Request, 0, batch)
-			ls[i].free <- make([]trace.Request, 0, batch)
+			for range laneChunks {
+				ls[i].free <- make([]trace.Request, 0, rt.chunk)
+			}
 		}
 		rt.lanes[s] = ls
 	}
@@ -420,12 +430,12 @@ func (h *Host) router(batch, clients int) *router {
 // route serves a source across two or more shards concurrently: the router
 // (the calling goroutine) pulls batches from the iterator, fragments each
 // request per shard (flushes broadcast, payload ops split by LPN), and deals
-// each shard's full batches round-robin across its client lanes; the shard
-// worker takes one batch per lane per turn in the same round-robin — so the
+// each shard's full chunks round-robin across its client lanes; the shard
+// worker takes one chunk per lane per turn in the same round-robin — so the
 // per-shard service order equals the partition order no matter how many
 // clients feed it, what the batch size is, or how the Go scheduler
 // interleaves the goroutines. It returns the requests and fragments routed.
-// Every buffer is back in its lane's pool when it returns, also after a
+// Every chunk is back in its lane's pool when it returns, also after a
 // source, layout or device error.
 func (h *Host) route(it trace.Iterator, batch, clients int) (requests, fragments int64, routeErr error) {
 	rt := h.router(batch, max(clients, len(h.shards)))
@@ -446,10 +456,10 @@ func (h *Host) route(it trace.Iterator, batch, clients int) (requests, fragments
 		}(sh, rt.lanes[s])
 	}
 
-	// The router: fill per-shard batch buffers in request order, rotating to
-	// the next lane whenever one fills. The buffer a shard is filling always
-	// comes from the pool of the lane it will be sent to.
-	lanes, cur, turn, pull, frags := rt.lanes, rt.cur, rt.turn, rt.pull, rt.frags
+	// The router: fill per-shard chunks in request order, rotating to the
+	// next lane whenever one fills. The chunk a shard is filling always comes
+	// from the pool of the lane it will be sent to.
+	lanes, cur, turn, pull, frags, chunk := rt.lanes, rt.cur, rt.turn, rt.pull, rt.frags, rt.chunk
 	for s := range cur {
 		turn[s] = 0
 		cur[s] = <-lanes[s][0].free
@@ -468,7 +478,7 @@ router:
 				fragments++
 				s := f.Shard
 				cur[s] = append(cur[s], f.Req)
-				if len(cur[s]) == batch {
+				if len(cur[s]) == chunk {
 					lanes[s][turn[s]].data <- cur[s]
 					turn[s] = (turn[s] + 1) % len(lanes[s])
 					cur[s] = <-lanes[s][turn[s]].free
@@ -482,11 +492,11 @@ router:
 			break
 		}
 	}
-	// A shard's last, partial batch is served unless the run failed; an
-	// unsent buffer goes back to its lane's pool. Then the nil that ends a
+	// A shard's last, partial chunk is served unless the run failed; an
+	// unsent chunk goes back to its lane's pool. Then the nil that ends a
 	// shard's run goes to the lane its worker reads next — after every
-	// shard's last batch, since it waits for the worker to take that batch
-	// and no other shard's batch may wait behind it.
+	// shard's last chunk, since it may wait for the worker to take a chunk
+	// and no other shard's chunk may wait behind it.
 	for s, lane := range lanes {
 		if routeErr == nil && len(cur[s]) > 0 {
 			lane[turn[s]].data <- cur[s]

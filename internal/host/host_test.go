@@ -20,7 +20,7 @@ import (
 )
 
 // newTPFTLDevice builds and formats one TPFTL-backed device.
-func newTPFTLDevice(t *testing.T, cfg ftl.Config) *ftl.Device {
+func newTPFTLDevice(t testing.TB, cfg ftl.Config) *ftl.Device {
 	t.Helper()
 	cache := cfg.CacheBytes
 	if cache == 0 {
@@ -39,7 +39,7 @@ func newTPFTLDevice(t *testing.T, cfg ftl.Config) *ftl.Device {
 // newTestHost shards a base config and builds a host over fresh formatted,
 // preconditioned devices. Preconditioning is per shard and seeded by the
 // shard index, so two hosts built from the same base start identical.
-func newTestHost(t *testing.T, base ftl.Config, shards int, opt Options) *Host {
+func newTestHost(t testing.TB, base ftl.Config, shards int, opt Options) *Host {
 	t.Helper()
 	lay, cfgs, err := ShardConfigs(base, shards)
 	if err != nil {
@@ -465,10 +465,11 @@ func TestOneShardServesOnCaller(t *testing.T) {
 	}
 
 	// The two-shard twin of the buffer reuse above: the warm-up builds the
-	// router's pull buffer and lane buffers, the measured replay serves
+	// router's pull buffer and lane chunks, the measured replay serves
 	// through the same ones — inline, and at GOMAXPROCS 4 with both timing
 	// halves pipelined — at a Batch of 512 and at sim.Run's default of 4096,
-	// whose pull buffer is 128 KiB.
+	// whose pull buffer is 128 KiB. A chunk is a sixteenth of that, too small
+	// for the big-object count to see, so the chunks are pinned by identity.
 	for _, c := range []struct{ procs, batch int }{{1, 512}, {4, 512}, {4, 4096}} {
 		procs := c.procs
 		func() {
@@ -479,6 +480,7 @@ func TestOneShardServesOnCaller(t *testing.T) {
 			if err := h.Warm(trace.Limit(p, 500), o); err != nil {
 				t.Fatal(err)
 			}
+			warm := laneArrays(t, h)
 			big0 := bigObjects()
 			if _, err := h.ReplayStream(p, o); err != nil {
 				t.Fatal(err)
@@ -489,13 +491,7 @@ func TestOneShardServesOnCaller(t *testing.T) {
 			if len(p.bufs) != 1 {
 				t.Errorf("two shards, GOMAXPROCS=%d: pulled into %d distinct buffers over two replays, want 1", procs, len(p.bufs))
 			}
-			for s, lane := range h.rt.lanes {
-				for i, l := range lane {
-					if len(l.free) != 2 || len(l.data) != 0 {
-						t.Errorf("two shards, GOMAXPROCS=%d: shard %d lane %d holds %d free and %d queued buffers, want 2 and 0", procs, s, i, len(l.free), len(l.data))
-					}
-				}
-			}
+			checkServedFrom(t, h, warm, reqs[500:])
 		}()
 	}
 
@@ -555,6 +551,183 @@ func TestRouterReuseAcrossShapes(t *testing.T) {
 	}
 }
 
+// laneArrays returns the backing array of every chunk in h's router, lane by
+// lane in shard order, after checking that each lane holds laneChunks free
+// chunks of the router's chunk size and none queued — where every chunk sits
+// between replays. The chunks go back in the order they were taken.
+func laneArrays(t *testing.T, h *Host) [][]*trace.Request {
+	t.Helper()
+	var arrays [][]*trace.Request
+	for s, lane := range h.rt.lanes {
+		for i, l := range lane {
+			if len(l.free) != laneChunks || len(l.data) != 0 {
+				t.Errorf("shard %d lane %d holds %d free and %d queued chunks, want %d and 0", s, i, len(l.free), len(l.data), laneChunks)
+			}
+			var a []*trace.Request
+			for range len(l.free) {
+				c := <-l.free
+				if len(c) != 0 || cap(c) != h.rt.chunk {
+					t.Errorf("shard %d lane %d: a free chunk of length %d and capacity %d, want 0 and %d", s, i, len(c), cap(c), h.rt.chunk)
+				}
+				a = append(a, unsafe.SliceData(c))
+				l.free <- c
+			}
+			arrays = append(arrays, a)
+		}
+	}
+	return arrays
+}
+
+// checkSameArrays fails unless every lane holds the same backing arrays
+// after what as before it, in any order.
+func checkSameArrays(t *testing.T, what string, before, after [][]*trace.Request) {
+	t.Helper()
+	if len(after) != len(before) {
+		t.Fatalf("%d lanes after %s, %d before", len(after), what, len(before))
+	}
+	for i := range before {
+		held := map[*trace.Request]bool{}
+		for _, a := range before[i] {
+			held[a] = true
+		}
+		for _, a := range after[i] {
+			if !held[a] {
+				t.Errorf("lane %d: after %s a chunk's array is not one it held before", i, what)
+			}
+			delete(held, a)
+		}
+		if len(held) != 0 {
+			t.Errorf("lane %d: after %s %d of its chunks' arrays are gone", i, what, len(held))
+		}
+	}
+}
+
+// checkServedFrom pins a replay of reqs, just returned, to the lane chunks
+// that were there before it (built, the arrays of laneArrays): afterwards the
+// lanes hold exactly those, and each shard's last fragment of reqs sits in
+// one of its own lanes' arrays, at the place the router wrote it — so the
+// workers served the replay's last chunks from them.
+func checkServedFrom(t *testing.T, h *Host, built [][]*trace.Request, reqs []trace.Request) {
+	t.Helper()
+	checkSameArrays(t, "the replay", built, laneArrays(t, h))
+	parts, err := h.Layout().Partition(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lane := 0
+	for s, part := range parts {
+		lanes := len(h.rt.lanes[s])
+		if len(part) == 0 {
+			lane += lanes
+			continue
+		}
+		at, last := (len(part)-1)%h.rt.chunk, part[len(part)-1]
+		found := false
+		for _, arrays := range built[lane : lane+lanes] {
+			for _, a := range arrays {
+				found = found || unsafe.Slice(a, h.rt.chunk)[at] == last
+			}
+		}
+		if !found {
+			t.Errorf("shard %d: its last fragment is in none of its lanes' chunks", s)
+		}
+		lane += lanes
+	}
+}
+
+// TestRouteChunkEdges replays, at two and four shards, traces built around
+// the lane chunk's size on two hosts: one of a fixed shape, and one whose
+// Batch and Clients change from shape to shape. Some shard gets no fragment,
+// one, a chunk less one, a chunk, a chunk and one, a lane's full ring and one
+// more, or every one of its lanes' rings and one more — the router then waits
+// for a free chunk while other shards' chunks are part filled — and a flush is
+// broadcast exactly as every shard's chunk fills. Every outcome matches the
+// fixed-shape host's.
+func TestRouteChunkEdges(t *testing.T) {
+	const space = 32 << 20
+	base := ftl.DefaultConfig(space)
+	page := int64(base.PageSize)
+	fixedShape := ReplayOptions{Batch: 64, Clients: 2}
+	for _, shards := range []int{2, 4} {
+		fixed := newTestHost(t, base, shards, Options{QueueDepth: 8})
+		changing := newTestHost(t, base, shards, Options{QueueDepth: 8})
+		// owned[s] lists shard s's pages, in LPN order.
+		lay := fixed.Layout()
+		owned := make([][]int64, shards)
+		for lpn := int64(0); lpn < space/page; lpn++ {
+			s := lay.ShardOfPage(lpn)
+			owned[s] = append(owned[s], lpn)
+		}
+		// A trace is built up by giving shards single-page requests in
+		// turn, writes and reads alternating, each at the next page it owns.
+		var reqs []trace.Request
+		next := make([]int, shards)
+		give := func(s, n int) {
+			for range n {
+				op := trace.OpRead
+				if len(reqs)%2 == 0 {
+					op = trace.OpWrite
+				}
+				lpn := owned[s][next[s]%len(owned[s])]
+				next[s]++
+				reqs = append(reqs, trace.Request{Arrival: int64(len(reqs)) * 1000, Offset: lpn * page, Length: page, Op: op})
+			}
+		}
+		flush := func() {
+			reqs = append(reqs, trace.Request{Arrival: int64(len(reqs)) * 1000, Op: trace.OpFlush})
+		}
+		for _, batch := range []int{1, 17, 4095, 4096} {
+			chunk := (batch + laneChunks - 1) / laneChunks
+			for _, clients := range []int{1, shards, 9} {
+				o := ReplayOptions{Batch: batch, Clients: clients}
+				ring := laneChunks * chunk
+				lanes := clientsOfShard(max(clients, shards), shards, 0)
+				var traces [][]trace.Request
+				for _, n := range []int{0, 1, chunk - 1, chunk, chunk + 1, ring + 1, lanes*ring + 1} {
+					// The other shards' chunks part filled (where a chunk
+					// holds more than one fragment), then n fragments for
+					// shard 0, then one more each.
+					reqs = nil
+					for s := 1; s < shards; s++ {
+						give(s, (chunk+1)/2)
+					}
+					give(0, n)
+					for s := range shards {
+						give(s, 1)
+					}
+					traces = append(traces, reqs)
+				}
+				// Every shard one short of a chunk, so the flush fills each
+				// shard's chunk exactly; then a chunk for shard 0, so the
+				// second flush opens its next chunk.
+				reqs = nil
+				for s := range shards {
+					give(s, chunk-1)
+				}
+				flush()
+				give(0, chunk)
+				flush()
+				give(1, 1)
+				traces = append(traces, reqs)
+
+				for i, tr := range traces {
+					want, err := fixed.Replay(tr, fixedShape)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := changing.Replay(tr, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%d shards, Batch %d, Clients %d, trace %d of %d requests: outcome diverges from the fixed-shape host's", shards, batch, clients, i, len(tr))
+					}
+				}
+			}
+		}
+	}
+}
+
 // failAfter is a request source that fails after serving a number of
 // batches.
 type failAfter struct {
@@ -574,10 +747,11 @@ func (f *failAfter) Next(batch []trace.Request) (int, error) {
 // TestSourceErrorMidStream: a source that fails after two batches aborts the
 // replay with an error that wraps the source's, no outcome, and no goroutine
 // left behind. Every buffer is back on the host: the next replay allocates no
-// object of 8 KiB or more and serves exactly the fragments it routes.
+// object of 8 KiB or more, serves exactly the fragments it routes and, at two
+// shards, serves them from the lane chunks the first replay built.
 func TestSourceErrorMidStream(t *testing.T) {
 	const space = 16 << 20
-	const batch = 512 // pull and lane buffers of 16 KiB
+	const batch = 512 // a pull buffer of 16 KiB, lane chunks of 1 KiB
 	base := ftl.DefaultConfig(space)
 	reqs := mixedTrace(7, 6000, space, int64(base.PageSize), 0)
 	errSource := errors.New("source failed")
@@ -590,12 +764,19 @@ func TestSourceErrorMidStream(t *testing.T) {
 		if _, err := h.Replay(reqs[:batch], o); err != nil {
 			t.Fatal(err)
 		}
+		var first [][]*trace.Request
+		if shards > 1 {
+			first = laneArrays(t, h)
+		}
 		out, err := h.ReplayStream(&failAfter{it: trace.NewSliceIterator(reqs), batches: 2, err: errSource}, o)
 		if !errors.Is(err, errSource) || out != nil {
 			t.Fatalf("%d shards: outcome %v, error %v; want none beside the source's error", shards, out, err)
 		}
 		if n := goroutinesDownTo(before); n > before {
 			t.Errorf("%d shards: %d goroutines a second after the failed replay, %d before", shards, n, before)
+		}
+		if shards > 1 {
+			checkSameArrays(t, "the failed replay", first, laneArrays(t, h))
 		}
 		big0 := bigObjects()
 		out, err = h.Replay(reqs[batch:], o)
@@ -605,6 +786,9 @@ func TestSourceErrorMidStream(t *testing.T) {
 		}
 		if big > outcomeObjects {
 			t.Errorf("%d shards: the replay after the failure allocated %d objects of 8 KiB or more", shards, big)
+		}
+		if shards > 1 {
+			checkServedFrom(t, h, first, reqs[batch:])
 		}
 		var served int64
 		for _, sr := range out.Shards {

@@ -67,9 +67,10 @@ type Options struct {
 	// is set); mutually exclusive with Trace.
 	TraceStream trace.Iterator
 	// StreamBatch is the number of requests pulled from the source — any
-	// source: TraceStream, Trace or the generated workload — per batch, and
-	// the size of the batches handed to shards (default DefaultStreamBatch,
-	// 4096, whatever Shards is). The host allocates its batch buffers once
+	// source: TraceStream, Trace or the generated workload — per batch
+	// (default DefaultStreamBatch, 4096, whatever Shards is). Two or more
+	// shards are handed their fragments in sixteenths of it, a ring of
+	// sixteen chunks per client lane. The host allocates its buffers once
 	// per run: the warm-up and the measured phase share them
 	// (host.ReplayOptions.Batch). A wall-clock/memory knob only: simulated
 	// results are independent of it.
