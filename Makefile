@@ -24,7 +24,7 @@ vet:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/sim ./internal/host \
-		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestPipelined|TestDeviceErrorMidStream|TestSourceErrorMidStream|TestRouterReuseAcrossShapes|TestRouteChunkEdges|TestOneShardServesOnCaller'
+		-run 'GOMAXPROCS|TestPerShard|TestRunAll|TestRequestPathEquivalence|TestStreamedReplayMatchesEager|TestTelemetryScrapeEquivalence|TestMetricsFileAndPlaneAgree|TestPipelined|TestDeviceErrorMidStream|TestSourceErrorMidStream|TestRouterReuseAcrossShapes|TestRouteChunkEdges|TestOneShardServesOnCaller'
 
 # The repo's two static rules, for the bug classes no test fails on: every
 # switch over trace.Op covers every op or has a default, and no non-test file
@@ -100,8 +100,9 @@ trim-smoke: bin/ftlsim
 
 # Streaming-replay smoke: a binary trace streamed from the file must replay
 # bit-for-bit identically to the same trace parsed into memory — the same
-# stdout report on one device and the same merged digest through the 2-shard
-# host — and -shards 1 must print exactly what the default flags print.
+# stdout report and the same -metrics-out file on one device, and the same
+# merged digest through the 2-shard host — and -shards 1 must print exactly
+# what the default flags print.
 # Catches a batching or routing change that breaks source or shard-count
 # equivalence through the flags (the in-process property tests run under
 # `make race`).
@@ -112,10 +113,11 @@ stream-smoke: bin/ftlsim bin/tracegen
 	./bin/tracegen -workload Financial1 -requests 20000 -scale 67108864 -o /tmp/stream-smoke.csv
 	./bin/tracegen convert -format native -i /tmp/stream-smoke.csv -o /tmp/stream-smoke.ftr 2> /dev/null
 	./bin/ftlsim -trace /tmp/stream-smoke.csv -format native -space 67108864 -warmup 2000 \
-		> /tmp/stream-smoke.eager.txt 2> /dev/null
+		-metrics-out /tmp/stream-smoke.eager.jsonl > /tmp/stream-smoke.eager.txt 2> /dev/null
 	./bin/ftlsim -trace /tmp/stream-smoke.ftr -format binary -space 67108864 -warmup 2000 \
-		> /tmp/stream-smoke.streamed.txt 2> /dev/null
+		-metrics-out /tmp/stream-smoke.streamed.jsonl > /tmp/stream-smoke.streamed.txt 2> /dev/null
 	cmp /tmp/stream-smoke.eager.txt /tmp/stream-smoke.streamed.txt
+	cmp /tmp/stream-smoke.eager.jsonl /tmp/stream-smoke.streamed.jsonl
 	./bin/ftlsim -trace /tmp/stream-smoke.csv -format native -space 67108864 -warmup 2000 \
 		-shards 2 -clients 4 -qd 8 > /tmp/stream-smoke.eager2.txt 2> /dev/null
 	./bin/ftlsim -trace /tmp/stream-smoke.ftr -format binary -space 67108864 -warmup 2000 \
@@ -124,6 +126,6 @@ stream-smoke: bin/ftlsim bin/tracegen
 	./bin/ftlsim -trace /tmp/stream-smoke.ftr -format binary -space 67108864 -warmup 2000 \
 		-shards 1 > /tmp/stream-smoke.shards1.txt 2> /dev/null
 	cmp /tmp/stream-smoke.streamed.txt /tmp/stream-smoke.shards1.txt
-	rm -f /tmp/stream-smoke.csv /tmp/stream-smoke.ftr /tmp/stream-smoke.*.txt
+	rm -f /tmp/stream-smoke.csv /tmp/stream-smoke.ftr /tmp/stream-smoke.*.txt /tmp/stream-smoke.*.jsonl
 
 ci: vet lint race sanitize bench-test stream-smoke bench-ci trim-smoke

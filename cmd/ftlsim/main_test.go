@@ -15,8 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/ftl"
-	"repro/internal/obs"
-	"repro/internal/obs/live"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -89,14 +88,14 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		report(t, "-requests", "20000", "-channels", "4", "-dies", "2", "-qd", "8",
 			"-metrics-out", metrics, "-metrics-interval", "2000", "-trace-out", spans)
 
-		n, err := validateFile(metrics, obs.ValidateMetricsJSONL)
+		n, err := validateFile(metrics, obstest.ValidateMetricsJSONL)
 		if err != nil {
 			t.Fatalf("-metrics-out: %v", err)
 		}
 		if n < 2 {
 			t.Fatalf("-metrics-out: %d snapshot records, want several (consecutive lines are what the delta check compares)", n)
 		}
-		if n, err := validateFile(spans, obs.ValidateTrace); err != nil || n == 0 {
+		if n, err := validateFile(spans, obstest.ValidateTrace); err != nil || n == 0 {
 			t.Fatalf("-trace-out: %d events, err %v", n, err)
 		}
 	})
@@ -146,7 +145,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		// is what folding the base across the metrics reset buys. (A request
 		// that straddles the stripe boundary is served by both shards, so the
 		// per-shard counts sum to at least the trace's length.)
-		var prev *live.Exposition
+		var prev *obstest.Exposition
 		deadline := time.Now().Add(15 * time.Second)
 		for scrapes := 0; ; {
 			select {
@@ -162,12 +161,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 				time.Sleep(20 * time.Millisecond)
 				continue
 			}
-			cur, err := live.ValidatePrometheus(bytes.NewReader(body))
+			cur, err := obstest.ValidatePrometheus(bytes.NewReader(body))
 			if err != nil {
 				t.Fatalf("/metrics scrape %d: %v\n%s", scrapes+1, err, body)
 			}
 			if prev != nil {
-				if err := live.CheckCounterMonotonic(prev, cur); err != nil {
+				if err := obstest.CheckCounterMonotonic(prev, cur); err != nil {
 					t.Fatalf("/metrics scrape %d over scrape %d: %v", scrapes+1, scrapes, err)
 				}
 			}
@@ -196,7 +195,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 			t.Fatal("POST /quit did not end the -telemetry-linger window")
 		}
 
-		if n, err := validateFile(flight, live.ValidateRecorderDump); err != nil || n == 0 {
+		if n, err := validateFile(flight, obstest.ValidateRecorderDump); err != nil || n == 0 {
 			t.Fatalf("-recorder-out: %d flight records, err %v", n, err)
 		}
 		if !bytes.Equal(on.Bytes(), off) {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/obs/obstest"
 )
 
 // lockedBuffer is a goroutine-safe progress sink (the sampler writes from
@@ -39,7 +40,7 @@ func (b *lockedBuffer) String() string {
 func TestRuntimeServesAndLingers(t *testing.T) {
 	plane := live.NewPlane(0, 0)
 	cells := plane.StartRun(live.RunInfo{Scheme: "tpftl", Workload: "unit", Shards: 1, TotalRequests: 500})
-	cells[0].Publish(1e9, obs.Counters{obs.CtrRequests: 100, obs.CtrLookups: 80, obs.CtrHits: 60}, 5e6)
+	cells[0].Store(&obs.Epoch{Seq: 1, SimTimeNS: 1e9, Total: obs.Counters{obs.CtrRequests: 100, obs.CtrLookups: 80, obs.CtrHits: 60}, MaxResponseNS: 5e6})
 
 	var progress lockedBuffer
 	tel, err := Start(Options{
@@ -60,7 +61,7 @@ func TestRuntimeServesAndLingers(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if _, err := live.ValidatePrometheus(bytes.NewReader(body)); err != nil {
+	if _, err := obstest.ValidatePrometheus(bytes.NewReader(body)); err != nil {
 		t.Fatalf("/metrics invalid: %v\n%s", err, body)
 	}
 

@@ -89,21 +89,13 @@ type Device struct {
 	// field the logical half writes.
 	m Metrics
 
-	// Observability (all nil/zero when disabled; the disabled path does no
-	// work — see internal/obs). tracer mirrors the scheduler's tracer so the
-	// device can emit request spans; metricsW streams a JSONL snapshot every
-	// metricsEvery served requests. Each of the three reads the clock per
-	// request, so a host keeps an observed device's timing half inline
-	// (Observed).
-	tracer       *obs.Tracer
-	metricsW     *obs.MetricsWriter
-	metricsEvery int64
-	// live is the shard's telemetry cell (nil when the live plane is off —
-	// the disabled path pays one nil check and allocates nothing). Epochs
-	// and recorder appends happen only on the serving goroutine.
-	live       *live.Cell
-	snapSeq    int64
-	lastExport obs.Counters
+	// Observability (both nil when disabled; the disabled path does no work
+	// — see internal/obs). tracer mirrors the scheduler's tracer so the
+	// device can emit request spans; epochs holds the epoch consumers (the
+	// JSONL export and the live cell). Each reads the clock per request, so
+	// a host keeps an observed device's timing half inline (Observed).
+	tracer *obs.Tracer
+	epochs *epochSinks
 
 	// OnSample, if set, is invoked every SampleEvery user page accesses
 	// with the current page-access count; the Fig. 1/2 instrumentation
@@ -203,18 +195,17 @@ func (d *Device) Metrics() Metrics {
 
 // ResetMetrics zeroes the counters (e.g. after a warm-up phase) and re-bases
 // the busy-time and elapsed-time accounting at the current simulated time.
-// With a live cell attached, the pre-reset totals are first published and
-// folded into the cell's monotonic base, so counters scraped off the live
-// plane keep growing across the reset (the Prometheus counter contract).
+// With epoch sinks attached, a live cell first takes the pre-reset epoch and
+// the pre-reset totals fold into the sinks' base, so the totals they publish
+// keep growing across the reset (the Prometheus counter contract).
 func (d *Device) ResetMetrics() {
-	if c := d.live; c != nil {
-		d.publishLive()
-		m := d.Metrics()
-		c.FoldBase(m.Counters())
+	if s := d.epochs; s != nil {
+		e := d.epoch()
+		d.publish(e, false, s.cell != nil)
+		s.fold = e.Total
 	}
 	d.m = Metrics{}
 	d.tl.reset()
-	d.lastExport = obs.Counters{}
 }
 
 // SetTracer attaches (or with nil, detaches) a span tracer: every flash
@@ -235,90 +226,120 @@ func (d *Device) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// SetLive attaches (or with nil, detaches) the shard's live-telemetry cell.
-// Attach before serving; the device publishes immutable epochs into the cell
-// at the cell's request-count cadence and appends every request to its
-// flight recorder — all from the serving goroutine, the cell's single
+// epochSinks is what the device keeps once an epoch consumer is attached:
+// the -metrics-out writer and the live cell (the flight recorder's home),
+// each with its Stream, and fold, the totals of every metrics reset since.
+type epochSinks struct {
+	fold   obs.Counters
+	file   *obs.MetricsWriter
+	fileAt obs.Stream
+	cell   *live.Cell
+	cellAt obs.Stream
+}
+
+// SetLive attaches the shard's live-telemetry cell. Attach before serving;
+// the device stores an epoch into the cell every Cell.Every served requests,
+// at each metrics reset and at the end of the run, and appends every request
+// to its flight recorder — all from the serving goroutine, the cell's single
 // writer. Telemetry reads the simulated clock and never advances it.
-func (d *Device) SetLive(c *live.Cell) { d.live = c }
+func (d *Device) SetLive(c *live.Cell) {
+	s := d.sinks()
+	s.cell, s.cellAt = c, obs.NewStream(c.Every(), d.epoch().Total)
+}
 
-// PublishLive immediately publishes a telemetry epoch from the current
-// metrics (end of run or phase boundary). No-op without a cell.
-func (d *Device) PublishLive() { d.publishLive() }
+// SetMetricsExport streams an epoch (cumulative counters, deltas, per-phase
+// quantiles) to w as one JSON line every `every` served requests, counting
+// from here; a nil w or a non-positive every leaves it off. Arm it after the
+// warm-up ResetMetrics so the lines cover the measured phase.
+func (d *Device) SetMetricsExport(w io.Writer, every int64) {
+	if w != nil && every > 0 {
+		s := d.sinks()
+		s.file, s.fileAt = obs.NewMetricsWriter(w), obs.NewStream(every, d.epoch().Total)
+	}
+}
 
-// publishLive builds one epoch from the cumulative metrics and swaps it
-// into the cell. Cold path: only reached with the live plane enabled.
-func (d *Device) publishLive() {
-	if c := d.live; c != nil {
-		m := d.Metrics()
-		c.Publish(int64(d.tl.sched.Now()), m.Counters(), int64(m.MaxResponse))
+// sinks returns the epoch sinks, allocating them for a first attach.
+func (d *Device) sinks() *epochSinks {
+	if d.epochs == nil {
+		d.epochs = &epochSinks{}
+	}
+	return d.epochs
+}
+
+// cell returns the attached live cell, nil when there is none.
+func (d *Device) cell() *live.Cell {
+	if s := d.epochs; s != nil {
+		return s.cell
+	}
+	return nil
+}
+
+// epoch builds the device's current epoch, the only place one is built: the
+// clock, the totals folded across every reset the sinks saw, the phase
+// summaries and the max response. Cold path: only reached with a sink.
+func (d *Device) epoch() obs.Epoch {
+	s := d.epochs
+	m := d.Metrics()
+	e := obs.Epoch{
+		SimTimeNS:     int64(d.tl.sched.Now()),
+		Total:         s.fold.Add(m.Counters()),
+		Phases:        make([]obs.PhaseSnapshot, obs.NumPhases),
+		MaxResponseNS: int64(m.MaxResponse),
+	}
+	for p := range e.Phases {
+		e.Phases[p] = m.Phases[p].Summary(obs.Phase(p).String())
+	}
+	if s.cell != nil {
+		e.Shard = s.cell.Shard()
+	}
+	return e
+}
+
+// publish hands the epoch e to the JSONL writer, the live cell or both, each
+// numbered by its own Stream.
+func (d *Device) publish(e obs.Epoch, file, cell bool) {
+	s := d.epochs
+	if file {
+		line := s.fileAt.Next(e)
+		s.file.Write(&line)
+	}
+	if cell {
+		epoch := s.cellAt.Next(e)
+		s.cell.Store(&epoch)
 	}
 }
 
 // recordLive appends one served (or failed — complete stays zero) request
-// to the flight recorder and publishes an epoch when one is due. The
-// recorder ring is pre-allocated and Record is pointer-free, so this
-// allocates nothing per request.
+// to the flight recorder. The recorder ring is pre-allocated and Record is
+// pointer-free, so this allocates nothing per request.
 func (d *Device) recordLive(c *live.Cell, req *trace.Request, arrival, admit, complete time.Duration) {
-	if c == nil {
-		return
-	}
 	c.Recorder().Append(live.Record{
 		SimNS:      int64(d.tl.sched.Now()),
-		Kind:       liveKind(req.Op),
+		Kind:       liveKinds[req.Op],
 		Off:        req.Offset,
 		N:          req.Length,
 		ArrivalNS:  int64(arrival),
 		AdmitNS:    int64(admit),
 		CompleteNS: int64(complete),
 	})
-	if c.Due(d.tl.requests) {
-		d.publishLive()
-	}
 }
 
-// liveKind maps a host op onto its flight-recorder record kind.
-func liveKind(op trace.Op) live.Kind {
-	switch op {
-	case trace.OpWrite:
-		return live.KindWrite
-	case trace.OpWriteFUA:
-		return live.KindWriteFUA
-	case trace.OpTrim:
-		return live.KindTrim
-	case trace.OpFlush:
-		return live.KindFlush
-	default:
-		return live.KindRead
-	}
-}
+// liveKinds maps a host op onto its flight-recorder record kind.
+var liveKinds = [trace.NumOps]live.Kind{trace.OpRead: live.KindRead, trace.OpWrite: live.KindWrite,
+	trace.OpWriteFUA: live.KindWriteFUA, trace.OpTrim: live.KindTrim, trace.OpFlush: live.KindFlush}
 
-// SetMetricsExport streams a metrics snapshot (cumulative counters, deltas,
-// per-phase quantiles) to w as one JSON line every `every` served requests.
-// Arm it after the warm-up ResetMetrics so deltas cover the measured phase.
-func (d *Device) SetMetricsExport(w io.Writer, every int64) {
-	if w == nil || every <= 0 {
-		d.metricsW, d.metricsEvery = nil, 0
-		return
-	}
-	d.metricsW = obs.NewMetricsWriter(w)
-	d.metricsEvery = every
-	d.snapSeq = 0
-	m := d.Metrics()
-	d.lastExport = m.Counters()
-}
-
-// FinishObservability flushes the observability sinks at end of run: a
-// final metrics snapshot when requests were served past the last interval
-// boundary, then the JSONL flush and the trace-file footer. A device with
-// no sinks armed is untouched.
+// FinishObservability ends the run for the sinks: the JSONL export gets a
+// last line when requests were served past its latest one and is flushed,
+// the live cell takes the run's last epoch (a boundary, as a reset is, so
+// even with nothing served since its latest), and the trace gets its footer.
 func (d *Device) FinishObservability() error {
 	var firstErr error
-	if d.metricsW != nil {
-		if d.tl.requests > d.lastExport[obs.CtrRequests] || d.snapSeq == 0 {
-			d.exportSnapshot()
+	if s := d.epochs; s != nil {
+		e := d.epoch()
+		d.publish(e, s.file != nil && s.fileAt.Behind(e.Total), s.cell != nil)
+		if s.file != nil {
+			firstErr = s.file.Flush()
 		}
-		firstErr = d.metricsW.Flush()
 	}
 	if d.tracer != nil {
 		if err := d.tracer.Close(); err != nil && firstErr == nil {
@@ -326,24 +347,6 @@ func (d *Device) FinishObservability() error {
 		}
 	}
 	return firstErr
-}
-
-// exportSnapshot writes one JSONL metrics record stamped with the current
-// simulated clock.
-func (d *Device) exportSnapshot() {
-	m := d.Metrics()
-	cur := m.Counters()
-	d.snapSeq++
-	rec := obs.SnapshotRecord{
-		Seq:       d.snapSeq,
-		SimTimeNS: int64(d.tl.sched.Now()),
-		Requests:  cur[obs.CtrRequests],
-		Delta:     cur.Sub(d.lastExport),
-		Total:     cur,
-		Phases:    m.PhaseSnapshots(),
-	}
-	d.metricsW.Write(&rec)
-	d.lastExport = cur
 }
 
 // Now returns the simulated device clock: the completion time of the latest
@@ -355,10 +358,10 @@ func (d *Device) Now() time.Duration { return d.tl.sched.Now() }
 func (d *Device) Scheduler() *ssd.Scheduler { return d.tl.sched }
 
 // Observed reports whether a per-request observer is attached: a span
-// tracer, a metrics export or a live-telemetry cell. Each reads the clock as
-// requests are served, so a host runs an observed device's timing half
-// inline rather than beside it (StartTiming).
-func (d *Device) Observed() bool { return d.tracer != nil || d.metricsW != nil || d.live != nil }
+// tracer or an epoch sink (a metrics export or a live-telemetry cell). Each
+// reads the clock as requests are served, so a host runs an observed
+// device's timing half inline rather than beside it (StartTiming).
+func (d *Device) Observed() bool { return d.tracer != nil || d.epochs != nil }
 
 // Format pre-fills the device: every logical page is written once in LPN
 // order and the full mapping table is laid out in translation pages, putting
@@ -509,7 +512,7 @@ func (d *Device) serve(req trace.Request, admit time.Duration) (complete time.Du
 		if admit < arrival {
 			admit = arrival
 		}
-		if c := d.live; c != nil {
+		if c := d.cell(); c != nil {
 			// Deferred so a failing request — the one a post-mortem cares
 			// about — still lands in the flight recorder (complete stays 0).
 			defer func() { d.recordLive(c, &req, arrival, admit, complete) }()

@@ -88,7 +88,7 @@ func (d *Device) maybeWearLevel() error {
 			return err
 		}
 		d.m.WearLevelMoves++
-		if c := d.live; c != nil {
+		if c := d.cell(); c != nil {
 			c.Recorder().Append(live.Record{
 				SimNS:      int64(d.tl.sched.Now()),
 				Kind:       live.KindWearLevel,
@@ -187,7 +187,7 @@ func (d *Device) collect(blk flash.BlockID) (err error) {
 		return errf("GC: victim %d has kind %v", blk, kind)
 	}
 	d.bm.release(blk)
-	if c := d.live; c != nil {
+	if c := d.cell(); c != nil {
 		// One scheduler event per collection in the flight recorder: the
 		// victim block and how many valid pages it forced us to migrate.
 		// The logical half reads the clock here only because a live cell

@@ -273,13 +273,3 @@ func (m *Metrics) Counters() obs.Counters {
 		obs.CtrGCNS:          int64(m.GCTime),
 	}
 }
-
-// PhaseSnapshots returns the quantile summary of every phase histogram, in
-// obs.Phase order.
-func (m *Metrics) PhaseSnapshots() []obs.PhaseSnapshot {
-	out := make([]obs.PhaseSnapshot, obs.NumPhases)
-	for p := obs.Phase(0); p < obs.NumPhases; p++ {
-		out[p] = m.Phases[p].Summary(p.String())
-	}
-	return out
-}

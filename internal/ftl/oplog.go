@@ -306,7 +306,7 @@ func (t *timeline) issue(die int, lat time.Duration, op obs.Op, bits uint8) {
 // classified by whether any cache lookup missed and whether a miss load
 // prefetched extra entries — so those three counts sum to the read/write
 // request count. Trims and flushes record their flash time into their own
-// phases instead. Last, the device's tracer and metrics export see the
+// phases instead. Last, the device's tracer and epoch sinks see the
 // request.
 func (t *timeline) end(class uint8, admit time.Duration) {
 	complete := t.sched.EndRequest()
@@ -347,8 +347,11 @@ func (t *timeline) end(class uint8, admit time.Duration) {
 	if tr := d.tracer; tr != nil {
 		tr.RequestSpan(t.op.String(), t.requests, t.arrival, complete)
 	}
-	if d.metricsW != nil && t.requests%d.metricsEvery == 0 {
-		d.exportSnapshot()
+	if s := d.epochs; s != nil {
+		file, cell := s.fileAt.Due(t.requests), s.cellAt.Due(t.requests)
+		if file || cell {
+			d.publish(d.epoch(), file, cell)
+		}
 	}
 }
 

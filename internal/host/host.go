@@ -104,20 +104,16 @@ func (h *Host) Layout() Layout { return h.lay }
 // touched while a replay is running.
 func (h *Host) Device(s int) *ftl.Device { return h.shards[s].dev }
 
-// SetLive attaches one live-telemetry cell per shard (cells[s] → shard s;
-// nil entries or a nil slice detach). Each shard's device publishes epochs
-// and flight-recorder entries into its cell from the goroutine serving the
-// shard, which also publishes the admission queue's stats per batch —
-// telemetry rides the existing single-writer-per-shard discipline, so
-// replays stay bit-for-bit deterministic with the plane on or off.
+// SetLive attaches one live-telemetry cell per shard (cells[s] → shard s).
+// Each shard's device publishes epochs and flight-recorder entries into its
+// cell from the goroutine serving the shard, which also publishes the
+// admission queue's stats per batch — telemetry rides the existing
+// single-writer-per-shard discipline, so replays stay bit-for-bit
+// deterministic with the plane on or off.
 func (h *Host) SetLive(cells []*live.Cell) {
 	for s, sh := range h.shards {
-		var c *live.Cell
-		if s < len(cells) {
-			c = cells[s]
-		}
-		sh.cell = c
-		sh.dev.SetLive(c)
+		sh.cell = cells[s]
+		sh.dev.SetLive(cells[s])
 	}
 }
 
@@ -547,11 +543,9 @@ func (h *Host) collect() *Outcome {
 		}
 		out.M.Merge(&sr.M)
 		if sh.cell != nil {
-			// Final epoch + queue stats so a scrape after the run (or during
-			// a -telemetry-linger wait) sees the exact end-of-run numbers.
-			// collect runs after every worker has exited, so the
-			// single-writer rule holds.
-			sh.dev.PublishLive()
+			// Final queue stats, so a scrape after the run (or during a
+			// -telemetry-linger wait) sees the exact end-of-run numbers; the
+			// device's last epoch comes with FinishObservability.
 			sh.cell.SetQueueStats(fs.Admitted, fs.DepthSum, fs.MaxDepth)
 		}
 	}

@@ -78,11 +78,11 @@ var CounterTable = [NumCounters]CounterDef{
 }
 
 // Counters is the exported subset of simulator counters carried by each
-// metrics snapshot, both cumulative and as a delta since the previous
-// snapshot, indexed by Counter.
+// epoch, both cumulative and as a delta since the previous epoch, indexed by
+// Counter.
 type Counters [NumCounters]int64
 
-// Sub returns c - o, the delta between two cumulative counter snapshots.
+// Sub returns c - o, the delta between two cumulative counter sets.
 func (c Counters) Sub(o Counters) Counters {
 	for i := range c {
 		c[i] -= o[i]
@@ -90,10 +90,9 @@ func (c Counters) Sub(o Counters) Counters {
 	return c
 }
 
-// Add returns c + o. Together with Sub it lets a consumer re-base counters
-// across a metrics reset: fold the pre-reset totals into a base, keep adding
-// the post-reset cumulative values, and the published sum stays monotonic
-// over the whole process lifetime (what Prometheus counters require).
+// Add returns c + o. A device folds its pre-reset totals into a base with it,
+// so the totals its epochs carry stay monotonic across a metrics reset (what
+// Prometheus counters require).
 func (c Counters) Add(o Counters) Counters {
 	for i := range c {
 		c[i] += o[i]
@@ -148,19 +147,73 @@ type PhaseSnapshot struct {
 	P999NS int64  `json:"p999_ns"`
 }
 
-// SnapshotRecord is one line of the -metrics-out JSONL stream: cumulative
-// counters, the delta since the previous line, and the quantile summary of
-// every phase histogram, stamped with the simulated clock.
-type SnapshotRecord struct {
+// Epoch is a device's counters at one point of its run: a line of the
+// -metrics-out JSONL stream (MetricsWriter) and an epoch a live cell serves
+// (live.Cell). ftl.Device builds it in one place; each consumer's Stream
+// then numbers it and takes Requests, Total and Delta from its own origin.
+type Epoch struct {
+	// Shard is the shard of the device's live cell (0 without one); shard 0
+	// writes no key, which keeps a one-shard stream's bytes.
+	Shard     int             `json:"shard,omitempty"`
 	Seq       int64           `json:"seq"`
 	SimTimeNS int64           `json:"sim_time_ns"`
 	Requests  int64           `json:"requests"`
 	Delta     Counters        `json:"delta"`
 	Total     Counters        `json:"total"`
 	Phases    []PhaseSnapshot `json:"phases"`
+	// MaxResponseNS is a watermark, not a counter: it neither folds nor
+	// differences, and the JSONL line does not carry it.
+	MaxResponseNS int64 `json:"-"`
 }
 
-// MetricsWriter streams SnapshotRecords as JSON Lines.
+// HitRatio returns the translation-cache hit ratio over Total.
+func (e *Epoch) HitRatio() float64 {
+	if e.Total[CtrLookups] == 0 {
+		return 0
+	}
+	return float64(e.Total[CtrHits]) / float64(e.Total[CtrLookups])
+}
+
+// Stream is one consumer's state over a device's epochs: its cadence in
+// served requests, the seq of its latest epoch, the device total when it was
+// attached (its origin) and at its latest epoch (what the next delta is
+// taken from). Device totals fold across metrics resets, so never go back.
+type Stream struct {
+	every        int64
+	seq          int64
+	origin, prev Counters
+}
+
+// NewStream returns a stream due every `every` served requests, attached
+// when the device's total was total.
+func NewStream(every int64, total Counters) Stream {
+	return Stream{every: every, origin: total, prev: total}
+}
+
+// Due reports whether an epoch is due after the requests-th request served
+// since the last metrics reset: a pure function of the served count, so an
+// observed run decides as an unobserved one. The zero Stream is never due.
+func (s *Stream) Due(requests int64) bool { return s.every > 0 && requests%s.every == 0 }
+
+// Behind reports whether the stream has no epoch yet or requests were served
+// since its latest one, given the device's current total.
+func (s *Stream) Behind(total Counters) bool {
+	return s.seq == 0 || total[CtrRequests] > s.prev[CtrRequests]
+}
+
+// Next returns the device's epoch e as this stream's next one, and advances
+// the stream past it.
+func (s *Stream) Next(e Epoch) Epoch {
+	s.seq++
+	e.Seq = s.seq
+	e.Delta = e.Total.Sub(s.prev)
+	s.prev = e.Total
+	e.Total = e.Total.Sub(s.origin)
+	e.Requests = e.Total[CtrRequests]
+	return e
+}
+
+// MetricsWriter streams Epochs as JSON Lines.
 type MetricsWriter struct {
 	w   *bufio.Writer
 	enc *json.Encoder
@@ -173,12 +226,12 @@ func NewMetricsWriter(w io.Writer) *MetricsWriter {
 	return &MetricsWriter{w: bw, enc: json.NewEncoder(bw)}
 }
 
-// Write emits one record as a single JSON line.
-func (m *MetricsWriter) Write(rec *SnapshotRecord) error {
+// Write emits one epoch as a single JSON line.
+func (m *MetricsWriter) Write(e *Epoch) error {
 	if m.err != nil {
 		return m.err
 	}
-	m.err = m.enc.Encode(rec)
+	m.err = m.enc.Encode(e)
 	return m.err
 }
 

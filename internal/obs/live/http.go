@@ -11,14 +11,16 @@ import (
 )
 
 // jsonShard is one shard's entry in the /snapshot document: the latest
-// epoch (if any) plus the frontend queue stats derived from the same cell.
+// epoch (if any) with the keys of a -metrics-out line, its max response and
+// hit ratio, and the frontend queue stats of the same cell.
 type jsonShard struct {
-	Shard     int       `json:"shard"`
-	Epoch     *Snapshot `json:"epoch,omitempty"`
-	Admitted  int64     `json:"admitted"`
-	MeanDepth float64   `json:"mean_depth"`
-	MaxDepth  int64     `json:"max_depth"`
-	HitRatio  float64   `json:"hit_ratio"`
+	Shard         int        `json:"shard"`
+	Epoch         *obs.Epoch `json:"epoch,omitempty"`
+	MaxResponseNS int64      `json:"max_response_ns"`
+	Admitted      int64      `json:"admitted"`
+	MeanDepth     float64    `json:"mean_depth"`
+	MaxDepth      int64      `json:"max_depth"`
+	HitRatio      float64    `json:"hit_ratio"`
 }
 
 // jsonDoc is the /snapshot response: run metadata, per-shard epochs, the
@@ -41,7 +43,7 @@ func SnapshotDoc(p *Plane) any {
 		js.MaxDepth = maxDepth
 		js.MeanDepth = c.MeanDepth()
 		if s := c.Load(); s != nil {
-			js.Epoch = s
+			js.Epoch, js.MaxResponseNS = s, s.MaxResponseNS
 			js.HitRatio = s.HitRatio()
 			doc.Totals = doc.Totals.Add(s.Total)
 		}

@@ -2,14 +2,16 @@
 // the single-threaded simulation goroutines (one per shard) and concurrent
 // observers (HTTP scrapers, the progress sampler, expvar).
 //
-// The design is single-writer epoch publication. Each shard owns a Cell; the
-// shard's serving goroutine — and only that goroutine — builds an immutable
-// Snapshot at a deterministic cadence (every Cell.Every served requests, a
-// count keyed to simulated progress, never wall time) and publishes it with
-// one atomic pointer swap. Observers only Load the pointer; they never read
-// the mutable ftl.Metrics the simulator is updating, so a scrape can never
-// race the simulation or take a lock it holds. With no Cell attached the hot
-// path pays a single nil check and zero allocations.
+// The design is single-writer epoch publication. Each shard owns a Cell, one
+// of the two consumers of the epochs its device builds (obs.Epoch; the JSONL
+// metrics writer is the other). The shard's serving goroutine — and only that
+// goroutine — stores an immutable epoch into the cell at a deterministic
+// cadence (every Cell.Every served requests, a count keyed to simulated
+// progress, never wall time) with one atomic pointer swap. Observers only
+// Load the pointer; they never read the mutable ftl.Metrics the simulator is
+// updating, so a scrape can never race the simulation or take a lock it
+// holds. With no Cell attached the hot path pays a single nil check and zero
+// allocations.
 //
 // Wall-clock discipline: this package contains no wall-clock calls at all.
 // Rates, ETA and RSS live in Progress, which is computed by a sampler
@@ -43,28 +45,6 @@ type RunInfo struct {
 	TotalRequests int64 `json:"total_requests"`
 }
 
-// Snapshot is one immutable telemetry epoch for one shard. Counters are
-// cumulative over the process-lifetime of the attached device: metric resets
-// (warm-up) are folded into a base so every field in Total is monotonically
-// non-decreasing across epochs — the Prometheus counter contract.
-type Snapshot struct {
-	Shard int          `json:"shard"`
-	Seq   int64        `json:"seq"`    // epoch number, 1-based
-	SimNS int64        `json:"sim_ns"` // simulated clock at publication
-	Total obs.Counters `json:"total"`  // cumulative, monotonic
-	Delta obs.Counters `json:"delta"`  // since the previous epoch
-	// MaxResponseNS is a watermark, not a counter: it does not fold or sum.
-	MaxResponseNS int64 `json:"max_response_ns"`
-}
-
-// HitRatio returns the cumulative translation-cache hit ratio.
-func (s *Snapshot) HitRatio() float64 {
-	if s.Total[obs.CtrLookups] == 0 {
-		return 0
-	}
-	return float64(s.Total[obs.CtrHits]) / float64(s.Total[obs.CtrLookups])
-}
-
 // Progress is the wall-clock view of the run, computed by the cmd-side
 // sampler (the only place wall time may exist) and published here so the
 // scrape endpoints can serve it.
@@ -78,7 +58,7 @@ type Progress struct {
 }
 
 // Cell is one shard's telemetry mailbox. The shard's serving goroutine is
-// the single writer of the snapshot pointer and the recorder; the queue-stat
+// the single writer of the epoch pointer and the recorder; the queue-stat
 // fields are plain atomics written by whichever frontend admits for the
 // shard. Everything an observer can reach is either atomic or immutable.
 type Cell struct {
@@ -86,13 +66,7 @@ type Cell struct {
 	every int64
 	rec   *Recorder
 
-	// Single-writer state (the shard goroutine): the monotonic base folded
-	// at each metrics reset, and the previous epoch's totals for deltas.
-	base obs.Counters
-	seq  int64
-	prev obs.Counters
-
-	snap atomic.Pointer[Snapshot]
+	epoch atomic.Pointer[obs.Epoch]
 
 	// Queue stats published by the admitting frontend (atomic because the
 	// sharded host admits on a different goroutine than the scraper reads).
@@ -104,40 +78,17 @@ type Cell struct {
 // Shard returns the shard index this cell observes.
 func (c *Cell) Shard() int { return c.shard }
 
-// Due reports whether the shard should publish an epoch after serving its
-// requests-th request. The cadence is a pure function of the served-request
-// count, so telemetry-on and telemetry-off runs make identical simulation
-// decisions. Zero-alloc: one modulo on two int64s.
-func (c *Cell) Due(requests int64) bool {
-	return c.every > 0 && requests > 0 && requests%c.every == 0
-}
+// Every returns the cell's cadence: an epoch is due every Every requests the
+// shard serves.
+func (c *Cell) Every() int64 { return c.every }
 
-// Publish builds and atomically publishes a new epoch from the shard's
-// cumulative counters since its last metrics reset. Must be called only by
-// the shard's serving goroutine (single writer).
-func (c *Cell) Publish(simNS int64, cur obs.Counters, maxResponseNS int64) {
-	total := c.base.Add(cur)
-	c.seq++
-	s := &Snapshot{
-		Shard:         c.shard,
-		Seq:           c.seq,
-		SimNS:         simNS,
-		Total:         total,
-		Delta:         total.Sub(c.prev),
-		MaxResponseNS: maxResponseNS,
-	}
-	c.prev = total
-	c.snap.Store(s)
-}
-
-// FoldBase absorbs the pre-reset cumulative counters into the monotonic
-// base. Call immediately before a metrics reset (after a final Publish), so
-// published totals keep growing across warm-up resets. Single-writer.
-func (c *Cell) FoldBase(cur obs.Counters) { c.base = c.base.Add(cur) }
+// Store publishes e as the cell's latest epoch. Only the shard's serving
+// goroutine calls it, and e must not change afterwards.
+func (c *Cell) Store(e *obs.Epoch) { c.epoch.Store(e) }
 
 // Load returns the latest published epoch, or nil before the first one.
-// Safe from any goroutine; the snapshot is immutable.
-func (c *Cell) Load() *Snapshot { return c.snap.Load() }
+// Safe from any goroutine; the epoch is immutable.
+func (c *Cell) Load() *obs.Epoch { return c.epoch.Load() }
 
 // SetQueueStats publishes the admitting frontend's queueing statistics.
 func (c *Cell) SetQueueStats(admitted, depthSum, maxDepth int64) {

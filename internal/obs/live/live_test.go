@@ -11,60 +11,79 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ftl"
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/obs/obstest"
+	"repro/internal/trace"
 )
 
-// TestCellEpochsFoldAcrossReset pins the monotonic-counter contract: totals
-// published after a FoldBase (the warm-up metrics reset) keep growing even
-// though the device's own counters restart from zero.
+// TestCellEpochsFoldAcrossReset pins the monotonic-counter contract at the
+// cell: the epochs a device stores into it keep growing across a metrics
+// reset (the warm-up), though the device's own counters restart from zero,
+// and each carries the delta since the cell's previous epoch.
 func TestCellEpochsFoldAcrossReset(t *testing.T) {
 	p := live.NewPlane(4, 8)
-	cells := p.StartRun(live.RunInfo{Scheme: "tpftl", Workload: "unit", Shards: 1, TotalRequests: 100})
-	c := cells[0]
-	if c.Load() != nil {
-		t.Fatal("snapshot before first publish")
+	c := p.StartRun(live.RunInfo{Scheme: "tpftl", Workload: "unit", Shards: 1, TotalRequests: 100})[0]
+	if c.Load() != nil || c.Every() != 4 {
+		t.Fatalf("fresh cell: epoch %v, cadence %d", c.Load(), c.Every())
+	}
+	cfg := ftl.DefaultConfig(1 << 20)
+	cfg.CacheBytes = ftl.DefaultCacheBytes(1 << 20)
+	dev, err := ftl.NewDevice(cfg, core.New(core.DefaultConfig(cfg.CacheBytes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.Format(); err != nil {
+		t.Fatal(err)
+	}
+	dev.SetLive(c)
+	var arrival int64
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			arrival += 1e6
+			req := trace.Request{Arrival: arrival, Offset: int64(i%8) * 4096, Length: 4096}
+			if i%2 == 0 {
+				req.Op = trace.OpWrite
+			}
+			if _, err := dev.Serve(req); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 
-	warm := obs.Counters{obs.CtrRequests: 50, obs.CtrLookups: 40, obs.CtrHits: 30, obs.CtrGCData: 2, obs.CtrGCTrans: 1}
-	c.Publish(1000, warm, 7)
+	serve(10) // epochs after requests 4 and 8
+	if s := c.Load(); s == nil || s.Seq != 2 || s.Total[obs.CtrRequests] != 8 || s.Delta[obs.CtrRequests] != 4 {
+		t.Fatalf("warm-up epoch wrong: %+v", s)
+	}
+	warm := dev.Metrics()
+	dev.ResetMetrics() // the cell takes the pre-reset epoch, then the totals fold
+	if s := c.Load(); s.Seq != 3 || s.Total != warm.Counters() || s.MaxResponseNS != int64(warm.MaxResponse) {
+		t.Fatalf("pre-reset epoch wrong: %+v", s)
+	}
+
+	serve(4) // due again at the 4th request since the reset
 	s := c.Load()
-	if s == nil || s.Seq != 1 || s.Total[obs.CtrRequests] != 50 || s.Delta[obs.CtrRequests] != 50 {
-		t.Fatalf("first epoch wrong: %+v", s)
+	m := dev.Metrics()
+	if s.Seq != 4 || s.Total != warm.Counters().Add(m.Counters()) || s.Delta != m.Counters() {
+		t.Fatalf("post-reset epoch not folded: %+v", s)
 	}
-	if s.Total[obs.CtrGCData] != 2 || s.Total[obs.CtrGCTrans] != 1 || s.MaxResponseNS != 7 {
-		t.Fatalf("gc/max fields wrong: %+v", s)
+	if s.Total[obs.CtrLookups] == 0 || s.HitRatio() != float64(s.Total[obs.CtrHits])/float64(s.Total[obs.CtrLookups]) {
+		t.Fatalf("hit ratio %v over totals %+v", s.HitRatio(), s.Total)
 	}
-
-	// Warm-up reset: fold, then the device counts from zero again.
-	c.FoldBase(warm)
-	measured := obs.Counters{obs.CtrRequests: 10, obs.CtrLookups: 8, obs.CtrHits: 8, obs.CtrGCData: 1}
-	c.Publish(2000, measured, 5)
-	s2 := c.Load()
-	if s2.Seq != 2 {
-		t.Fatalf("seq = %d, want 2", s2.Seq)
+	if err := dev.FinishObservability(); err != nil {
+		t.Fatal(err)
 	}
-	if s2.Total[obs.CtrRequests] != 60 || s2.Total[obs.CtrLookups] != 48 || s2.Total[obs.CtrHits] != 38 {
-		t.Fatalf("totals not folded: %+v", s2.Total)
-	}
-	if s2.Delta[obs.CtrRequests] != 10 {
-		t.Fatalf("delta = %d, want 10", s2.Delta[obs.CtrRequests])
-	}
-	if s2.Total[obs.CtrGCData] != 3 || s2.Total[obs.CtrGCTrans] != 1 {
-		t.Fatalf("gc totals not folded: %+v", s2)
-	}
-	if got := s2.HitRatio(); got != 38.0/48.0 {
-		t.Fatalf("hit ratio = %v", got)
+	if end := c.Load(); end.Seq != 5 || end.Total != s.Total || end.Delta != (obs.Counters{}) {
+		t.Fatalf("end-of-run epoch wrong: %+v", end)
 	}
 
-	if !c.Due(4) || !c.Due(8) || c.Due(3) || c.Due(0) {
-		t.Fatal("Due cadence wrong for every=4")
+	if p.Requests() != 14 {
+		t.Fatalf("plane requests = %d, want 14", p.Requests())
 	}
-	if p.Requests() != 60 {
-		t.Fatalf("plane requests = %d, want 60", p.Requests())
-	}
-	c.SetQueueStats(70, 140, 9)
-	if p.Requests() != 70 {
+	c.SetQueueStats(20, 40, 9)
+	if p.Requests() != 20 {
 		t.Fatalf("plane requests should prefer admitted: %d", p.Requests())
 	}
 	if c.MeanDepth() != 2 {
@@ -108,7 +127,7 @@ func TestDumpRecordersRoundTrip(t *testing.T) {
 	if err := p.DumpRecorders(&buf); err != nil {
 		t.Fatal(err)
 	}
-	n, err := live.ValidateRecorderDump(strings.NewReader(buf.String()))
+	n, err := obstest.ValidateRecorderDump(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("dump does not validate: %v\n%s", err, buf.String())
 	}
@@ -135,7 +154,7 @@ func TestValidateRecorderDumpRejects(t *testing.T) {
 		"stray record":    head + rec(1, "read") + "end flight recorder\n",
 	}
 	for name, in := range cases {
-		if _, err := live.ValidateRecorderDump(strings.NewReader(in)); err == nil {
+		if _, err := obstest.ValidateRecorderDump(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validated, want error", name)
 		}
 	}
@@ -151,7 +170,8 @@ func scrapePlane(reqs int64) *live.Plane {
 	p := live.NewPlane(0, 0)
 	cells := p.StartRun(live.RunInfo{Scheme: "tpftl", Workload: `Fin"1`, Shards: 2, TotalRequests: 1000})
 	for i, c := range cells {
-		c.Publish(5e6, obs.Counters{obs.CtrRequests: reqs + int64(i), obs.CtrLookups: 2 * reqs, obs.CtrHits: reqs, obs.CtrGCData: 1}, 3e6)
+		c.Store(&obs.Epoch{Seq: 1, SimTimeNS: 5e6, MaxResponseNS: 3e6,
+			Total: obs.Counters{obs.CtrRequests: reqs + int64(i), obs.CtrLookups: 2 * reqs, obs.CtrHits: reqs, obs.CtrGCData: 1}})
 		c.SetQueueStats(reqs+int64(i), 4*reqs, 8)
 	}
 	p.SetProgress(live.Progress{Requests: 2 * reqs, Total: 1000, ReqPerSec: 123.5, ETASeconds: 4, PeakRSSBytes: 1 << 20})
@@ -166,7 +186,7 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	if err := live.WritePrometheus(&one, p); err != nil {
 		t.Fatal(err)
 	}
-	prev, err := live.ValidatePrometheus(strings.NewReader(one.String()))
+	prev, err := obstest.ValidatePrometheus(strings.NewReader(one.String()))
 	if err != nil {
 		t.Fatalf("scrape 1 invalid: %v\n%s", err, one.String())
 	}
@@ -192,19 +212,20 @@ func TestPrometheusRoundTrip(t *testing.T) {
 	// Second scrape with advanced counters must be monotonic over the first;
 	// the reverse comparison must fail.
 	for _, c := range p.Cells() {
-		c.Publish(6e6, obs.Counters{obs.CtrRequests: 150, obs.CtrLookups: 300, obs.CtrHits: 150, obs.CtrGCData: 2, obs.CtrGCTrans: 1}, 3e6)
+		c.Store(&obs.Epoch{Seq: 2, SimTimeNS: 6e6, MaxResponseNS: 3e6,
+			Total: obs.Counters{obs.CtrRequests: 150, obs.CtrLookups: 300, obs.CtrHits: 150, obs.CtrGCData: 2, obs.CtrGCTrans: 1}})
 	}
 	if err := live.WritePrometheus(&two, p); err != nil {
 		t.Fatal(err)
 	}
-	cur, err := live.ValidatePrometheus(strings.NewReader(two.String()))
+	cur, err := obstest.ValidatePrometheus(strings.NewReader(two.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := live.CheckCounterMonotonic(prev, cur); err != nil {
+	if err := obstest.CheckCounterMonotonic(prev, cur); err != nil {
 		t.Fatalf("monotonic scrapes rejected: %v", err)
 	}
-	if err := live.CheckCounterMonotonic(cur, prev); err == nil {
+	if err := obstest.CheckCounterMonotonic(cur, prev); err == nil {
 		t.Fatal("counter decrease not detected")
 	}
 }
@@ -304,7 +325,7 @@ func TestValidatePrometheusRejects(t *testing.T) {
 		"type after sample": "m 1\n# TYPE m counter\n",
 	}
 	for name, in := range cases {
-		if _, err := live.ValidatePrometheus(strings.NewReader(in)); err == nil {
+		if _, err := obstest.ValidatePrometheus(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: validated, want error", name)
 		}
 	}
@@ -320,16 +341,16 @@ func TestMuxEndpoints(t *testing.T) {
 	defer srv.Close()
 
 	body := get(t, srv.Client(), srv.URL+"/metrics")
-	if _, err := live.ValidatePrometheus(strings.NewReader(body)); err != nil {
+	if _, err := obstest.ValidatePrometheus(strings.NewReader(body)); err != nil {
 		t.Fatalf("/metrics invalid: %v", err)
 	}
 
 	var doc struct {
 		Run    live.RunInfo `json:"run"`
 		Shards []struct {
-			Shard    int            `json:"shard"`
-			Epoch    *live.Snapshot `json:"epoch"`
-			Admitted int64          `json:"admitted"`
+			Shard    int        `json:"shard"`
+			Epoch    *obs.Epoch `json:"epoch"`
+			Admitted int64      `json:"admitted"`
 		} `json:"shards"`
 		Totals   obs.Counters   `json:"totals"`
 		Progress *live.Progress `json:"progress"`

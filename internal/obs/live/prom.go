@@ -12,37 +12,37 @@ import (
 // exported counters are not listed here, WritePrometheus walks
 // obs.CounterTable for those. noEpoch marks a family read from the cell's
 // admission atomics, which exist before the first epoch; every other value
-// needs a published Snapshot.
+// needs a published epoch.
 type promSeries struct {
 	name    string
 	typ     string // "counter" or "gauge"
 	help    string
 	noEpoch bool
-	val     func(c *Cell, s *Snapshot) float64
+	val     func(c *Cell, s *obs.Epoch) float64
 }
 
 // promPlane is the metric-family catalog: initialized once, then only read,
 // by every scraper at once.
 var promPlane = []promSeries{
 	{"ftl_telemetry_epochs_total", "counter", "Telemetry epochs published.", false,
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.Seq) }},
+		func(_ *Cell, s *obs.Epoch) float64 { return float64(s.Seq) }},
 	{"ftl_admitted_total", "counter", "Requests admitted by the shard frontend.", true,
-		func(c *Cell, _ *Snapshot) float64 { a, _, _ := c.QueueStats(); return float64(a) }},
+		func(c *Cell, _ *obs.Epoch) float64 { a, _, _ := c.QueueStats(); return float64(a) }},
 	{"ftl_sim_time_seconds", "gauge", "Simulated clock at the latest epoch.", false,
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.SimNS) / 1e9 }},
+		func(_ *Cell, s *obs.Epoch) float64 { return float64(s.SimTimeNS) / 1e9 }},
 	{"ftl_hit_ratio", "gauge", "Cumulative translation-cache hit ratio.", false,
-		func(_ *Cell, s *Snapshot) float64 { return s.HitRatio() }},
+		func(_ *Cell, s *obs.Epoch) float64 { return s.HitRatio() }},
 	{"ftl_max_response_seconds", "gauge", "Largest response time observed.", false,
-		func(_ *Cell, s *Snapshot) float64 { return float64(s.MaxResponseNS) / 1e9 }},
+		func(_ *Cell, s *obs.Epoch) float64 { return float64(s.MaxResponseNS) / 1e9 }},
 	{"ftl_queue_depth_mean", "gauge", "Mean in-flight depth at admission.", true,
-		func(c *Cell, _ *Snapshot) float64 { return c.MeanDepth() }},
+		func(c *Cell, _ *obs.Epoch) float64 { return c.MeanDepth() }},
 	{"ftl_queue_depth_max", "gauge", "Largest in-flight depth at admission.", true,
-		func(c *Cell, _ *Snapshot) float64 { _, _, m := c.QueueStats(); return float64(m) }},
+		func(c *Cell, _ *obs.Epoch) float64 { _, _, m := c.QueueStats(); return float64(m) }},
 }
 
 // WritePrometheus renders the plane's current state in the Prometheus text
 // exposition format (version 0.0.4): one series per shard and counter-table
-// row (totals are base-folded in the cells, so each is monotonically
+// row (the device folds its totals across metrics resets, so each is
 // non-decreasing across scrapes, warm-up resets included), the plane's own
 // families, run info, and the sampler's progress view. Reads only published
 // epochs and atomics — never the live simulation state.

@@ -37,17 +37,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KnownKind reports whether name is a valid dump-format kind token
-// (validators use it; keep in sync with kindNames).
-func KnownKind(name string) bool {
-	for _, n := range kindNames {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
 // Record is one fixed-size flight-recorder entry. No pointers, so appending
 // copies by value into the pre-allocated ring — zero per-op allocation. For
 // host requests Off/N carry the byte offset and length and the three
@@ -117,7 +106,7 @@ func (r *Recorder) Tail(dst []Record) []Record {
 // DumpRecorders writes a readable post-mortem report of every shard's
 // flight recorder: the last N admitted requests and scheduler events per
 // shard, oldest first. The format is stable enough to validate
-// (ValidateRecorderDump).
+// (obstest.ValidateRecorderDump).
 func (p *Plane) DumpRecorders(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	cells := p.Cells()

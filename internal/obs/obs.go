@@ -1,7 +1,7 @@
 // Package obs is the simulator's observability layer: fixed-bucket
 // log-linear latency histograms recorded per request and attributed by
 // phase, a Chrome trace_event span tracer for the event scheduler, and the
-// JSONL schema of the periodic metrics export.
+// epoch that both the JSONL metrics export and the live plane publish.
 //
 // The package is a leaf: it imports nothing but the standard library, so
 // every layer of the stack (internal/ftl, internal/ssd, internal/sim, the

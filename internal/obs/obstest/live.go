@@ -1,12 +1,15 @@
-package live
+package obstest
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/obs/live"
 )
 
 // Scanner sizing for the line-oriented validators: initial buffer and the
@@ -227,33 +230,15 @@ func parseValue(s string) (float64, error) {
 	return v, nil
 }
 
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		alpha := c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-		if !alpha && !(i > 0 && c >= '0' && c <= '9') {
-			return false
-		}
-	}
-	return true
-}
+// The exposition format's name grammars; a label name may not start "__".
+var (
+	metricName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelName  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
 
-func validLabelName(s string) bool {
-	if s == "" || strings.HasPrefix(s, "__") {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		alpha := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-		if !alpha && !(i > 0 && c >= '0' && c <= '9') {
-			return false
-		}
-	}
-	return true
-}
+func validMetricName(s string) bool { return metricName.MatchString(s) }
+
+func validLabelName(s string) bool { return labelName.MatchString(s) && !strings.HasPrefix(s, "__") }
 
 // CheckCounterMonotonic verifies that every counter series present in prev
 // did not decrease in cur. A series is a counter when cur declares its
@@ -340,7 +325,7 @@ func ValidateRecorderDump(r io.Reader) (int, error) {
 				&seq, &simNS, &kind, &off, &n, &arrival, &admit, &complete); err != nil {
 				return 0, fmt.Errorf("line %d: malformed record %q: %v", line, text, err)
 			}
-			if !KnownKind(kind) {
+			if !knownKind(kind) {
 				return 0, fmt.Errorf("line %d: unknown kind %q", line, kind)
 			}
 			if seq <= lastSeq {
@@ -357,4 +342,14 @@ func ValidateRecorderDump(r io.Reader) (int, error) {
 		return 0, err
 	}
 	return 0, fmt.Errorf("missing trailer")
+}
+
+// knownKind reports whether name is the dump token of a recorder kind.
+func knownKind(name string) bool {
+	for k := live.Kind(0); k.String() != "unknown"; k++ {
+		if k.String() == name {
+			return true
+		}
+	}
+	return false
 }

@@ -1,14 +1,20 @@
-package obs
+// Package obstest validates the simulator's observability artifacts — the
+// -metrics-out JSONL stream, the Chrome trace, the Prometheus exposition and
+// the flight-recorder dump — against the formats their writers promise. Only
+// tests import it.
+package obstest
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/obs"
 )
 
 // ValidateMetricsJSONL checks a -metrics-out stream against the snapshot
-// schema: every line parses as a SnapshotRecord, seq starts at 1 and
+// schema: every line parses as an obs.Epoch, seq starts at 1 and
 // increments by one, simulated time and every cumulative counter of the
 // table are non-decreasing, from the second line on delta is the difference
 // of consecutive totals, every phase name appears exactly once per line, and
@@ -21,14 +27,14 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 		n         int
 		prevSeq   int64
 		prevTime  int64
-		prevTotal Counters
+		prevTotal obs.Counters
 	)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var rec SnapshotRecord
+		var rec obs.Epoch
 		if err := json.Unmarshal(line, &rec); err != nil {
 			return n, fmt.Errorf("metrics line %d: %v", n+1, err)
 		}
@@ -38,11 +44,11 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 		if rec.SimTimeNS < prevTime {
 			return n, fmt.Errorf("metrics line %d: sim_time_ns went backwards (%d < %d)", n+1, rec.SimTimeNS, prevTime)
 		}
-		if rec.Total[CtrRequests] != rec.Requests {
-			return n, fmt.Errorf("metrics line %d: total.requests %d != requests %d", n+1, rec.Total[CtrRequests], rec.Requests)
+		if rec.Total[obs.CtrRequests] != rec.Requests {
+			return n, fmt.Errorf("metrics line %d: total.requests %d != requests %d", n+1, rec.Total[obs.CtrRequests], rec.Requests)
 		}
-		for i := range CounterTable {
-			key, total, prev := CounterTable[i].Key, rec.Total[i], prevTotal[i]
+		for i := range obs.CounterTable {
+			key, total, prev := obs.CounterTable[i].Key, rec.Total[i], prevTotal[i]
 			if total < prev {
 				return n, fmt.Errorf("metrics line %d: total.%s went backwards (%d < %d)", n+1, key, total, prev)
 			}
@@ -50,9 +56,9 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 				return n, fmt.Errorf("metrics line %d: delta.%s %d != total %d - previous total %d", n+1, key, rec.Delta[i], total, prev)
 			}
 		}
-		seen := make(map[string]bool, NumPhases)
+		seen := make(map[string]bool, obs.NumPhases)
 		for _, ph := range rec.Phases {
-			if _, ok := PhaseByName(ph.Phase); !ok {
+			if _, ok := obs.PhaseByName(ph.Phase); !ok {
 				return n, fmt.Errorf("metrics line %d: unknown phase %q", n+1, ph.Phase)
 			}
 			if seen[ph.Phase] {
@@ -71,8 +77,8 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 				}
 			}
 		}
-		if len(seen) != int(NumPhases) {
-			return n, fmt.Errorf("metrics line %d: %d phases present, want %d", n+1, len(seen), NumPhases)
+		if len(seen) != int(obs.NumPhases) {
+			return n, fmt.Errorf("metrics line %d: %d phases present, want %d", n+1, len(seen), obs.NumPhases)
 		}
 		prevSeq, prevTime, prevTotal = rec.Seq, rec.SimTimeNS, rec.Total
 		n++
@@ -86,8 +92,8 @@ func ValidateMetricsJSONL(r io.Reader) (int, error) {
 	return n, nil
 }
 
-// traceEvent is the decoded shape of one Chrome trace_event record.
-type traceEvent struct {
+// TraceEvent is the decoded shape of one Chrome trace_event record.
+type TraceEvent struct {
 	Name string          `json:"name"`
 	Ph   string          `json:"ph"`
 	Cat  string          `json:"cat"`
@@ -98,10 +104,10 @@ type traceEvent struct {
 	ID   json.RawMessage `json:"id"`
 }
 
-// traceDoc is the top-level Chrome trace JSON object.
-type traceDoc struct {
+// TraceDoc is the top-level Chrome trace JSON object.
+type TraceDoc struct {
 	DisplayTimeUnit string       `json:"displayTimeUnit"`
-	TraceEvents     []traceEvent `json:"traceEvents"`
+	TraceEvents     []TraceEvent `json:"traceEvents"`
 }
 
 // ValidateTrace checks a -trace-out file against the Chrome trace_event
@@ -110,7 +116,7 @@ type traceDoc struct {
 // "M"), non-negative timestamps, non-negative durations on "X" events, and
 // balanced "b"/"e" pairs per (cat, id). It returns the event count.
 func ValidateTrace(r io.Reader) (int, error) {
-	var doc traceDoc
+	var doc TraceDoc
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
 		return 0, fmt.Errorf("trace: %v", err)

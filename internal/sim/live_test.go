@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"net/http/httptest"
 	"reflect"
@@ -12,7 +13,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/flash"
 	"repro/internal/ftl"
+	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -131,18 +134,18 @@ func TestTelemetryScrapeEquivalence(t *testing.T) {
 			if err := live.WritePrometheus(&one, plane); err != nil {
 				t.Fatal(err)
 			}
-			prev, err := live.ValidatePrometheus(strings.NewReader(one.String()))
+			prev, err := obstest.ValidatePrometheus(strings.NewReader(one.String()))
 			if err != nil {
 				t.Fatalf("final scrape invalid: %v", err)
 			}
 			if err := live.WritePrometheus(&two, plane); err != nil {
 				t.Fatal(err)
 			}
-			cur, err := live.ValidatePrometheus(strings.NewReader(two.String()))
+			cur, err := obstest.ValidatePrometheus(strings.NewReader(two.String()))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := live.CheckCounterMonotonic(prev, cur); err != nil {
+			if err := obstest.CheckCounterMonotonic(prev, cur); err != nil {
 				t.Fatalf("post-run scrapes not monotonic: %v", err)
 			}
 			if plane.Requests() == 0 {
@@ -154,7 +157,7 @@ func TestTelemetryScrapeEquivalence(t *testing.T) {
 			if err := plane.DumpRecorders(&dump); err != nil {
 				t.Fatal(err)
 			}
-			n, err := live.ValidateRecorderDump(strings.NewReader(dump.String()))
+			n, err := obstest.ValidateRecorderDump(strings.NewReader(dump.String()))
 			if err != nil {
 				t.Fatalf("recorder dump invalid: %v\n%s", err, dump.String())
 			}
@@ -186,7 +189,7 @@ func TestTelemetryCrashDumpOnFailure(t *testing.T) {
 	if err := plane.DumpRecorders(&dump); err != nil {
 		t.Fatal(err)
 	}
-	n, verr := live.ValidateRecorderDump(strings.NewReader(dump.String()))
+	n, verr := obstest.ValidateRecorderDump(strings.NewReader(dump.String()))
 	if verr != nil {
 		t.Fatalf("post-mortem dump invalid: %v\n%s", verr, dump.String())
 	}
@@ -234,5 +237,50 @@ func TestTelemetryOffHotPathAllocates0(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("telemetry-off serve allocates %v times per op, want 0", allocs)
+	}
+}
+
+// TestMetricsFileAndPlaneAgree attaches both epoch sinks to one run: the
+// -metrics-out file must be byte-identical to the same run's without the
+// plane (the warm-up fold must not leak into the file), and the plane's last
+// epoch, less the warm-up's counters, must equal the file's last total and
+// the run's own metrics.
+func TestMetricsFileAndPlaneAgree(t *testing.T) {
+	run := func(plane *live.Plane) (*Result, []byte) {
+		t.Helper()
+		var out bytes.Buffer
+		o := goldenOptions(SchemeTPFTL)
+		o.MetricsOut = &out
+		o.MetricsInterval = 700
+		o.Telemetry = plane
+		r, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, out.Bytes()
+	}
+	_, alone := run(nil)
+	plane := live.NewPlane(64, 16)
+	r, both := run(plane)
+	if !bytes.Equal(alone, both) {
+		t.Fatalf("-metrics-out differs with the plane attached:\n--- with\n%s\n--- without\n%s", both, alone)
+	}
+	lines := bytes.Split(bytes.TrimSpace(both), []byte("\n"))
+	var last obs.Epoch
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+
+	// The warm-up is the first ResetAfterWarmup requests of the same
+	// generated stream, served on the same preconditioned device.
+	o := goldenOptions(SchemeTPFTL)
+	o.Requests, o.ResetAfterWarmup = o.ResetAfterWarmup, 0
+	warm, err := Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := plane.Cells()[0].Load()
+	if got := e.Total.Sub(warm.M.Counters()); got != last.Total || got != r.M.Counters() {
+		t.Fatalf("plane total less the warm-up disagrees with the file and the run\nplane %+v\nfile  %+v\nrun   %+v", got, last.Total, r.M.Counters())
 	}
 }

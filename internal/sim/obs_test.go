@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ftl"
 	"repro/internal/obs"
+	"repro/internal/obs/obstest"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -86,14 +87,14 @@ func TestObservabilityExportsDeterministic(t *testing.T) {
 	if !bytes.Equal(metrics1.Bytes(), metrics2.Bytes()) {
 		t.Fatal("metrics export differs across identical runs")
 	}
-	n, err := obs.ValidateMetricsJSONL(&metrics1)
+	n, err := obstest.ValidateMetricsJSONL(&metrics1)
 	if err != nil {
 		t.Fatalf("metrics JSONL fails its own schema check: %v", err)
 	}
 	if n < 2 {
 		t.Fatalf("only %d metrics snapshots for 4000 requests at interval 500", n)
 	}
-	ev, err := obs.ValidateTrace(&trace1)
+	ev, err := obstest.ValidateTrace(&trace1)
 	if err != nil {
 		t.Fatalf("trace JSON fails its own schema check: %v", err)
 	}
@@ -115,10 +116,10 @@ func TestSimRunObservabilityOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.ValidateMetricsJSONL(bytes.NewReader(metricsBuf.Bytes())); err != nil {
+	if _, err := obstest.ValidateMetricsJSONL(bytes.NewReader(metricsBuf.Bytes())); err != nil {
 		t.Fatalf("sim.Run metrics export fails validation: %v", err)
 	}
-	if _, err := obs.ValidateTrace(bytes.NewReader(traceBuf.Bytes())); err != nil {
+	if _, err := obstest.ValidateTrace(bytes.NewReader(traceBuf.Bytes())); err != nil {
 		t.Fatalf("sim.Run trace export fails validation: %v", err)
 	}
 	// The final snapshot's cumulative counters are the measured phase's

@@ -406,7 +406,7 @@ func Run(o Options) (*Result, error) {
 	}
 	if o.Telemetry != nil {
 		// One cell per shard; warm-up and the measured phase both publish
-		// (the warm-up reset folds into each cell's monotonic base).
+		// (each device folds the warm-up reset into the totals it publishes).
 		h.SetLive(o.Telemetry.StartRun(live.RunInfo{
 			Scheme:        string(o.Scheme),
 			Workload:      profile.Name,
@@ -449,8 +449,19 @@ func Run(o Options) (*Result, error) {
 	}
 
 	out, err := h.ReplayStream(it, replay)
+	// The sinks take their last epochs and flush on a failed run too, so a
+	// scrape or a file read after it sees where the run stopped.
+	ferr := perShard(n, func(s int) error {
+		if err := devs[s].FinishObservability(); err != nil {
+			return fmt.Errorf("sim: %s/%s shard %d observability flush: %w", o.Scheme, profile.Name, s, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s/%s: %w", o.Scheme, profile.Name, err)
+	}
+	if ferr != nil {
+		return nil, ferr
 	}
 	res.M = out.M
 	res.TraceStats = it.acc.Stats()
@@ -460,9 +471,6 @@ func Run(o Options) (*Result, error) {
 	// Consistency is part of every run: a scheme that survives the trace but
 	// corrupted its mapping must not produce results.
 	err = perShard(n, func(s int) error {
-		if err := devs[s].FinishObservability(); err != nil {
-			return fmt.Errorf("sim: %s/%s shard %d observability flush: %w", o.Scheme, profile.Name, s, err)
-		}
 		if err := devs[s].CheckConsistency(nil); err != nil {
 			return fmt.Errorf("sim: %s/%s shard %d post-run consistency: %w", o.Scheme, profile.Name, s, err)
 		}
