@@ -97,41 +97,42 @@ func (h *Histogram) Merge(o *Histogram) {
 // clamped into [Min, Max], so Quantile(0) == Min, Quantile(1) == Max, and
 // max ≥ p999 holds structurally. An empty histogram returns 0.
 func (h *Histogram) Quantile(p float64) time.Duration {
-	if h.Count == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return time.Duration(h.MinV)
-	}
-	if p >= 1 {
-		return time.Duration(h.MaxV)
-	}
-	// Rank of the target observation, 1-based: ceil(p * Count).
-	target := int64(p * float64(h.Count))
-	if float64(target) < p*float64(h.Count) {
-		target++
-	}
-	if target < 1 {
-		target = 1
-	}
-	if target > h.Count {
-		target = h.Count
-	}
+	var q [1]int64
+	h.quantiles([]float64{p}, q[:])
+	return time.Duration(q[0])
+}
+
+// quantiles sets q[k] to Quantile(ps[k]) for ascending ps, in one pass over
+// the buckets.
+func (h *Histogram) quantiles(ps []float64, q []int64) {
 	var cum int64
-	for i := range h.Buckets {
-		cum += h.Buckets[i]
+	i := 0
+	for k, p := range ps {
+		switch {
+		case h.Count == 0:
+			continue
+		case p <= 0:
+			q[k] = h.MinV
+			continue
+		case p >= 1:
+			q[k] = h.MaxV
+			continue
+		}
+		// Rank of the target observation, 1-based: ceil(p * Count).
+		target := int64(p * float64(h.Count))
+		if float64(target) < p*float64(h.Count) {
+			target++
+		}
+		target = max(1, min(target, h.Count))
+		for cum < target && i < NumBuckets {
+			cum += h.Buckets[i]
+			i++
+		}
+		q[k] = h.MaxV
 		if cum >= target {
-			v := bucketUpper(i)
-			if v < h.MinV {
-				v = h.MinV
-			}
-			if v > h.MaxV {
-				v = h.MaxV
-			}
-			return time.Duration(v)
+			q[k] = max(h.MinV, min(bucketUpper(i-1), h.MaxV))
 		}
 	}
-	return time.Duration(h.MaxV)
 }
 
 // Mean returns the arithmetic mean observation, or 0 when empty.
@@ -160,15 +161,17 @@ func (h *Histogram) Max() time.Duration {
 
 // Summary condenses the histogram into the export snapshot for one phase.
 func (h *Histogram) Summary(name string) PhaseSnapshot {
+	var q [4]int64
+	h.quantiles([]float64{0.50, 0.90, 0.99, 0.999}, q[:])
 	return PhaseSnapshot{
 		Phase:  name,
 		Count:  h.Count,
 		MeanNS: int64(h.Mean()),
 		MinNS:  int64(h.Min()),
 		MaxNS:  int64(h.Max()),
-		P50NS:  int64(h.Quantile(0.50)),
-		P90NS:  int64(h.Quantile(0.90)),
-		P99NS:  int64(h.Quantile(0.99)),
-		P999NS: int64(h.Quantile(0.999)),
+		P50NS:  q[0],
+		P90NS:  q[1],
+		P99NS:  q[2],
+		P999NS: q[3],
 	}
 }
